@@ -154,15 +154,14 @@ def realize_grid(predicate, dim: int, depth: int) -> GridWorld:
 
     This is the map-construction step a planner with full map knowledge
     needs when the environment is only available as a point oracle; its
-    cost is one predicate call per unit cell.
+    cost is one predicate call per unit cell.  Cells are filled in the
+    grid's flat layout (axis 0 fastest).
     """
     side = 1 << depth
     cells = np.empty(side**dim, dtype=np.uint8)
-    i = 0
-    for cell in product(range(side), repeat=dim):
-        point = tuple(c + 0.5 for c in cell)
+    for i, cell in enumerate(product(range(side), repeat=dim)):
+        point = tuple(c + 0.5 for c in reversed(cell))
         cells[i] = 1 if predicate(point) else 0
-        i += 1
     return GridWorld(dim, depth, cells)
 
 

@@ -5,11 +5,16 @@ Two cells are neighbors exactly when their cubes share a full
 the Chebyshev distance of the centers equals 2**k_a + 2**k_b and exactly
 one axis attains it.
 
-The lookup routines walk a pruned tree (any object graph of nodes with
-``scale``, ``center2`` and ``children`` attributes, children being None for
-leaves or a list with None holes for removed subtrees).  Each of the 2*dim
-same-scale candidate positions is resolved by a root descent, so a full
-adjacency pass costs O(V log V) instead of the quadratic pairwise scan.
+The lookup routines walk a reduced view (mspp.reduced) and need its
+root, a ViewRoot: nodes with ``scale``, ``center2``, ``children`` and
+``gen`` attributes, children being None for leaves or a list with None
+holes for removed subtrees, under a root that also carries the view's
+decision step (``settle``).  The view is lazy, so a child may be stale;
+every descent reads children through child_at, which has settle decide a
+stale child first.  Only the nodes a lookup reaches are decided.
+Each of the 2*dim same-scale candidate positions is resolved by a root
+descent, so a full adjacency pass costs O(V log V) instead of the
+quadratic pairwise scan.
 """
 
 from __future__ import annotations
@@ -88,6 +93,20 @@ def neighbor_candidates(idx, depth: int) -> list[Candidate]:
     return out
 
 
+def child_at(node, slot: int, settle):
+    """The child in a slot of a decided node, itself decided first if stale.
+
+    A child stamped with another generation than its parent is stale:
+    settle (the view root's decision step) decides it for the current
+    generation and returns it, or writes None into the slot and returns
+    None when the child is removed.  find_neighbors inlines this step.
+    """
+    child = node.children[slot]
+    if child is not None and child.gen != node.gen:
+        child = settle(node, slot)
+    return child
+
+
 def find_containing(root, target2: Sequence[int]):
     """Deepest node on the path toward a same-or-finer-scale center.
 
@@ -96,46 +115,50 @@ def find_containing(root, target2: Sequence[int]):
     removed child slot on the way means the region was dropped from the
     tree; None is returned.
     """
+    settle = root.settle
     node = root
     while True:
         c2 = node.center2
         if c2 == target2:
             return node
-        kids = node.children
-        if kids is None:
+        if node.children is None:
             return node
         slot = 0
         for j, c in enumerate(c2):
             if target2[j] >= c:
                 slot |= 1 << j
-        node = kids[slot]
+        node = child_at(node, slot, settle)
         if node is None:
             return None
 
 
-def add_face_leaves(node, axis: int, sign: int, out: list) -> None:
+def add_face_leaves(node, axis: int, sign: int, out: list, settle) -> None:
     """Append every leaf of the subtree touching the node's given face.
 
     Only the 2**(dim-1) children on that face are visited at each level.
+    settle is the view root's decision step (None for a view that was
+    never refreshed, which has nothing stale).
     """
     kids = node.children
     if kids is None:
         out.append(node)
         return
     want = 1 if sign > 0 else 0
-    for i, child in enumerate(kids):
-        if child is not None and (i >> axis) & 1 == want:
-            add_face_leaves(child, axis, sign, out)
+    for slot in range(len(kids)):
+        if (slot >> axis) & 1 == want:
+            child = child_at(node, slot, settle)
+            if child is not None:
+                add_face_leaves(child, axis, sign, out, settle)
 
 
 def find_neighbors(root, node, depth: int) -> list:
     """All leaves adjacent to a leaf of the same tree.
 
     Each direction resolves its candidate center by root descent (the
-    find_containing loop, inlined here as this is the planner's hottest
-    path): a leaf result is the unique same-or-larger neighbor on that
-    side, an internal result fans out into the smaller leaves on the
-    shared face.
+    find_containing loop, with child_at, inlined here as this is the
+    planner's hottest path): a leaf result is the unique same-or-larger
+    neighbor on that side, an internal result fans out into the smaller
+    leaves on the shared face.
     """
     k = node.scale
     c2 = node.center2
@@ -144,6 +167,8 @@ def find_neighbors(root, node, depth: int) -> list:
     hi = (2 << depth) - lo
     dim = len(c2)
     axes = range(dim)
+    gen = root.gen
+    settle = root.settle
     out: list = []
     for axis in axes:
         pre = c2[:axis]
@@ -165,7 +190,10 @@ def find_neighbors(root, node, depth: int) -> list:
                 for j in axes:
                     if target2[j] >= fc2[j]:
                         slot |= 1 << j
-                found = kids[slot]
+                child = kids[slot]
+                if child is not None and child.gen != gen:
+                    child = settle(found, slot)
+                found = child
                 if found is None:
                     break
             if found is None:
@@ -173,12 +201,16 @@ def find_neighbors(root, node, depth: int) -> list:
             if found.children is None:
                 out.append(found)
             else:
-                add_face_leaves(found, axis, 1 if coord < base else -1, out)
+                add_face_leaves(found, axis, 1 if coord < base else -1, out, settle)
     return out
 
 
 def collect_leaves(root, sort: bool = True) -> list:
-    """Leaves of the tree, by default in canonical (scale, center2) order."""
+    """Leaves of the tree, by default in canonical (scale, center2) order.
+
+    Resolves the whole view.
+    """
+    settle = root.settle
     out = []
     stack = [root]
     while stack:
@@ -187,7 +219,8 @@ def collect_leaves(root, sort: bool = True) -> list:
         if kids is None:
             out.append(node)
         else:
-            for child in kids:
+            for slot in range(len(kids)):
+                child = child_at(node, slot, settle)
                 if child is not None:
                     stack.append(child)
     if sort:

@@ -1,37 +1,63 @@
-"""Reduced trees: the coarsened planning view rebuilt around a focus cell.
+"""Reduced trees: the coarsened planning view around a focus cell.
 
-Each planning iteration keeps a mutable tree whose leaves are the graph
-vertices.  Far from the focus cell the tree stops at coarse nodes, close to
-it (and around every cell already on the traversed path) it refines to the
-finest stored resolution.  A node stops subdividing when
+Each planning iteration works on a view: a mutable tree whose leaves are
+the graph vertices.  Far from the focus cell the view stops at coarse
+nodes, close to it (and around every cell already on the traversed path)
+it refines to the finest stored resolution.  A node stops subdividing when
 
     ||center - focus_center||_2  >=  alpha * 2**scale + circumradius(focus)
 
 which is evaluated exactly: alpha is a dyadic float, so both sides can be
 squared into integer comparisons on doubled coordinates; the lone square
 root of dim is eliminated by squaring twice with sign checks, folded into a
-per-scale integer threshold.
+per-scale integer threshold.  The thresholds depend only on the focus
+scale, so each view computes them once per focus scale.
 
-Scale-weighted obstacle nodes and explicitly blocked cells are removed
-entirely (a removed child leaves a None hole in its parent's child list),
-and internal nodes whose children were all removed are dropped too, so the
-tree never retains obstacle regions.  The same node objects are reused
-across refreshes; refreshing in place or from scratch yields identical
-trees.
+Scale-weighted obstacle nodes, explicitly blocked cells and known
+obstacles are removed entirely: a removed child leaves a None hole in its
+parent's child list.
+
+The view is lazy.  refresh() does O(1) work: it captures its inputs,
+starts a new generation and decides the root.  Every node carries the
+generation it was decided in (its stamp); a node with an older stamp is
+stale, and a descent that reaches a stale child decides that one child
+then, by the same rule an eager rebuild would apply: removed (None is
+written into the parent's slot), a leaf (its children are dropped) or
+internal (it keeps its child list, or gets one of stale children).  Every
+lookup reads children through that one step (neighbors.child_at), so
+after any sequence of refreshes the resolved view equals a view rebuilt
+from scratch with the same inputs.  Two facts make that exact:
+
+* A None hole is never stale.  Every removal is permanent: known-obstacle
+  keys and blocked cells are only ever added, and an exact-mode removal
+  needs a value of at least 1 - eps * 2**(-dim * k), which with eps < 1 on
+  a 0/1 grid means occupancy 1.0, held only by a stored leaf, which stops
+  at every focus.
+* A node that descends but loses every child stays in the view as an
+  internal node with None slots.  Every lookup answers for it as if it
+  were gone, and snapshot() skips it, as a rebuild would have dropped it;
+  it is decided again in the next generation like any other node.
+
+The inputs of a generation are frozen until the next refresh: deciding a
+node after a CellTracker it reads has changed raises, and callers buffer
+new obstacle and free classifications until the next refresh.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 from typing import AbstractSet
 
-from .tree import COORD_BITS, NodeIndex, OccupancyTree
+from .neighbors import child_at, collect_leaves, find_containing
+from .tree import COORD_BITS, NodeIndex, OccupancyTree, pack_index
 
 __all__ = [
     "RTNode",
     "ReducedTree",
     "CellTracker",
+    "ViewRoot",
     "refresh",
     "window_far",
     "window_thresholds",
@@ -42,15 +68,19 @@ class RTNode:
     """One node of a reduced tree.
 
     children is None for a leaf (a graph vertex) or a list of length
-    2**dim whose entries may be None where a subtree was removed.
+    2**dim whose entries may be None where a subtree was removed.  gen is
+    the generation the node was decided in; until a descent decides it
+    again, a node stamped with an older generation than its parent's is
+    stale and its children field is not to be read.
     """
 
-    __slots__ = ("scale", "center2", "children")
+    __slots__ = ("scale", "center2", "children", "gen")
 
     def __init__(self, scale: int, center2: tuple[int, ...], children=None):
         self.scale = scale
         self.center2 = center2
         self.children = children
+        self.gen = 0
 
     def index(self) -> NodeIndex:
         return NodeIndex(self.scale, self.center2)
@@ -58,6 +88,22 @@ class RTNode:
     def __repr__(self) -> str:
         kind = "leaf" if self.children is None else "internal"
         return f"RTNode({self.scale}, {self.center2}, {kind})"
+
+
+class ViewRoot(RTNode):
+    """Root of a reduced view; it also carries the view's decision step.
+
+    settle(parent, slot) decides the stale child in that slot of a decided
+    parent for the current generation and returns it, or writes None into
+    the slot and returns None when the child is removed.  A view that was
+    never refreshed has nothing stale and no decision step.
+    """
+
+    __slots__ = ("settle",)
+
+    def __init__(self, scale: int, center2: tuple[int, ...]):
+        super().__init__(scale, center2)
+        self.settle = None
 
 
 def _pack_coords(center2: tuple[int, ...]) -> int:
@@ -74,17 +120,18 @@ class CellTracker:
     depth, the coarser cell containing the member's center.  A node then
     holds some member's center strictly inside its cube exactly when the
     node's own coordinates appear in the tracker at the node's scale.
-    Counts make removal exact when the same cell was added twice.
+    Counts make removal exact when the same cell was added twice.  version
+    counts the changes, so a view can tell that its inputs moved on.
     """
 
-    __slots__ = ("dim", "depth", "_anc", "_members")
+    __slots__ = ("dim", "depth", "version", "_anc", "_members")
 
     def __init__(self, dim: int, depth: int):
         self.dim = dim
         self.depth = depth
+        self.version = 0
         self._anc: list[dict[int, int]] = [{} for _ in range(depth + 1)]
         self._members: list[dict[int, int]] = [{} for _ in range(depth + 1)]
-
     def _ancestor_key(self, center2: tuple[int, ...], k: int) -> int:
         key = 0
         step = 1 << k
@@ -94,6 +141,7 @@ class CellTracker:
         return key
 
     def add(self, idx: NodeIndex) -> None:
+        self.version += 1
         scale, c2 = idx
         members = self._members[scale]
         mk = _pack_coords(c2)
@@ -104,6 +152,7 @@ class CellTracker:
             anc[ak] = anc.get(ak, 0) + 1
 
     def discard(self, idx: NodeIndex) -> None:
+        self.version += 1
         scale, c2 = idx
         members = self._members[scale]
         mk = _pack_coords(c2)
@@ -133,51 +182,43 @@ class CellTracker:
 
 
 class ReducedTree:
-    """Root container for the coarsened planning tree."""
+    """Root container for the coarsened planning view.
 
-    __slots__ = ("dim", "depth", "root")
+    gen counts the refreshes; nodes decided since the last one carry it.
+    The lookups resolve the nodes they reach and nothing else.
+    """
+
+    __slots__ = ("dim", "depth", "root", "gen", "_windows")
 
     def __init__(self, dim: int, depth: int):
         self.dim = dim
         self.depth = depth
-        self.root = RTNode(depth, (1 << depth,) * dim, None)
+        self.root = ViewRoot(depth, (1 << depth,) * dim)
+        self.gen = 0
+        # (alpha, focus scale, eps or None) -> far thresholds, their
+        # denominator and the per-scale obstacle values.
+        self._windows: dict[tuple, tuple] = {}
 
     def vertices(self) -> list[RTNode]:
         """All leaves in canonical (scale, center2) order."""
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.children is None:
-                out.append(node)
-            else:
-                for child in node.children:
-                    if child is not None:
-                        stack.append(child)
-        out.sort(key=lambda n: (n.scale, n.center2))
-        return out
+        return collect_leaves(self.root)
 
     def find_vertex(self, idx: NodeIndex) -> RTNode | None:
         """The leaf with exactly this address, if present."""
-        node = self.root
-        target = idx.center2
-        while True:
-            if node.center2 == target and node.scale == idx.scale:
-                return node if node.children is None else None
-            kids = node.children
-            if kids is None or node.scale <= idx.scale:
-                return None
-            slot = 0
-            for j, c in enumerate(node.center2):
-                if target[j] >= c:
-                    slot |= 1 << j
-            node = kids[slot]
-            if node is None:
-                return None
+        node = find_containing(self.root, idx.center2)
+        if (
+            node is None
+            or node.children is not None
+            or node.center2 != idx.center2
+            or node.scale != idx.scale
+        ):
+            return None
+        return node
 
     def leaf_at_point(self, point) -> RTNode | None:
         """Leaf whose cube contains the point (half-open), None if removed."""
         node = self.root
+        settle = node.settle
         doubled = [2.0 * x for x in point]
         for j, x in enumerate(doubled):
             if not 0.0 < x < 2.0 * node.center2[j]:
@@ -187,26 +228,38 @@ class ReducedTree:
             for j, c in enumerate(node.center2):
                 if doubled[j] >= c:
                     slot |= 1 << j
-            node = node.children[slot]
+            node = child_at(node, slot, settle)
             if node is None:
                 return None
         return node
 
     def snapshot(self) -> dict[int, bool]:
-        """Packed node key -> is_leaf, for structural equality checks."""
+        """Packed node key -> is_leaf, for structural equality checks.
+
+        Resolves the whole view.  Internal nodes with no leaf below them
+        are left out, the root excepted, as a rebuild from scratch would
+        have removed them.
+        """
         out: dict[int, bool] = {}
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            key = node.scale
-            for c in node.center2:
-                key = (key << COORD_BITS) | c
-            leaf = node.children is None
-            out[key] = leaf
-            if not leaf:
-                for child in node.children:
-                    if child is not None:
-                        stack.append(child)
+        settle = self.root.settle
+
+        def walk(node: RTNode) -> bool:
+            kids = node.children
+            if kids is None:
+                out[pack_index(node.scale, node.center2)] = True
+                return True
+            kept = False
+            for slot in range(len(kids)):
+                child = child_at(node, slot, settle)
+                if child is not None and walk(child):
+                    kept = True
+            if kept:
+                out[pack_index(node.scale, node.center2)] = False
+            return kept
+
+        root = self.root
+        if not walk(root):
+            out[pack_index(root.scale, root.center2)] = False
         return out
 
 
@@ -258,7 +311,10 @@ def refresh(
     obstacles: AbstractSet[int] | None = None,
     free: AbstractSet[int] | None = None,
 ) -> None:
-    """Rebuild the reduced tree in place around the current cell.
+    """Start a new generation of the view around the current cell.
+
+    Only the root is decided here; every other node is decided when a
+    lookup first reaches it (see the module docstring), by this rule:
 
     tree is the exact occupancy map, or None to run map-free, in which case
     the partition refines to unit scale and no occupancy-based removal
@@ -274,6 +330,13 @@ def refresh(
     map-free descent stops at them the way map descent stops at pure
     stored leaves, except around path and blocked cells, which keep their
     surroundings fine.
+
+    The inputs must stay as they are until the next refresh: a lookup that
+    decides a node after path, blocked, `obstacles` or `free` changed
+    raises RuntimeError (the two key sets are checked by size, as they
+    only grow).  Across refreshes,
+    blocked cells and `obstacles` may only be added, as a removed node is
+    never decided again.
     """
     dim, depth = rtree.dim, rtree.depth
     if current.scale > depth or len(current.center2) != dim:
@@ -283,86 +346,105 @@ def refresh(
         if not 0 < c < top:
             raise ValueError("current cell is outside the world box")
 
-    thresholds, den_sq = window_thresholds(dim, depth, alpha, current.scale)
-    cur2 = current.center2
-    nslots = 1 << dim
     exact = tree is not None
+    window_key = (alpha, current.scale, eps if exact else None)
+    window = rtree._windows.get(window_key)
+    if window is None:
+        thresholds, den_sq = window_thresholds(dim, depth, alpha, current.scale)
+        obs_at = None
+        if exact:
+            obs_at = [1.0 - eps * 2.0 ** (-dim * k) for k in range(depth + 1)]
+        window = rtree._windows[window_key] = (thresholds, den_sq, obs_at)
+    thresholds, den_sq, obs_at = window
     if exact:
         values = tree._values
         internal = tree._internal
-        obs_at = [1.0 - eps * 2.0 ** (-dim * k) for k in range(depth + 1)]
+    cur2 = current.center2
     key_shift = COORD_BITS * dim
     path_anc = path._anc
     path_members = path._members
     blocked_anc = blocked._anc
     blocked_members = blocked._members
+    path_version = path.version
+    blocked_version = blocked.version
+    # obstacles and free only grow, so their sizes tell whether they moved.
     obstacle_keys = obstacles if obstacles else None
     free_keys = free if free else None
+    obstacles_len = len(obstacles) if obstacles is not None else 0
+    free_len = len(free) if free is not None else 0
+    gen = rtree.gen = rtree.gen + 1
 
-    def far(c2: tuple[int, ...], k: int) -> bool:
-        s = 0
-        for a, b in zip(c2, cur2):
-            d = a - b
-            s += d * d
-        return s * den_sq >= thresholds[k]
-
-    def visit(node: RTNode) -> RTNode | None:
+    def decide(node: RTNode) -> bool:
+        """Decide a node for this generation; False when it is removed."""
+        if (
+            path.version != path_version
+            or blocked.version != blocked_version
+            or (obstacles is not None and len(obstacles) != obstacles_len)
+            or (free is not None and len(free) != free_len)
+        ):
+            raise RuntimeError("view inputs changed since the last refresh")
         k = node.scale
         c2 = node.center2
         cpk = 0
         for c in c2:
             cpk = (cpk << COORD_BITS) | c
+        key = (k << key_shift) | cpk
         # A classification already paid for holds for the whole block: drop
         # it before the path or blocked tests would refine it back in.
-        if obstacle_keys is not None and ((k << key_shift) | cpk) in obstacle_keys:
-            return None
+        if obstacle_keys is not None and key in obstacle_keys:
+            return False
         if exact:
-            if ((k << key_shift) | cpk) not in internal:
+            if key not in internal:
                 stop = True
             elif cpk in path_anc[k] or cpk in blocked_anc[k]:
                 stop = False
             else:
-                stop = far(c2, k)
+                stop = None
         else:
             # Blocked cells can sit at any scale map-free; remove them
             # before the ancestor test would descend into them.
             if cpk in blocked_members[k]:
-                return None
+                return False
             if k == 0 or cpk in path_members[k]:
                 stop = True
             elif cpk in path_anc[k] or cpk in blocked_anc[k]:
                 stop = False
-            elif free_keys is not None and ((k << key_shift) | cpk) in free_keys:
+            elif free_keys is not None and key in free_keys:
                 stop = True
             else:
-                stop = far(c2, k)
+                stop = None
+        if stop is None:
+            # The far-window test.
+            s = 0
+            for a, b in zip(c2, cur2):
+                d = a - b
+                s += d * d
+            stop = s * den_sq >= thresholds[k]
         if stop:
             if cpk in blocked_members[k]:
-                return None
-            if exact and values[(k << key_shift) | cpk] >= obs_at[k]:
-                return None
+                return False
+            if exact and values[key] >= obs_at[k]:
+                return False
             node.children = None
-            return node
-        kids = node.children
-        if kids is None:
-            kids = node.children = [None] * nslots
-        half = 1 << (k - 1)
-        kept = False
-        for slot in range(nslots):
-            child = kids[slot]
-            if child is None:
-                q2 = tuple(
-                    c2[j] + (half if (slot >> j) & 1 else -half)
-                    for j in range(dim)
-                )
-                child = RTNode(k - 1, q2, None)
-            if visit(child) is None:
-                kids[slot] = None
-            else:
-                kids[slot] = child
-                kept = True
-        return node if kept else None
+        elif node.children is None:
+            # Slot bit j picks the high half on axis j; product varies its
+            # last factor fastest, so it is fed the axes in reverse.
+            half = 1 << (k - 1)
+            sides = [(c - half, c + half) for c in reversed(c2)]
+            node.children = [RTNode(k - 1, q[::-1]) for q in product(*sides)]
+        node.gen = gen
+        return True
 
-    if visit(rtree.root) is None:
+    def settle(parent: RTNode, slot: int) -> RTNode | None:
+        child = parent.children[slot]
+        if decide(child):
+            return child
+        parent.children[slot] = None
+        return None
+
+    root = rtree.root
+    root.settle = settle
+    if not decide(root):
         # Nothing survived: keep the root but with no leaves below it.
-        rtree.root.children = [None] * nslots
+        root.children = [None] * (1 << dim)
+        root.gen = gen

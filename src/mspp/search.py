@@ -1,8 +1,9 @@
 """Multiscale planning loop and the lazy A* it runs each iteration.
 
-The planner repeatedly rebuilds the reduced view around its current cell,
-searches that view for a vertex path to the goal, and commits only the
-first step of the found path before re-planning.  Failed cells are blocked
+The planner repeatedly refreshes the reduced view around its current cell
+(the view decides its nodes lazily, as the search reaches them), searches
+that view for a vertex path to the goal, and commits only the first step
+of the found path before re-planning.  Failed cells are blocked
 (removed from later views) and the walk backtracks along its own trail.
 The search never routes through a cell already on the trail, so no first
 hop lands on one: the trail is a simple path, and the walk is a
@@ -126,7 +127,6 @@ def astar_lazy(
     cost: CostModel,
     value_fn,
     obstacle_fn=None,
-    excluded_first=frozenset(),
     excluded=frozenset(),
     fine_first=None,
     neighbors_fn=None,
@@ -138,8 +138,8 @@ def astar_lazy(
     given, marks vertices that must not be routed through (they still
     enter the queue, with infinite cost, so the touched count reflects
     them).  excluded lists vertices the path never enters (the start
-    excepted), excluded_first vertices banned as the path's first hop, and
-    fine_first, when given, restricts first hops to vertices it accepts.
+    excepted), and fine_first, when given, restricts first hops to
+    vertices it accepts.
     neighbors_fn overrides vertex-neighbor enumeration.
     """
     if stats is None:
@@ -204,11 +204,8 @@ def astar_lazy(
             w = (node.scale, nc2)
             if w in closed:
                 continue
-            if first_hop:
-                if w in excluded_first:
-                    continue
-                if fine_first is not None and not fine_first(w):
-                    continue
+            if first_hop and fine_first is not None and not fine_first(w):
+                continue
             if obstacle_fn is not None:
                 flagged = flags_get(w)
                 if flagged is None:
@@ -339,9 +336,14 @@ class PlannerSession:
         # Packed keys of nodes already classified: refresh prunes known
         # obstacles from later views so A* stops re-touching them, and
         # stops descent at blocks proven fully free, which otherwise
-        # would be split to unit scale on every iteration.
+        # would be split to unit scale on every iteration.  A search's own
+        # classifications wait in the fresh sets until the next refresh:
+        # the view decides its nodes lazily, and its inputs must not move
+        # under it.
         self._known_obstacles: set[int] = set()
         self._known_free: set[int] = set()
+        self._fresh_obstacles: set[int] = set()
+        self._fresh_free: set[int] = set()
         self.rtree = ReducedTree(dim, depth)
         self.stats = SearchStats()
         self.iterations = 0
@@ -393,7 +395,7 @@ class PlannerSession:
             else:
                 v = self.estimator.value(idx)
                 if v == 0.0 and idx.scale > 0 and self.estimator.known_free(idx):
-                    self._known_free.add(pack_index(idx.scale, idx.center2))
+                    self._fresh_free.add(pack_index(idx.scale, idx.center2))
             self._value_cache[idx] = v
         return v
 
@@ -409,6 +411,10 @@ class PlannerSession:
         return node_contains(self.current, self.goal_center, self.depth)
 
     def refresh_view(self) -> None:
+        self._known_obstacles |= self._fresh_obstacles
+        self._fresh_obstacles.clear()
+        self._known_free |= self._fresh_free
+        self._fresh_free.clear()
         refresh(
             self.rtree,
             self.tree,
@@ -496,9 +502,9 @@ class PlannerSession:
             got, _ = self.estimator.classify(idx, self.eps, self.gamma)
             self._flag_cache[idx] = got
             if got:
-                self._known_obstacles.add(pack_index(idx.scale, idx.center2))
+                self._fresh_obstacles.add(pack_index(idx.scale, idx.center2))
             elif idx.scale > 0 and self.estimator.known_free(idx):
-                self._known_free.add(pack_index(idx.scale, idx.center2))
+                self._fresh_free.add(pack_index(idx.scale, idx.center2))
         return got
 
     def step(self) -> str | None:

@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from mspp.environments import GeneratorSpec, generate_map
-from mspp.reduced import ReducedTree, RTNode
-from mspp.tree import GridWorld, NodeIndex
+from mspp.reduced import ReducedTree, RTNode, _pack_coords
+from mspp.tree import GridWorld, NodeIndex, children_of, pack_index
 
 
 def random_world(
@@ -211,3 +211,59 @@ def window_far_oracle(idx: NodeIndex, current: NodeIndex, alpha) -> bool:
     if lhs < 0:
         return False
     return lhs * lhs >= 4 * a * a * b * b * dim
+
+
+def eager_view(tree, current, path, blocked, eps, alpha, obstacles=(), free=()):
+    """Reference reduced view: the eager rebuild from the root.
+
+    Applies the refresh rule to every node at once, the way refresh worked
+    before the view became lazy, and returns packed key -> is_leaf in the
+    format of ReducedTree.snapshot(): internal nodes left with no leaf
+    below them are dropped, the root excepted.  The far test is the exact
+    rational oracle, not the library's integer thresholds.
+    """
+    out: dict[int, bool] = {}
+
+    def visit(idx: NodeIndex) -> bool:
+        k, c2 = idx
+        key = pack_index(k, c2)
+        cpk = _pack_coords(c2)
+        if key in obstacles:
+            return False
+        near_marks = path.covers(k, cpk) or blocked.covers(k, cpk)
+        if tree is not None:
+            if not tree.is_internal(idx):
+                stop = True
+            elif near_marks:
+                stop = False
+            else:
+                stop = window_far_oracle(idx, current, alpha)
+        else:
+            if blocked.is_member(k, cpk):
+                return False
+            if k == 0 or path.is_member(k, cpk):
+                stop = True
+            elif near_marks:
+                stop = False
+            elif key in free:
+                stop = True
+            else:
+                stop = window_far_oracle(idx, current, alpha)
+        if stop:
+            if blocked.is_member(k, cpk):
+                return False
+            if tree is not None and tree.is_eps_obstacle(idx, eps):
+                return False
+            out[key] = True
+            return True
+        kept = [visit(child) for child in children_of(idx)]
+        if any(kept):
+            out[key] = False
+            return True
+        return False
+
+    depth, dim = path.depth, path.dim
+    root = NodeIndex(depth, (1 << depth,) * dim)
+    if not visit(root):
+        out[pack_index(*root)] = False
+    return out

@@ -158,10 +158,10 @@ def test_add_face_leaves_square():
     tree = make_mixed_tree()
     node = tree.root.children[0]  # subdivided quadrant at (2, 2)
     out = []
-    add_face_leaves(node, 0, -1, out)
+    add_face_leaves(node, 0, -1, out, tree.root.settle)
     assert sorted((n.scale, n.center2) for n in out) == [(0, (1, 1)), (0, (1, 3))]
     out = []
-    add_face_leaves(node, 1, 1, out)
+    add_face_leaves(node, 1, 1, out, tree.root.settle)
     assert sorted((n.scale, n.center2) for n in out) == [(0, (1, 3)), (0, (3, 3))]
 
 
@@ -169,7 +169,7 @@ def test_add_face_leaves_line():
     spec = (1, 1, ["leaf", "leaf"])
     tree = build_rtree(spec)
     out = []
-    add_face_leaves(tree.root, 0, 1, out)
+    add_face_leaves(tree.root, 0, 1, out, tree.root.settle)
     assert [(n.scale, n.center2) for n in out] == [(0, (3,))]
 
 
@@ -184,7 +184,7 @@ def test_add_face_leaves_matches_adjacency_filter(dim, seed):
     for axis in range(dim):
         for sign in (1, -1):
             out = []
-            add_face_leaves(root, axis, sign, out)
+            add_face_leaves(root, axis, sign, out, root.settle)
             # same-size virtual neighbor across that face
             q2 = list(root.center2)
             q2[axis] += sign * span

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_index, random_world, window_far_oracle
+from helpers import eager_view, random_index, random_world, window_far_oracle
+from mspp.neighbors import find_neighbors
 from mspp.reduced import (
     CellTracker,
     ReducedTree,
@@ -412,3 +413,170 @@ def test_leaf_at_point_and_find_vertex():
         rtree.leaf_at_point((4.0, 1.0))
     with pytest.raises(ValueError):
         rtree.leaf_at_point((-0.1, 1.0))
+
+
+def decided_nodes(rtree):
+    """Nodes stamped with the current generation, walked without deciding."""
+    count = 0
+    stack = [rtree.root]
+    while stack:
+        node = stack.pop()
+        if node.gen != rtree.gen:
+            continue
+        count += 1
+        if node.children is not None:
+            stack.extend(child for child in node.children if child is not None)
+    return count
+
+
+def test_refresh_decides_only_the_root_and_lookups_their_own_path():
+    world = random_world(2, 4, 0.3, seed=2, free_corners=True)
+    tree = build_from_grid(world)
+    rtree = ReducedTree(2, 4)
+    path = CellTracker(2, 4)
+    blocked = CellTracker(2, 4)
+    current = tree.leaf_at((0.5, 0.5))
+    path.add(current)
+    refresh(rtree, tree, current, path, blocked, eps=0.5, alpha=1.0)
+    assert rtree.root.children is not None
+    assert decided_nodes(rtree) == 1
+    assert rtree.find_vertex(current) is not None
+    # one root-to-leaf descent decides one node per scale on its way
+    assert decided_nodes(rtree) == 1 + rtree.depth - current.scale
+    total = len(rtree.snapshot())
+    refresh(rtree, tree, current, path, blocked, eps=0.5, alpha=1.0)
+    assert decided_nodes(rtree) == 1
+    assert len(rtree.snapshot()) == total
+
+
+@pytest.mark.parametrize("dim,depth", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "map-free"])
+def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
+    """One view refreshed many times, resolved only in part between checks.
+
+    Nodes left stale for several generations, None holes and internal nodes
+    that lost every child must still resolve to the eager rebuild.
+    """
+    side = 1 << depth
+    eps, alpha = 0.5, 1.0
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        world = random_world(dim, depth, 0.3, seed=seed)
+        tree = build_from_grid(world) if exact else None
+        if exact:
+            # trail and blocked cells of an exact walk are free map leaves
+            cells = [
+                idx for idx, v in tree.iter_nodes() if v == 0.0 and tree.is_leaf(idx)
+            ]
+
+            def pick():
+                return cells[int(rng.integers(len(cells)))]
+        else:
+
+            def pick():
+                return random_index(rng, dim, depth, scale=int(rng.integers(0, 2)))
+
+        rtree = ReducedTree(dim, depth)
+        path = CellTracker(dim, depth)
+        blocked = CellTracker(dim, depth)
+        trail = [pick()]
+        path.add(trail[0])
+        obstacles: set[int] = set()
+        free: set[int] = set()
+        for step in range(12):
+            refresh(
+                rtree, tree, trail[-1], path, blocked, eps, alpha,
+                obstacles=obstacles, free=free,
+            )
+            if step % 3 == 2:
+                want = eager_view(
+                    tree, trail[-1], path, blocked, eps, alpha, obstacles, free
+                )
+                assert rtree.snapshot() == want
+                leaves = rtree.vertices()
+                assert {pack_index(v.scale, v.center2) for v in leaves} == {
+                    key for key, leaf in want.items() if leaf
+                }
+                keyed = [(v.scale, v.center2) for v in leaves]
+                assert keyed == sorted(keyed)
+            else:
+                # resolve only what a search would reach
+                rtree.find_vertex(trail[-1])
+                for _ in range(3):
+                    point = tuple(rng.uniform(0.01, side - 0.01, dim))
+                    leaf = rtree.leaf_at_point(point)
+                    if leaf is not None:
+                        find_neighbors(rtree.root, leaf, depth)
+            if len(trail) == 1 or rng.random() < 0.6:
+                cell = pick()
+                if cell not in trail:
+                    trail.append(cell)
+                    path.add(cell)
+            else:
+                dead = trail.pop()
+                path.discard(dead)
+                blocked.add(dead)
+            if not exact:
+                bad = random_index(rng, dim, depth, scale=int(rng.integers(0, 2)))
+                obstacles.add(pack_index(bad.scale, bad.center2))
+                ok = random_index(rng, dim, depth, scale=int(rng.integers(1, 3)))
+                free.add(pack_index(ok.scale, ok.center2))
+
+
+def test_view_refuses_to_resolve_after_its_trackers_change():
+    world = random_world(2, 3, 0.3, seed=1, free_corners=True)
+    tree = build_from_grid(world)
+    rtree = ReducedTree(2, 3)
+    path = CellTracker(2, 3)
+    blocked = CellTracker(2, 3)
+    current = tree.leaf_at((0.5, 0.5))
+    path.add(current)
+    refresh(rtree, tree, current, path, blocked, eps=0.5, alpha=1.0)
+    assert rtree.root.children is not None
+    step = tree.leaf_at((1.5, 0.5))
+    path.add(step)
+    with pytest.raises(RuntimeError):
+        rtree.vertices()
+    refresh(rtree, tree, step, path, blocked, eps=0.5, alpha=1.0)
+    assert rtree.snapshot() == eager_view(tree, step, path, blocked, 0.5, 1.0)
+    refresh(rtree, tree, step, path, blocked, eps=0.5, alpha=1.0)
+    path.discard(step)
+    blocked.add(step)
+    with pytest.raises(RuntimeError):
+        rtree.leaf_at_point((7.5, 7.5))
+    # the known-obstacle and known-free key sets are inputs too
+    near = NodeIndex(0, (1, 1))
+    for grown in ("obstacles", "free"):
+        path = CellTracker(2, 3)
+        path.add(near)
+        keys = {"obstacles": set(), "free": set()}
+        refresh(rtree, None, near, path, CellTracker(2, 3), 0.5, 1.0, **keys)
+        keys[grown].add(pack_index(0, (15, 15)))
+        with pytest.raises(RuntimeError):
+            rtree.vertices()
+
+
+def test_emptied_internal_nodes_answer_as_removed():
+    # map-free, every unit cell of the block (1, (6, 2)) a known obstacle
+    block = NodeIndex(1, (6, 2))
+    obstacles = {pack_index(0, c2) for c2 in [(5, 1), (7, 1), (5, 3), (7, 3)]}
+    path = CellTracker(2, 3)
+    blocked = CellTracker(2, 3)
+    near = NodeIndex(0, (3, 1))
+    path.add(near)
+    rtree = ReducedTree(2, 3)
+    refresh(rtree, None, near, path, blocked, 0.5, 1.0, obstacles=obstacles)
+    # near the focus the block descends and loses all four children
+    assert rtree.leaf_at_point((2.5, 0.5)) is None
+    assert rtree.find_vertex(block) is None
+    beside = find_neighbors(rtree.root, rtree.find_vertex(near), 3)
+    assert [n.index() for n in beside] == [NodeIndex(0, (1, 1)), NodeIndex(0, (3, 3))]
+    want = eager_view(None, near, path, blocked, 0.5, 1.0, obstacles)
+    assert pack_index(block.scale, block.center2) not in want
+    assert rtree.snapshot() == want
+    # far from the next focus the same block is one unclassified vertex
+    far = NodeIndex(0, (15, 15))
+    path.add(far)
+    refresh(rtree, None, far, path, blocked, 0.5, 1.0, obstacles=obstacles)
+    assert rtree.find_vertex(block) is not None
+    assert rtree.snapshot() == eager_view(None, far, path, blocked, 0.5, 1.0, obstacles)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     dijkstra_vertex_path_cost,
+    eager_view,
     full_rtree,
     random_world,
 )
@@ -36,7 +37,7 @@ from mspp.tree import (
     build_from_grid,
     pack_index,
 )
-from mspp.environments import uniform_astar
+from mspp.environments import grid_predicate, uniform_astar
 
 
 def corridor_world():
@@ -122,10 +123,10 @@ def test_astar_respects_excluded_and_fine_first_hop():
         goal,
         CostModel(),
         value_fn=lambda idx: 0.0,
-        excluded_first={away},
+        excluded={away},
     )
     assert path is not None
-    assert path[1] != away
+    assert away not in path
     # demanding unreachable first hops leaves no path at all
     path = astar_lazy(
         rtree,
@@ -217,10 +218,9 @@ def test_plan_walled_world_fails_like_grid_search():
     result = plan(tree=tree, start=(0.5, 0.5), goal=(7.5, 7.5))
     assert result.status == NO_PATH
     assert result.path is None
-    with pytest.raises(ValueError):
-        # the grid baseline refuses... no, endpoints are free; it reports
-        # unreachable instead
-        raise ValueError
+    # the up-front connectivity test decides the case before any iteration
+    assert result.iterations == 0
+    assert result.blocked == 0
     base = uniform_astar(world, (0, 0), (7, 7))
     assert not base.reachable
 
@@ -486,3 +486,71 @@ def test_run_equals_stepping(capsys):
     assert ra.path == rb.path
     assert ra.cost == rb.cost
     assert ra.iterations == rb.iterations
+
+
+@pytest.mark.parametrize("dim,depth", [(2, 4), (2, 5), (3, 3)])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "map-free"])
+def test_lazy_lookups_plan_like_full_resolution(exact, dim, depth):
+    # scan resolves the whole view through collect_leaves every iteration,
+    # fast resolves only the nodes its descents reach
+    side = 1 << depth
+    for seed in range(6):
+        world = random_world(dim, depth, 0.25, seed=seed, free_corners=True)
+        kwargs = dict(start=(0.5,) * dim, goal=(side - 0.5,) * dim)
+        if exact:
+            kwargs["tree"] = build_from_grid(world)
+        else:
+            kwargs.update(
+                predicate=grid_predicate(world), dim=dim, depth=depth, cell_picks=True
+            )
+        fast = plan(neighbor_mode="fast", **kwargs)
+        scan = plan(neighbor_mode="scan", **kwargs)
+        assert fast.status == scan.status
+        assert fast.path == scan.path
+        assert fast.iterations == scan.iterations
+        assert fast.blocked == scan.blocked
+        assert fast.stats == scan.stats
+
+
+def test_map_free_classifications_wait_for_the_next_refresh():
+    world = random_world(2, 4, 0.3, seed=3, free_corners=True)
+    session = PlannerSession(
+        predicate=grid_predicate(world),
+        dim=2,
+        depth=4,
+        start=(0.5, 0.5),
+        goal=(15.5, 15.5),
+        cell_picks=True,
+    )
+
+    def view_of(obstacles, free):
+        return eager_view(
+            None, session.current, session.path_cells, session.blocked_cells,
+            session.eps, session.alpha, obstacles, free,
+        )
+
+    session.refresh_view()
+    obstacles = set(session._known_obstacles)
+    free = set(session._known_free)
+    goal = session.rtree.leaf_at_point(session.goal_center)
+    # the search advance() runs, without committing its step
+    astar_lazy(
+        session.rtree,
+        session.current,
+        goal.index(),
+        session.cost,
+        session._value,
+        obstacle_fn=session._flagged,
+        excluded=session.on_trail,
+        fine_first=session._is_fine,
+    )
+    assert session._known_obstacles == obstacles
+    assert session._known_free == free
+    assert session._fresh_obstacles
+    learned = view_of(obstacles | session._fresh_obstacles, free | session._fresh_free)
+    assert learned != view_of(obstacles, free)
+    # nodes decided after the search still follow the inputs of the refresh
+    assert session.rtree.snapshot() == view_of(obstacles, free)
+    session.refresh_view()
+    assert not session._fresh_obstacles and not session._fresh_free
+    assert session.rtree.snapshot() == learned
