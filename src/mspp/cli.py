@@ -52,6 +52,12 @@ DEFAULTS = {
 }
 
 ALGOS = ("astar", "mspp-naive", "mspp-fn", "mspp-s")
+MODES = ("exact", "sampling")
+MAP_KINDS = ("bernoulli", "blobs")
+KINDS = MAP_KINDS + ("spheres",)
+# Config keys limited to a set of values; every other key holds a number of
+# its default's type.
+CHOICES = {"mode": MODES, "algo": ALGOS, "kind": KINDS}
 
 BENCH_COLUMNS = [
     "algorithm",
@@ -79,8 +85,8 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weight", type=float, help="occupancy cost weight w")
     p.add_argument("--regions", type=int, help="independent-region count Z")
     p.add_argument("--seed", type=int, help="random seed (MSPP_SEED fallback)")
-    p.add_argument("--mode", choices=["exact", "sampling"], help="planner mode")
-    p.add_argument("--algo", choices=list(ALGOS), help="algorithm tag")
+    p.add_argument("--mode", choices=MODES, help="planner mode")
+    p.add_argument("--algo", choices=ALGOS, help="algorithm tag")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="output file (default: standard output)")
 
@@ -111,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, help="obstacle density")
     p.add_argument(
         "--kind",
-        choices=["bernoulli", "blobs", "spheres"],
+        choices=KINDS,
         help="environment: grid textures (map given) or ball scenes "
         "(map-based algorithms pay per-cell realization)",
     )
@@ -123,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-map", help="generate a random map file")
     p.add_argument("--density", type=float, help="obstacle density")
-    p.add_argument("--kind", choices=["bernoulli", "blobs"], help="map texture")
+    p.add_argument("--kind", choices=MAP_KINDS, help="map texture")
     p.add_argument("--blobs", help="blob count range lo,hi")
     p.add_argument("--blob-size", help="blob side range lo,hi")
     p.add_argument("--free-start", action="store_true", help="keep first corner free")
@@ -153,6 +159,19 @@ def _merged_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+    # A config file skips argparse, so its values get the flags' checks here.
+    for key, default in DEFAULTS.items():
+        value = cfg[key]
+        if key in CHOICES:
+            if value not in CHOICES[key]:
+                raise ValueError(
+                    f"{key} must be one of {', '.join(CHOICES[key])}, got {value!r}"
+                )
+        else:
+            kinds = int if isinstance(default, int) else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                what = "an integer" if kinds is int else "a number"
+                raise ValueError(f"{key} must be {what}, got {value!r}")
     if not 0.0 < cfg["eps"] < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if cfg["gamma"] <= 0:
@@ -166,6 +185,14 @@ def _merged_config(args: argparse.Namespace) -> dict:
     if cfg["dim"] < 1 or cfg["depth"] < 0:
         raise ValueError("need dim >= 1 and depth >= 0")
     return cfg
+
+
+def _parse_range(text: str, flag: str) -> tuple[int, int]:
+    try:
+        lo, hi = (int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} must be lo,hi integers, got {text!r}")
+    return lo, hi
 
 
 def _parse_point(text: str, dim: int, side: int, name: str) -> tuple[float, ...]:
@@ -415,10 +442,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
-    try:
-        lo, hi = (int(v) for v in args.n_range.split(","))
-    except ValueError:
-        raise ValueError(f"--n-range must be lo,hi integers, got {args.n_range!r}")
+    lo, hi = _parse_range(args.n_range, "--n-range")
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi in --n-range")
     stream = _out_stream(args.out) or sys.stdout
@@ -444,11 +468,9 @@ def cmd_gen_map(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
     extra = {}
     if args.blobs:
-        lo, hi = (int(v) for v in args.blobs.split(","))
-        extra["blobs"] = (lo, hi)
+        extra["blobs"] = _parse_range(args.blobs, "--blobs")
     if args.blob_size:
-        lo, hi = (int(v) for v in args.blob_size.split(","))
-        extra["blob_size"] = (lo, hi)
+        extra["blob_size"] = _parse_range(args.blob_size, "--blob-size")
     spec = GeneratorSpec(
         cfg["dim"],
         cfg["depth"],

@@ -51,7 +51,7 @@ from math import isqrt
 from typing import AbstractSet
 
 from .neighbors import child_at, collect_leaves, find_containing
-from .tree import COORD_BITS, NodeIndex, OccupancyTree, pack_index
+from .tree import NodeIndex, OccupancyTree, pack_index
 
 __all__ = [
     "RTNode",
@@ -106,22 +106,23 @@ class ViewRoot(RTNode):
         self.settle = None
 
 
-def _pack_coords(center2: tuple[int, ...]) -> int:
-    key = 0
-    for c in center2:
-        key = (key << COORD_BITS) | c
-    return key
+def _take(counts: dict[int, int], key: int) -> None:
+    left = counts[key] - 1
+    if left:
+        counts[key] = left
+    else:
+        del counts[key]
 
 
 class CellTracker:
     """Multiset of cells with O(1) containment queries against tree nodes.
 
-    For every member cell the tracker records, at each scale up to the tree
-    depth, the coarser cell containing the member's center.  A node then
-    holds some member's center strictly inside its cube exactly when the
-    node's own coordinates appear in the tracker at the node's scale.
-    Counts make removal exact when the same cell was added twice.  version
-    counts the changes, so a view can tell that its inputs moved on.
+    For every member cell the tracker records its own packed key and the
+    keys of its ancestors up to the root.  A node then holds some member's
+    center strictly inside its cube exactly when its key is among the
+    recorded ancestor keys.  Counts make removal exact when the same cell
+    was added twice.  version counts the changes, so a view can tell that
+    its inputs moved on.
     """
 
     __slots__ = ("dim", "depth", "version", "_anc", "_members")
@@ -130,55 +131,44 @@ class CellTracker:
         self.dim = dim
         self.depth = depth
         self.version = 0
-        self._anc: list[dict[int, int]] = [{} for _ in range(depth + 1)]
-        self._members: list[dict[int, int]] = [{} for _ in range(depth + 1)]
-    def _ancestor_key(self, center2: tuple[int, ...], k: int) -> int:
-        key = 0
-        step = 1 << k
-        up = k + 1
-        for c in center2:
-            key = (key << COORD_BITS) | (((c >> up) << up) | step)
-        return key
+        self._anc: dict[int, int] = {}
+        self._members: dict[int, int] = {}
+
+    def _lineage(self, idx: NodeIndex) -> list[int]:
+        """Packed keys of idx and of its ancestors up to the root, idx first."""
+        scale, c2 = idx
+        keys = []
+        for k in range(scale, self.depth + 1):
+            # The scale-k ancestor, in closed form (parent_of, k - scale times).
+            up = k + 1
+            step = 1 << k
+            keys.append(pack_index(k, [((c >> up) << up) | step for c in c2]))
+        return keys
 
     def add(self, idx: NodeIndex) -> None:
         self.version += 1
-        scale, c2 = idx
-        members = self._members[scale]
-        mk = _pack_coords(c2)
-        members[mk] = members.get(mk, 0) + 1
-        for k in range(scale, self.depth + 1):
-            anc = self._anc[k]
-            ak = self._ancestor_key(c2, k)
-            anc[ak] = anc.get(ak, 0) + 1
+        keys = self._lineage(idx)
+        members, anc = self._members, self._anc
+        members[keys[0]] = members.get(keys[0], 0) + 1
+        for key in keys:
+            anc[key] = anc.get(key, 0) + 1
 
     def discard(self, idx: NodeIndex) -> None:
         self.version += 1
-        scale, c2 = idx
-        members = self._members[scale]
-        mk = _pack_coords(c2)
-        left = members[mk] - 1
-        if left:
-            members[mk] = left
-        else:
-            del members[mk]
-        for k in range(scale, self.depth + 1):
-            anc = self._anc[k]
-            ak = self._ancestor_key(c2, k)
-            left = anc[ak] - 1
-            if left:
-                anc[ak] = left
-            else:
-                del anc[ak]
+        keys = self._lineage(idx)
+        _take(self._members, keys[0])
+        for key in keys:
+            _take(self._anc, key)
 
-    def covers(self, scale: int, packed_coords: int) -> bool:
+    def covers(self, idx: NodeIndex) -> bool:
         """Some member center lies strictly inside the given node's cube."""
-        return packed_coords in self._anc[scale]
+        return pack_index(idx.scale, idx.center2) in self._anc
 
-    def is_member(self, scale: int, packed_coords: int) -> bool:
-        return packed_coords in self._members[scale]
+    def is_member(self, idx: NodeIndex) -> bool:
+        return pack_index(idx.scale, idx.center2) in self._members
 
     def __len__(self) -> int:
-        return sum(sum(m.values()) for m in self._members)
+        return sum(self._members.values())
 
 
 class ReducedTree:
@@ -322,8 +312,9 @@ def refresh(
     leaves when they are far from the focus, or cannot subdivide further;
     cells of the traversed path and blocked cells keep their surroundings
     refined.  Blocked cells and (with a map) scale-weighted obstacle nodes
-    are removed along with their subtrees, as are nodes whose packed keys
-    appear in `obstacles` (map-free classifications already paid for).
+    are removed along with their subtrees, as are nodes whose keys
+    (tree.pack_index) appear in `obstacles` (map-free classifications
+    already paid for).
     Known obstacles are pruned before descent, so a path or blocked cell
     nearby never splits one back into the view.
     Packed keys in `free` mark nodes proven fully free by enumeration;
@@ -357,10 +348,9 @@ def refresh(
         window = rtree._windows[window_key] = (thresholds, den_sq, obs_at)
     thresholds, den_sq, obs_at = window
     if exact:
-        values = tree._values
-        internal = tree._internal
+        values = tree.values
+        internal = tree.internal
     cur2 = current.center2
-    key_shift = COORD_BITS * dim
     path_anc = path._anc
     path_members = path._members
     blocked_anc = blocked._anc
@@ -385,10 +375,7 @@ def refresh(
             raise RuntimeError("view inputs changed since the last refresh")
         k = node.scale
         c2 = node.center2
-        cpk = 0
-        for c in c2:
-            cpk = (cpk << COORD_BITS) | c
-        key = (k << key_shift) | cpk
+        key = pack_index(k, c2)
         # A classification already paid for holds for the whole block: drop
         # it before the path or blocked tests would refine it back in.
         if obstacle_keys is not None and key in obstacle_keys:
@@ -396,18 +383,18 @@ def refresh(
         if exact:
             if key not in internal:
                 stop = True
-            elif cpk in path_anc[k] or cpk in blocked_anc[k]:
+            elif key in path_anc or key in blocked_anc:
                 stop = False
             else:
                 stop = None
         else:
             # Blocked cells can sit at any scale map-free; remove them
             # before the ancestor test would descend into them.
-            if cpk in blocked_members[k]:
+            if key in blocked_members:
                 return False
-            if k == 0 or cpk in path_members[k]:
+            if k == 0 or key in path_members:
                 stop = True
-            elif cpk in path_anc[k] or cpk in blocked_anc[k]:
+            elif key in path_anc or key in blocked_anc:
                 stop = False
             elif free_keys is not None and key in free_keys:
                 stop = True
@@ -421,7 +408,7 @@ def refresh(
                 s += d * d
             stop = s * den_sq >= thresholds[k]
         if stop:
-            if cpk in blocked_members[k]:
+            if key in blocked_members:
                 return False
             if exact and values[key] >= obs_at[k]:
                 return False

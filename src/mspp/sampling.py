@@ -187,11 +187,6 @@ def _stream_digest(seed: int, idx: NodeIndex) -> bytes:
     return h.digest()
 
 
-def _stream_key(seed: int, idx: NodeIndex) -> int:
-    """The stream key as a 128-bit integer (little-endian digest)."""
-    return int.from_bytes(_stream_digest(seed, idx), "little")
-
-
 class ValueEstimator:
     """Cached per-node occupancy estimation against an obstacle predicate.
 

@@ -325,8 +325,6 @@ class PlannerSession:
         self.goal_center = _center(goal_v)
         self.current = start_v
         self.trail: list[NodeIndex] = [start_v]
-        # The trail's cells, which the search never routes through.
-        self.on_trail: set[NodeIndex] = {start_v}
         self.path_cells = CellTracker(dim, depth)
         self.path_cells.add(start_v)
         self.blocked_cells = CellTracker(dim, depth)
@@ -461,7 +459,7 @@ class PlannerSession:
                 self.cost,
                 self._value,
                 obstacle_fn=None if self.tree is not None else self._flagged,
-                excluded=self.on_trail,
+                excluded=self.trail,
                 fine_first=self._is_fine,
                 neighbors_fn=self._neighbors_fn(),
                 stats=run,
@@ -475,7 +473,6 @@ class PlannerSession:
                 self.status = NO_PATH
                 return self.status
             dead = self.trail.pop()
-            self.on_trail.discard(dead)
             self.path_cells.discard(dead)
             self.blocked_cells.add(dead)
             self.blocked += 1
@@ -487,7 +484,6 @@ class PlannerSession:
                 f"planner committed a non-adjacent step {self.current} -> {step}"
             )
         self.trail.append(step)
-        self.on_trail.add(step)
         self.path_cells.add(step)
         self.current = step
         return None

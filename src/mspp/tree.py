@@ -12,6 +12,11 @@ of obstacle volume inside the node's cube.  A node is subdivided only when
 its value is strictly between 0 and 1, so uniformly free or uniformly
 blocked regions collapse into single leaves.  Internal nodes always carry
 all 2**dim children.
+
+Nodes are keyed by one packed int (pack_index, unpack_index): the scale in
+the top bits, then COORD_BITS bits per doubled center coordinate, axis 0
+highest.  This module alone knows that layout; other modules build keys
+through pack_index and treat them as opaque.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "node_volume",
     "pack_index",
     "read_map",
+    "unpack_index",
     "write_map",
     "parse_map_text",
     "map_text",
@@ -52,11 +58,25 @@ class NodeIndex(NamedTuple):
 
 
 def pack_index(scale: int, center2: Sequence[int]) -> int:
-    """Pack a node address into a single int key (fast dict/set member)."""
+    """Pack a node address into a single int key (fast dict/set member).
+
+    Also packs elementwise when scale is an integer numpy array and center2
+    holds one such array per axis.
+    """
     key = scale
     for c in center2:
         key = (key << COORD_BITS) | c
     return key
+
+
+def unpack_index(key: int, dim: int) -> NodeIndex:
+    """The node address a pack_index key encodes."""
+    mask = (1 << COORD_BITS) - 1
+    coords = []
+    for _ in range(dim):
+        coords.append(key & mask)
+        key >>= COORD_BITS
+    return NodeIndex(key, tuple(reversed(coords)))
 
 
 def node_bounds2(idx: NodeIndex) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -98,19 +118,6 @@ def parent_of(idx: NodeIndex) -> NodeIndex:
     mask = ~((1 << (k + 2)) - 1)
     step = 1 << (k + 1)
     return NodeIndex(k + 1, tuple((c & mask) | step for c in c2))
-
-
-def child_slot(parent: NodeIndex, point2: Sequence[float]) -> int:
-    """Index into children_of(parent) of the child containing point2.
-
-    Half-open convention: a point exactly on the splitting plane belongs to
-    the upper child on that axis.
-    """
-    slot = 0
-    for j, c in enumerate(parent.center2):
-        if point2[j] >= c:
-            slot |= 1 << j
-    return slot
 
 
 def valid_index(idx: NodeIndex, dim: int, depth: int) -> bool:
@@ -178,9 +185,6 @@ class GridWorld:
 
     def occupied_at(self, point: Sequence[float]) -> bool:
         return self.occupied(self.cell_of(point))
-
-    def density(self) -> float:
-        return float(self.cells.sum()) / self.cells.size
 
     def __eq__(self, other) -> bool:
         return (
@@ -296,6 +300,16 @@ class OccupancyTree:
         self.world = world
 
     @property
+    def values(self) -> dict[int, float]:
+        """Packed key -> occupancy of every stored node; do not modify."""
+        return self._values
+
+    @property
+    def internal(self) -> set[int]:
+        """Packed keys of the stored nodes that have children; do not modify."""
+        return self._internal
+
+    @property
     def root(self) -> NodeIndex:
         return NodeIndex(self.depth, (self.side,) * self.dim)
 
@@ -319,6 +333,19 @@ class OccupancyTree:
     def is_internal(self, idx: NodeIndex) -> bool:
         return self._key(idx) in self._internal
 
+    def _stored_key(self, idx: NodeIndex) -> int:
+        """Key of the first stored node at or above idx.
+
+        Nothing is stored below a leaf, so for an unstored idx this is the
+        stored leaf whose cube contains idx's cube.
+        """
+        values = self._values
+        key = pack_index(idx.scale, idx.center2)
+        while key not in values:
+            idx = parent_of(idx)
+            key = pack_index(idx.scale, idx.center2)
+        return key
+
     def value(self, idx: NodeIndex) -> float:
         """Occupancy fraction of the node's cube.
 
@@ -327,36 +354,21 @@ class OccupancyTree:
         """
         if not valid_index(idx, self.dim, self.depth):
             raise ValueError(f"{idx} is not a node address of this tree")
-        k, c2 = idx
-        key = pack_index(k, c2)
-        values = self._values
-        while key not in values:
-            # Walk to the parent; the first stored ancestor is a leaf.
-            mask = ~((1 << (k + 2)) - 1)
-            step = 1 << (k + 1)
-            c2 = tuple((c & mask) | step for c in c2)
-            k += 1
-            key = pack_index(k, c2)
-        return values[key]
-
-    def children(self, idx: NodeIndex) -> list[NodeIndex]:
-        return children_of(idx)
+        return self._values[self._stored_key(idx)]
 
     def leaf_at(self, point: Sequence[float]) -> NodeIndex:
         """Deepest stored node whose cube contains the point.
 
         Containment is half-open: points on a shared face belong to the
         neighbor with the larger coordinate.  The point must be strictly
-        inside the world box.
+        inside the world box.  The node is the first stored ancestor of
+        the unit cell floor(point).
         """
         for x in point:
             if not 0.0 < x < self.side:
                 raise ValueError(f"point {tuple(point)} not strictly inside")
-        point2 = [2.0 * x for x in point]
-        idx = self.root
-        while self.is_internal(idx):
-            idx = children_of(idx)[child_slot(idx, point2)]
-        return idx
+        cell = NodeIndex(0, tuple(2 * int(x) + 1 for x in point))
+        return unpack_index(self._stored_key(cell), self.dim)
 
     def is_eps_obstacle(self, idx: NodeIndex, eps: float) -> bool:
         """Scale-weighted obstacle test.
@@ -370,15 +382,8 @@ class OccupancyTree:
         return self.value(idx) >= 1.0 - eps * 2.0 ** (-self.dim * idx.scale)
 
     def iter_nodes(self) -> Iterator[tuple[NodeIndex, float]]:
-        side_bits = COORD_BITS
-        mask = (1 << side_bits) - 1
         for key, val in self._values.items():
-            rest = key
-            coords = []
-            for _ in range(self.dim):
-                coords.append(rest & mask)
-                rest >>= side_bits
-            yield NodeIndex(rest, tuple(reversed(coords))), val
+            yield unpack_index(key, self.dim), val
 
     def to_grid(self) -> GridWorld:
         """The unit-cell grid the tree describes.
@@ -391,21 +396,16 @@ class OccupancyTree:
             return self.world
         shape = (self.side,) * self.dim
         cells = np.zeros(shape, dtype=np.uint8)
-        mask = (1 << COORD_BITS) - 1
         for key, val in self._values.items():
             if key in self._internal or val == 0.0:
                 continue
             if val != 1.0:
                 raise ValueError("tree has fractional leaves; no grid exists")
-            rest = key
-            coords = []
-            for _ in range(self.dim):
-                coords.append(rest & mask)
-                rest >>= COORD_BITS
-            half = 1 << rest
+            k, c2 = unpack_index(key, self.dim)
+            half = 1 << k
             # A leaf cube spans unit cells [(c2-2**k)/2, (c2+2**k)/2); numpy
             # axis a holds spatial axis dim-1-a (flat layout, axis 0 fastest).
-            sl = tuple(slice((c - half) >> 1, (c + half) >> 1) for c in coords)
+            sl = tuple(slice((c - half) >> 1, (c + half) >> 1) for c in reversed(c2))
             cells[sl] = 1
         return GridWorld(self.dim, self.depth, cells)
 
@@ -416,15 +416,10 @@ def build_from_grid(world: GridWorld) -> OccupancyTree:
     Every stored node is materialized explicitly; uniform subtrees collapse
     into single leaves.  Parent values are computed from unit-cell counts,
     so they are exactly the mean of their children's values.  Levels are
-    processed top-down with vectorized key packing when the packed key fits
-    an unsigned 64-bit word, with a plain walk as fallback.
+    processed top-down with vectorized key packing.
     """
     dim, depth = world.dim, world.depth
-    pyramid = _count_pyramid(world)
-    if dim * COORD_BITS + max(depth, 1).bit_length() <= 64:
-        values, internal = _build_levels(pyramid, dim, depth)
-    else:
-        values, internal = _build_walk(pyramid, dim, depth)
+    values, internal = _build_levels(_count_pyramid(world), dim, depth)
     return OccupancyTree(dim, depth, values, internal, world)
 
 
@@ -433,7 +428,10 @@ def _build_levels(
 ) -> tuple[dict[int, float], set[int]]:
     values: dict[int, float] = {}
     internal: set[int] = set()
-    u = np.uint64
+    # Keys are packed as unsigned 64-bit words when they fit one (dim <= 5)
+    # and as Python ints otherwise.
+    fits = dim * COORD_BITS + max(depth, 1).bit_length() <= 64
+    dtype = np.uint64 if fits else object
     mixed_prev: np.ndarray | None = None
     for k in range(depth, -1, -1):
         if mixed_prev is None:
@@ -446,12 +444,12 @@ def _build_levels(
         full = 1 << (dim * k)
         sel = np.nonzero(stored)
         cnt = counts[sel]
-        key = np.full(cnt.shape, u(k), dtype=np.uint64)
         # numpy axis a holds spatial axis dim-1-a, and keys pack spatial
-        # axis 0 first, so walk the numpy axes in reverse.
-        for a in reversed(range(dim)):
-            c2 = ((sel[a].astype(np.uint64) << u(1)) | u(1)) << u(k)
-            key = (key << u(COORD_BITS)) | c2
+        # axis 0 first, so read the numpy axes in reverse.
+        center2 = [
+            ((sel[a].astype(dtype) << 1) | 1) << k for a in reversed(range(dim))
+        ]
+        key = pack_index(np.full(cnt.shape, k, dtype=dtype), center2)
         values.update(zip(key.tolist(), (cnt / float(full)).tolist()))
         if k > 0:
             mixed = (cnt > 0) & (cnt < full)
@@ -459,32 +457,4 @@ def _build_levels(
             grid_mixed = np.zeros(counts.shape, dtype=bool)
             grid_mixed[sel] = mixed
             mixed_prev = grid_mixed
-    return values, internal
-
-
-def _build_walk(
-    pyramid: list[np.ndarray], dim: int, depth: int
-) -> tuple[dict[int, float], set[int]]:
-    values: dict[int, float] = {}
-    internal: set[int] = set()
-    # Stack entries: (scale, numpy multi-index of the node at that scale).
-    # numpy axis a holds spatial axis dim-1-a because the flat layout has
-    # axis 0 fastest.
-    stack: list[tuple[int, tuple[int, ...]]] = [(depth, (0,) * dim)]
-    nbits = dim - 1
-    while stack:
-        k, m = stack.pop()
-        count = int(pyramid[k][m])
-        full = 1 << (dim * k)
-        key = k
-        for a in reversed(range(dim)):
-            key = (key << COORD_BITS) | (((m[a] << 1) | 1) << k)
-        values[key] = count / full
-        if k > 0 and 0 < count < full:
-            internal.add(key)
-            for i in range(1 << dim):
-                child = tuple(
-                    (m[a] << 1) | ((i >> (nbits - a)) & 1) for a in range(dim)
-                )
-                stack.append((k - 1, child))
     return values, internal

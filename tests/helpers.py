@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from mspp.environments import GeneratorSpec, generate_map
-from mspp.reduced import ReducedTree, RTNode, _pack_coords
+from mspp.reduced import ReducedTree, RTNode
 from mspp.tree import GridWorld, NodeIndex, children_of, pack_index
 
 
@@ -227,10 +227,9 @@ def eager_view(tree, current, path, blocked, eps, alpha, obstacles=(), free=()):
     def visit(idx: NodeIndex) -> bool:
         k, c2 = idx
         key = pack_index(k, c2)
-        cpk = _pack_coords(c2)
         if key in obstacles:
             return False
-        near_marks = path.covers(k, cpk) or blocked.covers(k, cpk)
+        near_marks = path.covers(idx) or blocked.covers(idx)
         if tree is not None:
             if not tree.is_internal(idx):
                 stop = True
@@ -239,9 +238,9 @@ def eager_view(tree, current, path, blocked, eps, alpha, obstacles=(), free=()):
             else:
                 stop = window_far_oracle(idx, current, alpha)
         else:
-            if blocked.is_member(k, cpk):
+            if blocked.is_member(idx):
                 return False
-            if k == 0 or path.is_member(k, cpk):
+            if k == 0 or path.is_member(idx):
                 stop = True
             elif near_marks:
                 stop = False
@@ -250,7 +249,7 @@ def eager_view(tree, current, path, blocked, eps, alpha, obstacles=(), free=()):
             else:
                 stop = window_far_oracle(idx, current, alpha)
         if stop:
-            if blocked.is_member(k, cpk):
+            if blocked.is_member(idx):
                 return False
             if tree is not None and tree.is_eps_obstacle(idx, eps):
                 return False

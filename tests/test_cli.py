@@ -1,0 +1,142 @@
+"""The mspp command line: exit codes, outputs and input checks."""
+
+import csv
+import io
+import json
+
+import numpy as np
+import pytest
+
+from mspp.cli import ALGOS, BENCH_COLUMNS, main
+from mspp.tree import GridWorld, read_map, write_map
+
+
+def map_file(tmp_path, occupied, dim=2, depth=3):
+    """Write a map whose listed cells are obstacles and return its path."""
+    cells = np.zeros(1 << (dim * depth), dtype=np.uint8)
+    world = GridWorld(dim, depth, cells)
+    for cell in occupied:
+        cells[world.flat_index(cell)] = 1
+    path = tmp_path / "world.map"
+    write_map(GridWorld(dim, depth, cells), str(path))
+    return str(path)
+
+
+def config_file(tmp_path, values):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(values), encoding="utf-8")
+    return str(path)
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_plan_exit_codes(tmp_path, capsys):
+    # two obstacles split both corner quadrants, so the walk takes several steps
+    open_map = map_file(tmp_path, [(3, 3), (4, 4)])
+    code, out, _ = run(capsys, "plan", "--map", open_map)
+    assert code == 0
+    assert out.splitlines()[-1].startswith("status=success")
+
+    code, out, _ = run(capsys, "plan", "--map", open_map, "--budget", "1")
+    assert code == 3
+    assert "status=budget_exceeded" in out
+
+    walled = map_file(tmp_path, [(2, y) for y in range(8)])
+    code, out, _ = run(capsys, "plan", "--map", walled)
+    assert code == 2
+    assert "status=no_path" in out
+
+    code, _, err = run(
+        capsys, "plan", "--predicate", "slab:0,3.2", "--mode", "exact",
+        "--dim", "2", "--depth", "3",
+    )
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_plan_naive_neighbors_print_the_same_path(tmp_path, capsys):
+    world = map_file(tmp_path, [(3, 3), (4, 4), (1, 5), (6, 2)])
+    code, fast, _ = run(capsys, "plan", "--map", world)
+    assert code == 0
+    code, naive, _ = run(capsys, "plan", "--map", world, "--algo", "mspp-naive")
+    assert code == 0
+    assert naive == fast
+
+
+def test_bound_prints_one_row_per_sample_count(capsys):
+    code, out, _ = run(capsys, "bound", "--n-range", "3,9")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "n,bound"
+    assert [line.split(",")[0] for line in lines[1:]] == [str(n) for n in range(3, 10)]
+
+
+def test_gen_map_round_trip_keeps_corners_free(tmp_path, capsys):
+    out_path = str(tmp_path / "gen.map")
+    code, _, _ = run(
+        capsys, "gen-map", "--dim", "2", "--depth", "3", "--density", "0.9",
+        "--kind", "blobs", "--blobs", "2,3", "--blob-size", "2,4", "--seed", "5",
+        "--free-start", "--free-goal", "--out", out_path,
+    )
+    assert code == 0
+    world = read_map(out_path)
+    assert (world.dim, world.depth) == (2, 3)
+    assert world.cells[0] == 0 and world.cells[-1] == 0
+    assert world.cells.sum() == round(0.9 * 64)
+
+
+def test_bench_writes_one_row_per_algorithm(capsys):
+    code, out, _ = run(capsys, "bench", "--seeds", "1", "--depth", "3")
+    assert code == 0
+    reader = csv.DictReader(io.StringIO(out))
+    assert reader.fieldnames == BENCH_COLUMNS
+    assert [row["algorithm"] for row in reader] == list(ALGOS)
+
+
+@pytest.mark.parametrize(
+    "command, values, message",
+    [
+        (
+            ["plan", "--predicate", "slab:0,3.2"],
+            {"mode": "exactly"},
+            "mode must be one of",
+        ),
+        (["bench", "--seeds", "1"], {"algo": "dijkstra"}, "algo must be one of"),
+        (["gen-map"], {"kind": "maze"}, "kind must be one of"),
+        (["bound"], {"depth": "3"}, "depth must be an integer"),
+        (["bound"], {"samples": 2.5}, "samples must be an integer"),
+        (["bound"], {"eps": True}, "eps must be a number"),
+        (["bound"], {"gamma": "0.1"}, "gamma must be a number"),
+    ],
+)
+def test_config_values_get_the_flag_checks(tmp_path, capsys, command, values, message):
+    code, out, err = run(capsys, *command, "--config", config_file(tmp_path, values))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+def test_config_numbers_are_accepted(tmp_path, capsys):
+    config = config_file(tmp_path, {"depth": 4, "eps": 0.25, "alpha": 2})
+    code, out, _ = run(capsys, "bound", "--n-range", "1,2", "--config", config)
+    assert code == 0
+    assert len(out.splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen-map", "--kind", "blobs", "--blobs", "3"], "--blobs"),
+        (["gen-map", "--kind", "blobs", "--blob-size", "2,x"], "--blob-size"),
+        (["bound", "--n-range", "1,2,3"], "--n-range"),
+    ],
+)
+def test_ranges_name_their_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be lo,hi integers")

@@ -12,7 +12,6 @@ from mspp.neighbors import find_neighbors
 from mspp.reduced import (
     CellTracker,
     ReducedTree,
-    _pack_coords,
     refresh,
     window_far,
     window_thresholds,
@@ -114,15 +113,15 @@ def test_cell_tracker_examples():
     assert len(tracker) == 0
     cell = NodeIndex(0, (5, 3))
     tracker.add(cell)
-    assert tracker.is_member(0, _pack_coords((5, 3)))
+    assert tracker.is_member(NodeIndex(0, (5, 3)))
     # every ancestor region containing the member center reports coverage
-    assert tracker.covers(3, _pack_coords((8, 8)))
-    assert tracker.covers(1, _pack_coords((6, 2)))
-    assert not tracker.covers(1, _pack_coords((2, 2)))
-    assert not tracker.covers(0, _pack_coords((3, 3)))
+    assert tracker.covers(NodeIndex(3, (8, 8)))
+    assert tracker.covers(NodeIndex(1, (6, 2)))
+    assert not tracker.covers(NodeIndex(1, (2, 2)))
+    assert not tracker.covers(NodeIndex(0, (3, 3)))
     tracker.discard(cell)
     assert len(tracker) == 0
-    assert not tracker.covers(3, _pack_coords((8, 8)))
+    assert not tracker.covers(NodeIndex(3, (8, 8)))
 
 
 def test_cell_tracker_multiset_semantics():
@@ -131,9 +130,9 @@ def test_cell_tracker_multiset_semantics():
     tracker.add(cell)
     tracker.add(cell)
     tracker.discard(cell)
-    assert tracker.covers(2, _pack_coords((4, 4)))
+    assert tracker.covers(NodeIndex(2, (4, 4)))
     tracker.discard(cell)
-    assert not tracker.covers(2, _pack_coords((4, 4)))
+    assert not tracker.covers(NodeIndex(2, (4, 4)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -158,7 +157,7 @@ def test_cell_tracker_matches_geometric_scan(dim, depth, seed):
             and all(a < c < b for c, a, b in zip(m.center2, lo2, hi2))
             for m in alive
         )
-        assert tracker.covers(probe.scale, _pack_coords(probe.center2)) == expect
+        assert tracker.covers(probe) == expect
 
 
 def test_refresh_uniform_free_world_keeps_single_leaf():
@@ -184,7 +183,7 @@ def window_stop_predicate(tree, rtree, current, path, alpha):
         idx = NodeIndex(v.scale, v.center2)
         is_tree_leaf = tree.is_leaf(idx) if tree.has_node(idx) else True
         far = window_far_oracle(idx, current, alpha)
-        has_path = path.covers(idx.scale, _pack_coords(idx.center2))
+        has_path = path.covers(idx)
         if not (is_tree_leaf or (far and not has_path)):
             ok = False
     return ok

@@ -541,7 +541,7 @@ def test_map_free_classifications_wait_for_the_next_refresh():
         session.cost,
         session._value,
         obstacle_fn=session._flagged,
-        excluded=session.on_trail,
+        excluded=session.trail,
         fine_first=session._is_fine,
     )
     assert session._known_obstacles == obstacles
@@ -554,3 +554,46 @@ def test_map_free_classifications_wait_for_the_next_refresh():
     session.refresh_view()
     assert not session._fresh_obstacles and not session._fresh_free
     assert session.rtree.snapshot() == learned
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([(2, 3), (2, 4), (3, 2), (3, 3)]),
+    st.sampled_from(["bernoulli", "blobs"]),
+    st.sampled_from([0.2, 0.3, 0.4]),
+    st.integers(0, 2**16 - 1),
+)
+def test_plan_agrees_with_grid_search(shape, kind, density, seed):
+    # both modes, on small maps whose nodes the defaults classify exactly:
+    # same reachability as uniform grid A*, simple verified paths, and
+    # never a budget hit
+    from mspp.environments import GeneratorSpec, generate_map
+
+    dim, depth = shape
+    side = 1 << depth
+    world = generate_map(
+        GeneratorSpec(
+            dim, depth, density, kind=kind, seed=seed, free_start=True, free_goal=True
+        )
+    )
+    reachable = uniform_astar(world, (0,) * dim, (side - 1,) * dim).reachable
+    start, goal = (0.5,) * dim, (side - 0.5,) * dim
+    tree = build_from_grid(world)
+    pred = grid_predicate(world)
+    for exact in (True, False):
+        if exact:
+            result = plan(tree=tree, start=start, goal=goal)
+        else:
+            result = plan(
+                predicate=pred, dim=dim, depth=depth, start=start, goal=goal,
+                cell_picks=True,
+            )
+        assert result.status != BUDGET_EXCEEDED
+        assert result.success == reachable
+        if result.success:
+            assert len(set(result.path)) == len(result.path)
+            if exact:
+                ok, reason = verify_path(tree, result.path, 0.5, start, goal)
+            else:
+                ok, reason = verify_path_sampled(pred, result.path, depth, start, goal)
+            assert ok, reason

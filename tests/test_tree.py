@@ -141,15 +141,18 @@ def test_build_single_obstacle_quadrant():
 
 def test_build_matches_brute_force_fractions():
     rng = np.random.default_rng(11)
-    world = GridWorld(2, 3, (rng.random(64) < 0.4).astype(np.uint8))
-    tree = build_from_grid(world)
-    assert tree.value(tree.root) == world.cells.sum() / 64
-    for idx, val in tree.iter_nodes():
-        expect = brute_fraction(world, idx)
-        assert val == pytest.approx(expect, abs=1e-15)
-        assert tree.value(idx) == val
-        if tree.is_leaf(idx) and idx.scale > 0:
-            assert expect in (0.0, 1.0)
+    # dim 6 packs keys wider than 64 bits, so its build uses Python ints.
+    for dim, depth in [(2, 3), (6, 2)]:
+        size = 1 << (dim * depth)
+        world = GridWorld(dim, depth, (rng.random(size) < 0.4).astype(np.uint8))
+        tree = build_from_grid(world)
+        assert tree.value(tree.root) == world.cells.sum() / size
+        for idx, val in tree.iter_nodes():
+            expect = brute_fraction(world, idx)
+            assert val == pytest.approx(expect, abs=1e-15)
+            assert tree.value(idx) == val
+            if tree.is_leaf(idx) and idx.scale > 0:
+                assert expect in (0.0, 1.0)
 
 
 def test_value_three_sixteenths():
@@ -307,7 +310,7 @@ def test_to_grid_round_trip():
         tree = build_from_grid(world)
         assert tree.to_grid() == world
         detached = OccupancyTree(
-            tree.dim, tree.depth, dict(tree._values), set(tree._internal), None
+            tree.dim, tree.depth, dict(tree.values), set(tree.internal), None
         )
         assert detached.to_grid() == world
 
