@@ -21,7 +21,6 @@ from .neighbors import (
     are_neighbors,
     find_containing,
     find_neighbors,
-    neighbor_candidates,
 )
 from .predicates import Checkerboard, Slab, SphereSet, WallWithGap, parse_predicate
 from .reduced import CellTracker, ReducedTree, RTNode, refresh, window_far

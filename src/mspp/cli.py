@@ -195,6 +195,16 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _parse_dims(text: str) -> list[int]:
+    try:
+        dims = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--dims must be comma-separated integers, got {text!r}")
+    if min(dims) < 1:
+        raise ValueError(f"--dims must be integers >= 1, got {text!r}")
+    return dims
+
+
 def _parse_point(text: str, dim: int, side: int, name: str) -> tuple[float, ...]:
     try:
         point = tuple(float(v) for v in text.split(","))
@@ -417,9 +427,7 @@ def _bench_instance(writer, cfg, dim: int, seed: int, algos) -> None:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = _merged_config(args)
-    dims = (
-        [int(v) for v in args.dims.split(",")] if args.dims else [cfg["dim"]]
-    )
+    dims = _parse_dims(args.dims) if args.dims else [cfg["dim"]]
     algos = args.algos.split(",") if args.algos else list(ALGOS)
     for algo in algos:
         if algo not in ALGOS:

@@ -25,31 +25,13 @@ from .tree import NodeIndex
 
 __all__ = [
     "are_neighbors",
-    "directions",
-    "neighbor_candidates",
     "find_containing",
     "add_face_leaves",
     "find_neighbors",
     "all_neighbor_pairs",
     "collect_leaves",
-    "Candidate",
     "AllPairsResult",
 ]
-
-
-_DIRECTIONS: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
-def directions(dim: int) -> tuple[tuple[int, int], ...]:
-    """Canonical (axis, sign) order: axis-major, positive before negative."""
-    out = _DIRECTIONS.get(dim)
-    if out is None:
-        pairs = []
-        for axis in range(dim):
-            pairs.append((axis, 1))
-            pairs.append((axis, -1))
-        out = _DIRECTIONS[dim] = tuple(pairs)
-    return out
 
 
 def are_neighbors(a, b) -> bool:
@@ -65,32 +47,6 @@ def are_neighbors(a, b) -> bool:
         if delta == thresh:
             hits += 1
     return hits == 1
-
-
-class Candidate(NamedTuple):
-    axis: int
-    sign: int
-    center2: tuple[int, ...]
-    in_bounds: bool
-
-
-def neighbor_candidates(idx, depth: int) -> list[Candidate]:
-    """Same-scale prospective neighbor centers in each of the 2*dim directions.
-
-    Positions falling outside the world box are flagged rather than dropped
-    so callers can account for boundary faces.
-    """
-    k, c2 = idx.scale, idx.center2
-    step = 2 << k
-    lo = 1 << k
-    hi = (2 << depth) - lo
-    out = []
-    for axis, sign in directions(len(c2)):
-        cand = list(c2)
-        cand[axis] += step if sign > 0 else -step
-        ok = lo <= cand[axis] <= hi
-        out.append(Candidate(axis, sign, tuple(cand), ok))
-    return out
 
 
 def child_at(node, slot: int, settle):

@@ -206,22 +206,17 @@ class ReducedTree:
         return node
 
     def leaf_at_point(self, point) -> RTNode | None:
-        """Leaf whose cube contains the point (half-open), None if removed."""
-        node = self.root
-        settle = node.settle
-        doubled = [2.0 * x for x in point]
-        for j, x in enumerate(doubled):
-            if not 0.0 < x < 2.0 * node.center2[j]:
+        """Leaf whose cube contains the point (half-open), None if removed.
+
+        The leaf is the one containing the unit cell floor(point): on every
+        axis the cell's odd doubled center lies on the same side of a
+        coarser node's even center as the doubled point does.
+        """
+        side = 1 << self.depth
+        for x in point:
+            if not 0.0 < x < side:
                 raise ValueError(f"point {tuple(point)} not strictly inside")
-        while node.children is not None:
-            slot = 0
-            for j, c in enumerate(node.center2):
-                if doubled[j] >= c:
-                    slot |= 1 << j
-            node = child_at(node, slot, settle)
-            if node is None:
-                return None
-        return node
+        return find_containing(self.root, tuple(2 * int(x) + 1 for x in point))
 
     def snapshot(self) -> dict[int, bool]:
         """Packed node key -> is_leaf, for structural equality checks.

@@ -18,6 +18,12 @@ estimates in map-free mode) are evaluated per vertex only when first
 needed for a g-value.  Map-free obstacle classification happens here too:
 flagged vertices enter the queue with infinite cost so they are counted as
 touched but never expanded or routed through.
+
+The search reads values and flags from mappings keyed by (scale, center2)
+that must answer for every vertex it reaches.  A session hands it its own
+memos, which compute each node's value and flag on first lookup and keep
+it for the rest of the session, so every such fact is computed once per
+session.
 """
 
 from __future__ import annotations
@@ -102,12 +108,6 @@ def _center(idx: NodeIndex) -> tuple[float, ...]:
     return tuple(c / 2.0 for c in idx.center2)
 
 
-def _dist(a: NodeIndex, b: NodeIndex) -> float:
-    # On integer lattice coordinates math.dist is exact: the squared sum
-    # is representable and the result is correctly rounded.
-    return 0.5 * math.dist(a.center2, b.center2)
-
-
 def node_contains(idx: NodeIndex, point, depth: int) -> bool:
     """Half-open cube membership, closed on the world's upper boundary."""
     half = 1 << idx.scale
@@ -125,8 +125,8 @@ def astar_lazy(
     v_start: NodeIndex,
     v_goal: NodeIndex,
     cost: CostModel,
-    value_fn,
-    obstacle_fn=None,
+    values,
+    flags=None,
     excluded=frozenset(),
     fine_first=None,
     neighbors_fn=None,
@@ -134,12 +134,14 @@ def astar_lazy(
 ) -> list[NodeIndex] | None:
     """Vertex path of minimal cost from v_start to v_goal, or None.
 
-    value_fn maps a vertex index to its occupancy value; obstacle_fn, when
-    given, marks vertices that must not be routed through (they still
-    enter the queue, with infinite cost, so the touched count reflects
-    them).  excluded lists vertices the path never enters (the start
-    excepted), and fine_first, when given, restricts first hops to
-    vertices it accepts.
+    values maps a vertex's (scale, center2) key to its occupancy value;
+    flags, when given, maps it to True for vertices that must not be
+    routed through (they still enter the queue, with infinite cost, so the
+    touched count reflects them).  Both are read with [] and must answer
+    for every vertex the search reaches; a PlannerSession passes memos
+    that compute each entry on first lookup, once per session.  excluded
+    lists vertices the path never enters (the start excepted), and
+    fine_first, when given, restricts first hops to vertices it accepts.
     neighbors_fn overrides vertex-neighbor enumeration.
     """
     if stats is None:
@@ -174,13 +176,6 @@ def astar_lazy(
     closed_add = closed.add
     h0 = 0.5 * dist(v_start.center2, goal_center2)
     heap: list[tuple] = [(h0, h0, start_key)]
-    values: dict = {}
-    values_get = values.get
-    # Flag decisions are deterministic per vertex, so ask obstacle_fn only
-    # on first encounter; a vertex is met again through every later
-    # neighbor relation.
-    flags: dict = {}
-    flags_get = flags.get
     found = False
 
     while heap:
@@ -206,21 +201,14 @@ def astar_lazy(
                 continue
             if first_hop and fine_first is not None and not fine_first(w):
                 continue
-            if obstacle_fn is not None:
-                flagged = flags_get(w)
-                if flagged is None:
-                    flagged = flags[w] = obstacle_fn(w)
-                if flagged:
-                    if w not in g:
-                        g[w] = inf
-                        by_index[w] = node
-                        hw = 0.5 * dist(nc2, goal_center2)
-                        heappush(heap, (inf, hw, w))
-                    continue
-            value = values_get(w)
-            if value is None:
-                value = values[w] = value_fn(w)
-            tentative = gv + 0.5 * dist(vc2, nc2) * (1.0 + weight * value)
+            if flags is not None and flags[w]:
+                if w not in g:
+                    g[w] = inf
+                    by_index[w] = node
+                    hw = 0.5 * dist(nc2, goal_center2)
+                    heappush(heap, (inf, hw, w))
+                continue
+            tentative = gv + 0.5 * dist(vc2, nc2) * (1.0 + weight * values[w])
             if tentative < g_get(w, inf):
                 g[w] = tentative
                 parent[w] = v
@@ -253,6 +241,58 @@ class PlanResult:
     @property
     def success(self) -> bool:
         return self.status == SUCCESS
+
+
+class _Memo(dict):
+    """Node facts by (scale, center2) key, each filled on first lookup.
+
+    fill gets the key as a NodeIndex.  It must not hold the session that
+    owns the memo (a bound method would): the two would form a reference
+    cycle, which only the cyclic garbage collector frees.
+    """
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        got = self[key] = self.fill(NodeIndex(key[0], key[1]))
+        return got
+
+
+def _node_memos(tree, estimator, eps, gamma, fresh_obstacles, fresh_free):
+    """A session's value memo and, map-free, its flag memo (else None).
+
+    Node values never change once known (exact map values are fixed,
+    estimator results are cached), and eps and gamma are fixed for the
+    session, so each value and flag is computed once.  Map-free fills
+    also record what they learn: flagged nodes in fresh_obstacles, coarse
+    nodes that enumeration proved free in fresh_free.
+    """
+    if tree is not None:
+        return _Memo(tree.value), None
+
+    def learn_free(idx: NodeIndex) -> None:
+        if idx.scale > 0 and estimator.known_free(idx):
+            fresh_free.add(pack_index(idx.scale, idx.center2))
+
+    def value(idx: NodeIndex) -> float:
+        v = estimator.value(idx)
+        if v == 0.0:
+            learn_free(idx)
+        return v
+
+    def flagged(idx: NodeIndex) -> bool:
+        got, _ = estimator.classify(idx, eps, gamma)
+        if got:
+            fresh_obstacles.add(pack_index(idx.scale, idx.center2))
+        else:
+            learn_free(idx)
+        return got
+
+    return _Memo(value), _Memo(flagged)
 
 
 class PlannerSession:
@@ -329,8 +369,6 @@ class PlannerSession:
         self.path_cells.add(start_v)
         self.blocked_cells = CellTracker(dim, depth)
         self.blocked = 0
-        self._value_cache: dict[NodeIndex, float] = {}
-        self._flag_cache: dict[NodeIndex, bool] = {}
         # Packed keys of nodes already classified: refresh prunes known
         # obstacles from later views so A* stops re-touching them, and
         # stops descent at blocks proven fully free, which otherwise
@@ -342,6 +380,9 @@ class PlannerSession:
         self._known_free: set[int] = set()
         self._fresh_obstacles: set[int] = set()
         self._fresh_free: set[int] = set()
+        self._values, self._flags = _node_memos(
+            tree, self.estimator, eps, gamma, self._fresh_obstacles, self._fresh_free
+        )
         self.rtree = ReducedTree(dim, depth)
         self.stats = SearchStats()
         self.iterations = 0
@@ -378,24 +419,7 @@ class PlannerSession:
     def _is_obstacle(self, idx: NodeIndex) -> bool:
         if self.tree is not None:
             return self.tree.is_eps_obstacle(idx, self.eps)
-        return self._flagged(idx)
-
-    def _value(self, idx) -> float:
-        # Node values never change once known (exact map values are fixed,
-        # estimator results are cached), so both modes memoize here.  The
-        # search passes plain (scale, center2) tuples; they hash like
-        # NodeIndex, which is only materialized on a cache miss.
-        v = self._value_cache.get(idx)
-        if v is None:
-            idx = NodeIndex(idx[0], idx[1])
-            if self.tree is not None:
-                v = self.tree.value(idx)
-            else:
-                v = self.estimator.value(idx)
-                if v == 0.0 and idx.scale > 0 and self.estimator.known_free(idx):
-                    self._fresh_free.add(pack_index(idx.scale, idx.center2))
-            self._value_cache[idx] = v
-        return v
+        return self._flags[idx]
 
     def _is_fine(self, idx) -> bool:
         idx = NodeIndex(idx[0], idx[1])
@@ -457,8 +481,8 @@ class PlannerSession:
                 self.current,
                 goal_node.index(),
                 self.cost,
-                self._value,
-                obstacle_fn=None if self.tree is not None else self._flagged,
+                self._values,
+                self._flags,
                 excluded=self.trail,
                 fine_first=self._is_fine,
                 neighbors_fn=self._neighbors_fn(),
@@ -488,21 +512,6 @@ class PlannerSession:
         self.current = step
         return None
 
-    def _flagged(self, idx) -> bool:
-        # eps and gamma are fixed for the session and estimates are cached,
-        # so each node's flag decision is computed once.  Accepts plain
-        # (scale, center2) tuples from the search loop.
-        got = self._flag_cache.get(idx)
-        if got is None:
-            idx = NodeIndex(idx[0], idx[1])
-            got, _ = self.estimator.classify(idx, self.eps, self.gamma)
-            self._flag_cache[idx] = got
-            if got:
-                self._fresh_obstacles.add(pack_index(idx.scale, idx.center2))
-            elif idx.scale > 0 and self.estimator.known_free(idx):
-                self._fresh_free.add(pack_index(idx.scale, idx.center2))
-        return got
-
     def step(self) -> str | None:
         """One planner iteration; returns the terminal status or None."""
         if self.status is not None:
@@ -530,7 +539,7 @@ class PlannerSession:
             path = list(self.trail)
             cost = 0.0
             for u, v in zip(path, path[1:]):
-                cost += self.cost.edge(u, v, self._value(v))
+                cost += self.cost.edge(u, v, self._values[v])
         return PlanResult(
             self.status, path, cost, self.iterations, self.stats, self.blocked
         )

@@ -183,9 +183,6 @@ class GridWorld:
     def occupied(self, cell: Sequence[int]) -> bool:
         return bool(self.cells[self.flat_index(cell)])
 
-    def occupied_at(self, point: Sequence[float]) -> bool:
-        return self.occupied(self.cell_of(point))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GridWorld)

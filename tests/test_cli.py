@@ -98,6 +98,20 @@ def test_bench_writes_one_row_per_algorithm(capsys):
 
 
 @pytest.mark.parametrize(
+    "dims, message",
+    [
+        ("2,x", "--dims must be comma-separated integers"),
+        ("0", "--dims must be integers >= 1"),
+    ],
+)
+def test_bench_checks_dims_before_any_output(capsys, dims, message):
+    code, out, err = run(capsys, "bench", "--seeds", "1", "--depth", "3", "--dims", dims)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
     "command, values, message",
     [
         (

@@ -1,4 +1,4 @@
-"""Face adjacency tests: exact predicate, candidate moves, tree lookups."""
+"""Face adjacency tests: exact predicate and tree lookups."""
 
 import numpy as np
 import pytest
@@ -17,10 +17,8 @@ from mspp.neighbors import (
     add_face_leaves,
     are_neighbors,
     collect_leaves,
-    directions,
     find_containing,
     find_neighbors,
-    neighbor_candidates,
 )
 from mspp.reduced import ReducedTree, RTNode
 from mspp.tree import NodeIndex
@@ -82,48 +80,6 @@ def test_are_neighbors_matches_interval_oracle(dim, depth, seed):
         expect = interval_face_test(a, b)
         assert are_neighbors(a, b) == expect
         assert are_neighbors(b, a) == expect
-
-
-def test_directions_layout():
-    assert directions(1) == ((0, 1), (0, -1))
-    assert directions(3) == (
-        (0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1)
-    )
-
-
-def test_neighbor_candidates_square():
-    cands = neighbor_candidates(NodeIndex(1, (2, 2)), depth=2)
-    assert [c.center2 for c in cands] == [(6, 2), (-2, 2), (2, 6), (2, -2)]
-    assert [c.in_bounds for c in cands] == [True, False, True, False]
-    # the root of a depth-1 box has no in-bounds neighbors at all
-    cands = neighbor_candidates(NodeIndex(1, (2, 2)), depth=1)
-    assert [c.in_bounds for c in cands] == [False, False, False, False]
-
-
-def test_neighbor_candidates_line():
-    cands = neighbor_candidates(NodeIndex(0, (1,)), depth=1)
-    assert [(c.center2, c.in_bounds) for c in cands] == [
-        ((3,), True),
-        ((-1,), False),
-    ]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
-def test_candidates_differ_on_exactly_one_axis(dim, depth, seed):
-    rng = np.random.default_rng(seed)
-    idx = random_index(rng, dim, depth)
-    cands = neighbor_candidates(idx, depth)
-    assert len(cands) == 2 * dim
-    for cand in cands:
-        deltas = [c - p for c, p in zip(cand.center2, idx.center2)]
-        nonzero = [d for d in deltas if d != 0]
-        assert len(nonzero) == 1
-        assert abs(nonzero[0]) == 2 << idx.scale
-        assert nonzero[0] == cand.sign * (2 << idx.scale)
-        assert deltas[cand.axis] == nonzero[0]
-        if cand.in_bounds:
-            assert are_neighbors(idx, NodeIndex(idx.scale, cand.center2))
 
 
 def make_mixed_tree():

@@ -1,6 +1,9 @@
 """Lazy A* over reduced views, walk-and-replan sessions, path verification."""
 
+import gc
 import math
+import weakref
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -94,7 +97,7 @@ def test_astar_start_equals_goal_expands_nothing():
     stats = SearchStats()
     v = NodeIndex(0, (1, 1))
     path = astar_lazy(
-        rtree, v, v, CostModel(), value_fn=lambda idx: 0.0, stats=stats
+        rtree, v, v, CostModel(), values=defaultdict(float), stats=stats
     )
     assert path == [v]
     assert stats.pops == 0
@@ -109,7 +112,7 @@ def test_astar_missing_start_vertex_raises():
             NodeIndex(1, (2, 2)),  # internal, not a vertex
             NodeIndex(0, (1, 1)),
             CostModel(),
-            value_fn=lambda idx: 0.0,
+            values=defaultdict(float),
         )
 
 
@@ -122,7 +125,7 @@ def test_astar_respects_excluded_and_fine_first_hop():
         start,
         goal,
         CostModel(),
-        value_fn=lambda idx: 0.0,
+        values=defaultdict(float),
         excluded={away},
     )
     assert path is not None
@@ -133,7 +136,7 @@ def test_astar_respects_excluded_and_fine_first_hop():
         start,
         goal,
         CostModel(),
-        value_fn=lambda idx: 0.0,
+        values=defaultdict(float),
         fine_first=lambda idx: False,
     )
     assert path is None
@@ -144,7 +147,7 @@ def test_astar_never_enters_excluded_vertices():
     start, goal = NodeIndex(0, (1, 1)), NodeIndex(0, (7, 1))
     wall = {NodeIndex(0, (3, y)) for y in (1, 3, 5)}
     path = astar_lazy(
-        rtree, start, goal, CostModel(), value_fn=lambda idx: 0.0,
+        rtree, start, goal, CostModel(), values=defaultdict(float),
         excluded=wall | {start},
     )
     assert path is not None and path[0] == start
@@ -152,7 +155,7 @@ def test_astar_never_enters_excluded_vertices():
     # excluding a full column cuts the start off
     wall.add(NodeIndex(0, (3, 7)))
     path = astar_lazy(
-        rtree, start, goal, CostModel(), value_fn=lambda idx: 0.0, excluded=wall
+        rtree, start, goal, CostModel(), values=defaultdict(float), excluded=wall
     )
     assert path is None
 
@@ -261,14 +264,17 @@ def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
     tree = build_from_grid(world)
     start = tree.leaf_at((0.5, 0.5))
     goal_point = ((1 << depth) - 0.5,) * 2
-    goal = tree.leaf_at(goal_point)
     rtree = make_refreshed_view(tree, start)
-    if rtree.find_vertex(start) is None or rtree.find_vertex(goal) is None:
-        return
+    # the view is fine around the start and coarse far from it: the goal
+    # is the view's leaf over the goal point, as in PlannerSession.advance
+    goal_node = rtree.leaf_at_point(goal_point)
+    assert rtree.find_vertex(start) is not None and goal_node is not None
+    goal = goal_node.index()
+    vertices = [v.index() for v in rtree.vertices()]
     cost = CostModel(weight=weight)
     stats = SearchStats()
-    got = astar_lazy(rtree, start, goal, cost, value_fn=tree.value, stats=stats)
-    vertices = [v.index() for v in rtree.vertices()]
+    values = {v: tree.value(v) for v in vertices}
+    got = astar_lazy(rtree, start, goal, cost, values, stats=stats)
     edges = all_neighbor_pairs(rtree.root, depth).edges
     expect = dijkstra_vertex_path_cost(
         vertices, edges, tree.value, weight, start, goal
@@ -285,6 +291,29 @@ def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
     # vertex budget
     assert stats.pops == stats.neighbor_calls
     assert stats.pops <= len(vertices)
+
+
+def test_finished_sessions_need_no_cycle_collection():
+    # the session's memos and view must not refer back to the session, so
+    # a finished session is freed as soon as its last reference goes
+    world = random_world(2, 4, 0.2, seed=1, free_corners=True)
+    tree = build_from_grid(world)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for kwargs in (
+            {"tree": tree},
+            {"predicate": grid_predicate(world), "dim": 2, "depth": 4},
+        ):
+            session = PlannerSession(start=(0.5, 0.5), goal=(15.5, 15.5), **kwargs)
+            assert session.run().status == SUCCESS
+            assert session.stats.touched > 0
+            ref = weakref.ref(session)
+            del session
+            assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_session_counters_stay_lazy():
@@ -436,7 +465,6 @@ def test_backtracking_recovers_from_seeded_false_flags():
         samples=1024,
     )
     gap = NodeIndex(1, (2, 18))  # the block holding the only true gap
-    session._flag_cache = getattr(session, "_flag_cache", None)
     session._known_obstacles.add(pack_index(gap.scale, gap.center2))
     result = session.run()
     assert result.status == NO_PATH
@@ -539,8 +567,8 @@ def test_map_free_classifications_wait_for_the_next_refresh():
         session.current,
         goal.index(),
         session.cost,
-        session._value,
-        obstacle_fn=session._flagged,
+        session._values,
+        session._flags,
         excluded=session.trail,
         fine_first=session._is_fine,
     )
