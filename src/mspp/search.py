@@ -2,14 +2,24 @@
 
 The planner repeatedly refreshes the reduced view around its current cell
 (the view decides its nodes lazily, as the search reaches them), searches
-that view for a vertex path to the goal, and commits only the first step
-of the found path before re-planning.  Failed cells are blocked
-(removed from later views) and the walk backtracks along its own trail.
-The search never routes through a cell already on the trail, so no first
-hop lands on one: the trail is a simple path, and the walk is a
-depth-first search whose finished set is the blocked cells.  A cell leaves
-the trail only by being blocked, so a (current, successor) pair is never
-committed twice, which bounds the total number of iterations.
+that view for a vertex path to the goal, and commits the found path's
+leading fine hops before re-planning: the first hop, which the search
+requires to be fine, then every following hop up to the first coarse node
+or the goal.  A fine node is a stored map leaf, or map-free a unit cell or
+a block proven free: a node the finished path may hold as it is.  A hop
+between fine nodes is therefore an exact move, and only the cost-to-go
+past the first coarse node is approximate.  Failed cells are blocked
+(removed from later views) and the walk backtracks along its own trail,
+one cell per failed search.
+
+The search never routes through a cell already on the trail, and a fine
+view leaf overlaps a trail cell only by being it, so no committed hop lands
+on one: the trail is a simple path, and the walk is a depth-first search
+whose finished set is the blocked cells.  A cell leaves the trail only by
+being blocked, so a (current, successor) pair is never committed twice.
+Every iteration commits at least one hop or blocks a cell, and each
+blocked cell was committed once, so the iterations number at most twice
+the distinct commitments, which bounds them.
 
 The A* is lazy in two ways matching the planner's cost structure: a
 vertex's neighbors are computed only when it is popped from the open
@@ -229,7 +239,11 @@ def astar_lazy(
 
 @dataclass
 class PlanResult:
-    """Outcome of one planning session."""
+    """Outcome of one planning session.
+
+    iterations counts the A* runs (one per iteration), not path steps: an
+    iteration may commit several hops, or none when it backtracks.
+    """
 
     status: str
     path: list[NodeIndex] | None
@@ -304,8 +318,9 @@ class PlannerSession:
     its iteration pieces (goal_reached, refresh_view, advance) so a caller
     can drive and inspect single iterations; run() drives to completion.
 
-    The walk is recorded in trail.  advance() searches around the trail's
-    cells, so it never commits a first hop onto one: trail is a simple
+    The walk is recorded in trail.  Each advance() commits the leading
+    fine hops of one search, all of them exact moves.  The search routes
+    around the trail's cells, so no hop lands on one: trail is a simple
     path from the start, and a successful result's path repeats no node.
     """
 
@@ -469,7 +484,13 @@ class PlannerSession:
         return scan
 
     def advance(self) -> str | None:
-        """Run one A* attempt and commit a step or backtrack."""
+        """Run one A* attempt, then commit its leading fine hops or backtrack.
+
+        The search makes the first hop fine, so at least one is committed;
+        the following hops are committed while the next node is fine.
+        With no path, the last trail cell is blocked and the walk steps
+        back to the one before it.
+        """
         run = SearchStats()
         goal_node = self.rtree.leaf_at_point(self.goal_center)
         start_node = self.rtree.find_vertex(self.current)
@@ -502,14 +523,18 @@ class PlannerSession:
             self.blocked += 1
             self.current = self.trail[-1]
             return None
-        step = path[1]
-        if not are_neighbors(self.current, step):
-            raise RuntimeError(
-                f"planner committed a non-adjacent step {self.current} -> {step}"
-            )
-        self.trail.append(step)
-        self.path_cells.add(step)
-        self.current = step
+        # Only the path's last node, the view leaf holding the goal point,
+        # contains it, so the walk stops at the goal at the latest.
+        for step in path[1:]:
+            if not self._is_fine(step):
+                break
+            if not are_neighbors(self.current, step):
+                raise RuntimeError(
+                    f"planner committed a non-adjacent step {self.current} -> {step}"
+                )
+            self.trail.append(step)
+            self.path_cells.add(step)
+            self.current = step
         return None
 
     def step(self) -> str | None:

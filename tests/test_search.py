@@ -16,7 +16,8 @@ from helpers import (
     full_rtree,
     random_world,
 )
-from mspp.neighbors import all_neighbor_pairs
+from mspp.neighbors import all_neighbor_pairs, are_neighbors
+from mspp.predicates import WallWithGap
 from mspp.reduced import CellTracker, ReducedTree, refresh
 from mspp.search import (
     BUDGET_EXCEEDED,
@@ -34,13 +35,14 @@ from mspp.search import (
     verify_path_sampled,
 )
 from mspp.tree import (
+    MAX_DEPTH,
     GridWorld,
     NodeIndex,
     OccupancyTree,
     build_from_grid,
     pack_index,
 )
-from mspp.environments import grid_predicate, uniform_astar
+from mspp.environments import grid_predicate, realize_grid, uniform_astar
 
 
 def corridor_world():
@@ -490,14 +492,14 @@ def test_backtracking_never_repeats_a_commitment():
     session._known_obstacles.add(pack_index(1, (2, 18)))
     seen = set()
     while session.status is None:
-        before = session.current
+        n = len(session.trail)
         session.step()
-        if session.status is None and session.current != before:
-            move = (before, session.current)
-            if len(session.trail) > 1 and session.trail[-2] == before:
-                # a forward commitment; backtracks revisit but never recommit
-                assert move not in seen
-                seen.add(move)
+        # every hop a commit appends is a forward commitment; backtracks
+        # revisit cells but never recommit
+        for move in zip(session.trail[n - 1 :], session.trail[n:]):
+            assert move not in seen
+            seen.add(move)
+    assert seen
     assert session.status == NO_PATH
 
 
@@ -625,3 +627,125 @@ def test_plan_agrees_with_grid_search(shape, kind, density, seed):
             else:
                 ok, reason = verify_path_sampled(pred, result.path, depth, start, goal)
             assert ok, reason
+
+
+def snake_world(depth: int) -> GridWorld:
+    # 2-D maze of one-cell corridors: a wall on every odd row, each open at
+    # one end only, alternating sides, so the only route from the (0, 0)
+    # corner to the opposite one sweeps every even row; every free block
+    # is a unit cell
+    side = 1 << depth
+    cells = np.zeros(side * side, dtype=np.uint8)
+    world = GridWorld(2, depth, cells)
+    for y in range(1, side, 2):
+        gap = side - 1 if (y // 2) % 2 else 0
+        for x in range(side):
+            if x != gap:
+                cells[world.flat_index((x, y))] = 1
+    return GridWorld(2, depth, cells)
+
+
+def mode_kwargs(world: GridWorld, exact: bool) -> dict:
+    if exact:
+        return {"tree": build_from_grid(world)}
+    return {
+        "predicate": grid_predicate(world),
+        "dim": world.dim,
+        "depth": world.depth,
+        "cell_picks": True,
+    }
+
+
+@pytest.mark.parametrize("depth", [4, 5])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "map-free"])
+def test_snake_maze_walks_the_shortest_corridor(exact, depth):
+    world = snake_world(depth)
+    side = 1 << depth
+    start, goal = (0.5, 0.5), (side - 0.5, side - 0.5)
+    base = uniform_astar(world, (0, 0), (side - 1, side - 1))
+    assert base.reachable
+    result = plan(start=start, goal=goal, **mode_kwargs(world, exact))
+    assert result.status == SUCCESS
+    # one unit cell per grid step, plus the start
+    assert len(result.path) == len(base.path)
+    assert len(set(result.path)) == len(result.path)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "map-free"])
+def test_sealed_wall_ends_in_no_path(exact):
+    # a full plane of obstacles splits a 16^3 world in two
+    wall = WallWithGap(0, 8.0, 0.0, (8.0,) * 3)
+    start, goal = (0.5,) * 3, (15.5,) * 3
+    if exact:
+        tree = build_from_grid(realize_grid(wall, 3, 4))
+        result = plan(tree=tree, start=start, goal=goal)
+        # the up-front connectivity test decides before any iteration
+        assert result.iterations == 0
+    else:
+        session = PlannerSession(predicate=wall, dim=3, depth=4, start=start, goal=goal)
+        result = session.run()
+        # the walk exhausts its alternatives well within the budget
+        assert result.iterations < session.budget
+    assert result.status == NO_PATH
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "map-free"])
+def test_five_dimensional_worlds_agree_with_grid_search(exact, depth):
+    world = random_world(5, depth, 0.2, seed=0, free_corners=True)
+    side = 1 << depth
+    start, goal = (0.5,) * 5, (side - 0.5,) * 5
+    reachable = uniform_astar(world, (0,) * 5, (side - 1,) * 5).reachable
+    kwargs = mode_kwargs(world, exact)
+    result = plan(start=start, goal=goal, **kwargs)
+    assert result.success == reachable
+    if result.success:
+        if exact:
+            ok, reason = verify_path(kwargs["tree"], result.path, 0.5, start, goal)
+        else:
+            ok, reason = verify_path_sampled(
+                kwargs["predicate"], result.path, depth, start, goal
+            )
+        assert ok, reason
+
+
+def test_map_free_query_at_max_depth():
+    # Map-free only: exact mode pays for a whole-grid flood fill of
+    # 2**(2 * MAX_DEPTH) cells before its first iteration (about 2 s), a
+    # cost of the up-front connectivity test, not of the walk.
+    side = 1 << MAX_DEPTH
+    wall = WallWithGap(0, 20.0, 4.0, (side / 2.0, 30.0))
+    start, goal = (0.5, 0.5), (40.5, 33.5)
+    result = plan(predicate=wall, dim=2, depth=MAX_DEPTH, start=start, goal=goal)
+    assert result.status == SUCCESS
+    ok, reason = verify_path_sampled(wall, result.path, MAX_DEPTH, start, goal)
+    assert ok, reason
+
+
+@pytest.mark.parametrize("maze", [True, False], ids=["snake", "backtracking"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "map-free"])
+def test_each_iteration_commits_a_fine_prefix(exact, maze):
+    # seed 2 is reachable, and its walk backs out of 18 dead ends
+    world = snake_world(4) if maze else random_world(2, 4, 0.3, seed=2, free_corners=True)
+    session = PlannerSession(
+        start=(0.5, 0.5), goal=(15.5, 15.5), **mode_kwargs(world, exact)
+    )
+    hops = 0
+    while session.status is None:
+        before = list(session.trail)
+        session.step()
+        trail = session.trail
+        if len(trail) <= len(before):
+            continue
+        # a commit keeps the old trail and appends fine, adjacent nodes
+        assert trail[: len(before)] == before
+        for prev, hop in zip(trail[len(before) - 1 :], trail[len(before) :]):
+            assert session._is_fine(hop)
+            assert are_neighbors(prev, hop)
+            hops += 1
+        assert len(set(trail)) == len(trail)
+    assert session.status == SUCCESS
+    assert maze or session.blocked > 0
+    if maze:
+        # the corridors lie on exact cells, so searches commit several hops
+        assert session.iterations < hops
