@@ -1,4 +1,4 @@
-"""Command-line front end: plan, bench, bound, gen-map.
+"""Command-line front end: plan, bound, gen-map.
 
 Configuration precedence is defaults < MSPP_SEED environment fallback
 (seed only) < JSON config file (--config) < explicit flags.  Exit codes:
@@ -9,20 +9,11 @@ no path), 3 iteration budget exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-import time
 
-from .environments import (
-    GeneratorSpec,
-    generate_map,
-    grid_predicate,
-    random_spheres,
-    realize_grid,
-    uniform_astar,
-)
+from .environments import GeneratorSpec, generate_map, grid_predicate
 from .predicates import parse_predicate
 from .sampling import BoundParams, failure_bound
 from .search import (
@@ -46,33 +37,15 @@ DEFAULTS = {
     "regions": 1,
     "seed": 0,
     "mode": "exact",
-    "algo": "mspp-fn",
     "density": 0.3,
     "kind": "bernoulli",
 }
 
-ALGOS = ("astar", "mspp-naive", "mspp-fn", "mspp-s")
 MODES = ("exact", "sampling")
 MAP_KINDS = ("bernoulli", "blobs")
-KINDS = MAP_KINDS + ("spheres",)
 # Config keys limited to a set of values; every other key holds a number of
 # its default's type.
-CHOICES = {"mode": MODES, "algo": ALGOS, "kind": KINDS}
-
-BENCH_COLUMNS = [
-    "algorithm",
-    "d",
-    "depth",
-    "seed",
-    "map_build_s",
-    "plan_s",
-    "iterations",
-    "astar_pops",
-    "neighbor_calls",
-    "sampled_nodes",
-    "success",
-    "path_cost",
-]
+CHOICES = {"mode": MODES, "kind": MAP_KINDS}
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -86,7 +59,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--regions", type=int, help="independent-region count Z")
     p.add_argument("--seed", type=int, help="random seed (MSPP_SEED fallback)")
     p.add_argument("--mode", choices=MODES, help="planner mode")
-    p.add_argument("--algo", choices=ALGOS, help="algorithm tag")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="output file (default: standard output)")
 
@@ -108,19 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", help="start point, comma-separated coordinates")
     p.add_argument("--goal", help="goal point, comma-separated coordinates")
     p.add_argument("--budget", type=int, help="iteration budget")
-    _common_flags(p)
-
-    p = sub.add_parser("bench", help="benchmark sweep, CSV output")
-    p.add_argument("--dims", help="comma-separated dimensions (default: dim)")
-    p.add_argument("--seeds", type=int, default=20, help="instances per dimension")
-    p.add_argument("--algos", help="comma-separated algorithm tags (default: all)")
-    p.add_argument("--density", type=float, help="obstacle density")
-    p.add_argument(
-        "--kind",
-        choices=KINDS,
-        help="environment: grid textures (map given) or ball scenes "
-        "(map-based algorithms pay per-cell realization)",
-    )
     _common_flags(p)
 
     p = sub.add_parser("bound", help="failure-probability bound curve, CSV output")
@@ -195,16 +154,6 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_dims(text: str) -> list[int]:
-    try:
-        dims = [int(v) for v in text.split(",")]
-    except ValueError:
-        raise ValueError(f"--dims must be comma-separated integers, got {text!r}")
-    if min(dims) < 1:
-        raise ValueError(f"--dims must be integers >= 1, got {text!r}")
-    return dims
-
-
 def _parse_point(text: str, dim: int, side: int, name: str) -> tuple[float, ...]:
     try:
         point = tuple(float(v) for v in text.split(","))
@@ -276,7 +225,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         seed=cfg["seed"],
         budget=args.budget,
         cell_picks=cell_picks,
-        neighbor_mode="scan" if cfg["algo"] == "mspp-naive" else "fast",
     )
     result = session.run()
 
@@ -310,142 +258,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if result.status == BUDGET_EXCEEDED:
         return 3
     return 2
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
-
-
-def _bench_instance(writer, cfg, dim: int, seed: int, algos) -> None:
-    depth = cfg["depth"]
-    side = 1 << depth
-    start = (0.5,) * dim
-    goal = (side - 0.5,) * dim
-
-    # With a grid texture the occupancy array itself is the environment:
-    # the map is given and map_build_s covers only pyramid assembly (the
-    # plan-time comparison regime).  The spheres texture instead treats
-    # the scene as a point oracle, so every map-based algorithm first
-    # realizes the grid through per-cell queries on the clock, while
-    # mspp-s plans against the oracle directly (the map-free regime).
-    scene = None
-    world = None
-    if cfg["kind"] == "spheres":
-        spheres = random_spheres(dim, depth, seed, cfg["density"])
-
-        def scene(point, _spheres=spheres):
-            return _spheres(point)
-
-    else:
-        spec = GeneratorSpec(
-            dim,
-            depth,
-            cfg["density"],
-            kind=cfg["kind"],
-            seed=seed,
-            free_start=True,
-            free_goal=True,
-        )
-        world = generate_map(spec)
-    tree = None
-    build_elapsed = 0.0
-
-    for algo in algos:
-        map_elapsed = 0.0
-        if scene is not None and algo != "mspp-s":
-            began = time.perf_counter()
-            world = realize_grid(scene, dim, depth)
-            if algo != "astar":
-                tree = build_from_grid(world)
-            map_elapsed = time.perf_counter() - began
-        elif scene is None and algo in ("mspp-naive", "mspp-fn"):
-            if tree is None:
-                began = time.perf_counter()
-                tree = build_from_grid(world)
-                build_elapsed = time.perf_counter() - began
-            map_elapsed = build_elapsed
-        row = {
-            "algorithm": algo,
-            "d": dim,
-            "depth": depth,
-            "seed": seed,
-            "map_build_s": _fmt(map_elapsed),
-            "plan_s": _fmt(0.0),
-            "iterations": 0,
-            "astar_pops": 0,
-            "neighbor_calls": 0,
-            "sampled_nodes": 0,
-            "success": "false",
-            "path_cost": "",
-        }
-        if algo == "astar":
-            base = uniform_astar(world, (0,) * dim, (side - 1,) * dim)
-            row["plan_s"] = _fmt(base.elapsed)
-            row["astar_pops"] = base.expanded
-            row["neighbor_calls"] = base.expanded
-            row["success"] = "true" if base.reachable else "false"
-            if base.reachable:
-                row["path_cost"] = _fmt(float(len(base.path) - 1))
-        else:
-            kwargs = dict(
-                start=start,
-                goal=goal,
-                eps=cfg["eps"],
-                gamma=cfg["gamma"],
-                samples=cfg["samples"],
-                alpha=cfg["alpha"],
-                cost=CostModel(cfg["weight"]),
-                seed=seed,
-            )
-            if algo == "mspp-s":
-                session = PlannerSession(
-                    predicate=scene if scene is not None else grid_predicate(world),
-                    dim=dim,
-                    depth=depth,
-                    cell_picks=True,
-                    **kwargs,
-                )
-            else:
-                session = PlannerSession(
-                    tree=tree,
-                    neighbor_mode="scan" if algo == "mspp-naive" else "fast",
-                    **kwargs,
-                )
-            began = time.perf_counter()
-            result = session.run()
-            row["plan_s"] = _fmt(time.perf_counter() - began)
-            row["iterations"] = result.iterations
-            row["astar_pops"] = result.stats.pops
-            row["neighbor_calls"] = result.stats.neighbor_calls
-            if session.estimator is not None:
-                row["sampled_nodes"] = len(session.estimator)
-            row["success"] = "true" if result.success else "false"
-            if result.cost is not None:
-                row["path_cost"] = _fmt(result.cost)
-        writer.writerow(row)
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args)
-    dims = _parse_dims(args.dims) if args.dims else [cfg["dim"]]
-    algos = args.algos.split(",") if args.algos else list(ALGOS)
-    for algo in algos:
-        if algo not in ALGOS:
-            raise ValueError(f"unknown algorithm {algo!r}")
-    if args.seeds < 1:
-        raise ValueError("need at least one seed")
-
-    stream = _out_stream(args.out) or sys.stdout
-    try:
-        writer = csv.DictWriter(stream, fieldnames=BENCH_COLUMNS)
-        writer.writeheader()
-        for dim in dims:
-            for offset in range(args.seeds):
-                _bench_instance(writer, cfg, dim, cfg["seed"] + offset, algos)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
-    return 0
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -505,7 +317,6 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     handlers = {
         "plan": cmd_plan,
-        "bench": cmd_bench,
         "bound": cmd_bound,
         "gen-map": cmd_gen_map,
     }

@@ -44,12 +44,17 @@ from dataclasses import dataclass
 from itertools import product
 from math import inf, sqrt
 
-import numpy as np
-
-from .neighbors import are_neighbors, collect_leaves, find_neighbors
-from .reduced import CellTracker, ReducedTree, RTNode, refresh
+from .neighbors import are_neighbors, find_neighbors
+from .reduced import CellTracker, ReducedTree, refresh
 from .sampling import ValueEstimator
-from .tree import NodeIndex, OccupancyTree, grid_connected, pack_index, valid_index
+from .tree import (
+    MAX_DEPTH,
+    NodeIndex,
+    OccupancyTree,
+    grid_connected,
+    pack_index,
+    valid_index,
+)
 
 __all__ = [
     "BUDGET_EXCEEDED",
@@ -96,20 +101,19 @@ class CostModel:
 class SearchStats:
     """Work counters for one or more A* runs.
 
-    pops counts unique vertex expansions (pops that computed neighbors);
-    lazy-deletion duplicates and the final goal pop are not expansions.
+    pops counts unique vertex expansions, each of which computes the
+    popped vertex's neighbors once; lazy-deletion duplicates and the final
+    goal pop are not expansions.
     touched is the number of vertices ever given a g-value (open or
     closed), new_samples the occupancy estimates drawn during the runs.
     """
 
     pops: int = 0
-    neighbor_calls: int = 0
     touched: int = 0
     new_samples: int = 0
 
     def add(self, other: "SearchStats") -> None:
         self.pops += other.pops
-        self.neighbor_calls += other.neighbor_calls
         self.touched += other.touched
         self.new_samples += other.new_samples
 
@@ -139,7 +143,6 @@ def astar_lazy(
     flags=None,
     excluded=frozenset(),
     fine_first=None,
-    neighbors_fn=None,
     stats: SearchStats | None = None,
 ) -> list[NodeIndex] | None:
     """Vertex path of minimal cost from v_start to v_goal, or None.
@@ -152,19 +155,15 @@ def astar_lazy(
     that compute each entry on first lookup, once per session.  excluded
     lists vertices the path never enters (the start excepted), and
     fine_first, when given, restricts first hops to vertices it accepts.
-    neighbors_fn overrides vertex-neighbor enumeration.
+    A vertex's neighbors come from the tree lookup find_neighbors, read
+    as a module global at call time, once per expansion.
     """
     if stats is None:
         stats = SearchStats()
     start_node = rtree.find_vertex(v_start)
     if start_node is None:
         raise RuntimeError(f"search started at a missing vertex {v_start}")
-    if neighbors_fn is None:
-        root, depth = rtree.root, rtree.depth
-
-        def neighbors_fn(node: RTNode) -> list[RTNode]:
-            return find_neighbors(root, node, depth)
-
+    root, depth = rtree.root, rtree.depth
     goal_center2 = v_goal.center2
 
     # Vertices are keyed by plain (scale, center2) tuples inside the loop;
@@ -199,8 +198,7 @@ def astar_lazy(
             break
         closed_add(v)
         stats.pops += 1
-        nbrs = neighbors_fn(by_index[v])
-        stats.neighbor_calls += 1
+        nbrs = find_neighbors(root, by_index[v], depth)
         gv = g[v]
         vc2 = v[1]
         first_hop = v == start_key
@@ -227,7 +225,6 @@ def astar_lazy(
                 heappush(heap, (tentative + hw, hw, w))
 
     stats.touched += len(g)
-    assert stats.pops == stats.neighbor_calls
     if not found:
         return None
     path = [goal_key]
@@ -341,25 +338,25 @@ class PlannerSession:
         seed: int = 0,
         budget: int | None = None,
         cell_picks: bool = False,
-        neighbor_mode: str = "fast",
     ):
         if (tree is None) == (predicate is None):
             raise ValueError("give exactly one of tree or predicate")
         if not 0.0 < eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        if neighbor_mode not in ("fast", "scan"):
-            raise ValueError("neighbor_mode must be 'fast' or 'scan'")
         if tree is not None:
             dim, depth = tree.dim, tree.depth
         elif dim is None or depth is None:
             raise ValueError("map-free mode needs dim and depth")
+        elif not 0 <= depth <= MAX_DEPTH:
+            # Map-free mode builds no GridWorld to check this; past MAX_DEPTH
+            # distinct cells would share a packed key.
+            raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
         self.tree = tree
         self.dim = dim
         self.depth = depth
         self.eps = eps
         self.alpha = alpha
         self.cost = cost if cost is not None else CostModel()
-        self.neighbor_mode = neighbor_mode
         self.budget = budget if budget is not None else 4 * (1 << (dim * depth))
         side = 1 << depth
         for name, point in (("start", start), ("goal", goal)):
@@ -423,10 +420,7 @@ class PlannerSession:
 
     def _locate(self, point) -> NodeIndex:
         """Finest planning cell for a point: map leaf or unit cell."""
-        side = 1 << self.depth
-        cell2 = tuple(
-            2 * min(int(x), side - 1) + 1 for x in point
-        )
+        cell2 = tuple(2 * c + 1 for c in self._cell(point))
         if self.tree is not None:
             return self.tree.leaf_at(tuple(c / 2.0 for c in cell2))
         return NodeIndex(0, cell2)
@@ -464,25 +458,6 @@ class PlannerSession:
             free=self._known_free,
         )
 
-    def _neighbors_fn(self):
-        if self.neighbor_mode == "fast":
-            return None
-        leaves = collect_leaves(self.rtree.root, sort=False)
-        centers = np.array([node.center2 for node in leaves], dtype=np.int64)
-        spans = np.array([1 << node.scale for node in leaves], dtype=np.int64)
-
-        def scan(node: RTNode) -> list[RTNode]:
-            # Pairwise interval test against every leaf: one axis touching
-            # (|delta| equal to the half-span sum), all others overlapping.
-            # The node itself fails the test (zero deltas touch no axis).
-            diffs = np.abs(centers - np.array(node.center2, dtype=np.int64))
-            touch = spans + (1 << node.scale)
-            eq = diffs == touch[:, None]
-            mask = (diffs <= touch[:, None]).all(axis=1) & (eq.sum(axis=1) == 1)
-            return [leaves[i] for i in np.nonzero(mask)[0]]
-
-        return scan
-
     def advance(self) -> str | None:
         """Run one A* attempt, then commit its leading fine hops or backtrack.
 
@@ -506,7 +481,6 @@ class PlannerSession:
                 self._flags,
                 excluded=self.trail,
                 fine_first=self._is_fine,
-                neighbors_fn=self._neighbors_fn(),
                 stats=run,
             )
             if self.estimator:
@@ -586,7 +560,6 @@ def plan(
     seed: int = 0,
     budget: int | None = None,
     cell_picks: bool = False,
-    neighbor_mode: str = "fast",
 ) -> PlanResult:
     """Plan from start to goal; see PlannerSession for the two modes."""
     session = PlannerSession(
@@ -604,7 +577,6 @@ def plan(
         seed=seed,
         budget=budget,
         cell_picks=cell_picks,
-        neighbor_mode=neighbor_mode,
     )
     return session.run()
 

@@ -44,8 +44,8 @@ __all__ = [
 
 # Packed keys reserve a fixed number of bits per doubled coordinate, which
 # caps the supported depth at 10 (center2 < 2**12 then).  Plenty for the
-# grids this package targets; deeper worlds would overflow node counts long
-# before they overflow keys.
+# grids this package targets.  GridWorld enforces it, and a map-free
+# PlannerSession, which builds no grid, checks it itself.
 COORD_BITS = 12
 MAX_DEPTH = COORD_BITS - 2
 

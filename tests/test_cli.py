@@ -1,13 +1,11 @@
 """The mspp command line: exit codes, outputs and input checks."""
 
-import csv
-import io
 import json
 
 import numpy as np
 import pytest
 
-from mspp.cli import ALGOS, BENCH_COLUMNS, main
+from mspp.cli import main
 from mspp.tree import GridWorld, read_map, write_map
 
 
@@ -57,14 +55,14 @@ def test_plan_exit_codes(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:")
 
-
-def test_plan_naive_neighbors_print_the_same_path(tmp_path, capsys):
-    world = map_file(tmp_path, [(3, 3), (4, 4), (1, 5), (6, 2)])
-    code, fast, _ = run(capsys, "plan", "--map", world)
-    assert code == 0
-    code, naive, _ = run(capsys, "plan", "--map", world, "--algo", "mspp-naive")
-    assert code == 0
-    assert naive == fast
+    # map-free planning builds no map that would check the depth
+    code, out, err = run(
+        capsys, "plan", "--predicate", "spheres:8,8,3", "--mode", "sampling",
+        "--depth", "40",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: depth must be in [0, 10]")
 
 
 def test_bound_prints_one_row_per_sample_count(capsys):
@@ -89,28 +87,6 @@ def test_gen_map_round_trip_keeps_corners_free(tmp_path, capsys):
     assert world.cells.sum() == round(0.9 * 64)
 
 
-def test_bench_writes_one_row_per_algorithm(capsys):
-    code, out, _ = run(capsys, "bench", "--seeds", "1", "--depth", "3")
-    assert code == 0
-    reader = csv.DictReader(io.StringIO(out))
-    assert reader.fieldnames == BENCH_COLUMNS
-    assert [row["algorithm"] for row in reader] == list(ALGOS)
-
-
-@pytest.mark.parametrize(
-    "dims, message",
-    [
-        ("2,x", "--dims must be comma-separated integers"),
-        ("0", "--dims must be integers >= 1"),
-    ],
-)
-def test_bench_checks_dims_before_any_output(capsys, dims, message):
-    code, out, err = run(capsys, "bench", "--seeds", "1", "--depth", "3", "--dims", dims)
-    assert code == 1
-    assert out == ""
-    assert err.startswith(f"error: {message}")
-
-
 @pytest.mark.parametrize(
     "command, values, message",
     [
@@ -119,12 +95,18 @@ def test_bench_checks_dims_before_any_output(capsys, dims, message):
             {"mode": "exactly"},
             "mode must be one of",
         ),
-        (["bench", "--seeds", "1"], {"algo": "dijkstra"}, "algo must be one of"),
+        (
+            ["plan", "--predicate", "slab:0,3.2"],
+            {"algo": "mspp-fn"},
+            "unknown config keys: ['algo']",
+        ),
         (["gen-map"], {"kind": "maze"}, "kind must be one of"),
         (["bound"], {"depth": "3"}, "depth must be an integer"),
         (["bound"], {"samples": 2.5}, "samples must be an integer"),
         (["bound"], {"eps": True}, "eps must be a number"),
         (["bound"], {"gamma": "0.1"}, "gamma must be a number"),
+        # spheres is a predicate, not a map texture gen-map can write
+        (["gen-map"], {"kind": "spheres"}, "kind must be one of"),
     ],
 )
 def test_config_values_get_the_flag_checks(tmp_path, capsys, command, values, message):

@@ -1,5 +1,6 @@
 """Lazy A* over reduced views, walk-and-replan sessions, path verification."""
 
+import contextlib
 import gc
 import math
 import weakref
@@ -16,7 +17,8 @@ from helpers import (
     full_rtree,
     random_world,
 )
-from mspp.neighbors import all_neighbor_pairs, are_neighbors
+import mspp.search as msearch
+from mspp.neighbors import all_neighbor_pairs, are_neighbors, collect_leaves
 from mspp.predicates import WallWithGap
 from mspp.reduced import CellTracker, ReducedTree, refresh
 from mspp.search import (
@@ -43,6 +45,21 @@ from mspp.tree import (
     pack_index,
 )
 from mspp.environments import grid_predicate, realize_grid, uniform_astar
+
+
+@contextlib.contextmanager
+def counted_neighbor_lookups():
+    """Count the A*'s tree lookups; it reads mspp.search.find_neighbors per call."""
+    calls = [0]
+    lookup = msearch.find_neighbors
+
+    def counting(*args):
+        calls[0] += 1
+        return lookup(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(msearch, "find_neighbors", counting)
+        yield calls
 
 
 def corridor_world():
@@ -98,12 +115,13 @@ def test_astar_start_equals_goal_expands_nothing():
     rtree = full_rtree(2, 2)
     stats = SearchStats()
     v = NodeIndex(0, (1, 1))
-    path = astar_lazy(
-        rtree, v, v, CostModel(), values=defaultdict(float), stats=stats
-    )
+    with counted_neighbor_lookups() as lookups:
+        path = astar_lazy(
+            rtree, v, v, CostModel(), values=defaultdict(float), stats=stats
+        )
     assert path == [v]
     assert stats.pops == 0
-    assert stats.neighbor_calls == 0
+    assert lookups == [0]
 
 
 def test_astar_missing_start_vertex_raises():
@@ -276,7 +294,8 @@ def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
     cost = CostModel(weight=weight)
     stats = SearchStats()
     values = {v: tree.value(v) for v in vertices}
-    got = astar_lazy(rtree, start, goal, cost, values, stats=stats)
+    with counted_neighbor_lookups() as lookups:
+        got = astar_lazy(rtree, start, goal, cost, values, stats=stats)
     edges = all_neighbor_pairs(rtree.root, depth).edges
     expect = dijkstra_vertex_path_cost(
         vertices, edges, tree.value, weight, start, goal
@@ -289,9 +308,9 @@ def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
         cost.edge(a, b, tree.value(b)) for a, b in zip(got, got[1:])
     )
     assert total == pytest.approx(expect, rel=1e-9)
-    # laziness: expansions equal neighbor computations, both within the
-    # vertex budget
-    assert stats.pops == stats.neighbor_calls
+    # laziness: one neighbor lookup per expansion, both within the vertex
+    # budget
+    assert lookups == [stats.pops]
     assert stats.pops <= len(vertices)
 
 
@@ -322,8 +341,9 @@ def test_session_counters_stay_lazy():
     for seed in range(5):
         world = random_world(2, 4, 0.25, seed=seed, free_corners=True)
         tree = build_from_grid(world)
-        result = plan(tree=tree, start=(0.5, 0.5), goal=(15.5, 15.5))
-        assert result.stats.pops == result.stats.neighbor_calls
+        with counted_neighbor_lookups() as lookups:
+            result = plan(tree=tree, start=(0.5, 0.5), goal=(15.5, 15.5))
+        assert lookups == [result.stats.pops]
         if result.status == SUCCESS:
             ok, reason = verify_path(
                 tree, result.path, 0.5, start=(0.5, 0.5), goal=(15.5, 15.5)
@@ -333,18 +353,19 @@ def test_session_counters_stay_lazy():
 
 def test_sampling_session_counts_samples_lazily():
     world = random_world(2, 4, 0.2, seed=3, free_corners=True)
-    result = plan(
-        predicate=__import__("mspp.environments", fromlist=["grid_predicate"]).grid_predicate(world),
-        dim=2,
-        depth=4,
-        start=(0.5, 0.5),
-        goal=(15.5, 15.5),
-        eps=0.5,
-        gamma=0.05,
-        samples=64,
-    )
+    with counted_neighbor_lookups() as lookups:
+        result = plan(
+            predicate=grid_predicate(world),
+            dim=2,
+            depth=4,
+            start=(0.5, 0.5),
+            goal=(15.5, 15.5),
+            eps=0.5,
+            gamma=0.05,
+            samples=64,
+        )
     assert result.stats.new_samples <= result.stats.touched
-    assert result.stats.pops == result.stats.neighbor_calls
+    assert lookups == [result.stats.pops]
 
 
 def test_verify_path_clause_order_and_messages():
@@ -521,8 +542,8 @@ def test_run_equals_stepping(capsys):
 @pytest.mark.parametrize("dim,depth", [(2, 4), (2, 5), (3, 3)])
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "map-free"])
 def test_lazy_lookups_plan_like_full_resolution(exact, dim, depth):
-    # scan resolves the whole view through collect_leaves every iteration,
-    # fast resolves only the nodes its descents reach
+    # one session resolves its whole view through collect_leaves after
+    # every refresh, the other only the nodes its descents reach
     side = 1 << depth
     for seed in range(6):
         world = random_world(dim, depth, 0.25, seed=seed, free_corners=True)
@@ -533,13 +554,20 @@ def test_lazy_lookups_plan_like_full_resolution(exact, dim, depth):
             kwargs.update(
                 predicate=grid_predicate(world), dim=dim, depth=depth, cell_picks=True
             )
-        fast = plan(neighbor_mode="fast", **kwargs)
-        scan = plan(neighbor_mode="scan", **kwargs)
-        assert fast.status == scan.status
-        assert fast.path == scan.path
-        assert fast.iterations == scan.iterations
-        assert fast.blocked == scan.blocked
-        assert fast.stats == scan.stats
+        resolved = PlannerSession(**kwargs)
+        lazy_refresh = resolved.refresh_view
+        resolutions = []
+
+        def refresh_and_resolve():
+            lazy_refresh()
+            resolutions.append(len(collect_leaves(resolved.rtree.root)))
+
+        resolved.refresh_view = refresh_and_resolve
+        while resolved.status is None:
+            resolved.step()
+        untouched = plan(**kwargs)
+        assert len(resolutions) == untouched.iterations
+        assert resolved.result() == untouched
 
 
 def test_map_free_classifications_wait_for_the_next_refresh():
@@ -720,6 +748,17 @@ def test_map_free_query_at_max_depth():
     assert result.status == SUCCESS
     ok, reason = verify_path_sampled(wall, result.path, MAX_DEPTH, start, goal)
     assert ok, reason
+
+
+def test_map_free_depth_past_the_key_range_is_rejected():
+    # past MAX_DEPTH a coordinate outgrows its bits in the packed key, and
+    # distinct cells share one: a tracker holding the first reports both
+    assert pack_index(0, (3, 4097)) == pack_index(0, (1, 8193))
+    wall = WallWithGap(0, 20.0, 4.0, (8.0, 30.0))
+    with pytest.raises(ValueError, match="depth must be in"):
+        PlannerSession(
+            predicate=wall, dim=2, depth=MAX_DEPTH + 1, start=(0.5, 0.5), goal=(1.5, 1.5)
+        )
 
 
 @pytest.mark.parametrize("maze", [True, False], ids=["snake", "backtracking"])
