@@ -3,9 +3,10 @@
 A predicate maps a d-dimensional point to True when the point lies inside
 an obstacle.  Predicates must be pure: the same point always yields the
 same answer.  Each built-in also provides a vectorized `batch` method
-taking an (n, d) float array and returning a boolean array; the estimator
-uses it when present but only the scalar call is required of user-supplied
-predicates.
+taking an (n, d) float array and returning a boolean array.  Only the
+scalar call is required of user-supplied predicates: the estimator wraps
+a predicate without `batch` once, as a per-point loop, and asks every
+query through that one batch call.
 
 parse_predicate builds the built-ins from the compact command-line syntax
 documented in each class.

@@ -28,7 +28,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, exp, expm1, ldexp
+from math import ceil, exp, expm1, inf, ldexp
 
 import numpy as np
 
@@ -144,15 +144,19 @@ def band_node_count(depth: int, dim: int, low: int, high: int) -> float:
 
     Closed form of sum_{low < k < high} 2**(dim*(depth-k)), evaluated in
     exact rational arithmetic before conversion to float; 0 when the band
-    is empty.  Terms with k > depth contribute fractional amounts, so the
-    result is a real number rather than an integer.
+    is empty, inf when the count exceeds the float range.  Terms with
+    k > depth contribute fractional amounts, so the result is a real number
+    rather than an integer.
     """
     if low >= high - 1:
         return 0.0
     top = dim * (depth - low)
     bot = dim * (depth - high + 1)
     total = (_pow2(top) - _pow2(bot)) / (2**dim - 1)
-    return float(total)
+    try:
+        return float(total)
+    except OverflowError:
+        return inf
 
 
 def _pow2(e: int) -> Fraction:
@@ -190,13 +194,15 @@ def _stream_digest(seed: int, idx: NodeIndex) -> bytes:
 class ValueEstimator:
     """Cached per-node occupancy estimation against an obstacle predicate.
 
-    predicate maps a d-point to True on obstacles; a vectorized `batch`
-    attribute taking an (n, d) array is used when present.  With
-    cell_picks=True samples are uniform unit-cell centers (the discrete
-    model of a grid world); otherwise they are continuous uniform points.
-    Each node is sampled at most once; repeated queries hit the cache.
-    Cell-centered mode also memoizes the oracle answer per unit cell, so
-    cells shared between overlapping node tests are paid for once.
+    predicate maps a d-point to True on obstacles.  Every query goes through
+    one vectorized call on an (n, d) array: the predicate's own `batch`
+    method when present, else a per-point loop wrapped once at
+    construction.  With cell_picks=True samples are uniform unit-cell
+    centers (the discrete model of a grid world); otherwise they are
+    continuous uniform points.  Each node is sampled at most once; repeated
+    queries hit the cache.  Exact enumeration, and cell-centered sampling,
+    ask the predicate about unit-cell centers through one per-cell memo, so
+    a cell shared between nodes, scales or draws is paid for once.
     """
 
     def __init__(
@@ -217,7 +223,14 @@ class ValueEstimator:
         self.seed = seed
         self.cell_picks = cell_picks
         self.exact_cutoff = exact_scale_cutoff(dim, samples)
-        self._batch = getattr(predicate, "batch", None)
+        batch = getattr(predicate, "batch", None)
+        if batch is None:
+
+            def batch(points: np.ndarray) -> np.ndarray:
+                flags = [bool(predicate(tuple(p))) for p in points.tolist()]
+                return np.array(flags, dtype=bool)
+
+        self._batch = batch
         self._cache: dict[NodeIndex, SampleEstimate] = {}
         # One bit generator shared by all nodes; each draw rekeys it with
         # the node's stream key and a zeroed counter, which reproduces the
@@ -225,60 +238,31 @@ class ValueEstimator:
         # construction cost on every node.
         self._bits = np.random.Philox(key=0)
         self._rng = np.random.Generator(self._bits)
-        self._stencils: dict[int, np.ndarray] = {}
         self._offsets: dict[int, np.ndarray] = {}
-        # With cell-centered queries the predicate answer per unit cell is
-        # a session constant, so it is remembered; overlapping nodes then
-        # re-test shared cells at dictionary cost instead of oracle cost.
-        self._cells: dict[tuple[int, ...], bool] | None = {} if cell_picks else None
+        # The predicate answer at a unit-cell center is a session constant
+        # (predicates are pure), so it is remembered per cell; nodes that
+        # overlap, at any scale, re-test shared cells at dictionary cost.
+        self._cells: dict[tuple[int, ...], bool] = {}
 
     def __len__(self) -> int:
         return len(self._cache)
-
-    def _count_hits(self, points: np.ndarray) -> int:
-        if self._batch is not None:
-            return int(np.count_nonzero(self._batch(points)))
-        return sum(bool(self.predicate(tuple(p))) for p in points)
 
     def _hits_cells(self, cells) -> int:
         """Obstacle count over integer cells, consulting the cell memo.
 
         Repeated cells (within one draw or across nodes) are counted per
-        occurrence but cost only a lookup after the first oracle call.
+        occurrence; each distinct cell costs one oracle point, ever.
         """
         memo = self._cells
-        hits = 0
-        misses = []
-        for cell in cells:
-            got = memo.get(cell)
-            if got is None:
-                misses.append(cell)
-            elif got:
-                hits += 1
-        if not misses:
-            return hits
-        if self._batch is not None:
-            points = np.asarray(misses, dtype=np.float64) + 0.5
-            for cell, flag in zip(misses, self._batch(points)):
-                b = bool(flag)
-                memo[cell] = b
-                if b:
-                    hits += 1
-            return hits
-        predicate = self.predicate
-        for cell in misses:
-            got = memo.get(cell)
-            if got is None:
-                got = memo[cell] = bool(
-                    predicate(tuple(c + 0.5 for c in cell))
-                )
-            if got:
-                hits += 1
-        return hits
+        misses = [cell for cell in dict.fromkeys(cells) if cell not in memo]
+        if misses:
+            flags = self._batch(np.asarray(misses, dtype=np.float64) + 0.5)
+            memo.update(zip(misses, np.asarray(flags, dtype=bool).tolist()))
+        return sum(map(memo.__getitem__, cells))
 
     def _box_low(self, idx: NodeIndex) -> np.ndarray:
         half = 1 << idx.scale
-        return np.array([(c - half) >> 1 for c in idx.center2], dtype=np.float64)
+        return np.array([(c - half) >> 1 for c in idx.center2], dtype=np.int64)
 
     def _node_rng(self, idx: NodeIndex) -> np.random.Generator:
         self._bits.state = {
@@ -305,14 +289,6 @@ class ValueEstimator:
             self._offsets[scale] = got
         return got
 
-    def _cell_centers(self, scale: int) -> np.ndarray:
-        """Unit-cell center offsets from the box low corner, cached per scale."""
-        got = self._stencils.get(scale)
-        if got is None:
-            got = self._cell_offsets(scale).astype(np.float64) + 0.5
-            self._stencils[scale] = got
-        return got
-
     def estimate(self, idx: NodeIndex) -> SampleEstimate:
         """Sampled estimate of the node's occupancy value."""
         got = self._cache.get(idx)
@@ -321,15 +297,15 @@ class ValueEstimator:
         n = self.samples
         rng = self._node_rng(idx)
         side = 1 << idx.scale
+        low = self._box_low(idx)
         if self.cell_picks:
-            low = np.array([(c - side) >> 1 for c in idx.center2], dtype=np.int64)
             draws = rng.integers(0, side, size=(n, self.dim))
             cells = [tuple(row) for row in (low + draws).tolist()]
-            est = SampleEstimate(idx, n, self._hits_cells(cells))
+            hits = self._hits_cells(cells)
         else:
-            low = self._box_low(idx)
             points = low + rng.random((n, self.dim)) * side
-            est = SampleEstimate(idx, n, self._count_hits(points))
+            hits = int(np.count_nonzero(self._batch(points)))
+        est = SampleEstimate(idx, n, hits)
         self._cache[idx] = est
         return est
 
@@ -338,27 +314,9 @@ class ValueEstimator:
         got = self._cache.get(idx)
         if got is not None and got.exact:
             return got
-        if idx.scale == 0:
-            # A unit cell is a single predicate query at its center; skip
-            # the array machinery that larger enumerations need.
-            if self._cells is not None:
-                cell = tuple((c - 1) >> 1 for c in idx.center2)
-                hits = self._hits_cells((cell,))
-            else:
-                point = tuple(c * 0.5 for c in idx.center2)
-                hits = int(bool(self.predicate(point)))
-            est = SampleEstimate(idx, 1, hits, exact=True)
-        elif self._cells is not None:
-            side = 1 << idx.scale
-            low = np.array([(c - side) >> 1 for c in idx.center2], dtype=np.int64)
-            cells = [tuple(row) for row in (low + self._cell_offsets(idx.scale)).tolist()]
-            est = SampleEstimate(idx, side**self.dim, self._hits_cells(cells), exact=True)
-        else:
-            side = 1 << idx.scale
-            points = self._cell_centers(idx.scale) + self._box_low(idx)
-            est = SampleEstimate(
-                idx, side**self.dim, self._count_hits(points), exact=True
-            )
+        offsets = self._cell_offsets(idx.scale)
+        cells = [tuple(row) for row in (self._box_low(idx) + offsets).tolist()]
+        est = SampleEstimate(idx, len(cells), self._hits_cells(cells), exact=True)
         self._cache[idx] = est
         return est
 

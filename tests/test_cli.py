@@ -73,6 +73,17 @@ def test_bound_prints_one_row_per_sample_count(capsys):
     assert [line.split(",")[0] for line in lines[1:]] == [str(n) for n in range(3, 10)]
 
 
+def test_bound_past_float_range_prints_one(capsys):
+    # the misclassifiable band holds more nodes than a float can count
+    code, out, _ = run(
+        capsys, "bound", "--depth", "600", "--dim", "2", "--gamma", "0.001",
+        "--n-range", "1,2",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows == [["1", "1"], ["2", "1"]]
+
+
 def test_gen_map_round_trip_keeps_corners_free(tmp_path, capsys):
     out_path = str(tmp_path / "gen.map")
     code, _, _ = run(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mspp.environments import grid_predicate
-from mspp.predicates import Slab, SphereSet
+from mspp.predicates import Checkerboard, Slab, SphereSet
 from mspp.sampling import (
     BoundParams,
     SampleEstimate,
@@ -21,7 +21,7 @@ from mspp.sampling import (
     is_flagged_obstacle,
     misclassification_bound,
 )
-from mspp.tree import GridWorld, NodeIndex, build_from_grid
+from mspp.tree import GridWorld, NodeIndex, build_from_grid, children_of
 
 
 def test_flag_threshold_examples():
@@ -138,6 +138,13 @@ def test_band_node_count_matches_direct_sum():
                     got = band_node_count(depth, dim, low, high)
                     expect = float(band_sum(depth, dim, low, high))
                     assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+
+def test_band_node_count_past_float_range_is_inf():
+    # 2**1200 / 3 nodes at scale 1 alone: no float holds the count
+    assert band_node_count(600, 2, 0, 5) == math.inf
+    params = BoundParams(depth=600, dim=2, eps=0.5, gamma=0.001, samples=1)
+    assert failure_bound(params) == 1.0
 
 
 def test_failure_bound_reference_curve():
@@ -298,7 +305,7 @@ def test_exact_enumeration_and_known_free():
     assert est.exact(free_quad).hits == 0
     assert est.known_free(free_quad)
     assert not est.known_free(quad)
-    # unit cells take the single-cell fast path
+    # unit cells enumerate like any other node
     unit = NodeIndex(0, (1, 1))
     assert est.exact(unit).value == 1.0
     assert est.exact(NodeIndex(0, (3, 3))).value == 0.0
@@ -405,27 +412,111 @@ def test_cell_picks_memo_matches_direct_recount():
         assert got.n == 200
 
 
-class ScalarOnly:
-    """Strips the vectorized path off a predicate."""
+class CountingOracle:
+    """Scalar-only predicate that counts the points it is asked about."""
 
     def __init__(self, inner):
         self.inner = inner
+        self.points = 0
 
     def __call__(self, point):
+        self.points += 1
         return self.inner(point)
+
+
+class CountingBatchOracle(CountingOracle):
+    """CountingOracle that also answers a batch of points."""
+
+    def batch(self, points):
+        self.points += len(points)
+        return self.inner.batch(points)
 
 
 def test_cell_picks_scalar_and_batch_paths_agree():
     scene = SphereSet(np.array([[6.0, 3.0]]), np.array([2.2]))
     fast = ValueEstimator(scene, 2, 3, samples=150, seed=4, cell_picks=True)
     slow = ValueEstimator(
-        ScalarOnly(scene), 2, 3, samples=150, seed=4, cell_picks=True
+        CountingOracle(scene), 2, 3, samples=150, seed=4, cell_picks=True
     )
     for idx in [NodeIndex(3, (8, 8)), NodeIndex(2, (4, 12)), NodeIndex(1, (10, 2))]:
         a, b = fast.estimate(idx), slow.estimate(idx)
         assert (a.n, a.hits) == (b.n, b.hits)
         ea, eb = fast.exact(idx), slow.exact(idx)
         assert (ea.n, ea.hits) == (eb.n, eb.hits)
+
+
+def nodes_at(scale, dim, depth):
+    """Every node of one scale in a dim-dimensional world of the given depth."""
+    side = 1 << (depth - scale)
+    return [
+        NodeIndex(scale, tuple((2 * c + 1) << scale for c in cell))
+        for cell in np.ndindex(*(side,) * dim)
+    ]
+
+
+@pytest.mark.parametrize("cell_picks", [False, True])
+@pytest.mark.parametrize("oracle", [CountingOracle, CountingBatchOracle])
+def test_exact_asks_each_unit_cell_once(oracle, cell_picks):
+    scene = oracle(SphereSet(np.array([[5.0, 6.0], [12.0, 3.0]]), np.array([3.0, 2.5])))
+    est = ValueEstimator(scene, 2, 4, samples=64, seed=2, cell_picks=cell_picks)
+    parent = NodeIndex(3, (8, 24))
+    top = est.exact(parent)
+    assert scene.points == 64  # one point per unit cell of the parent
+    for child in children_of(parent):
+        cells = [child]
+        while cells[0].scale > 0:
+            cells = [c for cell in cells for c in children_of(cell)]
+        assert est.exact(child).hits == sum(est.exact(c).hits for c in cells)
+    assert scene.points == 64  # children and unit cells are memo lookups
+    assert sum(est.exact(c).hits for c in children_of(parent)) == top.hits
+
+
+@pytest.mark.parametrize("cell_picks", [False, True])
+@pytest.mark.parametrize(
+    "scene, dim, depth",
+    [
+        pytest.param(
+            SphereSet(np.array([[5.0, 6.0], [12.0, 3.0]]), np.array([3.0, 2.5])), 2, 4,
+            id="spheres-2d",
+        ),
+        pytest.param(Checkerboard(3.0), 2, 4, id="checkerboard-2d"),
+        pytest.param(
+            SphereSet(np.array([[2.0, 6.0, 3.5]]), np.array([3.0])), 3, 3,
+            id="spheres-3d",
+        ),
+        pytest.param(Checkerboard(2.5), 3, 3, id="checkerboard-3d"),
+    ],
+)
+def test_exact_matches_scalar_count_at_every_scale(scene, dim, depth, cell_picks):
+    oracle = CountingBatchOracle(scene)
+    est = ValueEstimator(oracle, dim, depth, samples=8, seed=0, cell_picks=cell_picks)
+    for scale in range(depth, -1, -1):
+        for idx in nodes_at(scale, dim, depth):
+            side = 1 << scale
+            low = [(c - side) // 2 for c in idx.center2]
+            brute = sum(
+                bool(scene(tuple(l + o + 0.5 for l, o in zip(low, off))))
+                for off in np.ndindex(*(side,) * dim)
+            )
+            got = est.exact(idx)
+            assert (got.n, got.hits) == (side**dim, brute), idx
+    # the whole world was enumerated depth + 1 times, each cell asked once
+    assert oracle.points == 1 << (dim * depth)
+
+
+def test_cell_picks_draw_asks_each_distinct_cell_once():
+    rng = np.random.default_rng(5)
+    world = GridWorld(2, 6, (rng.random(4096) < 0.3).astype(np.uint8))
+    oracle = CountingBatchOracle(grid_predicate(world))
+    est = ValueEstimator(oracle, 2, 6, samples=256, seed=3, cell_picks=True)
+    idx = NodeIndex(5, (32, 32))
+    replay = ValueEstimator(oracle.inner, 2, 6, samples=256, seed=3, cell_picks=True)
+    draws = replay._node_rng(idx).integers(0, 32, size=(256, 2))
+    distinct = {tuple(row) for row in draws.tolist()}
+    assert len(distinct) < 256  # the draw repeats some cells
+    got = est.estimate(idx)
+    assert oracle.points == len(distinct)
+    assert got.hits == replay_cell_draws(replay, oracle.inner, idx)
 
 
 def test_one_sided_deviation_obeys_hoeffding_small():
