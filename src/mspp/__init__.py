@@ -41,12 +41,10 @@ from .search import (
     NO_PATH,
     START_BLOCKED,
     SUCCESS,
-    CostModel,
     PlanResult,
     PlannerSession,
     SearchStats,
     astar_lazy,
-    plan,
     verify_path,
     verify_path_sampled,
 )

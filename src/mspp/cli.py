@@ -1,7 +1,18 @@
 """Command-line front end: plan, bound, gen-map.
 
+Each subcommand reads only its own settings (READS), and each setting is
+stated once (SETTINGS: its default, its flag's help and its valid
+values).  A subcommand has a flag and a config key for each setting it
+reads and no other, so a setting it would ignore is refused:
+
+  plan     dim depth eps gamma samples alpha weight seed mode
+  bound    dim depth eps gamma regions
+  gen-map  dim depth seed density kind
+
 Configuration precedence is defaults < MSPP_SEED environment fallback
-(seed only) < JSON config file (--config) < explicit flags.  Exit codes:
+(seed only, where the subcommand reads seed) < JSON config file
+(--config) < explicit flags.  plan --map takes dim and depth from the
+map file and refuses them from flags or the config file.  Exit codes:
 0 success, 1 usage or I/O error, 2 planner failure (blocked endpoints or
 no path), 3 iteration budget exceeded.
 """
@@ -12,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from .environments import GeneratorSpec, generate_map, grid_predicate
 from .predicates import parse_predicate
@@ -19,46 +31,58 @@ from .sampling import BoundParams, failure_bound
 from .search import (
     BUDGET_EXCEEDED,
     SUCCESS,
-    CostModel,
     PlannerSession,
     verify_path,
     verify_path_sampled,
 )
 from .tree import build_from_grid, map_text, read_map, write_map
 
-DEFAULTS = {
-    "dim": 2,
-    "depth": 5,
-    "eps": 0.5,
-    "gamma": 0.1,
-    "samples": 256,
-    "alpha": 1.0,
-    "weight": 1.0,
-    "regions": 1,
-    "seed": 0,
-    "mode": "exact",
-    "density": 0.3,
-    "kind": "bernoulli",
+
+class Setting(NamedTuple):
+    """A setting's default, its flag's help, and its valid values.
+
+    valid is the tuple of allowed values of a text setting, or a test
+    that a number must pass (stated by rule in errors), or None.
+    """
+
+    default: int | float | str
+    help: str
+    valid: tuple | Callable | None = None
+    rule: str = ""
+
+
+SETTINGS = {
+    "dim": Setting(2, "world dimension d", lambda v: v >= 1, ">= 1"),
+    "depth": Setting(5, "tree depth (side = 2**depth)", lambda v: v >= 0, ">= 0"),
+    "eps": Setting(0.5, "obstacle threshold scale", lambda v: 0 < v < 1, "in (0, 1)"),
+    "gamma": Setting(0.1, "sampling margin", lambda v: v > 0, "> 0"),
+    "samples": Setting(256, "samples per node", lambda v: v >= 1, ">= 1"),
+    "alpha": Setting(1.0, "window scale multiplier", lambda v: v > 0, "> 0"),
+    "weight": Setting(1.0, "occupancy cost weight w", lambda v: v >= 0, ">= 0"),
+    "regions": Setting(1, "independent-region count Z", lambda v: v >= 1, ">= 1"),
+    "seed": Setting(0, "random seed (MSPP_SEED fallback)"),
+    "mode": Setting("exact", "planner mode", ("exact", "sampling")),
+    "density": Setting(0.3, "obstacle density", lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "kind": Setting("bernoulli", "map texture", ("bernoulli", "blobs")),
 }
 
-MODES = ("exact", "sampling")
-MAP_KINDS = ("bernoulli", "blobs")
-# Config keys limited to a set of values; every other key holds a number of
-# its default's type.
-CHOICES = {"mode": MODES, "kind": MAP_KINDS}
+# The settings each subcommand reads: its setting flags and config keys.
+READS = {
+    "plan": (
+        "dim", "depth", "eps", "gamma", "samples", "alpha", "weight", "seed", "mode"
+    ),
+    "bound": ("dim", "depth", "eps", "gamma", "regions"),
+    "gen-map": ("dim", "depth", "seed", "density", "kind"),
+}
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, help="world dimension d")
-    p.add_argument("--depth", type=int, help="tree depth (side = 2**depth)")
-    p.add_argument("--eps", type=float, help="obstacle threshold scale, in (0,1)")
-    p.add_argument("--gamma", type=float, help="sampling margin, > 0")
-    p.add_argument("--samples", type=int, help="samples per node")
-    p.add_argument("--alpha", type=float, help="window scale multiplier")
-    p.add_argument("--weight", type=float, help="occupancy cost weight w")
-    p.add_argument("--regions", type=int, help="independent-region count Z")
-    p.add_argument("--seed", type=int, help="random seed (MSPP_SEED fallback)")
-    p.add_argument("--mode", choices=MODES, help="planner mode")
+def _setting_flags(p: argparse.ArgumentParser, command: str) -> None:
+    for key in READS[command]:
+        setting = SETTINGS[key]
+        if isinstance(setting.default, str):
+            p.add_argument(f"--{key}", choices=setting.valid, help=setting.help)
+        else:
+            p.add_argument(f"--{key}", type=type(setting.default), help=setting.help)
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="output file (default: standard output)")
 
@@ -80,69 +104,71 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", help="start point, comma-separated coordinates")
     p.add_argument("--goal", help="goal point, comma-separated coordinates")
     p.add_argument("--budget", type=int, help="iteration budget")
-    _common_flags(p)
+    _setting_flags(p, "plan")
 
     p = sub.add_parser("bound", help="failure-probability bound curve, CSV output")
     p.add_argument("--n-range", default="1,300", help="inclusive sample range lo,hi")
-    _common_flags(p)
+    _setting_flags(p, "bound")
 
     p = sub.add_parser("gen-map", help="generate a random map file")
-    p.add_argument("--density", type=float, help="obstacle density")
-    p.add_argument("--kind", choices=MAP_KINDS, help="map texture")
     p.add_argument("--blobs", help="blob count range lo,hi")
     p.add_argument("--blob-size", help="blob side range lo,hi")
     p.add_argument("--free-start", action="store_true", help="keep first corner free")
     p.add_argument("--free-goal", action="store_true", help="keep last corner free")
-    _common_flags(p)
+    _setting_flags(p, "gen-map")
     return parser
 
 
-def _merged_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
+def _merged_config(args: argparse.Namespace, from_map: bool = False) -> dict:
+    """The settings args.command reads, each from its highest source.
+
+    from_map says that plan takes dim and depth from its map file; setting
+    either by flag or config file is then an error.
+    """
+    keys = READS[args.command]
+    cfg = {key: SETTINGS[key].default for key in keys}
     env_seed = os.environ.get("MSPP_SEED")
-    if env_seed is not None:
+    if "seed" in cfg and env_seed is not None:
         try:
             cfg["seed"] = int(env_seed)
         except ValueError:
             raise ValueError(f"MSPP_SEED={env_seed!r} is not an integer")
-    if getattr(args, "config", None):
+    given = {}
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
+            given = json.load(fh)
+        if not isinstance(given, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(loaded) - set(DEFAULTS)
+        unknown = set(given) - set(keys)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
+            raise ValueError(
+                f"unknown config keys: {sorted(unknown)} "
+                f"({args.command} reads {', '.join(keys)})"
+            )
+    for key in keys:
+        if getattr(args, key) is not None:
+            given[key] = getattr(args, key)
+    clash = [key for key in ("dim", "depth") if from_map and key in given]
+    if clash:
+        raise ValueError(
+            f"the map file fixes dim and depth; do not set {', '.join(clash)}"
+        )
+    cfg.update(given)
     # A config file skips argparse, so its values get the flags' checks here.
-    for key, default in DEFAULTS.items():
-        value = cfg[key]
-        if key in CHOICES:
-            if value not in CHOICES[key]:
+    for key, value in cfg.items():
+        setting = SETTINGS[key]
+        if isinstance(setting.default, str):
+            if value not in setting.valid:
                 raise ValueError(
-                    f"{key} must be one of {', '.join(CHOICES[key])}, got {value!r}"
+                    f"{key} must be one of {', '.join(setting.valid)}, got {value!r}"
                 )
-        else:
-            kinds = int if isinstance(default, int) else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                what = "an integer" if kinds is int else "a number"
-                raise ValueError(f"{key} must be {what}, got {value!r}")
-    if not 0.0 < cfg["eps"] < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if cfg["gamma"] <= 0:
-        raise ValueError("gamma must be positive")
-    if cfg["samples"] < 1 or cfg["regions"] < 1:
-        raise ValueError("samples and regions must be >= 1")
-    if cfg["alpha"] <= 0:
-        raise ValueError("alpha must be positive")
-    if cfg["weight"] < 0:
-        raise ValueError("weight must be nonnegative")
-    if cfg["dim"] < 1 or cfg["depth"] < 0:
-        raise ValueError("need dim >= 1 and depth >= 0")
+            continue
+        kinds = int if isinstance(setting.default, int) else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            what = "an integer" if kinds is int else "a number"
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+        if setting.valid is not None and not setting.valid(value):
+            raise ValueError(f"{key} must be {setting.rule}, got {value!r}")
     return cfg
 
 
@@ -173,7 +199,7 @@ def _out_stream(cfg_out):
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    cfg = _merged_config(args)
+    cfg = _merged_config(args, from_map=bool(args.map_file))
     if args.map_file and args.predicate:
         raise ValueError("give either --map or --predicate, not both")
     if not args.map_file and not args.predicate:
@@ -181,10 +207,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     mode = cfg["mode"]
     if args.predicate and mode == "exact":
         raise ValueError("--predicate requires --mode sampling")
-    if args.predicate:
-        mode = "sampling"
 
-    tree = predicate = world = None
+    tree = predicate = None
     cell_picks = False
     if args.map_file:
         world = read_map(args.map_file)
@@ -221,7 +245,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         gamma=cfg["gamma"],
         samples=cfg["samples"],
         alpha=cfg["alpha"],
-        cost=CostModel(cfg["weight"]),
+        weight=cfg["weight"],
         seed=cfg["seed"],
         budget=args.budget,
         cell_picks=cell_picks,

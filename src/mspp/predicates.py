@@ -9,7 +9,7 @@ a predicate without `batch` once, as a per-point loop, and asks every
 query through that one batch call.
 
 parse_predicate builds the built-ins from the compact command-line syntax
-documented in each class.
+in SYNTAX.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "SYNTAX",
     "Checkerboard",
     "Slab",
     "SphereSet",
@@ -26,7 +27,7 @@ __all__ = [
 
 
 class SphereSet:
-    """Union of balls; syntax `spheres:x1,..,xd,r[;x1,..,xd,r]...`."""
+    """Union of balls."""
 
     def __init__(self, centers, radii):
         self.centers = np.asarray(centers, dtype=np.float64)
@@ -48,7 +49,7 @@ class SphereSet:
 
 
 class Checkerboard:
-    """Alternating obstacle blocks of the given period; syntax `checkerboard:period`."""
+    """Alternating obstacle blocks of the given period."""
 
     def __init__(self, period: float):
         if period <= 0:
@@ -69,7 +70,6 @@ class WallWithGap:
 
     Obstacle where position <= x_axis < position + 1 except within
     max-norm distance gap/2 of gap_center on the remaining axes.
-    Syntax `wall:axis,position,gap` (gap centered in the world box).
     """
 
     def __init__(self, axis: int, position: float, gap: float, gap_center):
@@ -94,15 +94,13 @@ class WallWithGap:
         in_wall = (x >= self.position) & (x < self.position + 1.0)
         rest = np.delete(points, self.axis, axis=1)
         center = np.delete(self.gap_center, self.axis)
-        if rest.shape[1] == 0:
-            in_gap = np.zeros(len(points), dtype=bool)
-        else:
-            in_gap = np.max(np.abs(rest - center), axis=1) < self.gap / 2.0
+        # With no other axis the distance is 0: a gap > 0 opens the wall.
+        in_gap = np.max(np.abs(rest - center), axis=1, initial=0.0) < self.gap / 2.0
         return in_wall & ~in_gap
 
 
 class Slab:
-    """Half-space obstacle x_axis < limit; syntax `slab:axis,limit`."""
+    """Half-space obstacle x_axis < limit."""
 
     def __init__(self, axis: int, limit: float):
         if axis < 0:
@@ -117,46 +115,54 @@ class Slab:
         return points[:, self.axis] < self.limit
 
 
-def parse_predicate(text: str, dim: int, side: int):
-    """Build a predicate from its command-line description.
+# Command-line syntax of each built-in predicate.
+SYNTAX = {
+    "spheres": "spheres:x1,..,xd,r[;x1,..,xd,r]...",
+    "checkerboard": "checkerboard:period",
+    "wall": "wall:axis,position,gap",
+    "slab": "slab:axis,limit",
+}
 
-    Supported forms (world box is [0, side]^dim):
-      spheres:x1,..,xd,r[;x1,..,xd,r]...
-      checkerboard:period
-      wall:axis,position,gap
-      slab:axis,limit
+
+def parse_predicate(text: str, dim: int, side: int):
+    """Build a predicate from its command-line description (see SYNTAX).
+
+    The world box is [0, side]^dim; a wall's gap is centred in it.  An
+    error names the predicate kind and its syntax.
     """
     kind, sep, rest = text.partition(":")
     if not sep:
         raise ValueError(f"predicate {text!r} lacks parameters (expected kind:params)")
-    if kind == "spheres":
-        centers, radii = [], []
-        for part in rest.split(";"):
+    if kind not in SYNTAX:
+        raise ValueError(
+            f"unknown predicate kind {kind!r} (one of {', '.join(SYNTAX)})"
+        )
+
+    def numbers(part: str, count: int) -> list[float]:
+        try:
             nums = [float(v) for v in part.split(",")]
-            if len(nums) != dim + 1:
-                raise ValueError(
-                    f"sphere {part!r} needs {dim} center coordinates plus a radius"
-                )
-            centers.append(nums[:dim])
-            radii.append(nums[dim])
-        return SphereSet(centers, radii)
+        except ValueError:
+            nums = None
+        if nums is None or len(nums) != count:
+            what = "a number" if count == 1 else f"{count} comma-separated numbers"
+            raise ValueError(f"{kind} needs {what} ({SYNTAX[kind]}), got {part!r}")
+        return nums
+
+    def axis(value: float) -> int:
+        if not (value.is_integer() and 0 <= value < dim):
+            raise ValueError(
+                f"{kind} axis must be an integer in [0, {dim}) ({SYNTAX[kind]}), "
+                f"got {value:g}"
+            )
+        return int(value)
+
+    if kind == "spheres":
+        spheres = [numbers(part, dim + 1) for part in rest.split(";")]
+        return SphereSet([s[:dim] for s in spheres], [s[dim] for s in spheres])
     if kind == "checkerboard":
-        return Checkerboard(float(rest))
+        return Checkerboard(numbers(rest, 1)[0])
     if kind == "wall":
-        nums = rest.split(",")
-        if len(nums) != 3:
-            raise ValueError("wall needs axis,position,gap")
-        axis = int(nums[0])
-        if not 0 <= axis < dim:
-            raise ValueError(f"wall axis {axis} out of range for dim {dim}")
-        center = [side / 2.0] * dim
-        return WallWithGap(axis, float(nums[1]), float(nums[2]), center)
-    if kind == "slab":
-        nums = rest.split(",")
-        if len(nums) != 2:
-            raise ValueError("slab needs axis,limit")
-        axis = int(nums[0])
-        if not 0 <= axis < dim:
-            raise ValueError(f"slab axis {axis} out of range for dim {dim}")
-        return Slab(axis, float(nums[1]))
-    raise ValueError(f"unknown predicate kind {kind!r}")
+        a, position, gap = numbers(rest, 3)
+        return WallWithGap(axis(a), position, gap, [side / 2.0] * dim)
+    a, limit = numbers(rest, 2)
+    return Slab(axis(a), limit)

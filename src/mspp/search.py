@@ -58,7 +58,6 @@ from .tree import (
 
 __all__ = [
     "BUDGET_EXCEEDED",
-    "CostModel",
     "GOAL_BLOCKED",
     "NO_PATH",
     "PlanResult",
@@ -67,7 +66,6 @@ __all__ = [
     "SUCCESS",
     "SearchStats",
     "astar_lazy",
-    "plan",
     "verify_path",
     "verify_path_sampled",
 ]
@@ -77,24 +75,6 @@ NO_PATH = "no_path"
 START_BLOCKED = "start_blocked"
 GOAL_BLOCKED = "goal_blocked"
 BUDGET_EXCEEDED = "budget_exceeded"
-
-
-@dataclass
-class CostModel:
-    """Edge cost: center distance scaled by the target's occupancy value."""
-
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("weight must be nonnegative")
-
-    def edge(self, u: NodeIndex, v: NodeIndex, v_value: float) -> float:
-        s = 0
-        for a, b in zip(u.center2, v.center2):
-            d = a - b
-            s += d * d
-        return 0.5 * sqrt(s) * (1.0 + self.weight * v_value)
 
 
 @dataclass
@@ -138,7 +118,7 @@ def astar_lazy(
     rtree: ReducedTree,
     v_start: NodeIndex,
     v_goal: NodeIndex,
-    cost: CostModel,
+    weight: float,
     values,
     flags=None,
     excluded=frozenset(),
@@ -147,14 +127,16 @@ def astar_lazy(
 ) -> list[NodeIndex] | None:
     """Vertex path of minimal cost from v_start to v_goal, or None.
 
-    values maps a vertex's (scale, center2) key to its occupancy value;
-    flags, when given, maps it to True for vertices that must not be
-    routed through (they still enter the queue, with infinite cost, so the
-    touched count reflects them).  Both are read with [] and must answer
-    for every vertex the search reaches; a PlannerSession passes memos
-    that compute each entry on first lookup, once per session.  excluded
-    lists vertices the path never enters (the start excepted), and
-    fine_first, when given, restricts first hops to vertices it accepts.
+    An edge costs the center distance times 1 + weight * (the target's
+    occupancy value).  values maps a vertex's (scale, center2) key to its
+    occupancy value; flags, when given, maps it to True for vertices that
+    must not be routed through (they still enter the queue, with infinite
+    cost, so the touched count reflects them).  Both are read with [] and
+    must answer for every vertex the search reaches; a PlannerSession
+    passes memos that compute each entry on first lookup, once per
+    session.  excluded lists vertices the path never enters (the start
+    excepted), and fine_first, when given, restricts first hops to
+    vertices it accepts.
     A vertex's neighbors come from the tree lookup find_neighbors, read
     as a module global at call time, once per expansion.
     """
@@ -170,7 +152,6 @@ def astar_lazy(
     # NodeIndex is a tuple subclass so the keys hash and compare the same,
     # and heap entries (f, h, key) preserve the old lexicographic order.
     dist = math.dist
-    weight = cost.weight
     heappush, heappop = heapq.heappush, heapq.heappop
 
     start_key = (v_start.scale, v_start.center2)
@@ -311,7 +292,9 @@ class PlannerSession:
 
     Exactly one of tree (exact mode: occupancy values come from the map)
     or predicate (map-free mode: values are estimated by sampling) must be
-    given; map-free mode also needs dim and depth.  The session exposes
+    given.  Map-free mode needs dim and depth; exact mode takes them from
+    the tree and refuses different ones.  weight scales how much a node's
+    occupancy value adds to the cost of entering it.  The session exposes
     its iteration pieces (goal_reached, refresh_view, advance) so a caller
     can drive and inspect single iterations; run() drives to completion.
 
@@ -334,7 +317,7 @@ class PlannerSession:
         gamma: float = 0.1,
         samples: int = 256,
         alpha: float = 1.0,
-        cost: CostModel | None = None,
+        weight: float = 1.0,
         seed: int = 0,
         budget: int | None = None,
         cell_picks: bool = False,
@@ -343,7 +326,14 @@ class PlannerSession:
             raise ValueError("give exactly one of tree or predicate")
         if not 0.0 < eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
+        if weight < 0:
+            raise ValueError("weight must be nonnegative")
         if tree is not None:
+            if dim not in (None, tree.dim) or depth not in (None, tree.depth):
+                raise ValueError(
+                    f"dim {dim}, depth {depth} differ from the tree's "
+                    f"{tree.dim}, {tree.depth}"
+                )
             dim, depth = tree.dim, tree.depth
         elif dim is None or depth is None:
             raise ValueError("map-free mode needs dim and depth")
@@ -356,7 +346,7 @@ class PlannerSession:
         self.depth = depth
         self.eps = eps
         self.alpha = alpha
-        self.cost = cost if cost is not None else CostModel()
+        self.weight = weight
         self.budget = budget if budget is not None else 4 * (1 << (dim * depth))
         side = 1 << depth
         for name, point in (("start", start), ("goal", goal)):
@@ -476,7 +466,7 @@ class PlannerSession:
                 self.rtree,
                 self.current,
                 goal_node.index(),
-                self.cost,
+                self.weight,
                 self._values,
                 self._flags,
                 excluded=self.trail,
@@ -538,47 +528,11 @@ class PlannerSession:
             path = list(self.trail)
             cost = 0.0
             for u, v in zip(path, path[1:]):
-                cost += self.cost.edge(u, v, self._values[v])
+                s = sum((a - b) * (a - b) for a, b in zip(u.center2, v.center2))
+                cost += 0.5 * sqrt(s) * (1.0 + self.weight * self._values[v])
         return PlanResult(
             self.status, path, cost, self.iterations, self.stats, self.blocked
         )
-
-
-def plan(
-    *,
-    tree: OccupancyTree | None = None,
-    predicate=None,
-    dim: int | None = None,
-    depth: int | None = None,
-    start,
-    goal,
-    eps: float = 0.5,
-    gamma: float = 0.1,
-    samples: int = 256,
-    alpha: float = 1.0,
-    weight: float = 1.0,
-    seed: int = 0,
-    budget: int | None = None,
-    cell_picks: bool = False,
-) -> PlanResult:
-    """Plan from start to goal; see PlannerSession for the two modes."""
-    session = PlannerSession(
-        tree=tree,
-        predicate=predicate,
-        dim=dim,
-        depth=depth,
-        start=start,
-        goal=goal,
-        eps=eps,
-        gamma=gamma,
-        samples=samples,
-        alpha=alpha,
-        cost=CostModel(weight),
-        seed=seed,
-        budget=budget,
-        cell_picks=cell_picks,
-    )
-    return session.run()
 
 
 def verify_path(

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mspp.cli import main
+from mspp.cli import SETTINGS, main
 from mspp.tree import GridWorld, read_map, write_map
 
 
@@ -113,7 +113,11 @@ def test_gen_map_round_trip_keeps_corners_free(tmp_path, capsys):
         ),
         (["gen-map"], {"kind": "maze"}, "kind must be one of"),
         (["bound"], {"depth": "3"}, "depth must be an integer"),
-        (["bound"], {"samples": 2.5}, "samples must be an integer"),
+        (
+            ["plan", "--predicate", "slab:0,3.2"],
+            {"samples": 2.5},
+            "samples must be an integer",
+        ),
         (["bound"], {"eps": True}, "eps must be a number"),
         (["bound"], {"gamma": "0.1"}, "gamma must be a number"),
         # spheres is a predicate, not a map texture gen-map can write
@@ -128,7 +132,7 @@ def test_config_values_get_the_flag_checks(tmp_path, capsys, command, values, me
 
 
 def test_config_numbers_are_accepted(tmp_path, capsys):
-    config = config_file(tmp_path, {"depth": 4, "eps": 0.25, "alpha": 2})
+    config = config_file(tmp_path, {"depth": 4, "eps": 0.25, "gamma": 1})
     code, out, _ = run(capsys, "bound", "--n-range", "1,2", "--config", config)
     assert code == 0
     assert len(out.splitlines()) == 3
@@ -147,3 +151,111 @@ def test_ranges_name_their_flag(capsys, argv, flag):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {flag} must be lo,hi integers")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("plan", "--regions", "2"),
+        ("bound", "--samples", "9"),
+        ("bound", "--alpha", "9"),
+        ("bound", "--weight", "5"),
+        ("bound", "--seed", "3"),
+        ("bound", "--mode", "sampling"),
+        ("gen-map", "--eps", "0.3"),
+        ("gen-map", "--gamma", "0.2"),
+        ("gen-map", "--samples", "9"),
+        ("gen-map", "--alpha", "2"),
+        ("gen-map", "--weight", "2"),
+        ("gen-map", "--regions", "2"),
+        ("gen-map", "--mode", "sampling"),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_are_refused(capsys, command, flag, value):
+    code, out, err = run(capsys, command, flag, value)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        (["plan", "--predicate", "slab:0,3.2"], "regions"),
+        (["bound"], "seed"),
+        (["bound"], "weight"),
+        (["gen-map"], "eps"),
+        (["gen-map"], "mode"),
+    ],
+)
+def test_config_keys_of_other_subcommands_are_refused(tmp_path, capsys, command, key):
+    config = config_file(tmp_path, {key: SETTINGS[key].default})
+    code, out, err = run(capsys, *command, "--config", config)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: unknown config keys: ['{key}'] ({command[0]} reads ")
+
+
+def test_plan_map_refuses_dim_and_depth(tmp_path, capsys):
+    world = map_file(tmp_path, [])
+    for extra in (["--depth", "4"], ["--dim", "2"]):
+        code, out, err = run(capsys, "plan", "--map", world, *extra)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the map file fixes dim and depth")
+    config = config_file(tmp_path, {"depth": 3})
+    code, _, err = run(capsys, "plan", "--map", world, "--config", config)
+    assert code == 1
+    assert "do not set depth" in err
+    code, _, _ = run(capsys, "plan", "--map", world, "--mode", "sampling")
+    assert code == 0
+
+
+def test_mspp_seed_seeds_only_where_seed_is_read(tmp_path, capsys, monkeypatch):
+    def generated(*flags):
+        out_path = tmp_path / "gen.map"
+        code, _, _ = run(
+            capsys, "gen-map", "--depth", "3", "--out", str(out_path), *flags
+        )
+        assert code == 0
+        return read_map(str(out_path)).cells.tobytes()
+
+    by_flag = generated("--seed", "7")
+    monkeypatch.setenv("MSPP_SEED", "7")
+    assert generated() == by_flag
+    assert generated("--seed", "8") != by_flag
+    monkeypatch.setenv("MSPP_SEED", "x")
+    code, out, err = run(capsys, "gen-map", "--depth", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: MSPP_SEED='x' is not an integer")
+    # bound reads no seed, so it never looks at MSPP_SEED
+    code, _, _ = run(capsys, "bound", "--n-range", "1,2")
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "predicate, syntax",
+    [
+        ("spheres:8,x,3", "spheres:x1,..,xd,r[;x1,..,xd,r]..."),
+        ("checkerboard:x", "checkerboard:period"),
+        ("wall:a,3,2", "wall:axis,position,gap"),
+        ("slab:0,x", "slab:axis,limit"),
+    ],
+)
+def test_predicate_errors_name_the_kind_and_its_syntax(capsys, predicate, syntax):
+    code, out, err = run(capsys, "plan", "--predicate", predicate, "--mode", "sampling")
+    assert code == 1
+    assert out == ""
+    kind = predicate.partition(":")[0]
+    assert err.startswith(f"error: {kind} needs ")
+    assert f"({syntax})" in err
+
+
+def test_one_dimensional_wall_with_a_gap_is_open(capsys):
+    code, out, _ = run(
+        capsys, "plan", "--predicate", "wall:0,3,2", "--mode", "sampling",
+        "--dim", "1", "--depth", "3",
+    )
+    assert code == 0
+    assert out.splitlines()[-1].startswith("status=success")

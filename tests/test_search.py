@@ -27,12 +27,10 @@ from mspp.search import (
     NO_PATH,
     START_BLOCKED,
     SUCCESS,
-    CostModel,
     PlannerSession,
     SearchStats,
     astar_lazy,
     node_contains,
-    plan,
     verify_path,
     verify_path_sampled,
 )
@@ -89,16 +87,32 @@ def full_free_tree(dim: int, depth: int) -> OccupancyTree:
 
 
 def test_cost_model_examples():
-    cost = CostModel(weight=1.0)
-    a, b = NodeIndex(0, (1, 1)), NodeIndex(0, (3, 1))
-    assert cost.edge(a, b, 0.0) == pytest.approx(1.0)
-    assert cost.edge(a, b, 0.5) == pytest.approx(1.5)
+    # a hop costs half the centre distance in doubled units times
+    # 1 + weight * (the target's value); the nodes of a finished path are
+    # free, so the weight steers the search but adds nothing to its cost
+    cells = np.zeros(16, dtype=np.uint8)
+    world = GridWorld(2, 2, cells)
+    cells[world.flat_index((0, 1))] = 1
+    tree = build_from_grid(GridWorld(2, 2, cells))
     coarse = NodeIndex(1, (6, 2))
-    # center distance from (0.5, 0.5) to (3.0, 1.0)
-    assert cost.edge(a, coarse, 0.0) == pytest.approx(math.hypot(2.5, 0.5))
-    assert CostModel(weight=0.0).edge(a, b, 0.9) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        CostModel(weight=-0.5)
+    for weight in (0.0, 1.0, 5.0):
+        result = PlannerSession(
+            tree=tree, start=(0.5, 0.5), goal=(3.5, 0.5), weight=weight
+        ).run()
+        assert result.path == [NodeIndex(0, (1, 1)), NodeIndex(0, (3, 1)), coarse]
+        # one unit hop, then from (1.5, 0.5) to the block centre (3.0, 1.0)
+        assert result.cost == pytest.approx(1.0 + math.hypot(1.5, 0.5))
+    with pytest.raises(ValueError, match="weight"):
+        PlannerSession(tree=tree, start=(0.5, 0.5), goal=(3.5, 0.5), weight=-0.5)
+
+
+def test_exact_session_takes_dim_and_depth_from_the_tree():
+    tree = build_from_grid(corridor_world())
+    ends = dict(start=(0.5, 0.5), goal=(3.5, 0.5))
+    assert PlannerSession(tree=tree, dim=2, depth=2, **ends).run().success
+    for other in ({"dim": 3}, {"depth": 3}):
+        with pytest.raises(ValueError, match="differ from the tree"):
+            PlannerSession(tree=tree, **other, **ends)
 
 
 def test_node_contains_half_open():
@@ -117,7 +131,7 @@ def test_astar_start_equals_goal_expands_nothing():
     v = NodeIndex(0, (1, 1))
     with counted_neighbor_lookups() as lookups:
         path = astar_lazy(
-            rtree, v, v, CostModel(), values=defaultdict(float), stats=stats
+            rtree, v, v, 1.0, values=defaultdict(float), stats=stats
         )
     assert path == [v]
     assert stats.pops == 0
@@ -131,7 +145,7 @@ def test_astar_missing_start_vertex_raises():
             rtree,
             NodeIndex(1, (2, 2)),  # internal, not a vertex
             NodeIndex(0, (1, 1)),
-            CostModel(),
+            1.0,
             values=defaultdict(float),
         )
 
@@ -144,7 +158,7 @@ def test_astar_respects_excluded_and_fine_first_hop():
         rtree,
         start,
         goal,
-        CostModel(),
+        1.0,
         values=defaultdict(float),
         excluded={away},
     )
@@ -155,7 +169,7 @@ def test_astar_respects_excluded_and_fine_first_hop():
         rtree,
         start,
         goal,
-        CostModel(),
+        1.0,
         values=defaultdict(float),
         fine_first=lambda idx: False,
     )
@@ -167,7 +181,7 @@ def test_astar_never_enters_excluded_vertices():
     start, goal = NodeIndex(0, (1, 1)), NodeIndex(0, (7, 1))
     wall = {NodeIndex(0, (3, y)) for y in (1, 3, 5)}
     path = astar_lazy(
-        rtree, start, goal, CostModel(), values=defaultdict(float),
+        rtree, start, goal, 1.0, values=defaultdict(float),
         excluded=wall | {start},
     )
     assert path is not None and path[0] == start
@@ -175,14 +189,14 @@ def test_astar_never_enters_excluded_vertices():
     # excluding a full column cuts the start off
     wall.add(NodeIndex(0, (3, 7)))
     path = astar_lazy(
-        rtree, start, goal, CostModel(), values=defaultdict(float), excluded=wall
+        rtree, start, goal, 1.0, values=defaultdict(float), excluded=wall
     )
     assert path is None
 
 
 def test_plan_corridor_cost_three():
     tree = build_from_grid(corridor_world())
-    result = plan(tree=tree, start=(0.5, 0.5), goal=(3.5, 0.5), eps=0.5)
+    result = PlannerSession(tree=tree, start=(0.5, 0.5), goal=(3.5, 0.5), eps=0.5).run()
     assert result.status == SUCCESS
     assert result.success
     assert len(result.path) == 4
@@ -196,7 +210,7 @@ def test_plan_corridor_cost_three():
 
 def test_plan_start_equals_goal():
     tree = build_from_grid(corridor_world())
-    result = plan(tree=tree, start=(1.5, 0.5), goal=(1.5, 0.5))
+    result = PlannerSession(tree=tree, start=(1.5, 0.5), goal=(1.5, 0.5)).run()
     assert result.status == SUCCESS
     assert len(result.path) == 1
     assert result.cost == 0.0
@@ -207,7 +221,7 @@ def test_plan_start_equals_goal():
 def test_plan_collapsed_free_map_returns_single_node():
     world = GridWorld(2, 3, np.zeros(64, dtype=np.uint8))
     tree = build_from_grid(world)
-    result = plan(tree=tree, start=(0.5, 0.5), goal=(7.5, 7.5))
+    result = PlannerSession(tree=tree, start=(0.5, 0.5), goal=(7.5, 7.5)).run()
     assert result.status == SUCCESS
     assert result.path == [NodeIndex(3, (8, 8))]
     ok, reason = verify_path(
@@ -221,7 +235,9 @@ def test_plan_subdivided_free_map_matches_uniform_grid_length():
     # zero-weight path length equals the uniform-grid shortest path length
     depth = 3
     tree = full_free_tree(2, depth)
-    result = plan(tree=tree, start=(0.5, 0.5), goal=(7.5, 7.5), weight=0.0)
+    result = PlannerSession(
+        tree=tree, start=(0.5, 0.5), goal=(7.5, 7.5), weight=0.0
+    ).run()
     assert result.status == SUCCESS
     assert all(p.scale == 0 for p in result.path)
     world = GridWorld(2, depth, np.zeros(64, dtype=np.uint8))
@@ -238,7 +254,7 @@ def test_plan_walled_world_fails_like_grid_search():
         cells[world.flat_index((4, y))] = 1
     world = GridWorld(2, 3, cells)
     tree = build_from_grid(world)
-    result = plan(tree=tree, start=(0.5, 0.5), goal=(7.5, 7.5))
+    result = PlannerSession(tree=tree, start=(0.5, 0.5), goal=(7.5, 7.5)).run()
     assert result.status == NO_PATH
     assert result.path is None
     # the up-front connectivity test decides the case before any iteration
@@ -254,15 +270,17 @@ def test_plan_blocked_endpoints_statuses():
     cells[world.flat_index((0, 0))] = 1
     world = GridWorld(2, 2, cells)
     tree = build_from_grid(world)
-    result = plan(tree=tree, start=(0.5, 0.5), goal=(3.5, 3.5))
+    result = PlannerSession(tree=tree, start=(0.5, 0.5), goal=(3.5, 3.5)).run()
     assert result.status == START_BLOCKED
-    result = plan(tree=tree, start=(3.5, 3.5), goal=(0.5, 0.5))
+    result = PlannerSession(tree=tree, start=(3.5, 3.5), goal=(0.5, 0.5)).run()
     assert result.status == GOAL_BLOCKED
 
 
 def test_plan_budget_exhaustion():
     tree = full_free_tree(2, 3)
-    result = plan(tree=tree, start=(0.5, 0.5), goal=(7.5, 7.5), budget=3)
+    result = PlannerSession(
+        tree=tree, start=(0.5, 0.5), goal=(7.5, 7.5), budget=3
+    ).run()
     assert result.status == BUDGET_EXCEEDED
     assert result.iterations == 3
 
@@ -291,11 +309,10 @@ def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
     assert rtree.find_vertex(start) is not None and goal_node is not None
     goal = goal_node.index()
     vertices = [v.index() for v in rtree.vertices()]
-    cost = CostModel(weight=weight)
     stats = SearchStats()
     values = {v: tree.value(v) for v in vertices}
     with counted_neighbor_lookups() as lookups:
-        got = astar_lazy(rtree, start, goal, cost, values, stats=stats)
+        got = astar_lazy(rtree, start, goal, weight, values, stats=stats)
     edges = all_neighbor_pairs(rtree.root, depth).edges
     expect = dijkstra_vertex_path_cost(
         vertices, edges, tree.value, weight, start, goal
@@ -305,7 +322,8 @@ def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
         return
     assert got is not None
     total = sum(
-        cost.edge(a, b, tree.value(b)) for a, b in zip(got, got[1:])
+        0.5 * math.dist(a.center2, b.center2) * (1.0 + weight * tree.value(b))
+        for a, b in zip(got, got[1:])
     )
     assert total == pytest.approx(expect, rel=1e-9)
     # laziness: one neighbor lookup per expansion, both within the vertex
@@ -342,7 +360,8 @@ def test_session_counters_stay_lazy():
         world = random_world(2, 4, 0.25, seed=seed, free_corners=True)
         tree = build_from_grid(world)
         with counted_neighbor_lookups() as lookups:
-            result = plan(tree=tree, start=(0.5, 0.5), goal=(15.5, 15.5))
+            session = PlannerSession(tree=tree, start=(0.5, 0.5), goal=(15.5, 15.5))
+            result = session.run()
         assert lookups == [result.stats.pops]
         if result.status == SUCCESS:
             ok, reason = verify_path(
@@ -354,7 +373,7 @@ def test_session_counters_stay_lazy():
 def test_sampling_session_counts_samples_lazily():
     world = random_world(2, 4, 0.2, seed=3, free_corners=True)
     with counted_neighbor_lookups() as lookups:
-        result = plan(
+        result = PlannerSession(
             predicate=grid_predicate(world),
             dim=2,
             depth=4,
@@ -363,7 +382,7 @@ def test_sampling_session_counts_samples_lazily():
             eps=0.5,
             gamma=0.05,
             samples=64,
-        )
+        ).run()
     assert result.stats.new_samples <= result.stats.touched
     assert lookups == [result.stats.pops]
 
@@ -450,11 +469,13 @@ def test_plan_returns_a_simple_path_on_a_looping_seed(mode):
     start, goal = (0.5, 0.5), (7.5, 7.5)
     if mode == "exact":
         tree = build_from_grid(world)
-        result = plan(tree=tree, start=start, goal=goal)
+        result = PlannerSession(tree=tree, start=start, goal=goal).run()
         ok, reason = verify_path(tree, result.path, 0.5, start, goal)
     else:
         pred = grid_predicate(world)
-        result = plan(predicate=pred, dim=2, depth=3, start=start, goal=goal)
+        result = PlannerSession(
+            predicate=pred, dim=2, depth=3, start=start, goal=goal
+        ).run()
         ok, reason = verify_path_sampled(pred, result.path, 3, start, goal)
     assert result.status == SUCCESS
     assert len(set(result.path)) == len(result.path)
@@ -565,7 +586,7 @@ def test_lazy_lookups_plan_like_full_resolution(exact, dim, depth):
         resolved.refresh_view = refresh_and_resolve
         while resolved.status is None:
             resolved.step()
-        untouched = plan(**kwargs)
+        untouched = PlannerSession(**kwargs).run()
         assert len(resolutions) == untouched.iterations
         assert resolved.result() == untouched
 
@@ -596,7 +617,7 @@ def test_map_free_classifications_wait_for_the_next_refresh():
         session.rtree,
         session.current,
         goal.index(),
-        session.cost,
+        session.weight,
         session._values,
         session._flags,
         excluded=session.trail,
@@ -616,7 +637,7 @@ def test_map_free_classifications_wait_for_the_next_refresh():
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.sampled_from([(2, 3), (2, 4), (3, 2), (3, 3)]),
+    st.sampled_from([(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 2), (3, 3)]),
     st.sampled_from(["bernoulli", "blobs"]),
     st.sampled_from([0.2, 0.3, 0.4]),
     st.integers(0, 2**16 - 1),
@@ -640,12 +661,12 @@ def test_plan_agrees_with_grid_search(shape, kind, density, seed):
     pred = grid_predicate(world)
     for exact in (True, False):
         if exact:
-            result = plan(tree=tree, start=start, goal=goal)
+            result = PlannerSession(tree=tree, start=start, goal=goal).run()
         else:
-            result = plan(
+            result = PlannerSession(
                 predicate=pred, dim=dim, depth=depth, start=start, goal=goal,
                 cell_picks=True,
-            )
+            ).run()
         assert result.status != BUDGET_EXCEEDED
         assert result.success == reachable
         if result.success:
@@ -692,7 +713,7 @@ def test_snake_maze_walks_the_shortest_corridor(exact, depth):
     start, goal = (0.5, 0.5), (side - 0.5, side - 0.5)
     base = uniform_astar(world, (0, 0), (side - 1, side - 1))
     assert base.reachable
-    result = plan(start=start, goal=goal, **mode_kwargs(world, exact))
+    result = PlannerSession(start=start, goal=goal, **mode_kwargs(world, exact)).run()
     assert result.status == SUCCESS
     # one unit cell per grid step, plus the start
     assert len(result.path) == len(base.path)
@@ -706,7 +727,7 @@ def test_sealed_wall_ends_in_no_path(exact):
     start, goal = (0.5,) * 3, (15.5,) * 3
     if exact:
         tree = build_from_grid(realize_grid(wall, 3, 4))
-        result = plan(tree=tree, start=start, goal=goal)
+        result = PlannerSession(tree=tree, start=start, goal=goal).run()
         # the up-front connectivity test decides before any iteration
         assert result.iterations == 0
     else:
@@ -725,7 +746,7 @@ def test_five_dimensional_worlds_agree_with_grid_search(exact, depth):
     start, goal = (0.5,) * 5, (side - 0.5,) * 5
     reachable = uniform_astar(world, (0,) * 5, (side - 1,) * 5).reachable
     kwargs = mode_kwargs(world, exact)
-    result = plan(start=start, goal=goal, **kwargs)
+    result = PlannerSession(start=start, goal=goal, **kwargs).run()
     assert result.success == reachable
     if result.success:
         if exact:
@@ -744,7 +765,9 @@ def test_map_free_query_at_max_depth():
     side = 1 << MAX_DEPTH
     wall = WallWithGap(0, 20.0, 4.0, (side / 2.0, 30.0))
     start, goal = (0.5, 0.5), (40.5, 33.5)
-    result = plan(predicate=wall, dim=2, depth=MAX_DEPTH, start=start, goal=goal)
+    result = PlannerSession(
+        predicate=wall, dim=2, depth=MAX_DEPTH, start=start, goal=goal
+    ).run()
     assert result.status == SUCCESS
     ok, reason = verify_path_sampled(wall, result.path, MAX_DEPTH, start, goal)
     assert ok, reason
