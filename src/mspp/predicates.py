@@ -14,6 +14,8 @@ in SYNTAX.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -146,6 +148,9 @@ def parse_predicate(text: str, dim: int, side: int):
         if nums is None or len(nums) != count:
             what = "a number" if count == 1 else f"{count} comma-separated numbers"
             raise ValueError(f"{kind} needs {what} ({SYNTAX[kind]}), got {part!r}")
+        if not all(map(math.isfinite, nums)):
+            # NaN compares false with every point, so the obstacle would vanish.
+            raise ValueError(f"{kind} needs finite numbers ({SYNTAX[kind]}), got {part!r}")
         return nums
 
     def axis(value: float) -> int:

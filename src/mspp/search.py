@@ -328,6 +328,8 @@ class PlannerSession:
             raise ValueError("eps must lie in (0, 1)")
         if weight < 0:
             raise ValueError("weight must be nonnegative")
+        if budget is not None and budget < 0:
+            raise ValueError(f"budget must be nonnegative, got {budget}")
         if tree is not None:
             if dim not in (None, tree.dim) or depth not in (None, tree.depth):
                 raise ValueError(
@@ -394,14 +396,16 @@ class PlannerSession:
         elif self._is_obstacle(goal_v):
             self.status = GOAL_BLOCKED
         elif tree is not None and not grid_connected(
-            tree.to_grid(), self._cell(start), self._cell(goal)
+            tree, self._cell(start), self._cell(goal)
         ):
             # With the exact map at hand, unreachability is decidable up
-            # front.  The iterative loop would reach the same verdict by
-            # exhausting its alternatives, only much slower: coarse cells
-            # that are not eps-obstacles keep suggesting optimistic routes,
-            # so the walk visits a large share of the free component before
-            # its backtracking stack drains.
+            # front: two component labels, which the tree computes on the
+            # first exact session and keeps.  The iterative loop would
+            # reach the same verdict by exhausting its alternatives, only
+            # much slower: coarse cells that are not eps-obstacles keep
+            # suggesting optimistic routes, so the walk visits a large
+            # share of the free component before its backtracking stack
+            # drains.
             self.status = NO_PATH
 
     def _cell(self, point) -> tuple[int, ...]:

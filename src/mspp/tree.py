@@ -134,6 +134,18 @@ def valid_index(idx: NodeIndex, dim: int, depth: int) -> bool:
     return True
 
 
+def _flat_index(dim: int, side: int, cell: Sequence[int]) -> int:
+    """Position of a unit cell in the flat layout, axis 0 fastest."""
+    if len(cell) != dim:
+        raise ValueError(f"cell {tuple(cell)} is not {dim}-dimensional")
+    flat = 0
+    for i in reversed(cell):
+        if not 0 <= i < side:
+            raise ValueError(f"cell {tuple(cell)} outside the grid")
+        flat = flat * side + i
+    return flat
+
+
 class GridWorld:
     """A binary occupancy grid over [0, 2**depth]**dim unit cells.
 
@@ -163,13 +175,7 @@ class GridWorld:
         self.cells = cells
 
     def flat_index(self, cell: Sequence[int]) -> int:
-        flat = 0
-        for j in reversed(range(self.dim)):
-            i = cell[j]
-            if not 0 <= i < self.side:
-                raise ValueError(f"cell {tuple(cell)} outside the grid")
-            flat = flat * self.side + i
-        return flat
+        return _flat_index(self.dim, self.side, cell)
 
     def cell_of(self, point: Sequence[float]) -> tuple[int, ...]:
         """Unit cell containing a point, half-open on upper faces."""
@@ -223,41 +229,6 @@ def read_map(path: str) -> GridWorld:
         return parse_map_text(fh.read())
 
 
-def grid_connected(
-    world: GridWorld, a: Sequence[int], b: Sequence[int]
-) -> bool:
-    """True when two free unit cells join through face-adjacent free cells.
-
-    Runs a vectorized flood fill: the region grows one breadth layer per
-    sweep, so the loop ends after at most the eccentricity of a within its
-    component.
-    """
-    free = world.cells.reshape((world.side,) * world.dim) == 0
-    # numpy axis i holds spatial axis dim-1-i (flat layout, axis 0 fastest).
-    ai = tuple(reversed(tuple(a)))
-    bi = tuple(reversed(tuple(b)))
-    if not (free[ai] and free[bi]):
-        return False
-    if ai == bi:
-        return True
-    region = np.zeros_like(free)
-    region[ai] = True
-    full = slice(None)
-    while True:
-        grown = region.copy()
-        for ax in range(world.dim):
-            lead = tuple(slice(1, None) if i == ax else full for i in range(world.dim))
-            trail = tuple(slice(None, -1) if i == ax else full for i in range(world.dim))
-            grown[lead] |= region[trail]
-            grown[trail] |= region[lead]
-        grown &= free
-        if grown[bi]:
-            return True
-        if np.array_equal(grown, region):
-            return False
-        region = grown
-
-
 def _count_pyramid(world: GridWorld) -> list[np.ndarray]:
     """Per-scale obstacle-cell counts; level k has one entry per scale-k node."""
     dim, side = world.dim, world.side
@@ -279,7 +250,7 @@ class OccupancyTree:
     are addressable through value() and share the leaf's value.
     """
 
-    __slots__ = ("dim", "depth", "side", "_values", "_internal", "world")
+    __slots__ = ("dim", "depth", "side", "_values", "_internal", "world", "_labels")
 
     def __init__(
         self,
@@ -295,6 +266,9 @@ class OccupancyTree:
         self._values = values
         self._internal = internal
         self.world = world
+        # Component labels of the unit grid, computed on the first
+        # grid_connected call.
+        self._labels: np.ndarray | None = None
 
     @property
     def values(self) -> dict[int, float]:
@@ -405,6 +379,73 @@ class OccupancyTree:
             sl = tuple(slice((c - half) >> 1, (c + half) >> 1) for c in reversed(c2))
             cells[sl] = 1
         return GridWorld(self.dim, self.depth, cells)
+
+
+def grid_connected(
+    tree: OccupancyTree, a: Sequence[int], b: Sequence[int]
+) -> bool:
+    """True when two free unit cells join through face-adjacent free cells.
+
+    Compares the cells' component labels.  Reachability is a fixed fact of
+    the map, so the first call labels the whole grid of tree.to_grid() once
+    (_component_labels) and keeps the labels on the tree; every later call
+    costs two lookups.
+    """
+    labels = tree._labels
+    if labels is None:
+        labels = tree._labels = _component_labels(tree.to_grid())
+    la = labels[_flat_index(tree.dim, tree.side, a)]
+    return la >= 0 and la == labels[_flat_index(tree.dim, tree.side, b)]
+
+
+def _component_labels(world: GridWorld) -> np.ndarray:
+    """Face-connected component label of every cell, in the flat layout.
+
+    A free cell's label is the smallest flat index in its component, an
+    obstacle cell's is -1.  A vectorized union-find over the free face pairs.  Every cell starts as
+    its own root.  Each round hooks the larger root of every pair that
+    still spans two roots under the smaller one (parents only ever point
+    to smaller indices, so no cycle forms), then jumps pointers until every
+    cell points at its root.  A round with such a pair hooks at least one
+    root, so the rounds end, at the latest when each component has one.
+    """
+    dim, side = world.dim, world.side
+    n = world.cells.size
+    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    free = world.cells.reshape((side,) * dim) == 0
+    index = np.arange(n, dtype=dtype)
+    flat = index.reshape(free.shape)
+    lows, highs = [], []
+    full = slice(None)
+    for ax in range(dim):
+        lead = tuple(slice(1, None) if i == ax else full for i in range(dim))
+        trail = tuple(slice(None, -1) if i == ax else full for i in range(dim))
+        both = free[lead] & free[trail]
+        lows.append(flat[trail][both])
+        highs.append(flat[lead][both])
+    low, high = np.concatenate(lows), np.concatenate(highs)
+    parent = index.copy()
+    roots = n
+    while True:
+        root_low, root_high = parent[low], parent[high]
+        split = root_low != root_high
+        if not split.any():
+            break
+        # A joined pair stays joined, so later rounds drop it.
+        low, high = low[split], high[split]
+        root_low, root_high = root_low[split], root_high[split]
+        parent[np.maximum(root_low, root_high)] = np.minimum(root_low, root_high)
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        left = np.count_nonzero(parent == index)
+        if left >= roots:
+            raise RuntimeError("component labelling hooked no root in a round")
+        roots = left
+    parent[~free.ravel()] = -1
+    return parent
 
 
 def build_from_grid(world: GridWorld) -> OccupancyTree:

@@ -135,6 +135,22 @@ def full_rtree(dim: int, depth: int) -> ReducedTree:
     return tree
 
 
+def snake_world(depth: int) -> GridWorld:
+    # 2-D maze of one-cell corridors: a wall on every odd row, each open at
+    # one end only, alternating sides, so the only route from the (0, 0)
+    # corner to the opposite one sweeps every even row; every free block
+    # is a unit cell
+    side = 1 << depth
+    cells = np.zeros(side * side, dtype=np.uint8)
+    world = GridWorld(2, depth, cells)
+    for y in range(1, side, 2):
+        gap = side - 1 if (y // 2) % 2 else 0
+        for x in range(side):
+            if x != gap:
+                cells[world.flat_index((x, y))] = 1
+    return GridWorld(2, depth, cells)
+
+
 def grid_bfs_reachable(world: GridWorld, a, b) -> bool:
     """Set-based breadth-first flood fill over free cells."""
     if world.occupied(a) or world.occupied(b):

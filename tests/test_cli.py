@@ -43,6 +43,11 @@ def test_plan_exit_codes(tmp_path, capsys):
     assert code == 3
     assert "status=budget_exceeded" in out
 
+    code, out, err = run(capsys, "plan", "--map", open_map, "--budget", "-1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: budget must be nonnegative")
+
     walled = map_file(tmp_path, [(2, y) for y in range(8)])
     code, out, _ = run(capsys, "plan", "--map", walled)
     assert code == 2
@@ -241,6 +246,10 @@ def test_mspp_seed_seeds_only_where_seed_is_read(tmp_path, capsys, monkeypatch):
         ("checkerboard:x", "checkerboard:period"),
         ("wall:a,3,2", "wall:axis,position,gap"),
         ("slab:0,x", "slab:axis,limit"),
+        # a non-finite parameter would silently empty the world
+        ("spheres:8,8,nan", "spheres:x1,..,xd,r[;x1,..,xd,r]..."),
+        ("checkerboard:inf", "checkerboard:period"),
+        ("wall:0,inf,2", "wall:axis,position,gap"),
     ],
 )
 def test_predicate_errors_name_the_kind_and_its_syntax(capsys, predicate, syntax):

@@ -16,8 +16,10 @@ from helpers import (
     eager_view,
     full_rtree,
     random_world,
+    snake_world,
 )
 import mspp.search as msearch
+import mspp.tree as mtree
 from mspp.neighbors import all_neighbor_pairs, are_neighbors, collect_leaves
 from mspp.predicates import WallWithGap
 from mspp.reduced import CellTracker, ReducedTree, refresh
@@ -113,6 +115,17 @@ def test_exact_session_takes_dim_and_depth_from_the_tree():
     for other in ({"dim": 3}, {"depth": 3}):
         with pytest.raises(ValueError, match="differ from the tree"):
             PlannerSession(tree=tree, **other, **ends)
+
+
+def test_budget_counts_iterations_and_must_be_nonnegative():
+    tree = build_from_grid(corridor_world())
+    ends = dict(start=(0.5, 0.5), goal=(3.5, 0.5))
+    # a zero budget is a valid limit: the walk ends before its first search
+    result = PlannerSession(tree=tree, budget=0, **ends).run()
+    assert (result.status, result.iterations) == (BUDGET_EXCEEDED, 0)
+    for mode in ({"tree": tree}, {"predicate": lambda p: False, "dim": 2, "depth": 2}):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            PlannerSession(budget=-1, **mode, **ends)
 
 
 def test_node_contains_half_open():
@@ -678,22 +691,6 @@ def test_plan_agrees_with_grid_search(shape, kind, density, seed):
             assert ok, reason
 
 
-def snake_world(depth: int) -> GridWorld:
-    # 2-D maze of one-cell corridors: a wall on every odd row, each open at
-    # one end only, alternating sides, so the only route from the (0, 0)
-    # corner to the opposite one sweeps every even row; every free block
-    # is a unit cell
-    side = 1 << depth
-    cells = np.zeros(side * side, dtype=np.uint8)
-    world = GridWorld(2, depth, cells)
-    for y in range(1, side, 2):
-        gap = side - 1 if (y // 2) % 2 else 0
-        for x in range(side):
-            if x != gap:
-                cells[world.flat_index((x, y))] = 1
-    return GridWorld(2, depth, cells)
-
-
 def mode_kwargs(world: GridWorld, exact: bool) -> dict:
     if exact:
         return {"tree": build_from_grid(world)}
@@ -759,9 +756,6 @@ def test_five_dimensional_worlds_agree_with_grid_search(exact, depth):
 
 
 def test_map_free_query_at_max_depth():
-    # Map-free only: exact mode pays for a whole-grid flood fill of
-    # 2**(2 * MAX_DEPTH) cells before its first iteration (about 2 s), a
-    # cost of the up-front connectivity test, not of the walk.
     side = 1 << MAX_DEPTH
     wall = WallWithGap(0, 20.0, 4.0, (side / 2.0, 30.0))
     start, goal = (0.5, 0.5), (40.5, 33.5)
@@ -771,6 +765,47 @@ def test_map_free_query_at_max_depth():
     assert result.status == SUCCESS
     ok, reason = verify_path_sampled(wall, result.path, MAX_DEPTH, start, goal)
     assert ok, reason
+
+
+@pytest.mark.parametrize("sealed", [False, True], ids=["gap", "sealed"])
+def test_exact_query_at_max_depth(sealed):
+    # The wall of the map-free test above, painted on a 2**MAX_DEPTH grid.
+    # The up-front check labels all 2**(2 * MAX_DEPTH) cells once; a
+    # sealed wall ends there, before the first iteration.
+    side = 1 << MAX_DEPTH
+    cells = np.zeros((side, side), dtype=np.uint8)  # numpy axes: y, x
+    cells[:, 20] = 1
+    if not sealed:
+        cells[28:32, 20] = 0
+    world = GridWorld(2, MAX_DEPTH, cells)
+    start, goal = (0.5, 0.5), (40.5, 33.5)
+    tree = build_from_grid(world)
+    result = PlannerSession(tree=tree, start=start, goal=goal).run()
+    if sealed:
+        assert result.status == NO_PATH
+        assert result.iterations == 0
+    else:
+        assert result.status == SUCCESS
+        ok, reason = verify_path(tree, result.path, 0.5, start, goal)
+        assert ok, reason
+
+
+def test_grid_connected_labels_each_tree_once(monkeypatch):
+    calls = []
+    labeller = mtree._component_labels
+
+    def counting(world):
+        calls.append(world)
+        return labeller(world)
+
+    monkeypatch.setattr(mtree, "_component_labels", counting)
+    world = random_world(2, 4, 0.3, seed=2, free_corners=True)
+    tree = build_from_grid(world)
+    other = build_from_grid(world)
+    for start, goal in [((0.5, 0.5), (15.5, 15.5)), ((15.5, 15.5), (0.5, 0.5))] * 2:
+        for t in (tree, other):
+            PlannerSession(tree=t, start=start, goal=goal).run()
+    assert calls == [world, world]
 
 
 def test_map_free_depth_past_the_key_range_is_rejected():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_bfs_reachable, random_index, random_world
+from helpers import grid_bfs_reachable, random_index, random_world, snake_world
 from mspp.tree import (
     GridWorld,
     NodeIndex,
@@ -359,22 +359,45 @@ def test_grid_world_validation():
     world = GridWorld(2, 1, np.zeros(4, dtype=np.uint8))
     with pytest.raises(ValueError):
         world.flat_index((2, 0))
+    with pytest.raises(ValueError, match="not 2-dimensional"):
+        world.flat_index((0,))
     with pytest.raises(ValueError):
         world.cell_of((-0.1, 0.5))
     assert world.cell_of((2.0, 1.5)) == (1, 1)  # upper boundary clamps inward
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
-def test_grid_connected_matches_flood_fill(dim, depth, seed):
+@given(st.integers(1, 3), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_grid_connected_matches_flood_fill(dim, depth, detach, seed):
     rng = np.random.default_rng(seed)
     size = 1 << (dim * depth)
     world = GridWorld(dim, depth, (rng.random(size) < 0.4).astype(np.uint8))
+    tree = build_from_grid(world)
+    if detach:
+        # no source grid attached: the labels come from the painted leaves
+        tree = OccupancyTree(dim, depth, dict(tree.values), set(tree.internal), None)
     side = 1 << depth
     for _ in range(6):
         a = tuple(int(rng.integers(0, side)) for _ in range(dim))
         b = tuple(int(rng.integers(0, side)) for _ in range(dim))
-        assert grid_connected(world, a, b) == grid_bfs_reachable(world, a, b)
+        assert grid_connected(tree, a, b) == grid_bfs_reachable(world, a, b)
+        assert grid_connected(tree, a, a) == (not world.occupied(a))
+
+
+def test_grid_connected_joins_long_winding_corridors():
+    # A snake maze is one corridor that doubles back across the flat
+    # order, so the labels need more than one hooking round to meet.
+    world = snake_world(5)
+    tree = build_from_grid(world)
+    free = [c for c in np.ndindex(32, 32) if not world.occupied(c)]
+    assert grid_connected(tree, free[0], free[-1])
+    cells = world.cells.copy()
+    cells[world.flat_index(free[len(free) // 2])] = 1
+    cut = build_from_grid(GridWorld(2, 5, cells))
+    probes = free[1::7]
+    reach = [grid_bfs_reachable(cut.world, free[0], c) for c in probes]
+    assert [grid_connected(cut, free[0], c) for c in probes] == reach
+    assert any(reach) and not all(reach)
 
 
 def test_generated_worlds_build_and_round_trip():
