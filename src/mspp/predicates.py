@@ -163,11 +163,17 @@ def parse_predicate(text: str, dim: int, side: int):
 
     if kind == "spheres":
         spheres = [numbers(part, dim + 1) for part in rest.split(";")]
-        return SphereSet([s[:dim] for s in spheres], [s[dim] for s in spheres])
-    if kind == "checkerboard":
-        return Checkerboard(numbers(rest, 1)[0])
-    if kind == "wall":
+        make, args = SphereSet, ([s[:dim] for s in spheres], [s[dim] for s in spheres])
+    elif kind == "checkerboard":
+        make, args = Checkerboard, (numbers(rest, 1)[0],)
+    elif kind == "wall":
         a, position, gap = numbers(rest, 3)
-        return WallWithGap(axis(a), position, gap, [side / 2.0] * dim)
-    a, limit = numbers(rest, 2)
-    return Slab(axis(a), limit)
+        make, args = WallWithGap, (axis(a), position, gap, [side / 2.0] * dim)
+    else:
+        a, limit = numbers(rest, 2)
+        make, args = Slab, (axis(a), limit)
+    try:
+        return make(*args)
+    except ValueError as err:
+        # The constructors' own range checks, in the form of the errors above.
+        raise ValueError(f"{kind} needs valid parameters ({SYNTAX[kind]}): {err}") from None

@@ -303,13 +303,14 @@ def refresh(
 
     tree is the exact occupancy map, or None to run map-free, in which case
     the partition refines to unit scale and no occupancy-based removal
-    happens here (classification is the searcher's job).  Nodes become
-    leaves when they are far from the focus, or cannot subdivide further;
-    cells of the traversed path and blocked cells keep their surroundings
-    refined.  Blocked cells and (with a map) scale-weighted obstacle nodes
-    are removed along with their subtrees, as are nodes whose keys
-    (tree.pack_index) appear in `obstacles` (map-free classifications
-    already paid for).
+    happens here (classification is the searcher's job).  With a map, only
+    internal map nodes descend, and deciding a node costs one tree.lookup.
+    Nodes become leaves when they are far from the focus, or cannot
+    subdivide further; cells of the traversed path and blocked cells keep
+    their surroundings refined.  Blocked cells and (with a map)
+    scale-weighted obstacle nodes are removed along with their subtrees, as
+    are nodes whose packed keys (mspp.tree.pack_index) appear in
+    `obstacles` (map-free classifications already paid for).
     Known obstacles are pruned before descent, so a path or blocked cell
     nearby never splits one back into the view.
     Packed keys in `free` mark nodes proven fully free by enumeration;
@@ -343,8 +344,7 @@ def refresh(
         window = rtree._windows[window_key] = (thresholds, den_sq, obs_at)
     thresholds, den_sq, obs_at = window
     if exact:
-        values = tree.values
-        internal = tree.internal
+        lookup = tree.lookup
     cur2 = current.center2
     path_anc = path._anc
     path_members = path._members
@@ -376,7 +376,8 @@ def refresh(
         if obstacle_keys is not None and key in obstacle_keys:
             return False
         if exact:
-            if key not in internal:
+            value, inner = lookup(k, c2)
+            if not inner:
                 stop = True
             elif key in path_anc or key in blocked_anc:
                 stop = False
@@ -405,7 +406,7 @@ def refresh(
         if stop:
             if key in blocked_members:
                 return False
-            if exact and values[key] >= obs_at[k]:
+            if exact and value >= obs_at[k]:
                 return False
             node.children = None
         elif node.children is None:

@@ -220,7 +220,9 @@ class PlanResult:
     """Outcome of one planning session.
 
     iterations counts the A* runs (one per iteration), not path steps: an
-    iteration may commit several hops, or none when it backtracks.
+    iteration may commit several hops, or none when it backtracks.  cost
+    is the path's centre-to-centre length: its nodes are all free, so the
+    occupancy weight adds nothing to it.
     """
 
     status: str
@@ -425,9 +427,11 @@ class PlannerSession:
         return self._flags[idx]
 
     def _is_fine(self, idx) -> bool:
-        idx = NodeIndex(idx[0], idx[1])
         if self.tree is not None:
-            return self.tree.is_leaf(idx)
+            # Every view node of exact mode is a stored node at a valid
+            # address, so the unchecked lookup serves.
+            return not self.tree.lookup(idx[0], idx[1])[1]
+        idx = NodeIndex(idx[0], idx[1])
         # A block proven fully free is as fine as map-free knowledge gets,
         # matching the role of stored leaves in map mode.
         return idx.scale == 0 or self.estimator.known_free(idx)
@@ -533,7 +537,7 @@ class PlannerSession:
             cost = 0.0
             for u, v in zip(path, path[1:]):
                 s = sum((a - b) * (a - b) for a, b in zip(u.center2, v.center2))
-                cost += 0.5 * sqrt(s) * (1.0 + self.weight * self._values[v])
+                cost += 0.5 * sqrt(s)
         return PlanResult(
             self.status, path, cost, self.iterations, self.stats, self.blocked
         )

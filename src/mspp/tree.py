@@ -7,16 +7,24 @@ centers in doubled coordinates: center2 = 2 * center, which is integral at
 every scale.  A node at scale k has center2 components congruent to 2**k
 modulo 2**(k + 1).
 
-The tree itself maps each stored node to its occupancy value: the fraction
-of obstacle volume inside the node's cube.  A node is subdivided only when
-its value is strictly between 0 and 1, so uniformly free or uniformly
-blocked regions collapse into single leaves.  Internal nodes always carry
-all 2**dim children.
+The tree gives every node its occupancy value: the fraction of obstacle
+volume inside the node's cube.  A node is subdivided only when its value
+is strictly between 0 and 1, so uniformly free or uniformly blocked
+regions collapse into single leaves.  Internal nodes always carry all
+2**dim children.
 
-Nodes are keyed by one packed int (pack_index, unpack_index): the scale in
-the top bits, then COORD_BITS bits per doubled center coordinate, axis 0
-highest.  This module alone knows that layout; other modules build keys
-through pack_index and treat them as opaque.
+The tree is stored as a count pyramid, one level per scale.  Level k holds
+two arrays with one entry per scale-k node address: the number of
+obstacle cells in the node's cube, and whether the node is internal.  A
+node is stored when all its ancestors are internal.  The counts cover
+every address, stored or not, so a node under a uniform leaf reads the
+leaf's value without a search.  Each level is in the flat layout of the
+map file, axis 0 fastest; as a numpy array, axis a holds spatial axis
+dim - 1 - a.
+
+Other modules key nodes by one packed int (pack_index): the scale in the
+top bits, then COORD_BITS bits per doubled center coordinate, axis 0
+highest.  They build keys through pack_index and treat them as opaque.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ __all__ = [
     "node_volume",
     "pack_index",
     "read_map",
-    "unpack_index",
     "write_map",
     "parse_map_text",
     "map_text",
@@ -58,25 +65,11 @@ class NodeIndex(NamedTuple):
 
 
 def pack_index(scale: int, center2: Sequence[int]) -> int:
-    """Pack a node address into a single int key (fast dict/set member).
-
-    Also packs elementwise when scale is an integer numpy array and center2
-    holds one such array per axis.
-    """
+    """Pack a node address into a single int key (fast dict/set member)."""
     key = scale
     for c in center2:
         key = (key << COORD_BITS) | c
     return key
-
-
-def unpack_index(key: int, dim: int) -> NodeIndex:
-    """The node address a pack_index key encodes."""
-    mask = (1 << COORD_BITS) - 1
-    coords = []
-    for _ in range(dim):
-        coords.append(key & mask)
-        key >>= COORD_BITS
-    return NodeIndex(key, tuple(reversed(coords)))
 
 
 def node_bounds2(idx: NodeIndex) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -230,55 +223,75 @@ def read_map(path: str) -> GridWorld:
 
 
 def _count_pyramid(world: GridWorld) -> list[np.ndarray]:
-    """Per-scale obstacle-cell counts; level k has one entry per scale-k node."""
+    """Per-scale obstacle-cell counts; level k has one entry per scale-k node.
+
+    Level 0 is the grid itself.  Each coarser level takes the narrowest
+    unsigned dtype that holds its largest count, 2**(dim * k).
+    """
     dim, side = world.dim, world.side
-    level = world.cells.astype(np.int64).reshape((side,) * dim)
+    level = world.cells.reshape((side,) * dim)
     pyramid = [level]
-    for _ in range(world.depth):
+    for k in range(1, world.depth + 1):
         half = level.shape[0] // 2
         shaped = level.reshape(sum(((half, 2),) * dim, ()))
-        level = shaped.sum(axis=tuple(range(1, 2 * dim, 2)))
+        dtype = np.min_scalar_type(1 << (dim * k))
+        level = shaped.sum(axis=tuple(range(1, 2 * dim, 2)), dtype=dtype)
         pyramid.append(level)
     return pyramid
 
 
-class OccupancyTree:
-    """Pruned multiscale occupancy map backed by an explicit node store.
+def _under(mask: np.ndarray) -> np.ndarray:
+    """A level's per-node mask spread onto the 2**dim children of each node."""
+    for ax in range(mask.ndim):
+        mask = mask.repeat(2, axis=ax)
+    return mask
 
-    Values are exact dyadic rationals (obstacle cells / total cells).  The
-    store keeps every non-collapsed node; descendants of a collapsed leaf
-    are addressable through value() and share the leaf's value.
+
+class OccupancyTree:
+    """Pruned multiscale occupancy map stored as a count pyramid.
+
+    counts[k] and internal[k] are level k of the pyramid (see the module
+    docstring), arrays of shape (2**(depth - k),) * dim: the obstacle cells
+    in each scale-k node, and whether the node has children.  A node is
+    internal only under internal ancestors, and unit nodes never are.
+    Values are exact dyadic rationals, counts[k] / 2**(dim * k).  world,
+    when given, is the grid the counts were taken from.
     """
 
-    __slots__ = ("dim", "depth", "side", "_values", "_internal", "world", "_labels")
+    __slots__ = ("dim", "depth", "side", "_counts", "_internal", "world", "_labels")
 
     def __init__(
         self,
         dim: int,
         depth: int,
-        values: dict[int, float],
-        internal: set[int],
+        counts: Sequence[np.ndarray],
+        internal: Sequence[np.ndarray],
         world: GridWorld | None = None,
     ):
+        if len(counts) != depth + 1 or len(internal) != depth + 1:
+            raise ValueError(f"a depth-{depth} tree needs {depth + 1} levels")
+        counts = [np.ascontiguousarray(c) for c in counts]
+        internal = [np.ascontiguousarray(m, dtype=bool) for m in internal]
+        for k, (c, m) in enumerate(zip(counts, internal)):
+            shape = (1 << (depth - k),) * dim
+            if c.shape != shape or m.shape != shape:
+                raise ValueError(f"level {k} needs shape {shape}")
+        if internal[0].any():
+            raise ValueError("a unit node cannot be internal")
+        for k in range(depth):
+            if (internal[k] & ~_under(internal[k + 1])).any():
+                raise ValueError(f"an internal scale-{k} node has a leaf ancestor")
         self.dim = dim
         self.depth = depth
         self.side = 1 << depth
-        self._values = values
-        self._internal = internal
+        # Flat memoryviews: indexing one returns a Python int or bool, at
+        # half the cost of reading a numpy element.
+        self._counts = [memoryview(c.ravel()) for c in counts]
+        self._internal = [memoryview(m.ravel()) for m in internal]
         self.world = world
         # Component labels of the unit grid, computed on the first
         # grid_connected call.
         self._labels: np.ndarray | None = None
-
-    @property
-    def values(self) -> dict[int, float]:
-        """Packed key -> occupancy of every stored node; do not modify."""
-        return self._values
-
-    @property
-    def internal(self) -> set[int]:
-        """Packed keys of the stored nodes that have children; do not modify."""
-        return self._internal
 
     @property
     def root(self) -> NodeIndex:
@@ -286,60 +299,74 @@ class OccupancyTree:
 
     @property
     def node_count(self) -> int:
-        return len(self._values)
+        """Stored nodes: the root and the children of every internal node."""
+        inner = sum(np.count_nonzero(np.asarray(m)) for m in self._internal)
+        return 1 + (inner << self.dim)
 
-    def _key(self, idx: NodeIndex) -> int:
-        return pack_index(idx.scale, idx.center2)
+    def lookup(self, scale: int, center2: Sequence[int]) -> tuple[float, bool]:
+        """Value and internal flag of a node address, without checking it.
+
+        The address must be valid (valid_index); value and is_internal are
+        the checked forms.  The reduced view makes this one call per node
+        it decides.
+        """
+        shift = scale + 1
+        width = self.depth - scale
+        i = 0
+        for c in reversed(center2):
+            i = (i << width) | (c >> shift)
+        return self._counts[scale][i] / (1 << self.dim * scale), self._internal[scale][i]
 
     def has_node(self, idx: NodeIndex) -> bool:
-        return self._key(idx) in self._values
+        """True when idx is a node address under internal ancestors only."""
+        if not valid_index(idx, self.dim, self.depth):
+            return False
+        return idx.scale == self.depth or self.lookup(*parent_of(idx))[1]
 
     def is_leaf(self, idx: NodeIndex) -> bool:
         """True when the node is stored and carries no children."""
-        key = self._key(idx)
-        if key not in self._values:
+        if not self.has_node(idx):
             raise KeyError(f"node {idx} is not stored in the tree")
-        return key not in self._internal
+        return not self.lookup(idx.scale, idx.center2)[1]
 
     def is_internal(self, idx: NodeIndex) -> bool:
-        return self._key(idx) in self._internal
-
-    def _stored_key(self, idx: NodeIndex) -> int:
-        """Key of the first stored node at or above idx.
-
-        Nothing is stored below a leaf, so for an unstored idx this is the
-        stored leaf whose cube contains idx's cube.
-        """
-        values = self._values
-        key = pack_index(idx.scale, idx.center2)
-        while key not in values:
-            idx = parent_of(idx)
-            key = pack_index(idx.scale, idx.center2)
-        return key
+        """True when the node has children; such a node is always stored."""
+        if not valid_index(idx, self.dim, self.depth):
+            raise ValueError(f"{idx} is not a node address of this tree")
+        return self.lookup(idx.scale, idx.center2)[1]
 
     def value(self, idx: NodeIndex) -> float:
         """Occupancy fraction of the node's cube.
 
-        Descendants of a collapsed leaf resolve to the leaf's value, so the
-        pruned tree answers exactly like the unpruned one.
+        Every node address has one, stored or not: a node under a uniform
+        leaf has the leaf's value, so the pruned tree answers exactly like
+        the unpruned one.
         """
         if not valid_index(idx, self.dim, self.depth):
             raise ValueError(f"{idx} is not a node address of this tree")
-        return self._values[self._stored_key(idx)]
+        return self.lookup(idx.scale, idx.center2)[0]
 
     def leaf_at(self, point: Sequence[float]) -> NodeIndex:
         """Deepest stored node whose cube contains the point.
 
         Containment is half-open: points on a shared face belong to the
         neighbor with the larger coordinate.  The point must be strictly
-        inside the world box.  The node is the first stored ancestor of
-        the unit cell floor(point).
+        inside the world box.  The node is the first ancestor of the unit
+        cell floor(point) whose parent is internal, or the root: the walk
+        goes up, as the planner's points mostly lie in fine leaves.
         """
         for x in point:
             if not 0.0 < x < self.side:
                 raise ValueError(f"point {tuple(point)} not strictly inside")
-        cell = NodeIndex(0, tuple(2 * int(x) + 1 for x in point))
-        return unpack_index(self._stored_key(cell), self.dim)
+        cell = [int(x) for x in point]
+
+        def address(k: int) -> tuple[int, ...]:
+            return tuple(((c >> k) << (k + 1)) | (1 << k) for c in cell)
+
+        k = 0
+        while k < self.depth and not self.lookup(k + 1, address(k + 1))[1]:
+            k += 1
+        return NodeIndex(k, address(k))
 
     def is_eps_obstacle(self, idx: NodeIndex, eps: float) -> bool:
         """Scale-weighted obstacle test.
@@ -353,32 +380,25 @@ class OccupancyTree:
         return self.value(idx) >= 1.0 - eps * 2.0 ** (-self.dim * idx.scale)
 
     def iter_nodes(self) -> Iterator[tuple[NodeIndex, float]]:
-        for key, val in self._values.items():
-            yield unpack_index(key, self.dim), val
+        """Every stored node with its value: coarse to fine, levels in flat order."""
+        dim, depth = self.dim, self.depth
+        stored = np.ones(1, dtype=bool)
+        for k in range(depth, -1, -1):
+            shape = (1 << (depth - k),) * dim
+            flat = np.flatnonzero(stored)
+            # unravel_index gives numpy axes, the spatial axes reversed.
+            axes = np.unravel_index(flat, shape)[::-1]
+            centers = zip(*[(((a << 1) | 1) << k).tolist() for a in axes])
+            counts, full = self._counts[k], 1 << (dim * k)
+            for i, c2 in zip(flat.tolist(), centers):
+                yield NodeIndex(k, c2), counts[i] / full
+            stored = _under(np.asarray(self._internal[k]).reshape(shape)).ravel()
 
     def to_grid(self) -> GridWorld:
-        """The unit-cell grid the tree describes.
-
-        Returns the source grid when one is attached; otherwise the grid is
-        reconstructed by painting every leaf cube, which requires all leaf
-        values to be binary.
-        """
+        """The unit-cell grid: the source grid if attached, else level 0's counts."""
         if self.world is not None:
             return self.world
-        shape = (self.side,) * self.dim
-        cells = np.zeros(shape, dtype=np.uint8)
-        for key, val in self._values.items():
-            if key in self._internal or val == 0.0:
-                continue
-            if val != 1.0:
-                raise ValueError("tree has fractional leaves; no grid exists")
-            k, c2 = unpack_index(key, self.dim)
-            half = 1 << k
-            # A leaf cube spans unit cells [(c2-2**k)/2, (c2+2**k)/2); numpy
-            # axis a holds spatial axis dim-1-a (flat layout, axis 0 fastest).
-            sl = tuple(slice((c - half) >> 1, (c + half) >> 1) for c in reversed(c2))
-            cells[sl] = 1
-        return GridWorld(self.dim, self.depth, cells)
+        return GridWorld(self.dim, self.depth, np.asarray(self._counts[0]))
 
 
 def grid_connected(
@@ -451,48 +471,12 @@ def _component_labels(world: GridWorld) -> np.ndarray:
 def build_from_grid(world: GridWorld) -> OccupancyTree:
     """Build the pruned occupancy tree of a grid.
 
-    Every stored node is materialized explicitly; uniform subtrees collapse
-    into single leaves.  Parent values are computed from unit-cell counts,
-    so they are exactly the mean of their children's values.  Levels are
-    processed top-down with vectorized key packing.
+    A node is internal when its cube holds both free and obstacle cells,
+    so uniform subtrees collapse into single leaves.  Values come from
+    unit-cell counts, so a parent's value is exactly the mean of its
+    children's.
     """
-    dim, depth = world.dim, world.depth
-    values, internal = _build_levels(_count_pyramid(world), dim, depth)
-    return OccupancyTree(dim, depth, values, internal, world)
-
-
-def _build_levels(
-    pyramid: list[np.ndarray], dim: int, depth: int
-) -> tuple[dict[int, float], set[int]]:
-    values: dict[int, float] = {}
-    internal: set[int] = set()
-    # Keys are packed as unsigned 64-bit words when they fit one (dim <= 5)
-    # and as Python ints otherwise.
-    fits = dim * COORD_BITS + max(depth, 1).bit_length() <= 64
-    dtype = np.uint64 if fits else object
-    mixed_prev: np.ndarray | None = None
-    for k in range(depth, -1, -1):
-        if mixed_prev is None:
-            stored = np.ones((1,) * dim, dtype=bool)
-        else:
-            stored = mixed_prev
-            for ax in range(dim):
-                stored = stored.repeat(2, axis=ax)
-        counts = pyramid[k]
-        full = 1 << (dim * k)
-        sel = np.nonzero(stored)
-        cnt = counts[sel]
-        # numpy axis a holds spatial axis dim-1-a, and keys pack spatial
-        # axis 0 first, so read the numpy axes in reverse.
-        center2 = [
-            ((sel[a].astype(dtype) << 1) | 1) << k for a in reversed(range(dim))
-        ]
-        key = pack_index(np.full(cnt.shape, k, dtype=dtype), center2)
-        values.update(zip(key.tolist(), (cnt / float(full)).tolist()))
-        if k > 0:
-            mixed = (cnt > 0) & (cnt < full)
-            internal.update(key[mixed].tolist())
-            grid_mixed = np.zeros(counts.shape, dtype=bool)
-            grid_mixed[sel] = mixed
-            mixed_prev = grid_mixed
-    return values, internal
+    dim = world.dim
+    counts = _count_pyramid(world)
+    internal = [(0 < c) & (c < (1 << (dim * k))) for k, c in enumerate(counts)]
+    return OccupancyTree(dim, world.depth, counts, internal, world)

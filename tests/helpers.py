@@ -43,6 +43,26 @@ def random_index(rng, dim: int, depth: int, scale: int | None = None) -> NodeInd
     return NodeIndex(k, c2)
 
 
+def tree_levels(tree) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The count and internal-flag levels of a tree, read node by node.
+
+    Each level is shaped as OccupancyTree takes it: numpy axis a holds
+    spatial axis dim - 1 - a.
+    """
+    counts, internal = [], []
+    for k in range(tree.depth + 1):
+        shape = (1 << (tree.depth - k),) * tree.dim
+        count = np.zeros(shape, dtype=np.int64)
+        inner = np.zeros(shape, dtype=bool)
+        for pos in np.ndindex(shape):
+            idx = NodeIndex(k, tuple(((p << 1) | 1) << k for p in reversed(pos)))
+            count[pos] = round(tree.value(idx) * (1 << (tree.dim * k)))
+            inner[pos] = tree.is_internal(idx)
+        counts.append(count)
+        internal.append(inner)
+    return counts, internal
+
+
 def interval_face_test(a, b) -> bool:
     """Neighbor oracle: the two cubes share a (d-1)-dimensional face.
 

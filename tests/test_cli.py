@@ -250,6 +250,10 @@ def test_mspp_seed_seeds_only_where_seed_is_read(tmp_path, capsys, monkeypatch):
         ("spheres:8,8,nan", "spheres:x1,..,xd,r[;x1,..,xd,r]..."),
         ("checkerboard:inf", "checkerboard:period"),
         ("wall:0,inf,2", "wall:axis,position,gap"),
+        # the constructors' own range checks
+        ("checkerboard:-1", "checkerboard:period"),
+        ("spheres:8,8,-1", "spheres:x1,..,xd,r[;x1,..,xd,r]..."),
+        ("wall:0,3,-2", "wall:axis,position,gap"),
     ],
 )
 def test_predicate_errors_name_the_kind_and_its_syntax(capsys, predicate, syntax):

@@ -73,19 +73,10 @@ def corridor_world():
 
 def full_free_tree(dim: int, depth: int) -> OccupancyTree:
     """All-free occupancy tree kept fully subdivided (no collapsing)."""
-    import itertools
-
-    values: dict[int, float] = {}
-    internal: set[int] = set()
-    for k in range(depth + 1):
-        step = 2 << k
-        axis = range(1 << k, 2 << depth, step)
-        for c2 in itertools.product(axis, repeat=dim):
-            key = pack_index(k, c2)
-            values[key] = 0.0
-            if k > 0:
-                internal.add(key)
-    return OccupancyTree(dim, depth, values, internal, None)
+    shapes = [(1 << (depth - k),) * dim for k in range(depth + 1)]
+    counts = [np.zeros(shape, dtype=np.int64) for shape in shapes]
+    internal = [np.full(shape, k > 0) for k, shape in enumerate(shapes)]
+    return OccupancyTree(dim, depth, counts, internal)
 
 
 def test_cost_model_examples():

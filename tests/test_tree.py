@@ -1,5 +1,6 @@
 """Dyadic tree addressing, construction from grids, values, and map files."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_bfs_reachable, random_index, random_world, snake_world
+from helpers import (
+    grid_bfs_reachable,
+    random_index,
+    random_world,
+    snake_world,
+    tree_levels,
+)
 from mspp.tree import (
     GridWorld,
     NodeIndex,
@@ -29,8 +36,6 @@ from mspp.tree import (
 
 def brute_fraction(world: GridWorld, idx: NodeIndex) -> float:
     """Obstacle volume fraction by direct cell enumeration."""
-    import itertools
-
     lo2, hi2 = node_bounds2(idx)
     ranges = [range(a // 2, b // 2) for a, b in zip(lo2, hi2)]
     total = 0
@@ -103,8 +108,6 @@ def test_parent_child_round_trip(data):
 
 
 def test_pack_index_injective_on_small_world():
-    import itertools
-
     dim, depth = 2, 3
     seen = {}
     for k in range(depth + 1):
@@ -141,7 +144,7 @@ def test_build_single_obstacle_quadrant():
 
 def test_build_matches_brute_force_fractions():
     rng = np.random.default_rng(11)
-    # dim 6 packs keys wider than 64 bits, so its build uses Python ints.
+    # dim 6 widens the count dtype by level: its root counts up to 2**12.
     for dim, depth in [(2, 3), (6, 2)]:
         size = 1 << (dim * depth)
         world = GridWorld(dim, depth, (rng.random(size) < 0.4).astype(np.uint8))
@@ -153,6 +156,46 @@ def test_build_matches_brute_force_fractions():
             assert tree.value(idx) == val
             if tree.is_leaf(idx) and idx.scale > 0:
                 assert expect in (0.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_every_address_reads_its_brute_force_value(dim, depth, seed):
+    # stored or not: a node under a uniform leaf reads the leaf's value
+    rng = np.random.default_rng(seed)
+    size = 1 << (dim * depth)
+    world = GridWorld(dim, depth, (rng.random(size) < 0.35).astype(np.uint8))
+    tree = build_from_grid(world)
+    for k in range(depth + 1):
+        axis = range(1 << k, 2 << depth, 2 << k)
+        for c2 in itertools.product(axis, repeat=dim):
+            idx = NodeIndex(k, c2)
+            expect = brute_fraction(world, idx)
+            assert tree.value(idx) == expect
+            assert tree.is_internal(idx) == (0.0 < expect < 1.0)
+            point = tuple(c / 2.0 for c in c2)
+            leaf = tree.leaf_at(point)
+            assert tree.is_leaf(leaf)
+            lo2, hi2 = node_bounds2(leaf)
+            assert all(a <= 2 * x < b for x, a, b in zip(point, lo2, hi2))
+
+
+def test_explicit_levels_are_checked():
+    zeros = [np.zeros((4, 4), int), np.zeros((2, 2), int), np.zeros((1, 1), int)]
+    flags = [np.zeros(c.shape, bool) for c in zeros]
+    OccupancyTree(2, 2, zeros, flags)
+    with pytest.raises(ValueError, match="3 levels"):
+        OccupancyTree(2, 2, zeros[:2], flags[:2])
+    with pytest.raises(ValueError, match="level 1 needs shape"):
+        OccupancyTree(2, 2, [zeros[0], zeros[0], zeros[2]], flags)
+    with pytest.raises(ValueError, match="level 0 needs shape"):
+        OccupancyTree(2, 2, zeros, [np.zeros(16, bool)] + flags[1:])
+    unit = [np.ones((4, 4), bool)] + flags[1:]
+    with pytest.raises(ValueError, match="unit node"):
+        OccupancyTree(2, 2, zeros, unit)
+    orphan = [flags[0], np.ones((2, 2), bool), flags[2]]
+    with pytest.raises(ValueError, match="leaf ancestor"):
+        OccupancyTree(2, 2, zeros, orphan)
 
 
 def test_value_three_sixteenths():
@@ -309,9 +352,7 @@ def test_to_grid_round_trip():
         world = GridWorld(dim, depth, (rng.random(size) < 0.4).astype(np.uint8))
         tree = build_from_grid(world)
         assert tree.to_grid() == world
-        detached = OccupancyTree(
-            tree.dim, tree.depth, dict(tree.values), set(tree.internal), None
-        )
+        detached = OccupancyTree(dim, depth, *tree_levels(tree))
         assert detached.to_grid() == world
 
 
@@ -374,8 +415,8 @@ def test_grid_connected_matches_flood_fill(dim, depth, detach, seed):
     world = GridWorld(dim, depth, (rng.random(size) < 0.4).astype(np.uint8))
     tree = build_from_grid(world)
     if detach:
-        # no source grid attached: the labels come from the painted leaves
-        tree = OccupancyTree(dim, depth, dict(tree.values), set(tree.internal), None)
+        # no source grid attached: the labels come from the level-0 counts
+        tree = OccupancyTree(dim, depth, *tree_levels(tree))
     side = 1 << depth
     for _ in range(6):
         a = tuple(int(rng.integers(0, side)) for _ in range(dim))
