@@ -196,6 +196,19 @@ def test_explicit_levels_are_checked():
     orphan = [flags[0], np.ones((2, 2), bool), flags[2]]
     with pytest.raises(ValueError, match="leaf ancestor"):
         OccupancyTree(2, 2, zeros, orphan)
+    with pytest.raises(ValueError, match="0 or 1"):
+        OccupancyTree(2, 2, [np.full((4, 4), 2)] + zeros[1:], flags)
+    # one obstacle cell under a root that still reads 0
+    cell = np.zeros((4, 4), int)
+    cell[0, 0] = 1
+    mixed = [flags[0], np.array([[True, False], [False, False]]), np.ones((1, 1), bool)]
+    with pytest.raises(ValueError, match="level-2 counts"):
+        OccupancyTree(2, 2, [cell, np.array([[1, 0], [0, 0]]), zeros[2]], mixed)
+    # the same cell, but its scale-1 node is a leaf that reads 1/4
+    levels = [cell, np.array([[1, 0], [0, 0]]), np.ones((1, 1), int)]
+    with pytest.raises(ValueError, match="scale-1 leaf is not uniform"):
+        OccupancyTree(2, 2, levels, [flags[0], flags[1], np.ones((1, 1), bool)])
+    OccupancyTree(2, 2, levels, mixed)
 
 
 def test_value_three_sixteenths():
@@ -415,7 +428,7 @@ def test_grid_connected_matches_flood_fill(dim, depth, detach, seed):
     world = GridWorld(dim, depth, (rng.random(size) < 0.4).astype(np.uint8))
     tree = build_from_grid(world)
     if detach:
-        # no source grid attached: the labels come from the level-0 counts
+        # the same levels through the explicit-levels constructor
         tree = OccupancyTree(dim, depth, *tree_levels(tree))
     side = 1 << depth
     for _ in range(6):
@@ -436,7 +449,7 @@ def test_grid_connected_joins_long_winding_corridors():
     cells[world.flat_index(free[len(free) // 2])] = 1
     cut = build_from_grid(GridWorld(2, 5, cells))
     probes = free[1::7]
-    reach = [grid_bfs_reachable(cut.world, free[0], c) for c in probes]
+    reach = [grid_bfs_reachable(cut.to_grid(), free[0], c) for c in probes]
     assert [grid_connected(cut, free[0], c) for c in probes] == reach
     assert any(reach) and not all(reach)
 
