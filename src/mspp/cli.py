@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -167,6 +168,8 @@ def _merged_config(args: argparse.Namespace, from_map: bool = False) -> dict:
         if isinstance(value, bool) or not isinstance(value, kinds):
             what = "an integer" if kinds is int else "a number"
             raise ValueError(f"{key} must be {what}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} must be a finite number, got {value!r}")
         if setting.valid is not None and not setting.valid(value):
             raise ValueError(f"{key} must be {setting.rule}, got {value!r}")
     return cfg

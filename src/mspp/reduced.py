@@ -13,9 +13,12 @@ root of dim is eliminated by squaring twice with sign checks, folded into a
 per-scale integer threshold.  The thresholds depend only on the focus
 scale, so each view computes them once per focus scale.
 
-Scale-weighted obstacle nodes, explicitly blocked cells and known
-obstacles are removed entirely: a removed child leaves a None hole in its
-parent's child list.
+One rule decides every node in both modes (stated in refresh): known
+obstacles first, then the nodes holding a path or blocked cell, then
+whether the node can split (an internal map node or, map-free, a coarse
+block not proven free) and the far window.  Known obstacles, blocked
+cells and (with a map) scale-weighted obstacle leaves are removed
+entirely: a removed child leaves a None hole in its parent's child list.
 
 The view is lazy.  refresh() does O(1) work: it captures its inputs,
 starts a new generation and decides the root.  Every node carries the
@@ -31,8 +34,8 @@ from scratch with the same inputs.  Two facts make that exact:
 * A None hole is never stale.  Every removal is permanent: known-obstacle
   keys and blocked cells are only ever added, and an exact-mode removal
   needs a value of at least 1 - eps * 2**(-dim * k), which with eps < 1 on
-  a 0/1 grid means occupancy 1.0, held only by a stored leaf, which stops
-  at every focus.
+  a 0/1 grid means occupancy 1.0.  Every node below such a node holds 1.0
+  too, so at any focus it is removed or keeps no leaf below it.
 * A node that descends but loses every child stays in the view as an
   internal node with None slots.  Every lookup answers for it as if it
   were gone, and snapshot() skips it, as a rebuild would have dropped it;
@@ -51,7 +54,7 @@ from math import isqrt
 from typing import AbstractSet
 
 from .neighbors import child_at, collect_leaves, find_containing
-from .tree import NodeIndex, OccupancyTree, pack_index
+from .tree import NodeIndex, OccupancyTree
 
 __all__ = [
     "RTNode",
@@ -106,7 +109,7 @@ class ViewRoot(RTNode):
         self.settle = None
 
 
-def _take(counts: dict[int, int], key: int) -> None:
+def _take(counts: dict[tuple, int], key: tuple) -> None:
     left = counts[key] - 1
     if left:
         counts[key] = left
@@ -117,12 +120,12 @@ def _take(counts: dict[int, int], key: int) -> None:
 class CellTracker:
     """Multiset of cells with O(1) containment queries against tree nodes.
 
-    For every member cell the tracker records its own packed key and the
-    keys of its ancestors up to the root.  A node then holds some member's
-    center strictly inside its cube exactly when its key is among the
-    recorded ancestor keys.  Counts make removal exact when the same cell
-    was added twice.  version counts the changes, so a view can tell that
-    its inputs moved on.
+    For every member cell the tracker records its own (scale, center2) key
+    and the keys of its ancestors up to the root.  A node then holds some
+    member's center strictly inside its cube exactly when its key is among
+    the recorded ancestor keys.  Counts make removal exact when the same
+    cell was added twice.  version counts the changes, so a view can tell
+    that its inputs moved on.
     """
 
     __slots__ = ("dim", "depth", "version", "_anc", "_members")
@@ -131,18 +134,18 @@ class CellTracker:
         self.dim = dim
         self.depth = depth
         self.version = 0
-        self._anc: dict[int, int] = {}
-        self._members: dict[int, int] = {}
+        self._anc: dict[tuple, int] = {}
+        self._members: dict[tuple, int] = {}
 
-    def _lineage(self, idx: NodeIndex) -> list[int]:
-        """Packed keys of idx and of its ancestors up to the root, idx first."""
+    def _lineage(self, idx: NodeIndex) -> list[tuple]:
+        """Keys of idx and of its ancestors up to the root, idx first."""
         scale, c2 = idx
         keys = []
         for k in range(scale, self.depth + 1):
             # The scale-k ancestor, in closed form (parent_of, k - scale times).
             up = k + 1
             step = 1 << k
-            keys.append(pack_index(k, [((c >> up) << up) | step for c in c2]))
+            keys.append((k, tuple([((c >> up) << up) | step for c in c2])))
         return keys
 
     def add(self, idx: NodeIndex) -> None:
@@ -162,10 +165,10 @@ class CellTracker:
 
     def covers(self, idx: NodeIndex) -> bool:
         """Some member center lies strictly inside the given node's cube."""
-        return pack_index(idx.scale, idx.center2) in self._anc
+        return idx in self._anc
 
     def is_member(self, idx: NodeIndex) -> bool:
-        return pack_index(idx.scale, idx.center2) in self._members
+        return idx in self._members
 
     def __len__(self) -> int:
         return sum(self._members.values())
@@ -218,20 +221,20 @@ class ReducedTree:
                 raise ValueError(f"point {tuple(point)} not strictly inside")
         return find_containing(self.root, tuple(2 * int(x) + 1 for x in point))
 
-    def snapshot(self) -> dict[int, bool]:
-        """Packed node key -> is_leaf, for structural equality checks.
+    def snapshot(self) -> dict[tuple, bool]:
+        """(scale, center2) -> is_leaf, for structural equality checks.
 
         Resolves the whole view.  Internal nodes with no leaf below them
         are left out, the root excepted, as a rebuild from scratch would
         have removed them.
         """
-        out: dict[int, bool] = {}
+        out: dict[tuple, bool] = {}
         settle = self.root.settle
 
         def walk(node: RTNode) -> bool:
             kids = node.children
             if kids is None:
-                out[pack_index(node.scale, node.center2)] = True
+                out[node.scale, node.center2] = True
                 return True
             kept = False
             for slot in range(len(kids)):
@@ -239,12 +242,12 @@ class ReducedTree:
                 if child is not None and walk(child):
                     kept = True
             if kept:
-                out[pack_index(node.scale, node.center2)] = False
+                out[node.scale, node.center2] = False
             return kept
 
         root = self.root
         if not walk(root):
-            out[pack_index(root.scale, root.center2)] = False
+            out[root.scale, root.center2] = False
         return out
 
 
@@ -293,37 +296,49 @@ def refresh(
     blocked: CellTracker,
     eps: float,
     alpha: float,
-    obstacles: AbstractSet[int] | None = None,
-    free: AbstractSet[int] | None = None,
+    obstacles: AbstractSet[tuple] | None = None,
+    free: AbstractSet[tuple] | None = None,
 ) -> None:
     """Start a new generation of the view around the current cell.
 
     Only the root is decided here; every other node is decided when a
-    lookup first reaches it (see the module docstring), by this rule:
+    lookup first reaches it (see the module docstring).
 
-    tree is the exact occupancy map, or None to run map-free, in which case
-    the partition refines to unit scale and no occupancy-based removal
-    happens here (classification is the searcher's job).  With a map, only
-    internal map nodes descend, and deciding a node costs one tree.lookup.
-    Nodes become leaves when they are far from the focus, or cannot
-    subdivide further; cells of the traversed path and blocked cells keep
-    their surroundings refined.  Blocked cells and (with a map)
-    scale-weighted obstacle nodes are removed along with their subtrees, as
-    are nodes whose packed keys (mspp.tree.pack_index) appear in
-    `obstacles` (map-free classifications already paid for).
-    Known obstacles are pruned before descent, so a path or blocked cell
-    nearby never splits one back into the view.
-    Packed keys in `free` mark nodes proven fully free by enumeration;
-    map-free descent stops at them the way map descent stops at pure
-    stored leaves, except around path and blocked cells, which keep their
-    surroundings fine.
+    tree is the exact occupancy map, or None to run map-free.  path holds
+    the trail cells and blocked the cells the walk backed out of.  Map-free
+    classifications already paid for come as (scale, center2) keys:
+    `obstacles` for nodes flagged as obstacles, `free` for nodes proven
+    fully free by enumeration.  One rule decides every node in both modes:
+
+    1. A known obstacle (a key in `obstacles`) is removed, before a path
+       or blocked cell nearby could split it back into the view.
+    2. A node that is a path or blocked cell or holds one inside its cube:
+       a blocked cell is removed, a path cell is a leaf, and any other such
+       node splits, so those cells keep their surroundings fine.
+    3. Any other node is internal when the map says so (exact mode, one
+       tree.lookup) or, map-free, unless it is a unit cell or a known-free
+       block.  A node that is not internal is a leaf; an internal node is a
+       leaf when it is far from the focus, and splits otherwise.
+    4. In exact mode a leaf is removed when its value reaches
+       1 - eps * 2**(-dim * scale), a scale-weighted obstacle.  Map-free,
+       nothing is removed by value: classification is the searcher's job.
+
+    This rule replaced one that tested the same marks in a different
+    order per mode.  The two agree on every map-free input, and in exact
+    mode whenever the path and blocked cells are stored map leaves, which
+    is all a PlannerSession makes.  Other exact inputs can differ: a stored
+    leaf holding a path or blocked cell strictly inside now splits (the old
+    rule kept it whole), and a path cell that is an internal map node is
+    now a leaf (the old rule split it).  For example, on a depth-3 2-D map
+    whose only obstacle is cell (7, 7), with path cell (2, (4, 4)) and
+    blocked cell (0, (3, 11)), the free stored leaf (2, (4, 12)) splits and
+    the blocked cell is removed: 12 view leaves where the old rule had 7.
 
     The inputs must stay as they are until the next refresh: a lookup that
     decides a node after path, blocked, `obstacles` or `free` changed
     raises RuntimeError (the two key sets are checked by size, as they
-    only grow).  Across refreshes,
-    blocked cells and `obstacles` may only be added, as a removed node is
-    never decided again.
+    only grow).  Across refreshes, blocked cells and `obstacles` may only
+    be added, as a removed node is never decided again.
     """
     dim, depth = rtree.dim, rtree.depth
     if current.scale > depth or len(current.center2) != dim:
@@ -353,8 +368,8 @@ def refresh(
     path_version = path.version
     blocked_version = blocked.version
     # obstacles and free only grow, so their sizes tell whether they moved.
-    obstacle_keys = obstacles if obstacles else None
-    free_keys = free if free else None
+    obstacle_keys = obstacles or ()
+    free_keys = free or ()
     obstacles_len = len(obstacles) if obstacles is not None else 0
     free_len = len(free) if free is not None else 0
     gen = rtree.gen = rtree.gen + 1
@@ -370,42 +385,27 @@ def refresh(
             raise RuntimeError("view inputs changed since the last refresh")
         k = node.scale
         c2 = node.center2
-        key = pack_index(k, c2)
-        # A classification already paid for holds for the whole block: drop
-        # it before the path or blocked tests would refine it back in.
-        if obstacle_keys is not None and key in obstacle_keys:
+        key = (k, c2)
+        if key in obstacle_keys:
             return False
         if exact:
             value, inner = lookup(k, c2)
-            if not inner:
-                stop = True
-            elif key in path_anc or key in blocked_anc:
-                stop = False
-            else:
-                stop = None
         else:
-            # Blocked cells can sit at any scale map-free; remove them
-            # before the ancestor test would descend into them.
+            inner = k > 0 and key not in free_keys
+        if key in path_anc or key in blocked_anc:
             if key in blocked_members:
                 return False
-            if k == 0 or key in path_members:
-                stop = True
-            elif key in path_anc or key in blocked_anc:
-                stop = False
-            elif free_keys is not None and key in free_keys:
-                stop = True
-            else:
-                stop = None
-        if stop is None:
+            stop = key in path_members
+        elif inner:
             # The far-window test.
             s = 0
             for a, b in zip(c2, cur2):
                 d = a - b
                 s += d * d
             stop = s * den_sq >= thresholds[k]
+        else:
+            stop = True
         if stop:
-            if key in blocked_members:
-                return False
             if exact and value >= obs_at[k]:
                 return False
             node.children = None

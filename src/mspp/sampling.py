@@ -77,8 +77,8 @@ class BoundParams:
             raise ValueError("depth must be >= 0 and dim >= 1")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < inf:
+            raise ValueError("gamma must be positive and finite")
         if self.samples < 1 or self.regions < 1:
             raise ValueError("samples and regions must be >= 1")
 

@@ -52,7 +52,6 @@ from .tree import (
     NodeIndex,
     OccupancyTree,
     grid_connected,
-    pack_index,
     valid_index,
 )
 
@@ -270,7 +269,7 @@ def _node_memos(tree, estimator, eps, gamma, fresh_obstacles, fresh_free):
 
     def learn_free(idx: NodeIndex) -> None:
         if idx.scale > 0 and estimator.known_free(idx):
-            fresh_free.add(pack_index(idx.scale, idx.center2))
+            fresh_free.add(idx)
 
     def value(idx: NodeIndex) -> float:
         v = estimator.value(idx)
@@ -281,7 +280,7 @@ def _node_memos(tree, estimator, eps, gamma, fresh_obstacles, fresh_free):
     def flagged(idx: NodeIndex) -> bool:
         got, _ = estimator.classify(idx, eps, gamma)
         if got:
-            fresh_obstacles.add(pack_index(idx.scale, idx.center2))
+            fresh_obstacles.add(idx)
         else:
             learn_free(idx)
         return got
@@ -328,6 +327,9 @@ class PlannerSession:
             raise ValueError("give exactly one of tree or predicate")
         if not 0.0 < eps < 1.0:
             raise ValueError("eps must lie in (0, 1)")
+        for name, value in (("weight", weight), ("alpha", alpha), ("gamma", gamma)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if weight < 0:
             raise ValueError("weight must be nonnegative")
         if budget is not None and budget < 0:
@@ -342,8 +344,7 @@ class PlannerSession:
         elif dim is None or depth is None:
             raise ValueError("map-free mode needs dim and depth")
         elif not 0 <= depth <= MAX_DEPTH:
-            # Map-free mode builds no GridWorld to check this; past MAX_DEPTH
-            # distinct cells would share a packed key.
+            # Map-free mode builds no GridWorld to check this.
             raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
         self.tree = tree
         self.dim = dim
@@ -375,17 +376,16 @@ class PlannerSession:
         self.path_cells.add(start_v)
         self.blocked_cells = CellTracker(dim, depth)
         self.blocked = 0
-        # Packed keys of nodes already classified: refresh prunes known
-        # obstacles from later views so A* stops re-touching them, and
-        # stops descent at blocks proven fully free, which otherwise
-        # would be split to unit scale on every iteration.  A search's own
-        # classifications wait in the fresh sets until the next refresh:
-        # the view decides its nodes lazily, and its inputs must not move
-        # under it.
-        self._known_obstacles: set[int] = set()
-        self._known_free: set[int] = set()
-        self._fresh_obstacles: set[int] = set()
-        self._fresh_free: set[int] = set()
+        # Nodes already classified: refresh prunes known obstacles from
+        # later views so A* stops re-touching them, and stops descent at
+        # blocks proven fully free, which otherwise would be split to unit
+        # scale on every iteration.  A search's own classifications wait in
+        # the fresh sets until the next refresh: the view decides its nodes
+        # lazily, and its inputs must not move under it.
+        self._known_obstacles: set[NodeIndex] = set()
+        self._known_free: set[NodeIndex] = set()
+        self._fresh_obstacles: set[NodeIndex] = set()
+        self._fresh_free: set[NodeIndex] = set()
         self._values, self._flags = _node_memos(
             tree, self.estimator, eps, gamma, self._fresh_obstacles, self._fresh_free
         )

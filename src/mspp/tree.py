@@ -22,9 +22,7 @@ leaf's value without a search.  Each level is in the flat layout of the
 map file, axis 0 fastest; as a numpy array, axis a holds spatial axis
 dim - 1 - a.
 
-Other modules key nodes by one packed int (pack_index): the scale in the
-top bits, then COORD_BITS bits per doubled center coordinate, axis 0
-highest.  They build keys through pack_index and treat them as opaque.
+Every module keys a node by its address, the (scale, center2) tuple.
 """
 
 from __future__ import annotations
@@ -42,34 +40,27 @@ __all__ = [
     "parent_of",
     "node_bounds2",
     "node_volume",
-    "pack_index",
     "read_map",
     "write_map",
     "parse_map_text",
     "map_text",
 ]
 
-# Packed keys reserve a fixed number of bits per doubled coordinate, which
-# caps the supported depth at 10 (center2 < 2**12 then).  Plenty for the
-# grids this package targets.  GridWorld enforces it, and a map-free
-# PlannerSession, which builds no grid, checks it itself.
-COORD_BITS = 12
-MAX_DEPTH = COORD_BITS - 2
+# The deepest world the package supports and tests (2**10 cells a side).
+# GridWorld enforces it, and a map-free PlannerSession, which builds no
+# grid, checks it itself.
+MAX_DEPTH = 10
 
 
 class NodeIndex(NamedTuple):
-    """Address of a tree node: cube of side 2**scale centered at center2/2."""
+    """Address of a tree node: cube of side 2**scale centered at center2/2.
+
+    It hashes and compares equal to the plain (scale, center2) tuple, so
+    either form finds the same dict or set entry.
+    """
 
     scale: int
     center2: tuple[int, ...]
-
-
-def pack_index(scale: int, center2: Sequence[int]) -> int:
-    """Pack a node address into a single int key (fast dict/set member)."""
-    key = scale
-    for c in center2:
-        key = (key << COORD_BITS) | c
-    return key
 
 
 def node_bounds2(idx: NodeIndex) -> tuple[tuple[int, ...], tuple[int, ...]]:

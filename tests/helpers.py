@@ -15,7 +15,7 @@ import numpy as np
 
 from mspp.environments import GeneratorSpec, generate_map
 from mspp.reduced import ReducedTree, RTNode
-from mspp.tree import GridWorld, NodeIndex, children_of, pack_index
+from mspp.tree import GridWorld, NodeIndex, children_of
 
 
 def random_world(
@@ -252,18 +252,20 @@ def window_far_oracle(idx: NodeIndex, current: NodeIndex, alpha) -> bool:
 def eager_view(tree, current, path, blocked, eps, alpha, obstacles=(), free=()):
     """Reference reduced view: the eager rebuild from the root.
 
-    Applies the refresh rule to every node at once, the way refresh worked
-    before the view became lazy, and returns packed key -> is_leaf in the
-    format of ReducedTree.snapshot(): internal nodes left with no leaf
+    Applies a decision rule to every node at once, the way refresh worked
+    before the view became lazy, and returns (scale, center2) -> is_leaf in
+    the format of ReducedTree.snapshot(): internal nodes left with no leaf
     below them are dropped, the root excepted.  The far test is the exact
-    rational oracle, not the library's integer thresholds.
+    rational oracle, not the library's integer thresholds.  The rule is
+    refresh's older one, with a branch per mode that tests the same marks
+    in a different order; it agrees with refresh's single rule on every
+    map-free input, and with a map whenever the path and blocked cells are
+    stored map leaves.
     """
-    out: dict[int, bool] = {}
+    out: dict[tuple, bool] = {}
 
     def visit(idx: NodeIndex) -> bool:
-        k, c2 = idx
-        key = pack_index(k, c2)
-        if key in obstacles:
+        if idx in obstacles:
             return False
         near_marks = path.covers(idx) or blocked.covers(idx)
         if tree is not None:
@@ -276,11 +278,11 @@ def eager_view(tree, current, path, blocked, eps, alpha, obstacles=(), free=()):
         else:
             if blocked.is_member(idx):
                 return False
-            if k == 0 or path.is_member(idx):
+            if idx.scale == 0 or path.is_member(idx):
                 stop = True
             elif near_marks:
                 stop = False
-            elif key in free:
+            elif idx in free:
                 stop = True
             else:
                 stop = window_far_oracle(idx, current, alpha)
@@ -289,16 +291,16 @@ def eager_view(tree, current, path, blocked, eps, alpha, obstacles=(), free=()):
                 return False
             if tree is not None and tree.is_eps_obstacle(idx, eps):
                 return False
-            out[key] = True
+            out[idx] = True
             return True
         kept = [visit(child) for child in children_of(idx)]
         if any(kept):
-            out[key] = False
+            out[idx] = False
             return True
         return False
 
     depth, dim = path.depth, path.dim
     root = NodeIndex(depth, (1 << depth,) * dim)
     if not visit(root):
-        out[pack_index(*root)] = False
+        out[root] = False
     return out

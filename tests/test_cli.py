@@ -1,6 +1,7 @@
 """The mspp command line: exit codes, outputs and input checks."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -127,6 +128,17 @@ def test_gen_map_round_trip_keeps_corners_free(tmp_path, capsys):
         (["bound"], {"gamma": "0.1"}, "gamma must be a number"),
         # spheres is a predicate, not a map texture gen-map can write
         (["gen-map"], {"kind": "spheres"}, "kind must be one of"),
+        # json writes these as Infinity, which passes the range rules
+        (
+            ["plan", "--predicate", "slab:0,3.2"],
+            {"alpha": math.inf},
+            "alpha must be a finite number",
+        ),
+        (
+            ["plan", "--predicate", "slab:0,3.2"],
+            {"weight": math.inf},
+            "weight must be a finite number",
+        ),
     ],
 )
 def test_config_values_get_the_flag_checks(tmp_path, capsys, command, values, message):

@@ -21,7 +21,6 @@ from mspp.tree import (
     NodeIndex,
     build_from_grid,
     node_bounds2,
-    pack_index,
 )
 
 
@@ -301,8 +300,8 @@ def test_refresh_prunes_known_obstacles_and_keeps_known_free():
     path.add(current)
     bad = NodeIndex(0, (3, 1))
     free_block = NodeIndex(1, (6, 2))
-    obstacles = {pack_index(bad.scale, bad.center2)}
-    free = {pack_index(free_block.scale, free_block.center2)}
+    obstacles = {bad}
+    free = {free_block}
     rtree = ReducedTree(2, 3)
     refresh(
         rtree,
@@ -458,7 +457,7 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
     """
     side = 1 << depth
     eps, alpha = 0.5, 1.0
-    for seed in range(4):
+    for seed in range(8):
         rng = np.random.default_rng(seed)
         world = random_world(dim, depth, 0.3, seed=seed)
         tree = build_from_grid(world) if exact else None
@@ -471,17 +470,19 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
             def pick():
                 return cells[int(rng.integers(len(cells)))]
         else:
+            # map-free cells at scales 0-2 also make coarse trail cells that
+            # hold blocked cells, and blocked cells that rejoin the trail
 
             def pick():
-                return random_index(rng, dim, depth, scale=int(rng.integers(0, 2)))
+                return random_index(rng, dim, depth, scale=int(rng.integers(0, 3)))
 
         rtree = ReducedTree(dim, depth)
         path = CellTracker(dim, depth)
         blocked = CellTracker(dim, depth)
         trail = [pick()]
         path.add(trail[0])
-        obstacles: set[int] = set()
-        free: set[int] = set()
+        obstacles: set[NodeIndex] = set()
+        free: set[NodeIndex] = set()
         for step in range(12):
             refresh(
                 rtree, tree, trail[-1], path, blocked, eps, alpha,
@@ -493,11 +494,19 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
                 )
                 assert rtree.snapshot() == want
                 leaves = rtree.vertices()
-                assert {pack_index(v.scale, v.center2) for v in leaves} == {
+                assert {v.index() for v in leaves} == {
                     key for key, leaf in want.items() if leaf
                 }
                 keyed = [(v.scale, v.center2) for v in leaves]
                 assert keyed == sorted(keyed)
+                # a new view decides every node afresh, also the ones this
+                # view removed for good before they rejoined the trail
+                fresh = ReducedTree(dim, depth)
+                refresh(
+                    fresh, tree, trail[-1], path, blocked, eps, alpha,
+                    obstacles=obstacles, free=free,
+                )
+                assert fresh.snapshot() == want
             else:
                 # resolve only what a search would reach
                 rtree.find_vertex(trail[-1])
@@ -517,9 +526,34 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
                 blocked.add(dead)
             if not exact:
                 bad = random_index(rng, dim, depth, scale=int(rng.integers(0, 2)))
-                obstacles.add(pack_index(bad.scale, bad.center2))
+                obstacles.add(bad)
                 ok = random_index(rng, dim, depth, scale=int(rng.integers(1, 3)))
-                free.add(pack_index(ok.scale, ok.center2))
+                free.add(ok)
+
+
+def test_blocked_cell_inside_a_stored_leaf_splits_it():
+    # Exact mode, with a blocked cell that is not a stored leaf: the one
+    # rule refines around it as around any blocked cell and removes it,
+    # where the older two-branch rule (eager_view) kept its stored leaf
+    # whole.
+    cells = np.zeros(64, dtype=np.uint8)
+    cells[7 * 8 + 7] = 1
+    tree = build_from_grid(GridWorld(2, 3, cells))
+    path = CellTracker(2, 3)
+    blocked = CellTracker(2, 3)
+    start = NodeIndex(2, (4, 4))
+    path.add(start)
+    dead = NodeIndex(0, (3, 11))
+    blocked.add(dead)
+    rtree = ReducedTree(2, 3)
+    refresh(rtree, tree, start, path, blocked, eps=0.5, alpha=1.0)
+    leaves = {v.index() for v in rtree.vertices()}
+    assert len(leaves) == 12
+    assert NodeIndex(2, (4, 12)) not in leaves
+    assert rtree.leaf_at_point((1.5, 5.5)) is None
+    assert {NodeIndex(0, (1, 9)), NodeIndex(0, (1, 11)), NodeIndex(0, (3, 9))} <= leaves
+    old = eager_view(tree, start, path, blocked, 0.5, 1.0)
+    assert sum(old.values()) == 7 and old[NodeIndex(2, (4, 12))]
 
 
 def test_view_refuses_to_resolve_after_its_trackers_change():
@@ -550,7 +584,7 @@ def test_view_refuses_to_resolve_after_its_trackers_change():
         path.add(near)
         keys = {"obstacles": set(), "free": set()}
         refresh(rtree, None, near, path, CellTracker(2, 3), 0.5, 1.0, **keys)
-        keys[grown].add(pack_index(0, (15, 15)))
+        keys[grown].add(NodeIndex(0, (15, 15)))
         with pytest.raises(RuntimeError):
             rtree.vertices()
 
@@ -558,7 +592,7 @@ def test_view_refuses_to_resolve_after_its_trackers_change():
 def test_emptied_internal_nodes_answer_as_removed():
     # map-free, every unit cell of the block (1, (6, 2)) a known obstacle
     block = NodeIndex(1, (6, 2))
-    obstacles = {pack_index(0, c2) for c2 in [(5, 1), (7, 1), (5, 3), (7, 3)]}
+    obstacles = {NodeIndex(0, c2) for c2 in [(5, 1), (7, 1), (5, 3), (7, 3)]}
     path = CellTracker(2, 3)
     blocked = CellTracker(2, 3)
     near = NodeIndex(0, (3, 1))
@@ -571,7 +605,7 @@ def test_emptied_internal_nodes_answer_as_removed():
     beside = find_neighbors(rtree.root, rtree.find_vertex(near), 3)
     assert [n.index() for n in beside] == [NodeIndex(0, (1, 1)), NodeIndex(0, (3, 3))]
     want = eager_view(None, near, path, blocked, 0.5, 1.0, obstacles)
-    assert pack_index(block.scale, block.center2) not in want
+    assert block not in want
     assert rtree.snapshot() == want
     # far from the next focus the same block is one unclassified vertex
     far = NodeIndex(0, (15, 15))

@@ -213,6 +213,8 @@ def test_bound_params_validation():
     with pytest.raises(ValueError):
         BoundParams(depth=5, dim=1, eps=0.9, gamma=0.0, samples=16)
     with pytest.raises(ValueError):
+        BoundParams(depth=5, dim=1, eps=0.9, gamma=math.inf, samples=16)
+    with pytest.raises(ValueError):
         BoundParams(depth=5, dim=1, eps=0.9, gamma=0.1, samples=0)
     with pytest.raises(ValueError):
         BoundParams(depth=5, dim=0, eps=0.9, gamma=0.1, samples=16)

@@ -42,7 +42,6 @@ from mspp.tree import (
     NodeIndex,
     OccupancyTree,
     build_from_grid,
-    pack_index,
 )
 from mspp.environments import grid_predicate, realize_grid, uniform_astar
 
@@ -117,6 +116,18 @@ def test_budget_counts_iterations_and_must_be_nonnegative():
     for mode in ({"tree": tree}, {"predicate": lambda p: False, "dim": 2, "depth": 2}):
         with pytest.raises(ValueError, match="budget must be nonnegative"):
             PlannerSession(budget=-1, **mode, **ends)
+
+
+@pytest.mark.parametrize("name", ["weight", "alpha", "gamma"])
+def test_non_finite_settings_are_rejected(name):
+    # an infinite weight would make every coarse edge cost inf, which the
+    # A* drops, and an infinite alpha or gamma overflows Fraction
+    tree = build_from_grid(corridor_world())
+    ends = dict(start=(0.5, 0.5), goal=(3.5, 0.5))
+    for mode in ({"tree": tree}, {"predicate": lambda p: False, "dim": 2, "depth": 2}):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                PlannerSession(**{name: value}, **mode, **ends)
 
 
 def test_node_contains_half_open():
@@ -513,7 +524,7 @@ def test_backtracking_recovers_from_seeded_false_flags():
         samples=1024,
     )
     gap = NodeIndex(1, (2, 18))  # the block holding the only true gap
-    session._known_obstacles.add(pack_index(gap.scale, gap.center2))
+    session._known_obstacles.add(gap)
     result = session.run()
     assert result.status == NO_PATH
     assert result.blocked > 0
@@ -535,7 +546,7 @@ def test_backtracking_never_repeats_a_commitment():
         gamma=0.05,
         samples=1024,
     )
-    session._known_obstacles.add(pack_index(1, (2, 18)))
+    session._known_obstacles.add(NodeIndex(1, (2, 18)))
     seen = set()
     while session.status is None:
         n = len(session.trail)
@@ -800,9 +811,6 @@ def test_grid_connected_labels_each_tree_once(monkeypatch):
 
 
 def test_map_free_depth_past_the_key_range_is_rejected():
-    # past MAX_DEPTH a coordinate outgrows its bits in the packed key, and
-    # distinct cells share one: a tracker holding the first reports both
-    assert pack_index(0, (3, 4097)) == pack_index(0, (1, 8193))
     wall = WallWithGap(0, 20.0, 4.0, (8.0, 30.0))
     with pytest.raises(ValueError, match="depth must be in"):
         PlannerSession(

@@ -25,7 +25,6 @@ from mspp.tree import (
     map_text,
     node_bounds2,
     node_volume,
-    pack_index,
     parent_of,
     parse_map_text,
     read_map,
@@ -107,20 +106,17 @@ def test_parent_child_round_trip(data):
     assert sum(node_volume(k, dim) for k in kids) == node_volume(node, dim)
 
 
-def test_pack_index_injective_on_small_world():
+def test_valid_index_accepts_every_node_of_small_world():
     dim, depth = 2, 3
-    seen = {}
+    count = 0
     for k in range(depth + 1):
         step = 2 << k
         axis = range(1 << k, 1 << (depth + 1), step)
         for c2 in itertools.product(axis, repeat=dim):
-            idx = NodeIndex(k, c2)
-            assert valid_index(idx, dim, depth)
-            key = pack_index(k, c2)
-            assert key not in seen
-            seen[key] = idx
+            assert valid_index(NodeIndex(k, c2), dim, depth)
+            count += 1
     # count of dyadic nodes: sum over scales of 4^(depth-k)
-    assert len(seen) == sum(4 ** (depth - k) for k in range(depth + 1))
+    assert count == sum(4 ** (depth - k) for k in range(depth + 1))
 
 
 def test_build_all_free_collapses_to_root():
