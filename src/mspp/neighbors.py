@@ -10,10 +10,14 @@ root, a ViewRoot: nodes with ``scale``, ``center2``, ``children`` and
 ``gen`` attributes, children being None for leaves or a list with None
 holes for removed subtrees, under a root that also carries the view's
 decision step (``settle``).  The view is lazy, so a child may be stale;
-every descent reads children through child_at, which has settle decide a
-stale child first.  Only the nodes a lookup reaches are decided.
-Each of the 2*dim same-scale candidate positions is resolved by a root
-descent, so a full adjacency pass costs O(V log V) instead of the
+every descent decides a stale child through settle before reading it
+(child_at states the step).  Only the nodes a lookup reaches are decided.
+
+Every descent picks its child slots from the bits of the target center
+(_descend), not by comparing centers.  find_neighbors descends once to
+the node and resolves each of its 2*dim same-scale candidate positions
+by mirror descent from the meet ancestor (Samet's neighbor finding for
+quadtrees), so a full adjacency pass costs O(V log V) instead of the
 quadratic pairwise scan.
 """
 
@@ -55,7 +59,7 @@ def child_at(node, slot: int, settle):
     A child stamped with another generation than its parent is stale:
     settle (the view root's decision step) decides it for the current
     generation and returns it, or writes None into the slot and returns
-    None when the child is removed.  find_neighbors inlines this step.
+    None when the child is removed.  The descents inline this step.
     """
     child = node.children[slot]
     if child is not None and child.gen != node.gen:
@@ -63,29 +67,55 @@ def child_at(node, slot: int, settle):
     return child
 
 
-def find_containing(root, target2: Sequence[int]):
-    """Deepest node on the path toward a same-or-finer-scale center.
+def _descend(root, target2: Sequence[int], scale: int, nodes: list, slots: list):
+    """Descend toward the center target2 of a node at the given scale.
 
-    Descends from the root picking the child containing target2 until the
-    current node is centered exactly at target2 or has no children.  A
-    removed child slot on the way means the region was dropped from the
-    tree; None is returned.
+    The slot taken at a node of scale s has bit j set exactly when bit s
+    of target2[j] is set: inside the node's cube the doubled coordinate
+    lies on the high side of the node's center exactly then.  The descent
+    stops at the given scale or at a leaf and returns that node, or None
+    where a removed child slot shows the region was dropped.  Each node
+    it leaves is appended to nodes and its slot to slots, so both list
+    the lineage root first.
     """
     settle = root.settle
     node = root
-    while True:
-        c2 = node.center2
-        if c2 == target2:
-            return node
-        if node.children is None:
-            return node
+    add_node = nodes.append
+    add_slot = slots.append
+    for s in range(root.scale, scale, -1):
+        kids = node.children
+        if kids is None:
+            break
         slot = 0
-        for j, c in enumerate(c2):
-            if target2[j] >= c:
-                slot |= 1 << j
-        node = child_at(node, slot, settle)
-        if node is None:
+        bit = 1
+        for c in target2:
+            if c >> s & 1:
+                slot |= bit
+            bit <<= 1
+        add_node(node)
+        add_slot(slot)
+        child = kids[slot]
+        if child is not None and child.gen != node.gen:
+            child = settle(node, slot)
+        if child is None:
             return None
+        node = child
+    return node
+
+
+def find_containing(root, target2: Sequence[int]):
+    """Deepest node on the path toward a same-or-finer-scale center.
+
+    target2 is the doubled center of a node address: every coordinate an
+    odd multiple of 2**t for the same scale t, which the lowest set bit
+    of a coordinate gives.  The descent takes at a node of scale s the
+    slot whose bit j is bit s of target2[j], and stops at scale t, where
+    the node is centered at target2, or at a leaf.  A removed child slot
+    on the way means the region was dropped from the tree; None is
+    returned.
+    """
+    c = target2[0]
+    return _descend(root, target2, (c & -c).bit_length() - 1, [], [])
 
 
 def add_face_leaves(node, axis: int, sign: int, out: list, settle) -> None:
@@ -108,56 +138,62 @@ def add_face_leaves(node, axis: int, sign: int, out: list, settle) -> None:
 
 
 def find_neighbors(root, node, depth: int) -> list:
-    """All leaves adjacent to a leaf of the same tree.
+    """All leaves adjacent to a leaf of the same tree, by mirror descent.
 
-    Each direction resolves its candidate center by root descent (the
-    find_containing loop, with child_at, inlined here as this is the
-    planner's hottest path): a leaf result is the unique same-or-larger
-    neighbor on that side, an internal result fans out into the smaller
-    leaves on the shared face.
+    One descent from the root to the node records its lineage: the
+    ancestor at each scale and the slot taken there.  The same-scale
+    position across the face in direction (axis, +-1) lies under the
+    ancestor at the meet scale S, the highest bit where the two
+    coordinates on that axis differ.  Below it the position's path
+    mirrors the node's own: the same slots with the axis bit flipped,
+    scale S down to the node's.  That mirror descent from the meet
+    ancestor ends at a leaf, the unique same-or-larger neighbor on that
+    side, or at a same-scale internal node, which fans out into the
+    smaller leaves on the shared face; a removed slot means no neighbor.
+    Directions go by axis, + before -, and the leaves of a face in
+    add_face_leaves order.  depth is the root's scale.
+
+    Raises ValueError when the descent does not end at node itself as a
+    leaf: node is not a leaf of this view.
     """
     k = node.scale
     c2 = node.center2
+    nodes: list = []
+    slots: list = []
+    if _descend(root, c2, k, nodes, slots) is not node or node.children is not None:
+        raise ValueError(f"{node!r} is not a leaf of this view")
     step = 2 << k
     lo = 1 << k
     hi = (2 << depth) - lo
-    dim = len(c2)
-    axes = range(dim)
+    last = depth - k
     gen = root.gen
     settle = root.settle
     out: list = []
-    for axis in axes:
-        pre = c2[:axis]
-        post = c2[axis + 1 :]
-        base = c2[axis]
+    flip = 1
+    for axis, base in enumerate(c2):
         for coord in (base + step, base - step):
             if not lo <= coord <= hi:
                 continue
-            target2 = pre + (coord,) + post
-            found = root
+            # The lineages meet at scale (base ^ coord).bit_length() - 1;
+            # nodes[i] and slots[i] belong to scale depth - i.
+            i = depth + 1 - (base ^ coord).bit_length()
+            parent = nodes[i]
             while True:
-                fc2 = found.center2
-                if fc2 == target2:
-                    break
-                kids = found.children
-                if kids is None:
-                    break
-                slot = 0
-                for j in axes:
-                    if target2[j] >= fc2[j]:
-                        slot |= 1 << j
-                child = kids[slot]
+                slot = slots[i] ^ flip
+                child = parent.children[slot]
                 if child is not None and child.gen != gen:
-                    child = settle(found, slot)
-                found = child
-                if found is None:
+                    child = settle(parent, slot)
+                if child is None:
                     break
-            if found is None:
-                continue
-            if found.children is None:
-                out.append(found)
-            else:
-                add_face_leaves(found, axis, 1 if coord < base else -1, out, settle)
+                i += 1
+                if child.children is None:
+                    out.append(child)
+                    break
+                if i == last:
+                    add_face_leaves(child, axis, 1 if coord < base else -1, out, settle)
+                    break
+                parent = child
+        flip <<= 1
     return out
 
 

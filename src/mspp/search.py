@@ -262,10 +262,13 @@ def _node_memos(tree, estimator, eps, gamma, fresh_obstacles, fresh_free):
     estimator results are cached), and eps and gamma are fixed for the
     session, so each value and flag is computed once.  Map-free fills
     also record what they learn: flagged nodes in fresh_obstacles, coarse
-    nodes that enumeration proved free in fresh_free.
+    nodes that enumeration proved free in fresh_free.  Exact values come
+    from the unchecked tree.lookup: every key the search reaches is a view
+    node, a valid address.
     """
     if tree is not None:
-        return _Memo(tree.value), None
+        lookup = tree.lookup
+        return _Memo(lambda idx: lookup(idx[0], idx[1])[0]), None
 
     def learn_free(idx: NodeIndex) -> None:
         if idx.scale > 0 and estimator.known_free(idx):
@@ -346,6 +349,19 @@ class PlannerSession:
         elif not 0 <= depth <= MAX_DEPTH:
             # Map-free mode builds no GridWorld to check this.
             raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
+        # A path has at most 2**(dim * depth) hops, each costing at most the
+        # world's diagonal times 1 + weight, and the heuristic adds at most
+        # as much again: a finite bound keeps every A* key finite, so no
+        # edge is dropped as if it were blocked.
+        try:
+            cost_bound = 2 * (1 + weight) * sqrt(dim) * 2.0 ** (depth * (dim + 1))
+        except OverflowError:
+            cost_bound = inf
+        if not math.isfinite(cost_bound):
+            raise ValueError(
+                f"weight {weight} lets path costs overflow in a {dim}-D "
+                f"depth-{depth} world"
+            )
         self.tree = tree
         self.dim = dim
         self.depth = depth

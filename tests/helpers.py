@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from mspp.environments import GeneratorSpec, generate_map
+from mspp.neighbors import add_face_leaves
 from mspp.reduced import ReducedTree, RTNode
 from mspp.tree import GridWorld, NodeIndex, children_of
 
@@ -303,4 +304,60 @@ def eager_view(tree, current, path, blocked, eps, alpha, obstacles=(), free=()):
     root = NodeIndex(depth, (1 << depth,) * dim)
     if not visit(root):
         out[root] = False
+    return out
+
+
+def root_descent_neighbors(root, node, depth: int) -> list:
+    """Reference neighbor lookup: one root descent per direction.
+
+    The lookup find_neighbors made before it became a mirror descent.
+    Each direction's same-scale candidate center is found from the root
+    by comparing centers level by level, deciding stale children through
+    the view's settle step: a leaf result is the unique same-or-larger
+    neighbor on that side, an internal result fans out into the smaller
+    leaves on the shared face, through the library's add_face_leaves.
+    Directions go by axis, + before -.
+    """
+    k = node.scale
+    c2 = node.center2
+    step = 2 << k
+    lo = 1 << k
+    hi = (2 << depth) - lo
+    dim = len(c2)
+    axes = range(dim)
+    gen = root.gen
+    settle = root.settle
+    out: list = []
+    for axis in axes:
+        pre = c2[:axis]
+        post = c2[axis + 1 :]
+        base = c2[axis]
+        for coord in (base + step, base - step):
+            if not lo <= coord <= hi:
+                continue
+            target2 = pre + (coord,) + post
+            found = root
+            while True:
+                fc2 = found.center2
+                if fc2 == target2:
+                    break
+                kids = found.children
+                if kids is None:
+                    break
+                slot = 0
+                for j in axes:
+                    if target2[j] >= fc2[j]:
+                        slot |= 1 << j
+                child = kids[slot]
+                if child is not None and child.gen != gen:
+                    child = settle(found, slot)
+                found = child
+                if found is None:
+                    break
+            if found is None:
+                continue
+            if found.children is None:
+                out.append(found)
+            else:
+                add_face_leaves(found, axis, 1 if coord < base else -1, out, settle)
     return out

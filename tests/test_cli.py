@@ -71,6 +71,25 @@ def test_plan_exit_codes(tmp_path, capsys):
     assert err.startswith("error: depth must be in [0, 10]")
 
 
+def test_plan_refuses_a_weight_that_overflows_path_costs(tmp_path, capsys):
+    # 1e308 would overflow edge costs to inf, which the search drops as if
+    # the map were walled; 1e300 keeps every cost finite and plans
+    map_path = str(tmp_path / "m.txt")
+    code, _, _ = run(
+        capsys, "gen-map", "--depth", "3", "--free-start", "--free-goal",
+        "--out", map_path,
+    )
+    assert code == 0
+    code, out, err = run(capsys, "plan", "--map", map_path, "--weight", "1e308")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: weight 1e+308 lets path costs overflow")
+    assert len(err.splitlines()) == 1
+    code, out, _ = run(capsys, "plan", "--map", map_path, "--weight", "1e300")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("status=success")
+
+
 def test_bound_prints_one_row_per_sample_count(capsys):
     code, out, _ = run(capsys, "bound", "--n-range", "3,9")
     assert code == 0

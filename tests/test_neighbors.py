@@ -11,6 +11,8 @@ from helpers import (
     pairwise_edges,
     random_index,
     random_rtree,
+    random_world,
+    root_descent_neighbors,
 )
 from mspp.neighbors import (
     all_neighbor_pairs,
@@ -20,8 +22,8 @@ from mspp.neighbors import (
     find_containing,
     find_neighbors,
 )
-from mspp.reduced import ReducedTree, RTNode
-from mspp.tree import NodeIndex
+from mspp.reduced import CellTracker, ReducedTree, RTNode, refresh
+from mspp.tree import NodeIndex, build_from_grid
 
 
 def build_rtree(structure) -> ReducedTree:
@@ -187,6 +189,84 @@ def test_find_neighbors_matches_brute_scan(dim, depth, seed):
         (n.scale, n.center2) for n in brute
     }
     assert len(got) == len(brute)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_find_neighbors_matches_root_descent_order(dim, depth, seed):
+    # the same node objects in the same order, which decides A* ties
+    rng = np.random.default_rng(seed)
+    tree = random_rtree(rng, dim, depth, split_prob=0.6, hole_prob=0.15)
+    for leaf in collect_leaves(tree.root, sort=False):
+        got = find_neighbors(tree.root, leaf, depth)
+        want = root_descent_neighbors(tree.root, leaf, depth)
+        assert [id(n) for n in got] == [id(n) for n in want]
+
+
+def view_state(node):
+    """Every node reachable without deciding: key, stamp, kind, holes."""
+    out = []
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        kids = node.children
+        out.append((node.scale, node.center2, node.gen,
+                    None if kids is None else [k is None for k in kids]))
+        if kids is not None:
+            stack.extend(k for k in kids if k is not None)
+    return out
+
+
+@pytest.mark.parametrize("dim,depth", [(2, 4), (3, 3)])
+def test_find_neighbors_decides_what_root_descent_decides(dim, depth):
+    # Two views refreshed alike, expanded alike from the focus, one with
+    # each lookup: the same neighbors in the same order, and the same
+    # nodes decided, also over nodes left stale by earlier generations.
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        tree = build_from_grid(random_world(dim, depth, 0.3, seed=seed))
+        cells = [idx for idx, v in tree.iter_nodes() if v == 0.0 and tree.is_leaf(idx)]
+        path = CellTracker(dim, depth)
+        blocked = CellTracker(dim, depth)
+        views = (ReducedTree(dim, depth), ReducedTree(dim, depth))
+        for _ in range(4):
+            current = cells[int(rng.integers(len(cells)))]
+            if not path.is_member(current):
+                path.add(current)
+            for view in views:
+                refresh(view, tree, current, path, blocked, 0.5, 1.0)
+            mirror, ref = views
+            frontier = [(mirror.find_vertex(current), ref.find_vertex(current))]
+            seen = {current}
+            while frontier and len(seen) < 40:
+                a, b = frontier.pop(0)
+                got = find_neighbors(mirror.root, a, depth)
+                want = root_descent_neighbors(ref.root, b, depth)
+                assert [n.index() for n in got] == [n.index() for n in want]
+                for x, y in zip(got, want):
+                    if x.index() not in seen:
+                        seen.add(x.index())
+                        frontier.append((x, y))
+            assert view_state(mirror.root) == view_state(ref.root)
+
+
+def test_find_neighbors_refuses_a_node_that_is_not_a_leaf_of_the_view():
+    tree = make_mixed_tree()
+    root = tree.root
+    with pytest.raises(ValueError, match="not a leaf of this view"):
+        find_neighbors(root, root, 2)
+    with pytest.raises(ValueError, match="not a leaf of this view"):
+        find_neighbors(root, root.children[0], 2)
+    # a leaf with the same address, but of another tree
+    other = make_mixed_tree()
+    stranger = other.root.children[0].children[3]
+    assert find_containing(root, stranger.center2).center2 == stranger.center2
+    with pytest.raises(ValueError, match="not a leaf of this view"):
+        find_neighbors(root, stranger, 2)
+    # a node under a removed slot
+    holed = build_rtree((1, 2, ["leaf", None, "leaf", "leaf"]))
+    with pytest.raises(ValueError, match="not a leaf of this view"):
+        find_neighbors(holed.root, RTNode(0, (3, 1)), 1)
 
 
 def test_collect_leaves_sorted_canonical():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import eager_view, random_index, random_world, window_far_oracle
-from mspp.neighbors import find_neighbors
+from mspp.neighbors import are_neighbors, find_neighbors
 from mspp.reduced import (
     CellTracker,
     ReducedTree,
@@ -508,13 +508,28 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
                 )
                 assert fresh.snapshot() == want
             else:
-                # resolve only what a search would reach
+                # resolve only what a search would reach, and check the
+                # neighbors found on the part-stale view against the eager
+                # rebuild's leaves
+                eager_leaves = [
+                    NodeIndex(*key)
+                    for key, leaf in eager_view(
+                        tree, trail[-1], path, blocked, eps, alpha, obstacles, free
+                    ).items()
+                    if leaf
+                ]
                 rtree.find_vertex(trail[-1])
                 for _ in range(3):
                     point = tuple(rng.uniform(0.01, side - 0.01, dim))
                     leaf = rtree.leaf_at_point(point)
                     if leaf is not None:
-                        find_neighbors(rtree.root, leaf, depth)
+                        got = find_neighbors(rtree.root, leaf, depth)
+                        want = {
+                            key for key in eager_leaves
+                            if are_neighbors(leaf.index(), key)
+                        }
+                        assert {n.index() for n in got} == want
+                        assert len(got) == len(want)
             if len(trail) == 1 or rng.random() < 0.6:
                 cell = pick()
                 if cell not in trail:

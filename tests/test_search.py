@@ -130,6 +130,23 @@ def test_non_finite_settings_are_rejected(name):
                 PlannerSession(**{name: value}, **mode, **ends)
 
 
+def test_weights_that_overflow_path_costs_are_rejected():
+    # the bound 2 * (1 + weight) * sqrt(dim) * 2**(depth * (dim + 1)) on a
+    # search key must be finite, in both modes
+    tree = build_from_grid(corridor_world())
+    ends = dict(start=(0.5, 0.5), goal=(3.5, 0.5))
+    for mode in ({"tree": tree}, {"predicate": lambda p: False, "dim": 2, "depth": 2}):
+        with pytest.raises(ValueError, match="lets path costs overflow"):
+            PlannerSession(weight=1e308, **mode, **ends)
+        PlannerSession(weight=1e300, **mode, **ends)
+    # a world too large for the bound to be a float at all
+    with pytest.raises(ValueError, match="lets path costs overflow"):
+        PlannerSession(
+            predicate=lambda p: False, dim=120, depth=10,
+            start=(0.5,) * 120, goal=(1.5,) * 120,
+        )
+
+
 def test_node_contains_half_open():
     idx = NodeIndex(1, (2, 2))
     assert node_contains(idx, (0.0, 0.0), depth=2)
