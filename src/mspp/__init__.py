@@ -23,7 +23,7 @@ from .neighbors import (
     find_neighbors,
 )
 from .predicates import Checkerboard, Slab, SphereSet, WallWithGap, parse_predicate
-from .reduced import CellTracker, ReducedTree, RTNode, refresh, window_far
+from .reduced import CellTracker, ReducedTree, RTNode, refresh
 from .sampling import (
     BoundParams,
     SampleEstimate,

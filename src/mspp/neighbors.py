@@ -23,7 +23,7 @@ quadratic pairwise scan.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .tree import NodeIndex
 
@@ -34,7 +34,6 @@ __all__ = [
     "find_neighbors",
     "all_neighbor_pairs",
     "collect_leaves",
-    "AllPairsResult",
 ]
 
 
@@ -220,43 +219,16 @@ def collect_leaves(root, sort: bool = True) -> list:
     return out
 
 
-class AllPairsResult(NamedTuple):
-    edges: set[tuple[NodeIndex, NodeIndex]]
-    descent_steps: int
-
-
-def all_neighbor_pairs(root, depth: int) -> AllPairsResult:
+def all_neighbor_pairs(root, depth: int) -> set[tuple[NodeIndex, NodeIndex]]:
     """The complete neighbor edge set of the tree's leaves.
 
-    Leaves are processed smallest scale first and only the same-or-larger
-    neighbor in each direction is looked up, so every adjacency is charged
-    to its smaller endpoint.  descent_steps witnesses the near-linear cost:
-    it is bounded by 2 * dim * (depth + 1) per leaf.
+    One find_neighbors call per leaf, so the pass costs O(V log V).  Each
+    edge appears once, as the pair in (scale, center2) order.
     """
-    leaves = collect_leaves(root, sort=True)
     edges: set[tuple[NodeIndex, NodeIndex]] = set()
-    steps = 0
-    top = 2 << depth
-    root_scale = root.scale
-    for node in leaves:
-        k = node.scale
-        c2 = node.center2
-        step = 2 << k
-        lo = 1 << k
-        hi = top - lo
-        me = NodeIndex(k, c2)
-        for axis in range(len(c2)):
-            for coord in (c2[axis] + step, c2[axis] - step):
-                if not lo <= coord <= hi:
-                    continue
-                cand = c2[:axis] + (coord,) + c2[axis + 1 :]
-                found = find_containing(root, cand)
-                if found is None:
-                    steps += root_scale - k
-                    continue
-                steps += root_scale - found.scale + 1
-                if found.children is not None:
-                    continue
-                other = NodeIndex(found.scale, found.center2)
-                edges.add((me, other) if me <= other else (other, me))
-    return AllPairsResult(edges, steps)
+    for node in collect_leaves(root, sort=False):
+        me = NodeIndex(node.scale, node.center2)
+        for other in find_neighbors(root, node, depth):
+            you = NodeIndex(other.scale, other.center2)
+            edges.add((me, you) if me <= you else (you, me))
+    return edges

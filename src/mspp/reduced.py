@@ -16,9 +16,12 @@ scale, so each view computes them once per focus scale.
 One rule decides every node in both modes (stated in refresh): known
 obstacles first, then the nodes holding a path or blocked cell, then
 whether the node can split (an internal map node or, map-free, a coarse
-block not proven free) and the far window.  Known obstacles, blocked
-cells and (with a map) scale-weighted obstacle leaves are removed
-entirely: a removed child leaves a None hole in its parent's child list.
+block not proven free) and the far window.  A node that shares a face with
+the focus splits even when it is far, so every view leaf beside the focus
+is fine (a map leaf, a unit cell or a block proven free) at any alpha.
+Known obstacles, blocked cells and (with a map) scale-weighted obstacle
+leaves are removed entirely: a removed child leaves a None hole in its
+parent's child list.
 
 The view is lazy.  refresh() does O(1) work: it captures its inputs,
 starts a new generation and decides the root.  Every node carries the
@@ -53,8 +56,8 @@ from itertools import product
 from math import isqrt
 from typing import AbstractSet
 
-from .neighbors import child_at, collect_leaves, find_containing
-from .tree import NodeIndex, OccupancyTree
+from .neighbors import are_neighbors, collect_leaves, find_containing
+from .tree import NodeIndex, OccupancyTree, obstacle_threshold, parent_of
 
 __all__ = [
     "RTNode",
@@ -62,7 +65,6 @@ __all__ = [
     "CellTracker",
     "ViewRoot",
     "refresh",
-    "window_far",
     "window_thresholds",
 ]
 
@@ -224,30 +226,22 @@ class ReducedTree:
     def snapshot(self) -> dict[tuple, bool]:
         """(scale, center2) -> is_leaf, for structural equality checks.
 
-        Resolves the whole view.  Internal nodes with no leaf below them
-        are left out, the root excepted, as a rebuild from scratch would
-        have removed them.
+        Resolves the whole view.  The internal nodes are the leaves'
+        ancestors, so internal nodes with no leaf below them are left out,
+        as a rebuild from scratch would have removed them; the root is
+        always present.
         """
         out: dict[tuple, bool] = {}
-        settle = self.root.settle
-
-        def walk(node: RTNode) -> bool:
-            kids = node.children
-            if kids is None:
-                out[node.scale, node.center2] = True
-                return True
-            kept = False
-            for slot in range(len(kids)):
-                child = child_at(node, slot, settle)
-                if child is not None and walk(child):
-                    kept = True
-            if kept:
-                out[node.scale, node.center2] = False
-            return kept
-
-        root = self.root
-        if not walk(root):
-            out[root.scale, root.center2] = False
+        depth = self.depth
+        for leaf in collect_leaves(self.root, sort=False):
+            key = leaf.index()
+            out[key] = True
+            while key.scale < depth:
+                key = parent_of(key)
+                if key in out:
+                    break
+                out[key] = False
+        out.setdefault(self.root.index(), False)
         return out
 
 
@@ -276,18 +270,6 @@ def window_thresholds(
     return out, den_sq
 
 
-def window_far(idx: NodeIndex, current: NodeIndex, alpha: float) -> bool:
-    """Exact far-window test for one node against a focus cell."""
-    thresholds, den_sq = window_thresholds(
-        len(idx.center2), max(idx.scale, current.scale), alpha, current.scale
-    )
-    s = 0
-    for a, b in zip(idx.center2, current.center2):
-        d = a - b
-        s += d * d
-    return s * den_sq >= thresholds[idx.scale]
-
-
 def refresh(
     rtree: ReducedTree,
     tree: OccupancyTree | None,
@@ -296,8 +278,8 @@ def refresh(
     blocked: CellTracker,
     eps: float,
     alpha: float,
-    obstacles: AbstractSet[tuple] | None = None,
-    free: AbstractSet[tuple] | None = None,
+    obstacles: AbstractSet[tuple] = frozenset(),
+    free: AbstractSet[tuple] = frozenset(),
 ) -> None:
     """Start a new generation of the view around the current cell.
 
@@ -318,7 +300,10 @@ def refresh(
     3. Any other node is internal when the map says so (exact mode, one
        tree.lookup) or, map-free, unless it is a unit cell or a known-free
        block.  A node that is not internal is a leaf; an internal node is a
-       leaf when it is far from the focus, and splits otherwise.
+       leaf when it is far from the focus and does not share a face with
+       it, and splits otherwise.  Below alpha of about sqrt(dim) / 2 a node
+       beside the focus can be far; it splits all the same, so every view
+       leaf beside the focus is one the walk may step onto.
     4. In exact mode a leaf is removed when its value reaches
        1 - eps * 2**(-dim * scale), a scale-weighted obstacle.  Map-free,
        nothing is removed by value: classification is the searcher's job.
@@ -355,7 +340,7 @@ def refresh(
         thresholds, den_sq = window_thresholds(dim, depth, alpha, current.scale)
         obs_at = None
         if exact:
-            obs_at = [1.0 - eps * 2.0 ** (-dim * k) for k in range(depth + 1)]
+            obs_at = [obstacle_threshold(eps, dim, k) for k in range(depth + 1)]
         window = rtree._windows[window_key] = (thresholds, den_sq, obs_at)
     thresholds, den_sq, obs_at = window
     if exact:
@@ -368,10 +353,8 @@ def refresh(
     path_version = path.version
     blocked_version = blocked.version
     # obstacles and free only grow, so their sizes tell whether they moved.
-    obstacle_keys = obstacles or ()
-    free_keys = free or ()
-    obstacles_len = len(obstacles) if obstacles is not None else 0
-    free_len = len(free) if free is not None else 0
+    obstacles_len = len(obstacles)
+    free_len = len(free)
     gen = rtree.gen = rtree.gen + 1
 
     def decide(node: RTNode) -> bool:
@@ -379,30 +362,31 @@ def refresh(
         if (
             path.version != path_version
             or blocked.version != blocked_version
-            or (obstacles is not None and len(obstacles) != obstacles_len)
-            or (free is not None and len(free) != free_len)
+            or len(obstacles) != obstacles_len
+            or len(free) != free_len
         ):
             raise RuntimeError("view inputs changed since the last refresh")
         k = node.scale
         c2 = node.center2
         key = (k, c2)
-        if key in obstacle_keys:
+        if key in obstacles:
             return False
         if exact:
             value, inner = lookup(k, c2)
         else:
-            inner = k > 0 and key not in free_keys
+            inner = k > 0 and key not in free
         if key in path_anc or key in blocked_anc:
             if key in blocked_members:
                 return False
             stop = key in path_members
         elif inner:
-            # The far-window test.
+            # The far-window test; a node beside the focus splits even when
+            # it is far.
             s = 0
             for a, b in zip(c2, cur2):
                 d = a - b
                 s += d * d
-            stop = s * den_sq >= thresholds[k]
+            stop = s * den_sq >= thresholds[k] and not are_neighbors(node, current)
         else:
             stop = True
         if stop:

@@ -28,11 +28,11 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, exp, expm1, inf, ldexp
+from math import ceil, exp, expm1, inf
 
 import numpy as np
 
-from .tree import NodeIndex
+from .tree import NodeIndex, obstacle_threshold
 
 __all__ = [
     "BoundParams",
@@ -87,7 +87,7 @@ def is_flagged_obstacle(
     value: float, scale: int, dim: int, eps: float, gamma: float
 ) -> bool:
     """Sampled obstacle test with margin gamma at the given scale."""
-    return value >= 1.0 - ldexp(eps, -dim * scale) + gamma
+    return value >= obstacle_threshold(eps, dim, scale) + gamma
 
 
 def flag_scale_cutoff(dim: int, eps: float, gamma: float) -> int:
@@ -331,7 +331,7 @@ class ValueEstimator:
         """
         if idx.scale <= self.exact_cutoff:
             est = self.exact(idx)
-            obstacle = est.value >= 1.0 - ldexp(eps, -self.dim * idx.scale)
+            obstacle = est.value >= obstacle_threshold(eps, self.dim, idx.scale)
             return obstacle, "exact"
         est = self.estimate(idx)
         return is_flagged_obstacle(est.value, idx.scale, self.dim, eps, gamma), "sampled"

@@ -3,14 +3,14 @@
 The planner repeatedly refreshes the reduced view around its current cell
 (the view decides its nodes lazily, as the search reaches them), searches
 that view for a vertex path to the goal, and commits the found path's
-leading fine hops before re-planning: the first hop, which the search
-requires to be fine, then every following hop up to the first coarse node
-or the goal.  A fine node is a stored map leaf, or map-free a unit cell or
-a block proven free: a node the finished path may hold as it is.  A hop
-between fine nodes is therefore an exact move, and only the cost-to-go
-past the first coarse node is approximate.  Failed cells are blocked
-(removed from later views) and the walk backtracks along its own trail,
-one cell per failed search.
+leading fine hops before re-planning: the first hop, which the view makes
+fine (every view leaf beside the focus is fine, see refresh), then every
+following hop up to the first coarse node or the goal.  A fine node is a
+stored map leaf, or map-free a unit cell or a block proven free: a node
+the finished path may hold as it is.  A hop between fine nodes is
+therefore an exact move, and only the cost-to-go past the first coarse
+node is approximate.  Failed cells are blocked (removed from later views)
+and the walk backtracks along its own trail, one cell per failed search.
 
 The search never routes through a cell already on the trail, and a fine
 view leaf overlaps a trail cell only by being it, so no committed hop lands
@@ -121,7 +121,6 @@ def astar_lazy(
     values,
     flags=None,
     excluded=frozenset(),
-    fine_first=None,
     stats: SearchStats | None = None,
 ) -> list[NodeIndex] | None:
     """Vertex path of minimal cost from v_start to v_goal, or None.
@@ -134,8 +133,8 @@ def astar_lazy(
     must answer for every vertex the search reaches; a PlannerSession
     passes memos that compute each entry on first lookup, once per
     session.  excluded lists vertices the path never enters (the start
-    excepted), and fine_first, when given, restricts first hops to
-    vertices it accepts.
+    excepted).  Any neighbor of the start may be the first hop: on a view
+    refreshed around the start, every one of them is fine.
     A vertex's neighbors come from the tree lookup find_neighbors, read
     as a module global at call time, once per expansion.
     """
@@ -181,13 +180,10 @@ def astar_lazy(
         nbrs = find_neighbors(root, by_index[v], depth)
         gv = g[v]
         vc2 = v[1]
-        first_hop = v == start_key
         for node in nbrs:
             nc2 = node.center2
             w = (node.scale, nc2)
             if w in closed:
-                continue
-            if first_hop and fine_first is not None and not fine_first(w):
                 continue
             if flags is not None and flags[w]:
                 if w not in g:
@@ -260,35 +256,27 @@ def _node_memos(tree, estimator, eps, gamma, fresh_obstacles, fresh_free):
 
     Node values never change once known (exact map values are fixed,
     estimator results are cached), and eps and gamma are fixed for the
-    session, so each value and flag is computed once.  Map-free fills
-    also record what they learn: flagged nodes in fresh_obstacles, coarse
-    nodes that enumeration proved free in fresh_free.  Exact values come
-    from the unchecked tree.lookup: every key the search reaches is a view
-    node, a valid address.
+    session, so each value and flag is computed once.  Map-free flag
+    fills also record what they learn: flagged nodes in fresh_obstacles,
+    coarse nodes that enumeration proved free in fresh_free.  Map-free
+    values come straight from the estimator: the search reads a node's
+    flag before its value, so the flag fill has recorded it.  Exact values
+    come from the unchecked tree.lookup: every key the search reaches is a
+    view node, a valid address.
     """
     if tree is not None:
         lookup = tree.lookup
         return _Memo(lambda idx: lookup(idx[0], idx[1])[0]), None
 
-    def learn_free(idx: NodeIndex) -> None:
-        if idx.scale > 0 and estimator.known_free(idx):
-            fresh_free.add(idx)
-
-    def value(idx: NodeIndex) -> float:
-        v = estimator.value(idx)
-        if v == 0.0:
-            learn_free(idx)
-        return v
-
     def flagged(idx: NodeIndex) -> bool:
         got, _ = estimator.classify(idx, eps, gamma)
         if got:
             fresh_obstacles.add(idx)
-        else:
-            learn_free(idx)
+        elif idx.scale > 0 and estimator.known_free(idx):
+            fresh_free.add(idx)
         return got
 
-    return _Memo(value), _Memo(flagged)
+    return _Memo(estimator.value), _Memo(flagged)
 
 
 class PlannerSession:
@@ -475,10 +463,11 @@ class PlannerSession:
     def advance(self) -> str | None:
         """Run one A* attempt, then commit its leading fine hops or backtrack.
 
-        The search makes the first hop fine, so at least one is committed;
-        the following hops are committed while the next node is fine.
-        With no path, the last trail cell is blocked and the walk steps
-        back to the one before it.
+        The view makes every leaf beside the current cell fine, so the
+        first hop is committed (a coarse one raises RuntimeError, as a
+        non-adjacent one does); the following hops are committed while the
+        next node is fine.  With no path, the last trail cell is blocked
+        and the walk steps back to the one before it.
         """
         run = SearchStats()
         goal_node = self.rtree.leaf_at_point(self.goal_center)
@@ -494,7 +483,6 @@ class PlannerSession:
                 self._values,
                 self._flags,
                 excluded=self.trail,
-                fine_first=self._is_fine,
                 stats=run,
             )
             if self.estimator:
@@ -513,8 +501,12 @@ class PlannerSession:
             return None
         # Only the path's last node, the view leaf holding the goal point,
         # contains it, so the walk stops at the goal at the latest.
-        for step in path[1:]:
+        for hop, step in enumerate(path[1:]):
             if not self._is_fine(step):
+                if hop == 0:
+                    raise RuntimeError(
+                        f"the view left a coarse first hop {self.current} -> {step}"
+                    )
                 break
             if not are_neighbors(self.current, step):
                 raise RuntimeError(

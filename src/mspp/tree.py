@@ -27,6 +27,7 @@ Every module keys a node by its address, the (scale, center2) tuple.
 
 from __future__ import annotations
 
+from math import ldexp
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "parent_of",
     "node_bounds2",
     "node_volume",
+    "obstacle_threshold",
     "read_map",
     "write_map",
     "parse_map_text",
@@ -102,6 +104,16 @@ def parent_of(idx: NodeIndex) -> NodeIndex:
     mask = ~((1 << (k + 2)) - 1)
     step = 1 << (k + 1)
     return NodeIndex(k + 1, tuple((c & mask) | step for c in c2))
+
+
+def obstacle_threshold(eps: float, dim: int, scale: int) -> float:
+    """Occupancy at which a scale-k node is an obstacle: 1 - eps / 2**(dim * k).
+
+    The free volume such a node hides is below eps unit cells.  Scaling by
+    a power of two is exact, so every caller compares against the same
+    float.
+    """
+    return 1.0 - ldexp(eps, -dim * scale)
 
 
 def valid_index(idx: NodeIndex, dim: int, depth: int) -> bool:
@@ -363,15 +375,10 @@ class OccupancyTree:
         return NodeIndex(k, address(k))
 
     def is_eps_obstacle(self, idx: NodeIndex, eps: float) -> bool:
-        """Scale-weighted obstacle test.
-
-        A node of scale k counts as an obstacle when its occupancy reaches
-        1 - eps / 2**(dim * k): the free volume it hides is below eps unit
-        cells.
-        """
+        """Scale-weighted obstacle test: the value reaches obstacle_threshold."""
         if not 0.0 < eps < 1.0:
             raise ValueError("eps must be in (0, 1)")
-        return self.value(idx) >= 1.0 - eps * 2.0 ** (-self.dim * idx.scale)
+        return self.value(idx) >= obstacle_threshold(eps, self.dim, idx.scale)
 
     def iter_nodes(self) -> Iterator[tuple[NodeIndex, float]]:
         """Every stored node with its value: coarse to fine, levels in flat order."""

@@ -257,13 +257,20 @@ def eager_view(tree, current, path, blocked, eps, alpha, obstacles=(), free=()):
     before the view became lazy, and returns (scale, center2) -> is_leaf in
     the format of ReducedTree.snapshot(): internal nodes left with no leaf
     below them are dropped, the root excepted.  The far test is the exact
-    rational oracle, not the library's integer thresholds.  The rule is
-    refresh's older one, with a branch per mode that tests the same marks
-    in a different order; it agrees with refresh's single rule on every
-    map-free input, and with a map whenever the path and blocked cells are
-    stored map leaves.
+    rational oracle, not the library's integer thresholds, and a node that
+    shares a face with the focus (by the interval oracle) is never far.
+    The rule is refresh's older one, with a branch per mode that tests the
+    same marks in a different order; it agrees with refresh's single rule
+    on every map-free input, and with a map whenever the path and blocked
+    cells are stored map leaves.
     """
     out: dict[tuple, bool] = {}
+
+    def far(idx: NodeIndex) -> bool:
+        # a node beside the focus splits even when it is far
+        return window_far_oracle(idx, current, alpha) and not interval_face_test(
+            idx, current
+        )
 
     def visit(idx: NodeIndex) -> bool:
         if idx in obstacles:
@@ -275,7 +282,7 @@ def eager_view(tree, current, path, blocked, eps, alpha, obstacles=(), free=()):
             elif near_marks:
                 stop = False
             else:
-                stop = window_far_oracle(idx, current, alpha)
+                stop = far(idx)
         else:
             if blocked.is_member(idx):
                 return False
@@ -286,7 +293,7 @@ def eager_view(tree, current, path, blocked, eps, alpha, obstacles=(), free=()):
             elif idx in free:
                 stop = True
             else:
-                stop = window_far_oracle(idx, current, alpha)
+                stop = far(idx)
         if stop:
             if blocked.is_member(idx):
                 return False

