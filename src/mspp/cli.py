@@ -20,6 +20,7 @@ no path), 3 iteration budget exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -36,7 +37,7 @@ from .search import (
     verify_path,
     verify_path_sampled,
 )
-from .tree import build_from_grid, map_text, read_map, write_map
+from .tree import build_from_grid, map_text, read_map
 
 
 class Setting(NamedTuple):
@@ -107,7 +108,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, help="iteration budget")
     _setting_flags(p, "plan")
 
-    p = sub.add_parser("bound", help="failure-probability bound curve, CSV output")
+    p = sub.add_parser(
+        "bound",
+        help="failure-probability bound curve, CSV output",
+        description="Failure-probability bound per sample count n, CSV output. "
+        "With --regions 1 each row is either 0, when no scale strictly "
+        "between the enumeration and flag cutoffs lies in the tree (sampling "
+        "decides no node), or above exp(-2 eps^2 / n).",
+    )
     p.add_argument("--n-range", default="1,300", help="inclusive sample range lo,hi")
     _setting_flags(p, "bound")
 
@@ -195,10 +203,14 @@ def _parse_point(text: str, dim: int, side: int, name: str) -> tuple[float, ...]
     return point
 
 
-def _out_stream(cfg_out):
-    if cfg_out:
-        return open(cfg_out, "w", encoding="utf-8", newline="")
-    return None
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The --out file, written and closed on exit, or standard output."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        yield stream
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -255,8 +267,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     )
     result = session.run()
 
-    stream = _out_stream(args.out) or sys.stdout
-    try:
+    with _output(args.out) as stream:
         if result.success:
             if tree is not None:
                 ok, why = verify_path(tree, result.path, cfg["eps"], start, goal)
@@ -277,9 +288,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
             f"blocked={result.blocked}"
         )
         print(summary, file=stream)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     if result.status == SUCCESS:
         return 0
     if result.status == BUDGET_EXCEEDED:
@@ -292,8 +300,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.n_range, "--n-range")
     if not 1 <= lo <= hi:
         raise ValueError("need 1 <= lo <= hi in --n-range")
-    stream = _out_stream(args.out) or sys.stdout
-    try:
+    with _output(args.out) as stream:
         print("n,bound", file=stream)
         for n in range(lo, hi + 1):
             params = BoundParams(
@@ -305,9 +312,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 regions=cfg["regions"],
             )
             print(f"{n},{failure_bound(params):.10g}", file=stream)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
@@ -329,10 +333,8 @@ def cmd_gen_map(args: argparse.Namespace) -> int:
         **extra,
     )
     world = generate_map(spec)
-    if args.out:
-        write_map(world, args.out)
-    else:
-        sys.stdout.write(map_text(world))
+    with _output(args.out) as stream:
+        stream.write(map_text(world))
     return 0
 
 

@@ -2,8 +2,8 @@
 
 Each planning iteration works on a view: a mutable tree whose leaves are
 the graph vertices.  Far from the focus cell the view stops at coarse
-nodes, close to it (and around every cell already on the traversed path)
-it refines to the finest stored resolution.  A node stops subdividing when
+nodes, close to it (and around every cell the walk has visited) it
+refines to the finest stored resolution.  A node stops subdividing when
 
     ||center - focus_center||_2  >=  alpha * 2**scale + circumradius(focus)
 
@@ -14,14 +14,15 @@ per-scale integer threshold.  The thresholds depend only on the focus
 scale, so each view computes them once per focus scale.
 
 One rule decides every node in both modes (stated in refresh): known
-obstacles first, then the nodes holding a path or blocked cell, then
-whether the node can split (an internal map node or, map-free, a coarse
-block not proven free) and the far window.  A node that shares a face with
-the focus splits even when it is far, so every view leaf beside the focus
-is fine (a map leaf, a unit cell or a block proven free) at any alpha.
-Known obstacles, blocked cells and (with a map) scale-weighted obstacle
-leaves are removed entirely: a removed child leaves a None hole in its
-parent's child list.
+obstacles first, then the nodes holding a visited cell, then whether the
+node can split (an internal map node or, map-free, a coarse block not
+proven free) and the far window.  A node that shares a face with the
+focus splits even when it is far, so every view leaf beside the focus is
+fine (a map leaf, a unit cell or a block proven free) at any alpha.
+Known obstacles and (with a map) scale-weighted obstacle leaves are
+removed entirely: a removed child leaves a None hole in its parent's
+child list.  Visited cells stay in the view as leaves; keeping the walk
+out of them is the search's job.
 
 The view is lazy.  refresh() does O(1) work: it captures its inputs,
 starts a new generation and decides the root.  Every node carries the
@@ -35,10 +36,10 @@ after any sequence of refreshes the resolved view equals a view rebuilt
 from scratch with the same inputs.  Two facts make that exact:
 
 * A None hole is never stale.  Every removal is permanent: known-obstacle
-  keys and blocked cells are only ever added, and an exact-mode removal
-  needs a value of at least 1 - eps * 2**(-dim * k), which with eps < 1 on
-  a 0/1 grid means occupancy 1.0.  Every node below such a node holds 1.0
-  too, so at any focus it is removed or keeps no leaf below it.
+  keys are only ever added, and an exact-mode removal needs a value of at
+  least 1 - eps * 2**(-dim * k), which with eps < 1 on a 0/1 grid means
+  occupancy 1.0.  Every node below such a node holds 1.0 too, so at any
+  focus it is removed or keeps no leaf below it.
 * A node that descends but loses every child stays in the view as an
   internal node with None slots.  Every lookup answers for it as if it
   were gone, and snapshot() skips it, as a rebuild would have dropped it;
@@ -172,6 +173,10 @@ class CellTracker:
     def is_member(self, idx: NodeIndex) -> bool:
         return idx in self._members
 
+    def cells(self):
+        """The distinct member cells, as (scale, center2) keys."""
+        return self._members.keys()
+
     def __len__(self) -> int:
         return sum(self._members.values())
 
@@ -274,8 +279,7 @@ def refresh(
     rtree: ReducedTree,
     tree: OccupancyTree | None,
     current: NodeIndex,
-    path: CellTracker,
-    blocked: CellTracker,
+    visited: CellTracker,
     eps: float,
     alpha: float,
     obstacles: AbstractSet[tuple] = frozenset(),
@@ -286,17 +290,17 @@ def refresh(
     Only the root is decided here; every other node is decided when a
     lookup first reaches it (see the module docstring).
 
-    tree is the exact occupancy map, or None to run map-free.  path holds
-    the trail cells and blocked the cells the walk backed out of.  Map-free
+    tree is the exact occupancy map, or None to run map-free.  visited
+    holds the cells the walk has entered: its trail and the cells it
+    backed out of.  Map-free
     classifications already paid for come as (scale, center2) keys:
     `obstacles` for nodes flagged as obstacles, `free` for nodes proven
     fully free by enumeration.  One rule decides every node in both modes:
 
-    1. A known obstacle (a key in `obstacles`) is removed, before a path
-       or blocked cell nearby could split it back into the view.
-    2. A node that is a path or blocked cell or holds one inside its cube:
-       a blocked cell is removed, a path cell is a leaf, and any other such
-       node splits, so those cells keep their surroundings fine.
+    1. A known obstacle (a key in `obstacles`) is removed, before a
+       visited cell nearby could split it back into the view.
+    2. A visited cell is a leaf, and any other node that holds one inside
+       its cube splits, so visited cells keep their surroundings fine.
     3. Any other node is internal when the map says so (exact mode, one
        tree.lookup) or, map-free, unless it is a unit cell or a known-free
        block.  A node that is not internal is a leaf; an internal node is a
@@ -308,22 +312,11 @@ def refresh(
        1 - eps * 2**(-dim * scale), a scale-weighted obstacle.  Map-free,
        nothing is removed by value: classification is the searcher's job.
 
-    This rule replaced one that tested the same marks in a different
-    order per mode.  The two agree on every map-free input, and in exact
-    mode whenever the path and blocked cells are stored map leaves, which
-    is all a PlannerSession makes.  Other exact inputs can differ: a stored
-    leaf holding a path or blocked cell strictly inside now splits (the old
-    rule kept it whole), and a path cell that is an internal map node is
-    now a leaf (the old rule split it).  For example, on a depth-3 2-D map
-    whose only obstacle is cell (7, 7), with path cell (2, (4, 4)) and
-    blocked cell (0, (3, 11)), the free stored leaf (2, (4, 12)) splits and
-    the blocked cell is removed: 12 view leaves where the old rule had 7.
-
     The inputs must stay as they are until the next refresh: a lookup that
-    decides a node after path, blocked, `obstacles` or `free` changed
-    raises RuntimeError (the two key sets are checked by size, as they
-    only grow).  Across refreshes, blocked cells and `obstacles` may only
-    be added, as a removed node is never decided again.
+    decides a node after visited, `obstacles` or `free` changed raises
+    RuntimeError (the two key sets are checked by size, as they only
+    grow).  Across refreshes `obstacles` may only grow, as a removed node
+    is never decided again.
     """
     dim, depth = rtree.dim, rtree.depth
     if current.scale > depth or len(current.center2) != dim:
@@ -346,12 +339,9 @@ def refresh(
     if exact:
         lookup = tree.lookup
     cur2 = current.center2
-    path_anc = path._anc
-    path_members = path._members
-    blocked_anc = blocked._anc
-    blocked_members = blocked._members
-    path_version = path.version
-    blocked_version = blocked.version
+    visited_anc = visited._anc
+    visited_members = visited._members
+    visited_version = visited.version
     # obstacles and free only grow, so their sizes tell whether they moved.
     obstacles_len = len(obstacles)
     free_len = len(free)
@@ -360,8 +350,7 @@ def refresh(
     def decide(node: RTNode) -> bool:
         """Decide a node for this generation; False when it is removed."""
         if (
-            path.version != path_version
-            or blocked.version != blocked_version
+            visited.version != visited_version
             or len(obstacles) != obstacles_len
             or len(free) != free_len
         ):
@@ -375,10 +364,8 @@ def refresh(
             value, inner = lookup(k, c2)
         else:
             inner = k > 0 and key not in free
-        if key in path_anc or key in blocked_anc:
-            if key in blocked_members:
-                return False
-            stop = key in path_members
+        if key in visited_anc:
+            stop = key in visited_members
         elif inner:
             # The far-window test; a node beside the focus splits even when
             # it is far.

@@ -142,33 +142,35 @@ def misclassification_bound(gamma: float, n: int) -> float:
 def band_node_count(depth: int, dim: int, low: int, high: int) -> float:
     """Number of tree nodes at scales strictly between low and high.
 
-    Closed form of sum_{low < k < high} 2**(dim*(depth-k)), evaluated in
-    exact rational arithmetic before conversion to float; 0 when the band
-    is empty, inf when the count exceeds the float range.  Terms with
-    k > depth contribute fractional amounts, so the result is a real number
-    rather than an integer.
+    Only scales 0 to depth hold nodes, so the band is cut off above depth:
+    the count is the integer sum_{low < k < min(high, depth + 1)}
+    2**(dim*(depth-k)), evaluated in closed form before conversion to
+    float; 0 when no scale of the band lies in the tree, inf when the
+    count exceeds the float range.
     """
+    high = min(high, depth + 1)
     if low >= high - 1:
         return 0.0
     top = dim * (depth - low)
     bot = dim * (depth - high + 1)
-    total = (_pow2(top) - _pow2(bot)) / (2**dim - 1)
+    total = ((1 << top) - (1 << bot)) // ((1 << dim) - 1)
     try:
         return float(total)
     except OverflowError:
         return inf
 
 
-def _pow2(e: int) -> Fraction:
-    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
-
-
 def failure_bound(params: BoundParams) -> float:
     """Probability bound on planning failure from node misclassification.
 
     Evaluates 1 - (1 - exp(-2 gamma^2 n))^count over `regions` independent
-    solution regions of count/regions nodes each, clamped to [0, 1]; zero
-    when the misclassifiable band is empty.
+    solution regions of count/regions nodes each, clamped to [0, 1].
+
+    With one region the bound is either 0 or close to 1.  It is 0 exactly
+    when no scale of the misclassifiable band lies in the tree (sampling
+    decides no node).  Otherwise it exceeds exp(-2 eps^2 / n): a band scale
+    k has 2**(dim*k) > n cells and gamma * 2**(dim*k) < eps, so gamma^2 n
+    < eps^2 / n, and one node's term exp(-2 gamma^2 n) already exceeds it.
     """
     low = exact_scale_cutoff(params.dim, params.samples)
     high = flag_scale_cutoff(params.dim, params.eps, params.gamma)

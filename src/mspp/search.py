@@ -9,14 +9,16 @@ following hop up to the first coarse node or the goal.  A fine node is a
 stored map leaf, or map-free a unit cell or a block proven free: a node
 the finished path may hold as it is.  A hop between fine nodes is
 therefore an exact move, and only the cost-to-go past the first coarse
-node is approximate.  Failed cells are blocked (removed from later views)
-and the walk backtracks along its own trail, one cell per failed search.
+node is approximate.  When a search fails, the walk backtracks along its
+own trail, one cell per failed search; the cell it leaves is blocked.
 
-The search never routes through a cell already on the trail, and a fine
-view leaf overlaps a trail cell only by being it, so no committed hop lands
-on one: the trail is a simple path, and the walk is a depth-first search
-whose finished set is the blocked cells.  A cell leaves the trail only by
-being blocked, so a (current, successor) pair is never committed twice.
+Every cell the walk enters stays visited: on the trail, or blocked once
+the walk backs out of it.  Later views keep visited cells as leaves, and
+the search never enters one.  A fine view leaf overlaps a visited cell
+only by being it, so no committed hop lands on one: the trail is a simple
+path, and the walk is a depth-first search whose finished set is the
+blocked cells.  A cell leaves the trail only by being blocked, so a
+(current, successor) pair is never committed twice.
 Every iteration commits at least one hop or blocks a cell, and each
 blocked cell was committed once, so the iterations number at most twice
 the distinct commitments, which bounds them.
@@ -26,13 +28,13 @@ vertex's neighbors are computed only when it is popped from the open
 queue, and occupancy values (map lookups in exact mode, cached sampling
 estimates in map-free mode) are evaluated per vertex only when first
 needed for a g-value.  Map-free obstacle classification happens here too:
-flagged vertices enter the queue with infinite cost so they are counted as
-touched but never expanded or routed through.
+a flagged vertex reads the value inf, and enters the queue with infinite
+cost so it is counted as touched but never expanded or routed through.
 
-The search reads values and flags from mappings keyed by (scale, center2)
-that must answer for every vertex it reaches.  A session hands it its own
-memos, which compute each node's value and flag on first lookup and keep
-it for the rest of the session, so every such fact is computed once per
+The search reads values from a mapping keyed by (scale, center2) that
+must answer for every vertex it reaches.  A session hands it its own
+memo, which computes each node's value on first lookup and keeps it for
+the rest of the session, so every such fact is computed once per
 session.
 """
 
@@ -45,7 +47,7 @@ from itertools import product
 from math import inf, sqrt
 
 from .neighbors import are_neighbors, find_neighbors
-from .reduced import CellTracker, ReducedTree, refresh
+from .reduced import CellTracker, ReducedTree, RTNode, refresh
 from .sampling import ValueEstimator
 from .tree import (
     MAX_DEPTH,
@@ -115,24 +117,24 @@ def node_contains(idx: NodeIndex, point, depth: int) -> bool:
 
 def astar_lazy(
     rtree: ReducedTree,
-    v_start: NodeIndex,
-    v_goal: NodeIndex,
+    start: RTNode,
+    goal: RTNode,
     weight: float,
     values,
-    flags=None,
     excluded=frozenset(),
     stats: SearchStats | None = None,
 ) -> list[NodeIndex] | None:
-    """Vertex path of minimal cost from v_start to v_goal, or None.
+    """Vertex path of minimal cost from the start leaf to the goal leaf, or None.
 
-    An edge costs the center distance times 1 + weight * (the target's
-    occupancy value).  values maps a vertex's (scale, center2) key to its
-    occupancy value; flags, when given, maps it to True for vertices that
-    must not be routed through (they still enter the queue, with infinite
-    cost, so the touched count reflects them).  Both are read with [] and
-    must answer for every vertex the search reaches; a PlannerSession
-    passes memos that compute each entry on first lookup, once per
-    session.  excluded lists vertices the path never enters (the start
+    start and goal are leaves of the view rtree.  An edge costs the center
+    distance times 1 + weight * (the target's occupancy value).  values
+    maps a vertex's (scale, center2) key to its occupancy value, read with
+    [] for every vertex the search reaches; a PlannerSession passes a memo
+    that computes each entry on first lookup, once per session.  A value
+    of inf marks a vertex that must not be routed through (map-free, a
+    node flagged as an obstacle): it still enters the queue, with
+    infinite cost, so the touched count reflects it, but it is never
+    expanded.  excluded lists vertex keys the path never enters (the start
     excepted).  Any neighbor of the start may be the first hop: on a view
     refreshed around the start, every one of them is fine.
     A vertex's neighbors come from the tree lookup find_neighbors, read
@@ -140,34 +142,30 @@ def astar_lazy(
     """
     if stats is None:
         stats = SearchStats()
-    start_node = rtree.find_vertex(v_start)
-    if start_node is None:
-        raise RuntimeError(f"search started at a missing vertex {v_start}")
     root, depth = rtree.root, rtree.depth
-    goal_center2 = v_goal.center2
+    goal_center2 = goal.center2
 
-    # Vertices are keyed by plain (scale, center2) tuples inside the loop;
-    # NodeIndex is a tuple subclass so the keys hash and compare the same,
-    # and heap entries (f, h, key) preserve the old lexicographic order.
+    # Vertices are keyed by plain (scale, center2) tuples.  Heap entries
+    # are (f, h, key, node): within one run a key always comes with the
+    # same node, so ties never compare nodes.
     dist = math.dist
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    start_key = (v_start.scale, v_start.center2)
-    goal_key = (v_goal.scale, v_goal.center2)
+    start_key = (start.scale, start.center2)
+    goal_key = (goal.scale, goal_center2)
     g: dict = {start_key: 0.0}
     parent: dict = {}
-    by_index: dict = {start_key: start_node}
     # Excluded vertices start out closed: never queued, never expanded.
     closed: set = set(excluded)
     closed.discard(start_key)
     g_get = g.get
     closed_add = closed.add
-    h0 = 0.5 * dist(v_start.center2, goal_center2)
-    heap: list[tuple] = [(h0, h0, start_key)]
+    h0 = 0.5 * dist(start.center2, goal_center2)
+    heap: list[tuple] = [(h0, h0, start_key, start)]
     found = False
 
     while heap:
-        f, hv, v = heappop(heap)
+        f, hv, v, v_node = heappop(heap)
         if v in closed:
             continue
         if f == inf:
@@ -177,7 +175,7 @@ def astar_lazy(
             break
         closed_add(v)
         stats.pops += 1
-        nbrs = find_neighbors(root, by_index[v], depth)
+        nbrs = find_neighbors(root, v_node, depth)
         gv = g[v]
         vc2 = v[1]
         for node in nbrs:
@@ -185,20 +183,19 @@ def astar_lazy(
             w = (node.scale, nc2)
             if w in closed:
                 continue
-            if flags is not None and flags[w]:
+            value = values[w]
+            if value == inf:
                 if w not in g:
                     g[w] = inf
-                    by_index[w] = node
                     hw = 0.5 * dist(nc2, goal_center2)
-                    heappush(heap, (inf, hw, w))
+                    heappush(heap, (inf, hw, w, node))
                 continue
-            tentative = gv + 0.5 * dist(vc2, nc2) * (1.0 + weight * values[w])
+            tentative = gv + 0.5 * dist(vc2, nc2) * (1.0 + weight * value)
             if tentative < g_get(w, inf):
                 g[w] = tentative
                 parent[w] = v
-                by_index[w] = node
                 hw = 0.5 * dist(nc2, goal_center2)
-                heappush(heap, (tentative + hw, hw, w))
+                heappush(heap, (tentative + hw, hw, w, node))
 
     stats.touched += len(g)
     if not found:
@@ -251,32 +248,32 @@ class _Memo(dict):
         return got
 
 
-def _node_memos(tree, estimator, eps, gamma, fresh_obstacles, fresh_free):
-    """A session's value memo and, map-free, its flag memo (else None).
+def _node_memo(tree, estimator, eps, gamma, fresh_obstacles, fresh_free):
+    """A session's value memo: each node's value, inf for a flagged one.
 
     Node values never change once known (exact map values are fixed,
     estimator results are cached), and eps and gamma are fixed for the
-    session, so each value and flag is computed once.  Map-free flag
-    fills also record what they learn: flagged nodes in fresh_obstacles,
-    coarse nodes that enumeration proved free in fresh_free.  Map-free
-    values come straight from the estimator: the search reads a node's
-    flag before its value, so the flag fill has recorded it.  Exact values
-    come from the unchecked tree.lookup: every key the search reaches is a
-    view node, a valid address.
+    session, so each value is computed once.  Exact values come from the
+    unchecked tree.lookup: every key the search reaches is a view node, a
+    valid address.  A map-free fill classifies the node once and records
+    what it learns: flagged nodes in fresh_obstacles, coarse nodes that
+    enumeration proved free in fresh_free.  It returns inf for a flagged
+    node, else the estimator's value.
     """
     if tree is not None:
         lookup = tree.lookup
-        return _Memo(lambda idx: lookup(idx[0], idx[1])[0]), None
+        return _Memo(lambda idx: lookup(idx[0], idx[1])[0])
 
-    def flagged(idx: NodeIndex) -> bool:
-        got, _ = estimator.classify(idx, eps, gamma)
-        if got:
+    def value(idx: NodeIndex) -> float:
+        flagged, _ = estimator.classify(idx, eps, gamma)
+        if flagged:
             fresh_obstacles.add(idx)
-        elif idx.scale > 0 and estimator.known_free(idx):
+            return inf
+        if idx.scale > 0 and estimator.known_free(idx):
             fresh_free.add(idx)
-        return got
+        return estimator.value(idx)
 
-    return _Memo(estimator.value), _Memo(flagged)
+    return _Memo(value)
 
 
 class PlannerSession:
@@ -290,10 +287,11 @@ class PlannerSession:
     its iteration pieces (goal_reached, refresh_view, advance) so a caller
     can drive and inspect single iterations; run() drives to completion.
 
-    The walk is recorded in trail.  Each advance() commits the leading
-    fine hops of one search, all of them exact moves.  The search routes
-    around the trail's cells, so no hop lands on one: trail is a simple
-    path from the start, and a successful result's path repeats no node.
+    The walk is recorded in trail, and every cell it has entered in
+    visited.  Each advance() commits the leading fine hops of one search,
+    all of them exact moves.  The search routes around visited cells, so
+    no hop lands on one: trail is a simple path from the start, and a
+    successful result's path repeats no node.
     """
 
     def __init__(
@@ -372,13 +370,11 @@ class PlannerSession:
 
         start_v = self._locate(start)
         goal_v = self._locate(goal)
-        self.goal_cell = goal_v
         self.goal_center = _center(goal_v)
         self.current = start_v
         self.trail: list[NodeIndex] = [start_v]
-        self.path_cells = CellTracker(dim, depth)
-        self.path_cells.add(start_v)
-        self.blocked_cells = CellTracker(dim, depth)
+        self.visited = CellTracker(dim, depth)
+        self.visited.add(start_v)
         self.blocked = 0
         # Nodes already classified: refresh prunes known obstacles from
         # later views so A* stops re-touching them, and stops descent at
@@ -390,7 +386,7 @@ class PlannerSession:
         self._known_free: set[NodeIndex] = set()
         self._fresh_obstacles: set[NodeIndex] = set()
         self._fresh_free: set[NodeIndex] = set()
-        self._values, self._flags = _node_memos(
+        self._values = _node_memo(
             tree, self.estimator, eps, gamma, self._fresh_obstacles, self._fresh_free
         )
         self.rtree = ReducedTree(dim, depth)
@@ -428,7 +424,7 @@ class PlannerSession:
     def _is_obstacle(self, idx: NodeIndex) -> bool:
         if self.tree is not None:
             return self.tree.is_eps_obstacle(idx, self.eps)
-        return self._flags[idx]
+        return self._values[idx] == inf
 
     def _is_fine(self, idx) -> bool:
         if self.tree is not None:
@@ -452,8 +448,7 @@ class PlannerSession:
             self.rtree,
             self.tree,
             self.current,
-            self.path_cells,
-            self.blocked_cells,
+            self.visited,
             self.eps,
             self.alpha,
             obstacles=self._known_obstacles,
@@ -467,7 +462,9 @@ class PlannerSession:
         first hop is committed (a coarse one raises RuntimeError, as a
         non-adjacent one does); the following hops are committed while the
         next node is fine.  With no path, the last trail cell is blocked
-        and the walk steps back to the one before it.
+        and the walk steps back to the one before it; the blocked cell
+        stays visited, so later views keep it as a leaf and later searches
+        never enter it.
         """
         run = SearchStats()
         goal_node = self.rtree.leaf_at_point(self.goal_center)
@@ -477,12 +474,11 @@ class PlannerSession:
             before = len(self.estimator) if self.estimator else 0
             path = astar_lazy(
                 self.rtree,
-                self.current,
-                goal_node.index(),
+                start_node,
+                goal_node,
                 self.weight,
                 self._values,
-                self._flags,
-                excluded=self.trail,
+                excluded=self.visited.cells(),
                 stats=run,
             )
             if self.estimator:
@@ -493,9 +489,7 @@ class PlannerSession:
             if len(self.trail) == 1:
                 self.status = NO_PATH
                 return self.status
-            dead = self.trail.pop()
-            self.path_cells.discard(dead)
-            self.blocked_cells.add(dead)
+            self.trail.pop()
             self.blocked += 1
             self.current = self.trail[-1]
             return None
@@ -513,7 +507,7 @@ class PlannerSession:
                     f"planner committed a non-adjacent step {self.current} -> {step}"
                 )
             self.trail.append(step)
-            self.path_cells.add(step)
+            self.visited.add(step)
             self.current = step
         return None
 

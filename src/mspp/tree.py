@@ -112,6 +112,14 @@ def obstacle_threshold(eps: float, dim: int, scale: int) -> float:
     The free volume such a node hides is below eps unit cells.  Scaling by
     a power of two is exact, so every caller compares against the same
     float.
+
+    On a 0/1 map every scale-k value is a multiple of 2**(-dim * k), and
+    for eps in (0, 1) the threshold lies strictly between 1 - 2**(-dim * k)
+    and 1.  So a node reaches it exactly when every cell of it is
+    occupied, whatever eps is; the same holds for every node map-free mode
+    enumerates.  eps acts only on sampled nodes.  (In floats this holds
+    while 1 - eps > 2**(dim * k - 54); closer to 1 the threshold rounds
+    down to 1 - 2**(-dim * k).)
     """
     return 1.0 - ldexp(eps, -dim * scale)
 

@@ -250,19 +250,20 @@ def window_far_oracle(idx: NodeIndex, current: NodeIndex, alpha) -> bool:
     return lhs * lhs >= 4 * a * a * b * b * dim
 
 
-def eager_view(tree, current, path, blocked, eps, alpha, obstacles=(), free=()):
+def eager_view(tree, current, visited, eps, alpha, obstacles=(), free=()):
     """Reference reduced view: the eager rebuild from the root.
 
-    Applies a decision rule to every node at once, the way refresh worked
+    Applies the decision rule to every node at once, the way refresh worked
     before the view became lazy, and returns (scale, center2) -> is_leaf in
     the format of ReducedTree.snapshot(): internal nodes left with no leaf
     below them are dropped, the root excepted.  The far test is the exact
     rational oracle, not the library's integer thresholds, and a node that
     shares a face with the focus (by the interval oracle) is never far.
-    The rule is refresh's older one, with a branch per mode that tests the
-    same marks in a different order; it agrees with refresh's single rule
-    on every map-free input, and with a map whenever the path and blocked
-    cells are stored map leaves.
+    The rule is refresh's, stated per mode: a known obstacle is removed; a
+    visited cell is a leaf and any other node holding one splits; else a
+    map leaf (or, map-free, a unit cell or a known-free block) is a leaf
+    and any other node is a leaf exactly when it is far.  With a map, a
+    leaf that is an eps-obstacle is removed.
     """
     out: dict[tuple, bool] = {}
 
@@ -275,28 +276,13 @@ def eager_view(tree, current, path, blocked, eps, alpha, obstacles=(), free=()):
     def visit(idx: NodeIndex) -> bool:
         if idx in obstacles:
             return False
-        near_marks = path.covers(idx) or blocked.covers(idx)
-        if tree is not None:
-            if not tree.is_internal(idx):
-                stop = True
-            elif near_marks:
-                stop = False
-            else:
-                stop = far(idx)
+        if visited.covers(idx):
+            stop = visited.is_member(idx)
+        elif tree is not None:
+            stop = not tree.is_internal(idx) or far(idx)
         else:
-            if blocked.is_member(idx):
-                return False
-            if idx.scale == 0 or path.is_member(idx):
-                stop = True
-            elif near_marks:
-                stop = False
-            elif idx in free:
-                stop = True
-            else:
-                stop = far(idx)
+            stop = idx.scale == 0 or idx in free or far(idx)
         if stop:
-            if blocked.is_member(idx):
-                return False
             if tree is not None and tree.is_eps_obstacle(idx, eps):
                 return False
             out[idx] = True
@@ -307,7 +293,7 @@ def eager_view(tree, current, path, blocked, eps, alpha, obstacles=(), free=()):
             return True
         return False
 
-    depth, dim = path.depth, path.dim
+    depth, dim = visited.depth, visited.dim
     root = NodeIndex(depth, (1 << depth,) * dim)
     if not visit(root):
         out[root] = False

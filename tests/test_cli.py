@@ -109,6 +109,42 @@ def test_bound_past_float_range_prints_one(capsys):
     assert rows == [["1", "1"], ["2", "1"]]
 
 
+def test_bound_is_zero_when_no_band_scale_lies_in_the_tree(capsys):
+    # a depth-0 world has one node, which map-free mode enumerates
+    code, out, _ = run(
+        capsys, "bound", "--depth", "0", "--eps", "0.9", "--gamma", "0.001",
+        "--n-range", "1,2",
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == ["1,0", "2,0"]
+
+
+OPEN = [(3, 3), (4, 4)]
+WALL = [(2, y) for y in range(8)]
+
+
+@pytest.mark.parametrize(
+    "argv, occupied",
+    [
+        (["plan", "--map"], OPEN),
+        (["plan", "--mode", "sampling", "--map"], OPEN),
+        (["plan", "--map"], WALL),
+        (["bound", "--n-range", "1,5"], None),
+        (["gen-map", "--depth", "3", "--seed", "4"], None),
+    ],
+)
+def test_out_file_holds_what_standard_output_gets(tmp_path, capsys, argv, occupied):
+    if occupied is not None:
+        argv = argv + [map_file(tmp_path, occupied)]
+    code, printed, _ = run(capsys, *argv)
+    out_path = tmp_path / "out.txt"
+    again, rest, _ = run(capsys, *argv, "--out", str(out_path))
+    assert again == code
+    assert rest == ""
+    assert printed
+    assert out_path.read_text(encoding="utf-8") == printed
+
+
 def test_gen_map_round_trip_keeps_corners_free(tmp_path, capsys):
     out_path = str(tmp_path / "gen.map")
     code, _, _ = run(

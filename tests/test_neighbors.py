@@ -227,14 +227,13 @@ def test_find_neighbors_decides_what_root_descent_decides(dim, depth):
         tree = build_from_grid(random_world(dim, depth, 0.3, seed=seed))
         cells = [idx for idx, v in tree.iter_nodes() if v == 0.0 and tree.is_leaf(idx)]
         path = CellTracker(dim, depth)
-        blocked = CellTracker(dim, depth)
         views = (ReducedTree(dim, depth), ReducedTree(dim, depth))
         for _ in range(4):
             current = cells[int(rng.integers(len(cells)))]
             if not path.is_member(current):
                 path.add(current)
             for view in views:
-                refresh(view, tree, current, path, blocked, 0.5, 1.0)
+                refresh(view, tree, current, path, 0.5, 1.0)
             mirror, ref = views
             frontier = [(mirror.find_vertex(current), ref.find_vertex(current))]
             seen = {current}

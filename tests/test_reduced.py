@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import eager_view, random_index, random_world, window_far_oracle
 from mspp.neighbors import are_neighbors, find_neighbors
+from mspp.search import astar_lazy
 from mspp.reduced import (
     CellTracker,
     ReducedTree,
@@ -34,8 +35,7 @@ def fresh_equivalent(session):
         twin,
         session.tree,
         session.current,
-        session.path_cells,
-        session.blocked_cells,
+        session.visited,
         session.eps,
         session.alpha,
         obstacles=session._known_obstacles,
@@ -171,10 +171,9 @@ def test_refresh_uniform_free_world_keeps_single_leaf():
     tree = build_from_grid(world)
     rtree = ReducedTree(2, 3)
     path = CellTracker(2, 3)
-    blocked = CellTracker(2, 3)
     current = tree.leaf_at((0.5, 0.5))
     path.add(current)
-    refresh(rtree, tree, current, path, blocked, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, current, path, eps=0.5, alpha=1.0)
     assert leaf_keys(rtree) == {(3, (8, 8))}
 
 
@@ -200,10 +199,9 @@ def test_refresh_vertices_satisfy_window_predicate():
     tree = build_from_grid(world)
     rtree = ReducedTree(2, 3)
     path = CellTracker(2, 3)
-    blocked = CellTracker(2, 3)
     current = NodeIndex(0, (1, 1))
     path.add(current)
-    refresh(rtree, tree, current, path, blocked, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, current, path, eps=0.5, alpha=1.0)
     assert window_stop_predicate(tree, rtree, current, path, 1.0)
     # near nodes got subdivided to source-tree leaves, far ones stayed coarse
     scales = {v.scale for v in rtree.vertices()}
@@ -218,10 +216,9 @@ def test_refresh_near_region_reaches_tree_leaves():
     tree = build_from_grid(world)
     rtree = ReducedTree(2, 4)
     path = CellTracker(2, 4)
-    blocked = CellTracker(2, 4)
     current = tree.leaf_at((0.5, 0.5))
     path.add(current)
-    refresh(rtree, tree, current, path, blocked, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, current, path, eps=0.5, alpha=1.0)
     assert window_stop_predicate(tree, rtree, current, path, 1.0)
     for v in rtree.vertices():
         idx = NodeIndex(v.scale, v.center2)
@@ -248,11 +245,10 @@ def test_refresh_partition_and_obstacle_freeness():
         tree = build_from_grid(world)
         rtree = ReducedTree(2, 4)
         path = CellTracker(2, 4)
-        blocked = CellTracker(2, 4)
         current = tree.leaf_at((0.5, 0.5))
         path.add(current)
         eps = 0.5
-        refresh(rtree, tree, current, path, blocked, eps=eps, alpha=1.0)
+        refresh(rtree, tree, current, path, eps=eps, alpha=1.0)
         painted = paint_cells(rtree, 2, 4)
         assert painted.max() <= 1
         # no vertex is an eps-obstacle
@@ -272,37 +268,46 @@ def test_refresh_partition_and_obstacle_freeness():
             assert covered
 
 
-def test_refresh_removes_blocked_cells():
-    # blocked cells force refinement around them and leave holes behind
+def test_refresh_keeps_blocked_cells_as_leaves():
+    # a blocked cell stays visited: the view refines around it and keeps it
+    # as a leaf, and the search, handed the visited cells, never enters it
     cells = np.zeros(64, dtype=np.uint8)
     world = GridWorld(2, 3, cells)
     cells[world.flat_index((0, 0))] = 1
     world = GridWorld(2, 3, cells)
     tree = build_from_grid(world)
     rtree = ReducedTree(2, 3)
-    path = CellTracker(2, 3)
-    blocked = CellTracker(2, 3)
+    visited = CellTracker(2, 3)
     current = NodeIndex(0, (3, 3))
-    path.add(current)
     dead = NodeIndex(0, (3, 1))
-    blocked.add(dead)
-    refresh(rtree, tree, current, path, blocked, eps=0.5, alpha=1.0)
-    assert rtree.find_vertex(dead) is None
-    assert rtree.leaf_at_point((1.5, 0.5)) is None
-    assert rtree.find_vertex(current) is not None
-    # map-free: a blocked cell is removed at whatever scale it was tried
+    visited.add(dead)
+    visited.add(current)
+    refresh(rtree, tree, current, visited, eps=0.5, alpha=1.0)
+    leaf = rtree.find_vertex(dead)
+    assert leaf is not None and rtree.leaf_at_point((1.5, 0.5)) is leaf
+    start = rtree.find_vertex(current)
+    assert start is not None
+    values = {v.index(): tree.value(v.index()) for v in rtree.vertices()}
+    assert astar_lazy(rtree, start, leaf, 1.0, values) == [current, dead]
+    assert astar_lazy(rtree, start, leaf, 1.0, values, excluded=visited.cells()) is None
+    # map-free: a blocked cell is a leaf at whatever scale it was tried
     rtree2 = ReducedTree(2, 3)
-    blocked2 = CellTracker(2, 3)
+    visited2 = CellTracker(2, 3)
+    visited2.add(current)
     coarse_dead = NodeIndex(1, (6, 2))
-    blocked2.add(coarse_dead)
-    refresh(rtree2, None, current, path, blocked2, eps=0.5, alpha=1.0)
-    assert rtree2.find_vertex(coarse_dead) is None
-    assert rtree2.leaf_at_point((3.0, 1.0)) is None
+    visited2.add(coarse_dead)
+    refresh(rtree2, None, current, visited2, eps=0.5, alpha=1.0)
+    leaf = rtree2.find_vertex(coarse_dead)
+    assert leaf is not None and rtree2.leaf_at_point((3.0, 1.0)) is leaf
+    start = rtree2.find_vertex(current)
+    values = {v.index(): 0.0 for v in rtree2.vertices()}
+    assert astar_lazy(rtree2, start, leaf, 1.0, values) == [current, coarse_dead]
+    excluded = visited2.cells()
+    assert astar_lazy(rtree2, start, leaf, 1.0, values, excluded=excluded) is None
 
 
 def test_refresh_prunes_known_obstacles_and_keeps_known_free():
     path = CellTracker(2, 3)
-    blocked = CellTracker(2, 3)
     current = NodeIndex(0, (1, 1))
     path.add(current)
     bad = NodeIndex(0, (3, 1))
@@ -315,7 +320,6 @@ def test_refresh_prunes_known_obstacles_and_keeps_known_free():
         None,
         current,
         path,
-        blocked,
         eps=0.5,
         alpha=1.0,
         obstacles=obstacles,
@@ -329,7 +333,7 @@ def test_refresh_prunes_known_obstacles_and_keeps_known_free():
     assert (kept.scale, kept.center2) == (1, (6, 2))
     # without the free mark the same block refines to unit cells
     rtree2 = ReducedTree(2, 3)
-    refresh(rtree2, None, current, path, blocked, eps=0.5, alpha=1.0)
+    refresh(rtree2, None, current, path, eps=0.5, alpha=1.0)
     assert rtree2.find_vertex(free_block) is None
     sub = rtree2.leaf_at_point((3.0, 1.0))
     assert sub is not None and sub.scale == 0
@@ -338,11 +342,10 @@ def test_refresh_prunes_known_obstacles_and_keeps_known_free():
 def test_refresh_rejects_focus_outside_world():
     rtree = ReducedTree(2, 3)
     path = CellTracker(2, 3)
-    blocked = CellTracker(2, 3)
     world = GridWorld(2, 3, np.zeros(64, dtype=np.uint8))
     tree = build_from_grid(world)
     with pytest.raises(ValueError):
-        refresh(rtree, tree, NodeIndex(0, (99, 1)), path, blocked, 0.5, 1.0)
+        refresh(rtree, tree, NodeIndex(0, (99, 1)), path, 0.5, 1.0)
 
 
 def test_refresh_incremental_matches_fresh_rebuild():
@@ -379,16 +382,15 @@ def test_refresh_reuses_surviving_nodes_in_place():
     tree = build_from_grid(world)
     rtree = ReducedTree(2, 4)
     path = CellTracker(2, 4)
-    blocked = CellTracker(2, 4)
     first = NodeIndex(0, (1, 1))
     path.add(first)
-    refresh(rtree, tree, first, path, blocked, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, first, path, eps=0.5, alpha=1.0)
     # the quadrant away from both focus cells stays a single coarse vertex
     survivor = rtree.find_vertex(NodeIndex(3, (24, 24)))
     assert survivor is not None
     second = NodeIndex(0, (3, 1))
     path.add(second)
-    refresh(rtree, tree, second, path, blocked, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, second, path, eps=0.5, alpha=1.0)
     again = rtree.find_vertex(NodeIndex(3, (24, 24)))
     assert again is survivor
 
@@ -439,17 +441,16 @@ def test_refresh_decides_only_the_root_and_lookups_their_own_path():
     tree = build_from_grid(world)
     rtree = ReducedTree(2, 4)
     path = CellTracker(2, 4)
-    blocked = CellTracker(2, 4)
     current = tree.leaf_at((0.5, 0.5))
     path.add(current)
-    refresh(rtree, tree, current, path, blocked, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, current, path, eps=0.5, alpha=1.0)
     assert rtree.root.children is not None
     assert decided_nodes(rtree) == 1
     assert rtree.find_vertex(current) is not None
     # one root-to-leaf descent decides one node per scale on its way
     assert decided_nodes(rtree) == 1 + rtree.depth - current.scale
     total = len(rtree.snapshot())
-    refresh(rtree, tree, current, path, blocked, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, current, path, eps=0.5, alpha=1.0)
     assert decided_nodes(rtree) == 1
     assert len(rtree.snapshot()) == total
 
@@ -472,7 +473,7 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
         world = random_world(dim, depth, 0.3, seed=seed)
         tree = build_from_grid(world) if exact else None
         if exact:
-            # trail and blocked cells of an exact walk are free map leaves
+            # the visited cells of an exact walk are free map leaves
             cells = [
                 idx for idx, v in tree.iter_nodes() if v == 0.0 and tree.is_leaf(idx)
             ]
@@ -480,27 +481,27 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
             def pick():
                 return cells[int(rng.integers(len(cells)))]
         else:
-            # map-free cells at scales 0-2 also make coarse trail cells that
-            # hold blocked cells, and blocked cells that rejoin the trail
+            # map-free cells at scales 0-2 also make coarse visited cells
+            # that hold other visited cells, and blocked cells that rejoin
+            # the trail
 
             def pick():
                 return random_index(rng, dim, depth, scale=int(rng.integers(0, 3)))
 
         rtree = ReducedTree(dim, depth)
-        path = CellTracker(dim, depth)
-        blocked = CellTracker(dim, depth)
+        visited = CellTracker(dim, depth)
         trail = [pick()]
-        path.add(trail[0])
+        visited.add(trail[0])
         obstacles: set[NodeIndex] = set()
         free: set[NodeIndex] = set()
         for step in range(12):
             refresh(
-                rtree, tree, trail[-1], path, blocked, eps, alpha,
+                rtree, tree, trail[-1], visited, eps, alpha,
                 obstacles=obstacles, free=free,
             )
             if step % 3 == 2:
                 want = eager_view(
-                    tree, trail[-1], path, blocked, eps, alpha, obstacles, free
+                    tree, trail[-1], visited, eps, alpha, obstacles, free
                 )
                 assert rtree.snapshot() == want
                 leaves = rtree.vertices()
@@ -509,11 +510,10 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
                 }
                 keyed = [(v.scale, v.center2) for v in leaves]
                 assert keyed == sorted(keyed)
-                # a new view decides every node afresh, also the ones this
-                # view removed for good before they rejoined the trail
+                # a new view decides every node afresh
                 fresh = ReducedTree(dim, depth)
                 refresh(
-                    fresh, tree, trail[-1], path, blocked, eps, alpha,
+                    fresh, tree, trail[-1], visited, eps, alpha,
                     obstacles=obstacles, free=free,
                 )
                 assert fresh.snapshot() == want
@@ -524,7 +524,7 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
                 eager_leaves = [
                     NodeIndex(*key)
                     for key, leaf in eager_view(
-                        tree, trail[-1], path, blocked, eps, alpha, obstacles, free
+                        tree, trail[-1], visited, eps, alpha, obstacles, free
                     ).items()
                     if leaf
                 ]
@@ -544,11 +544,10 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
                 cell = pick()
                 if cell not in trail:
                     trail.append(cell)
-                    path.add(cell)
+                    visited.add(cell)
             else:
-                dead = trail.pop()
-                path.discard(dead)
-                blocked.add(dead)
+                # the dead cell stays visited
+                trail.pop()
             if not exact:
                 bad = random_index(rng, dim, depth, scale=int(rng.integers(0, 2)))
                 obstacles.add(bad)
@@ -557,28 +556,34 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
 
 
 def test_blocked_cell_inside_a_stored_leaf_splits_it():
-    # Exact mode, with a blocked cell that is not a stored leaf: the one
-    # rule refines around it as around any blocked cell and removes it,
-    # where the older two-branch rule (eager_view) kept its stored leaf
-    # whole.
+    # Exact mode, with a blocked cell that is not a stored leaf: the rule
+    # refines around it as around any visited cell and keeps it as a leaf,
+    # which the search, handed the visited cells, never enters.
     cells = np.zeros(64, dtype=np.uint8)
     cells[7 * 8 + 7] = 1
     tree = build_from_grid(GridWorld(2, 3, cells))
-    path = CellTracker(2, 3)
-    blocked = CellTracker(2, 3)
+    visited = CellTracker(2, 3)
     start = NodeIndex(2, (4, 4))
-    path.add(start)
+    visited.add(start)
     dead = NodeIndex(0, (3, 11))
-    blocked.add(dead)
+    visited.add(dead)
     rtree = ReducedTree(2, 3)
-    refresh(rtree, tree, start, path, blocked, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, start, visited, eps=0.5, alpha=1.0)
     leaves = {v.index() for v in rtree.vertices()}
-    assert len(leaves) == 12
+    assert len(leaves) == 13
     assert NodeIndex(2, (4, 12)) not in leaves
-    assert rtree.leaf_at_point((1.5, 5.5)) is None
-    assert {NodeIndex(0, (1, 9)), NodeIndex(0, (1, 11)), NodeIndex(0, (3, 9))} <= leaves
-    old = eager_view(tree, start, path, blocked, 0.5, 1.0)
-    assert sum(old.values()) == 7 and old[NodeIndex(2, (4, 12))]
+    assert rtree.leaf_at_point((1.5, 5.5)) is rtree.find_vertex(dead)
+    assert leaves >= {dead} | {NodeIndex(0, c2) for c2 in [(1, 9), (1, 11), (3, 9)]}
+    assert rtree.snapshot() == eager_view(tree, start, visited, 0.5, 1.0)
+    # the cheapest way to the goal (1, (2, 14)) runs through the blocked cell
+    goal = rtree.leaf_at_point((0.5, 6.5))
+    values = {v: tree.value(v) for v in leaves}
+    start_leaf = rtree.find_vertex(start)
+    assert dead in astar_lazy(rtree, start_leaf, goal, 1.0, values)
+    around = astar_lazy(
+        rtree, start_leaf, goal, 1.0, values, excluded=visited.cells()
+    )
+    assert around is not None and dead not in around
 
 
 def test_view_refuses_to_resolve_after_its_trackers_change():
@@ -586,20 +591,18 @@ def test_view_refuses_to_resolve_after_its_trackers_change():
     tree = build_from_grid(world)
     rtree = ReducedTree(2, 3)
     path = CellTracker(2, 3)
-    blocked = CellTracker(2, 3)
     current = tree.leaf_at((0.5, 0.5))
     path.add(current)
-    refresh(rtree, tree, current, path, blocked, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, current, path, eps=0.5, alpha=1.0)
     assert rtree.root.children is not None
     step = tree.leaf_at((1.5, 0.5))
     path.add(step)
     with pytest.raises(RuntimeError):
         rtree.vertices()
-    refresh(rtree, tree, step, path, blocked, eps=0.5, alpha=1.0)
-    assert rtree.snapshot() == eager_view(tree, step, path, blocked, 0.5, 1.0)
-    refresh(rtree, tree, step, path, blocked, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, step, path, eps=0.5, alpha=1.0)
+    assert rtree.snapshot() == eager_view(tree, step, path, 0.5, 1.0)
+    refresh(rtree, tree, step, path, eps=0.5, alpha=1.0)
     path.discard(step)
-    blocked.add(step)
     with pytest.raises(RuntimeError):
         rtree.leaf_at_point((7.5, 7.5))
     # the known-obstacle and known-free key sets are inputs too
@@ -608,7 +611,7 @@ def test_view_refuses_to_resolve_after_its_trackers_change():
         path = CellTracker(2, 3)
         path.add(near)
         keys = {"obstacles": set(), "free": set()}
-        refresh(rtree, None, near, path, CellTracker(2, 3), 0.5, 1.0, **keys)
+        refresh(rtree, None, near, path, 0.5, 1.0, **keys)
         keys[grown].add(NodeIndex(0, (15, 15)))
         with pytest.raises(RuntimeError):
             rtree.vertices()
@@ -619,22 +622,21 @@ def test_emptied_internal_nodes_answer_as_removed():
     block = NodeIndex(1, (6, 2))
     obstacles = {NodeIndex(0, c2) for c2 in [(5, 1), (7, 1), (5, 3), (7, 3)]}
     path = CellTracker(2, 3)
-    blocked = CellTracker(2, 3)
     near = NodeIndex(0, (3, 1))
     path.add(near)
     rtree = ReducedTree(2, 3)
-    refresh(rtree, None, near, path, blocked, 0.5, 1.0, obstacles=obstacles)
+    refresh(rtree, None, near, path, 0.5, 1.0, obstacles=obstacles)
     # near the focus the block descends and loses all four children
     assert rtree.leaf_at_point((2.5, 0.5)) is None
     assert rtree.find_vertex(block) is None
     beside = find_neighbors(rtree.root, rtree.find_vertex(near), 3)
     assert [n.index() for n in beside] == [NodeIndex(0, (1, 1)), NodeIndex(0, (3, 3))]
-    want = eager_view(None, near, path, blocked, 0.5, 1.0, obstacles)
+    want = eager_view(None, near, path, 0.5, 1.0, obstacles)
     assert block not in want
     assert rtree.snapshot() == want
     # far from the next focus the same block is one unclassified vertex
     far = NodeIndex(0, (15, 15))
     path.add(far)
-    refresh(rtree, None, far, path, blocked, 0.5, 1.0, obstacles=obstacles)
+    refresh(rtree, None, far, path, 0.5, 1.0, obstacles=obstacles)
     assert rtree.find_vertex(block) is not None
-    assert rtree.snapshot() == eager_view(None, far, path, blocked, 0.5, 1.0, obstacles)
+    assert rtree.snapshot() == eager_view(None, far, path, 0.5, 1.0, obstacles)

@@ -1,5 +1,6 @@
 """Monte Carlo occupancy estimates, thresholds, and failure bounds."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -111,23 +112,25 @@ def test_misclassification_bound_examples():
         misclassification_bound(0.1, 0)
 
 
-def band_sum(depth: int, dim: int, low: int, high: int) -> Fraction:
-    """Direct summation oracle for the expected node count in a scale band.
+def band_sum(depth: int, dim: int, low: int, high: int) -> int:
+    """Direct summation oracle for the node count in a scale band.
 
-    One term 2^(dim * (depth - k)) per scale strictly inside (low, high);
-    scales above the tree depth contribute fractional expected counts.
+    One term 2^(dim * (depth - k)) per scale strictly inside (low, high)
+    that holds nodes; scales above the tree depth hold none.
     """
-    total = Fraction(0)
+    total = 0
     for k in range(low + 1, high):
-        total += Fraction(2) ** (dim * (depth - k))
+        if k <= depth:
+            total += 2 ** (dim * (depth - k))
     return total
 
 
 def test_band_node_count_examples():
     assert band_node_count(5, 1, 8, 9) == 0.0  # empty band
     assert band_node_count(5, 1, 9, 9) == 0.0
-    assert band_node_count(5, 1, 4, 9) == pytest.approx(1.875, abs=1e-12)
-    assert band_node_count(5, 1, 6, 9) == pytest.approx(0.375, abs=1e-12)
+    # only scale 5, the root, lies in the tree: no node above depth counts
+    assert band_node_count(5, 1, 4, 9) == 1.0
+    assert band_node_count(5, 1, 6, 9) == 0.0
 
 
 def test_band_node_count_matches_direct_sum():
@@ -136,8 +139,7 @@ def test_band_node_count_matches_direct_sum():
             for low in range(0, 9):
                 for high in range(0, 10):
                     got = band_node_count(depth, dim, low, high)
-                    expect = float(band_sum(depth, dim, low, high))
-                    assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+                    assert got == float(band_sum(depth, dim, low, high))
 
 
 def test_band_node_count_past_float_range_is_inf():
@@ -148,18 +150,18 @@ def test_band_node_count_past_float_range_is_inf():
 
 
 def test_failure_bound_reference_curve():
-    params = dict(depth=5, dim=1, eps=0.9, gamma=0.0035, regions=2)
+    # the band runs from the enumeration cutoff floor(log2 n) to the flag
+    # cutoff 9; at depth 5 only the root can lie in it, at depth 8 scales
+    # up to 8 can
+    params = dict(dim=1, eps=0.9, gamma=0.0035, regions=2)
     expect = {
-        16: 0.99872,
-        32: 0.91437,
-        64: 0.49295,
-        128: 0.091568,
-        255: 0.07397,
-        256: 0.0,
+        5: {16: 0.960798, 32: 0.0, 64: 0.0, 128: 0.0, 255: 0.0, 256: 0.0},
+        8: {16: 1.0, 32: 1.0, 64: 0.999876, 128: 0.891219, 255: 0.848392, 256: 0.0},
     }
-    for n, target in expect.items():
-        got = failure_bound(BoundParams(samples=n, **params))
-        assert got == pytest.approx(target, abs=1e-4), (n, got)
+    for depth, curve in expect.items():
+        for n, target in curve.items():
+            got = failure_bound(BoundParams(depth=depth, samples=n, **params))
+            assert got == pytest.approx(target, abs=1e-6), (depth, n, got)
 
 
 def test_failure_bound_edges_and_monotone_plateau():
@@ -205,6 +207,55 @@ def test_failure_bound_stays_in_unit_interval(depth, dim, eps, gamma, n, z):
         BoundParams(depth=depth, dim=dim, eps=eps, gamma=gamma, samples=n, regions=z)
     )
     assert 0.0 <= got <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 10),
+    st.floats(0.1, 0.9),
+    st.floats(1e-4, 0.3),
+    st.integers(1, 4096),
+)
+def test_failure_bound_is_zero_or_near_vacuous(dim, depth, eps, gamma, n):
+    # a band scale k has 2**(dim * k) > n cells and gamma * 2**(dim * k) <
+    # eps, so its node's term exp(-2 gamma**2 n) exceeds exp(-2 eps**2 / n)
+    params = BoundParams(depth=depth, dim=dim, eps=eps, gamma=gamma, samples=n)
+    low = exact_scale_cutoff(dim, n)
+    high = flag_scale_cutoff(dim, eps, gamma)
+    got = failure_bound(params)
+    if any(0 <= k <= depth for k in range(low + 1, high)):
+        assert got > math.exp(-2.0 * eps * eps / n)
+    else:
+        assert got == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4096),
+    st.sampled_from([0.3, 0.7, 0.95]),
+    st.floats(1e-6, 1 - 1e-6),
+    st.integers(0, 2**32 - 1),
+)
+def test_enumerated_nodes_are_flagged_exactly_when_full(
+    dim, samples, density, eps, seed
+):
+    # every node map-free mode enumerates is flagged exactly when each of
+    # its cells is occupied, whatever eps and gamma
+    depth = 3 if dim < 3 else 2
+    rng = np.random.default_rng(seed)
+    size = 1 << (dim * depth)
+    world = GridWorld(dim, depth, (rng.random(size) < density).astype(np.uint8))
+    estimator = ValueEstimator(grid_predicate(world), dim, depth, samples, seed=0)
+    for k in range(min(estimator.exact_cutoff, depth) + 1):
+        axis = range(1 << k, 2 << depth, 2 << k)
+        for c2 in itertools.product(axis, repeat=dim):
+            idx = NodeIndex(k, c2)
+            flagged, method = estimator.classify(idx, eps, 0.1)
+            est = estimator.exact(idx)
+            assert method == "exact"
+            assert flagged == (est.hits == est.n)
 
 
 def test_bound_params_validation():

@@ -161,9 +161,10 @@ def test_astar_start_equals_goal_expands_nothing():
     rtree = full_rtree(2, 2)
     stats = SearchStats()
     v = NodeIndex(0, (1, 1))
+    leaf = rtree.find_vertex(v)
     with counted_neighbor_lookups() as lookups:
         path = astar_lazy(
-            rtree, v, v, 1.0, values=defaultdict(float), stats=stats
+            rtree, leaf, leaf, 1.0, values=defaultdict(float), stats=stats
         )
     assert path == [v]
     assert stats.pops == 0
@@ -172,11 +173,11 @@ def test_astar_start_equals_goal_expands_nothing():
 
 def test_astar_missing_start_vertex_raises():
     rtree = full_rtree(2, 1)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="not a leaf"):
         astar_lazy(
             rtree,
-            NodeIndex(1, (2, 2)),  # internal, not a vertex
-            NodeIndex(0, (1, 1)),
+            rtree.root,  # internal, not a vertex
+            rtree.find_vertex(NodeIndex(0, (1, 1))),
             1.0,
             values=defaultdict(float),
         )
@@ -188,8 +189,8 @@ def test_astar_respects_excluded_first_hop():
     away = NodeIndex(0, (3, 1))
     path = astar_lazy(
         rtree,
-        start,
-        goal,
+        rtree.find_vertex(start),
+        rtree.find_vertex(goal),
         1.0,
         values=defaultdict(float),
         excluded={away},
@@ -221,8 +222,9 @@ def test_astar_never_enters_excluded_vertices():
     rtree = full_rtree(2, 2)
     start, goal = NodeIndex(0, (1, 1)), NodeIndex(0, (7, 1))
     wall = {NodeIndex(0, (3, y)) for y in (1, 3, 5)}
+    start_leaf, goal_leaf = rtree.find_vertex(start), rtree.find_vertex(goal)
     path = astar_lazy(
-        rtree, start, goal, 1.0, values=defaultdict(float),
+        rtree, start_leaf, goal_leaf, 1.0, values=defaultdict(float),
         excluded=wall | {start},
     )
     assert path is not None and path[0] == start
@@ -230,7 +232,7 @@ def test_astar_never_enters_excluded_vertices():
     # excluding a full column cuts the start off
     wall.add(NodeIndex(0, (3, 7)))
     path = astar_lazy(
-        rtree, start, goal, 1.0, values=defaultdict(float), excluded=wall
+        rtree, start_leaf, goal_leaf, 1.0, values=defaultdict(float), excluded=wall
     )
     assert path is None
 
@@ -329,9 +331,8 @@ def test_plan_budget_exhaustion():
 def make_refreshed_view(tree, start_cell, eps=0.5, alpha=1.0):
     rtree = ReducedTree(tree.dim, tree.depth)
     path = CellTracker(tree.dim, tree.depth)
-    blocked = CellTracker(tree.dim, tree.depth)
     path.add(start_cell)
-    refresh(rtree, tree, start_cell, path, blocked, eps=eps, alpha=alpha)
+    refresh(rtree, tree, start_cell, path, eps=eps, alpha=alpha)
     return rtree
 
 
@@ -353,7 +354,9 @@ def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
     stats = SearchStats()
     values = {v: tree.value(v) for v in vertices}
     with counted_neighbor_lookups() as lookups:
-        got = astar_lazy(rtree, start, goal, weight, values, stats=stats)
+        got = astar_lazy(
+            rtree, rtree.find_vertex(start), goal_node, weight, values, stats=stats
+        )
     edges = all_neighbor_pairs(rtree.root, depth)
     expect = dijkstra_vertex_path_cost(
         vertices, edges, tree.value, weight, start, goal
@@ -632,6 +635,38 @@ def test_lazy_lookups_plan_like_full_resolution(exact, dim, depth):
         assert resolved.result() == untouched
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "map-free"])
+def test_blocked_cells_stay_view_leaves(exact):
+    # the walk backs out of dead ends; every cell it blocked stays visited,
+    # so each later view holds it as a leaf (the search keeps out of it)
+    blocked_total = 0
+    for seed in (2, 4, 5):
+        world = random_world(2, 4, 0.3, seed=seed, free_corners=True)
+        kwargs = dict(start=(0.5, 0.5), goal=(15.5, 15.5))
+        if exact:
+            kwargs["tree"] = build_from_grid(world)
+        else:
+            kwargs.update(
+                predicate=grid_predicate(world), dim=2, depth=4, cell_picks=True
+            )
+        session = PlannerSession(**kwargs)
+        plain_refresh = session.refresh_view
+
+        def refresh_and_check():
+            plain_refresh()
+            on_trail = set(session.trail)
+            for key in session.visited.cells():
+                cell = NodeIndex(*key)
+                if cell not in on_trail:
+                    assert session.rtree.find_vertex(cell) is not None, cell
+
+        session.refresh_view = refresh_and_check
+        result = session.run()
+        blocked_total += result.blocked
+        assert len(set(session.visited.cells())) == len(session.trail) + result.blocked
+    assert blocked_total > 0
+
+
 def test_map_free_classifications_wait_for_the_next_refresh():
     world = random_world(2, 4, 0.3, seed=3, free_corners=True)
     session = PlannerSession(
@@ -645,8 +680,8 @@ def test_map_free_classifications_wait_for_the_next_refresh():
 
     def view_of(obstacles, free):
         return eager_view(
-            None, session.current, session.path_cells, session.blocked_cells,
-            session.eps, session.alpha, obstacles, free,
+            None, session.current, session.visited, session.eps, session.alpha,
+            obstacles, free,
         )
 
     session.refresh_view()
@@ -656,12 +691,11 @@ def test_map_free_classifications_wait_for_the_next_refresh():
     # the search advance() runs, without committing its step
     astar_lazy(
         session.rtree,
-        session.current,
-        goal.index(),
+        session.rtree.find_vertex(session.current),
+        goal,
         session.weight,
         session._values,
-        session._flags,
-        excluded=session.trail,
+        excluded=session.visited.cells(),
     )
     assert session._known_obstacles == obstacles
     assert session._known_free == free

@@ -176,6 +176,28 @@ def test_every_address_reads_its_brute_force_value(dim, depth, seed):
             assert all(a <= 2 * x < b for x, a, b in zip(point, lo2, hi2))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 4),
+    st.sampled_from([0.3, 0.7, 0.95]),
+    st.floats(1e-6, 1 - 1e-6),
+    st.integers(0, 2**32 - 1),
+)
+def test_eps_obstacles_are_the_fully_occupied_nodes(dim, depth, density, eps, seed):
+    # a scale-k value is a multiple of 2**(-dim * k), and the threshold lies
+    # strictly between the largest such value below 1 and 1
+    rng = np.random.default_rng(seed)
+    size = 1 << (dim * depth)
+    world = GridWorld(dim, depth, (rng.random(size) < density).astype(np.uint8))
+    tree = build_from_grid(world)
+    for k in range(depth + 1):
+        axis = range(1 << k, 2 << depth, 2 << k)
+        for c2 in itertools.product(axis, repeat=dim):
+            idx = NodeIndex(k, c2)
+            assert tree.is_eps_obstacle(idx, eps) == (tree.value(idx) == 1.0)
+
+
 def test_explicit_levels_are_checked():
     zeros = [np.zeros((4, 4), int), np.zeros((2, 2), int), np.zeros((1, 1), int)]
     flags = [np.zeros(c.shape, bool) for c in zeros]
