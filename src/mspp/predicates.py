@@ -29,7 +29,14 @@ __all__ = [
 
 
 class SphereSet:
-    """Union of balls."""
+    """Union of balls.
+
+    batch sums each point's squared distances to the centers axis by axis,
+    on (points, spheres) arrays, in axis order: (d0 + d1) + d2 and so on.
+    Below eight axes numpy sums a short last axis in that order too, so
+    there batch answers bit for bit like a sum over the (n, m, d) array of
+    differences, at a fraction of its cost.
+    """
 
     def __init__(self, centers, radii):
         self.centers = np.asarray(centers, dtype=np.float64)
@@ -38,6 +45,7 @@ class SphereSet:
             raise ValueError("need one radius per center")
         if np.any(self.radii < 0):
             raise ValueError("radii must be nonnegative")
+        self._r2 = self.radii**2
 
     def __call__(self, point) -> bool:
         p = np.asarray(point, dtype=np.float64)
@@ -45,9 +53,12 @@ class SphereSet:
         return bool(np.any(d2 <= self.radii**2))
 
     def batch(self, points: np.ndarray) -> np.ndarray:
-        diff = points[:, None, :] - self.centers[None, :, :]
-        d2 = (diff**2).sum(axis=2)
-        return np.any(d2 <= self.radii**2, axis=1)
+        d2 = np.zeros((len(points), len(self.centers)))
+        for j, column in enumerate(self.centers.T):
+            d = points[:, j, None] - column
+            d *= d
+            d2 += d
+        return np.any(d2 <= self._r2, axis=1)
 
 
 class Checkerboard:

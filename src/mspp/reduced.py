@@ -19,6 +19,8 @@ node can split (an internal map node or, map-free, a coarse block not
 proven free) and the far window.  A node that shares a face with the
 focus splits even when it is far, so every view leaf beside the focus is
 fine (a map leaf, a unit cell or a block proven free) at any alpha.
+Only at the scales where an adjacent node can be far (small alpha) does a
+far node need that face test, and only there does it run.
 Known obstacles and (with a map) scale-weighted obstacle leaves are
 removed entirely: a removed child leaves a None hole in its parent's
 child list.  Visited cells stay in the view as leaves; keeping the walk
@@ -196,7 +198,8 @@ class ReducedTree:
         self.root = ViewRoot(depth, (1 << depth,) * dim)
         self.gen = 0
         # (alpha, focus scale, eps or None) -> far thresholds, their
-        # denominator and the per-scale obstacle values.
+        # denominator, the scales where a node beside the focus can be far
+        # and the per-scale obstacle values.
         self._windows: dict[tuple, tuple] = {}
 
     def vertices(self) -> list[RTNode]:
@@ -252,27 +255,34 @@ class ReducedTree:
 
 def window_thresholds(
     dim: int, depth: int, alpha: float, focus_scale: int
-) -> tuple[list[int], int]:
+) -> tuple[list[int], int, list[bool]]:
     """Integer far-window thresholds per scale.
 
-    Returns (thresholds, den_sq): a node at scale k with squared doubled
-    center distance S to the focus is far exactly when
-    S * den_sq >= thresholds[k].
+    Returns (thresholds, den_sq, beside): a node at scale k with squared
+    doubled center distance S to the focus is far exactly when
+    S * den_sq >= thresholds[k].  beside[k] is False when no scale-k node
+    that shares a face with the focus is far.  Such a node is 2**k + 2**f
+    away on one axis (f the focus scale) and, as dyadic cubes nest, at
+    most |2**k - 2**f| on every other, so S is at most the sum of those
+    squares.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     frac = Fraction(alpha)
     num, den = frac.numerator, frac.denominator
     den_sq = den * den
-    out = []
+    out, beside = [], []
     b = den << focus_scale
+    f = 1 << focus_scale
     for k in range(depth + 1):
         a = num << (k + 1)
         base = a * a + dim * b * b
         rad = 4 * a * a * b * b * dim
         root = isqrt(rad)
         out.append(base + root + (0 if root * root == rad else 1))
-    return out, den_sq
+        near = ((1 << k) + f) ** 2 + (dim - 1) * ((1 << k) - f) ** 2
+        beside.append(near * den_sq >= out[-1])
+    return out, den_sq, beside
 
 
 def refresh(
@@ -330,12 +340,12 @@ def refresh(
     window_key = (alpha, current.scale, eps if exact else None)
     window = rtree._windows.get(window_key)
     if window is None:
-        thresholds, den_sq = window_thresholds(dim, depth, alpha, current.scale)
         obs_at = None
         if exact:
             obs_at = [obstacle_threshold(eps, dim, k) for k in range(depth + 1)]
-        window = rtree._windows[window_key] = (thresholds, den_sq, obs_at)
-    thresholds, den_sq, obs_at = window
+        window = window_thresholds(dim, depth, alpha, current.scale) + (obs_at,)
+        rtree._windows[window_key] = window
+    thresholds, den_sq, beside, obs_at = window
     if exact:
         lookup = tree.lookup
     cur2 = current.center2
@@ -368,12 +378,14 @@ def refresh(
             stop = key in visited_members
         elif inner:
             # The far-window test; a node beside the focus splits even when
-            # it is far.
+            # it is far, which only scales flagged in beside allow.
             s = 0
             for a, b in zip(c2, cur2):
                 d = a - b
                 s += d * d
-            stop = s * den_sq >= thresholds[k] and not are_neighbors(node, current)
+            stop = s * den_sq >= thresholds[k] and not (
+                beside[k] and are_neighbors(node, current)
+            )
         else:
             stop = True
         if stop:

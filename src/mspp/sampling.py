@@ -28,6 +28,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import ceil, exp, expm1, inf
 
 import numpy as np
@@ -205,6 +206,9 @@ class ValueEstimator:
     queries hit the cache.  Exact enumeration, and cell-centered sampling,
     ask the predicate about unit-cell centers through one per-cell memo, so
     a cell shared between nodes, scales or draws is paid for once.
+    Enumeration lists a node's cells in row-major order of their integer
+    coordinates (the last axis varies fastest), and the memo's misses go
+    to the predicate in that order, as one batch.
     """
 
     def __init__(
@@ -240,7 +244,8 @@ class ValueEstimator:
         # construction cost on every node.
         self._bits = np.random.Philox(key=0)
         self._rng = np.random.Generator(self._bits)
-        self._offsets: dict[int, np.ndarray] = {}
+        # (eps, gamma) -> the obstacle threshold of each scale, see classify.
+        self._thresholds: dict[tuple[float, float], list[float]] = {}
         # The predicate answer at a unit-cell center is a session constant
         # (predicates are pure), so it is remembered per cell; nodes that
         # overlap, at any scale, re-test shared cells at dictionary cost.
@@ -262,10 +267,6 @@ class ValueEstimator:
             memo.update(zip(misses, np.asarray(flags, dtype=bool).tolist()))
         return sum(map(memo.__getitem__, cells))
 
-    def _box_low(self, idx: NodeIndex) -> np.ndarray:
-        half = 1 << idx.scale
-        return np.array([(c - half) >> 1 for c in idx.center2], dtype=np.int64)
-
     def _node_rng(self, idx: NodeIndex) -> np.random.Generator:
         self._bits.state = {
             "bit_generator": "Philox",
@@ -280,17 +281,6 @@ class ValueEstimator:
         }
         return self._rng
 
-    def _cell_offsets(self, scale: int) -> np.ndarray:
-        """Integer unit-cell offsets from the box low corner, cached per scale."""
-        got = self._offsets.get(scale)
-        if got is None:
-            side = 1 << scale
-            axes = [np.arange(side, dtype=np.int64)] * self.dim
-            grid = np.meshgrid(*axes, indexing="ij")
-            got = np.stack(grid, axis=-1).reshape(-1, self.dim)
-            self._offsets[scale] = got
-        return got
-
     def estimate(self, idx: NodeIndex) -> SampleEstimate:
         """Sampled estimate of the node's occupancy value."""
         got = self._cache.get(idx)
@@ -299,7 +289,7 @@ class ValueEstimator:
         n = self.samples
         rng = self._node_rng(idx)
         side = 1 << idx.scale
-        low = self._box_low(idx)
+        low = np.array([(c - side) >> 1 for c in idx.center2], dtype=np.int64)
         if self.cell_picks:
             draws = rng.integers(0, side, size=(n, self.dim))
             cells = [tuple(row) for row in (low + draws).tolist()]
@@ -316,33 +306,34 @@ class ValueEstimator:
         got = self._cache.get(idx)
         if got is not None and got.exact:
             return got
-        offsets = self._cell_offsets(idx.scale)
-        cells = [tuple(row) for row in (self._box_low(idx) + offsets).tolist()]
+        side = 1 << idx.scale
+        axes = [range((c - side) >> 1, (c + side) >> 1) for c in idx.center2]
+        cells = list(product(*axes))
         est = SampleEstimate(idx, len(cells), self._hits_cells(cells), exact=True)
         self._cache[idx] = est
         return est
 
     def classify(
         self, idx: NodeIndex, eps: float, gamma: float
-    ) -> tuple[bool, str]:
+    ) -> tuple[bool, SampleEstimate]:
         """Hybrid obstacle test: exact at coarse-enough-to-enumerate scales.
 
-        Returns (is_obstacle, method) where method is "exact" below the
-        enumeration cutoff (scale-weighted threshold, no margin) and
-        "sampled" above it (margin gamma added).
+        Returns (is_obstacle, estimate).  At or below the enumeration
+        cutoff the estimate is exact and is held to the scale-weighted
+        threshold with no margin; above it the estimate is sampled and
+        gamma is added (is_flagged_obstacle).  Each scale's threshold is
+        worked out once per (eps, gamma).
         """
-        if idx.scale <= self.exact_cutoff:
-            est = self.exact(idx)
-            obstacle = est.value >= obstacle_threshold(eps, self.dim, idx.scale)
-            return obstacle, "exact"
-        est = self.estimate(idx)
-        return is_flagged_obstacle(est.value, idx.scale, self.dim, eps, gamma), "sampled"
-
-    def value(self, idx: NodeIndex) -> float:
-        """Best cached occupancy value for cost weighting."""
-        if idx.scale <= self.exact_cutoff:
-            return self.exact(idx).value
-        return self.estimate(idx).value
+        at = self._thresholds.get((eps, gamma))
+        if at is None:
+            cutoff = self.exact_cutoff
+            at = self._thresholds[eps, gamma] = [
+                obstacle_threshold(eps, self.dim, k) + (gamma if k > cutoff else 0.0)
+                for k in range(self.depth + 1)
+            ]
+        k = idx.scale
+        est = self.exact(idx) if k <= self.exact_cutoff else self.estimate(idx)
+        return est.value >= at[k], est
 
     def known_free(self, idx: NodeIndex) -> bool:
         """True when enumeration already proved every cell of the node free."""

@@ -255,23 +255,23 @@ def _node_memo(tree, estimator, eps, gamma, fresh_obstacles, fresh_free):
     estimator results are cached), and eps and gamma are fixed for the
     session, so each value is computed once.  Exact values come from the
     unchecked tree.lookup: every key the search reaches is a view node, a
-    valid address.  A map-free fill classifies the node once and records
-    what it learns: flagged nodes in fresh_obstacles, coarse nodes that
-    enumeration proved free in fresh_free.  It returns inf for a flagged
-    node, else the estimator's value.
+    valid address.  A map-free fill makes one classify call per node and
+    records what its estimate shows: flagged nodes in fresh_obstacles,
+    coarse nodes that enumeration proved free in fresh_free.  It returns
+    inf for a flagged node, else the estimate's value.
     """
     if tree is not None:
         lookup = tree.lookup
         return _Memo(lambda idx: lookup(idx[0], idx[1])[0])
 
     def value(idx: NodeIndex) -> float:
-        flagged, _ = estimator.classify(idx, eps, gamma)
+        flagged, est = estimator.classify(idx, eps, gamma)
         if flagged:
             fresh_obstacles.add(idx)
             return inf
-        if idx.scale > 0 and estimator.known_free(idx):
+        if est.exact and not est.hits and idx.scale > 0:
             fresh_free.add(idx)
-        return estimator.value(idx)
+        return est.value
 
     return _Memo(value)
 

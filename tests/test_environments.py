@@ -1,10 +1,14 @@
-"""Environments: realizing a point oracle as a grid."""
+"""Environments: realizing a point oracle as a grid, and the grid baseline."""
 
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mspp.environments import realize_grid
+from helpers import random_world
+from mspp.environments import realize_grid, uniform_astar
 from mspp.predicates import Slab
 
 
@@ -30,3 +34,48 @@ def test_realize_grid_keeps_axis_order():
     world = realize_grid(Slab(0, 1.0), 2, 2)
     assert world.occupied((0, 1))
     assert not world.occupied((1, 0))
+
+
+def bfs_steps(world, start, goal):
+    """Fewest face moves over free cells from start to goal, or None."""
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for cell in frontier:
+            for j in range(world.dim):
+                for delta in (1, -1):
+                    c = cell[j] + delta
+                    nb = cell[:j] + (c,) + cell[j + 1:]
+                    if not 0 <= c < world.side or nb in dist or world.occupied(nb):
+                        continue
+                    dist[nb] = dist[cell] + 1
+                    nxt.append(nb)
+        frontier = nxt
+    return dist.get(goal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.sampled_from([0.1, 0.3, 0.45]),
+    st.integers(0, 2**32 - 1),
+)
+def test_uniform_astar_step_count_is_the_bfs_distance(dim, density, seed):
+    depth = {1: 5, 2: 4, 3: 3}[dim]
+    world = random_world(dim, depth, density, seed % 1000, free_corners=True)
+    rng = np.random.default_rng(seed)
+    cells = product(range(world.side), repeat=dim)
+    free = [c for c in cells if not world.occupied(c)]
+    start, goal = (free[int(i)] for i in rng.integers(len(free), size=2))
+    base = uniform_astar(world, start, goal)
+    steps = bfs_steps(world, start, goal)
+    assert base.reachable == (steps is not None)
+    if steps is None:
+        assert base.path is None
+        return
+    assert len(base.path) - 1 == steps
+    assert base.path[0] == start and base.path[-1] == goal
+    for a, b in zip(base.path, base.path[1:]):
+        assert sum(abs(x - y) for x, y in zip(a, b)) == 1
+        assert not world.occupied(b)

@@ -1,5 +1,6 @@
 """Focus-window geometry, path tracking, and view refresh semantics."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import eager_view, random_index, random_world, window_far_oracle
+from helpers import (
+    eager_view,
+    interval_face_test,
+    random_index,
+    random_world,
+    window_far_oracle,
+)
 from mspp.neighbors import are_neighbors, find_neighbors
 from mspp.search import astar_lazy
 from mspp.reduced import (
@@ -57,7 +64,7 @@ def checkerboard_world(depth):
 def window_far(idx, current, alpha):
     """The far test refresh makes, read off window_thresholds."""
     dim, depth = len(idx.center2), max(idx.scale, current.scale)
-    thresholds, den_sq = window_thresholds(dim, depth, alpha, current.scale)
+    thresholds, den_sq, _ = window_thresholds(dim, depth, alpha, current.scale)
     s = sum((a - b) ** 2 for a, b in zip(idx.center2, current.center2))
     return s * den_sq >= thresholds[idx.scale]
 
@@ -112,6 +119,31 @@ def test_window_thresholds_reject_bad_alpha():
         window_thresholds(2, 3, 0.0, 0)
     with pytest.raises(ValueError):
         window_thresholds(2, 3, -1.0, 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 2.0])
+def test_beside_flag_is_off_only_where_no_adjacent_node_is_far(dim, alpha):
+    # brute force over every node of a depth-4 world, against foci at the
+    # corner and in the middle: wherever the flag is off at a scale, no
+    # node of that scale that shares a face with the focus is far
+    depth = 4
+    for focus_scale in range(3):
+        _, _, beside = window_thresholds(dim, depth, alpha, focus_scale)
+        half = 1 << focus_scale
+        foci = [
+            NodeIndex(focus_scale, (half,) * dim),
+            NodeIndex(focus_scale, ((1 << depth) + half,) * dim),
+        ]
+        for k in range(depth + 1):
+            if beside[k]:
+                continue
+            axis = range(1 << k, 2 << depth, 2 << k)
+            for c2 in itertools.product(axis, repeat=dim):
+                node = NodeIndex(k, c2)
+                for focus in foci:
+                    if interval_face_test(node, focus):
+                        assert not window_far_oracle(node, focus, alpha), (node, focus)
 
 
 def test_cell_tracker_examples():

@@ -252,9 +252,9 @@ def test_enumerated_nodes_are_flagged_exactly_when_full(
         axis = range(1 << k, 2 << depth, 2 << k)
         for c2 in itertools.product(axis, repeat=dim):
             idx = NodeIndex(k, c2)
-            flagged, method = estimator.classify(idx, eps, 0.1)
-            est = estimator.exact(idx)
-            assert method == "exact"
+            flagged, est = estimator.classify(idx, eps, 0.1)
+            assert est.exact
+            assert est is estimator.exact(idx)
             assert flagged == (est.hits == est.n)
 
 
@@ -353,7 +353,7 @@ def test_exact_enumeration_and_known_free():
     quad = NodeIndex(1, (2, 2))
     got = est.exact(quad)
     assert got.exact and got.n == 4 and got.hits == 1
-    assert est.value(quad) == 0.25
+    assert est.exact(quad).value == 0.25
     free_quad = NodeIndex(1, (6, 6))
     assert est.exact(free_quad).hits == 0
     assert est.known_free(free_quad)
@@ -388,12 +388,12 @@ def test_classify_switches_between_exact_and_sampled():
     eps, gamma = 0.5, 0.1
     # at or below the cutoff the verdict is exact and gamma-free
     for idx in [NodeIndex(2, (4, 4)), NodeIndex(1, (2, 2)), NodeIndex(0, (1, 1))]:
-        flagged, method = est.classify(idx, eps, gamma)
-        assert method == "exact"
+        flagged, got = est.classify(idx, eps, gamma)
+        assert got.exact
         assert flagged == tree.is_eps_obstacle(idx, eps)
     # above the cutoff the verdict is sampled and includes the margin
-    flagged, method = est.classify(NodeIndex(3, (8, 8)), eps, gamma)
-    assert method == "sampled"
+    flagged, got = est.classify(NodeIndex(3, (8, 8)), eps, gamma)
+    assert not got.exact
     value = est.estimate(NodeIndex(3, (8, 8))).value
     assert flagged == is_flagged_obstacle(value, 3, 2, eps, gamma)
 
@@ -413,8 +413,8 @@ def test_sampled_misclassification_rate_within_bound():
     seeds = 1000
     for seed in range(seeds):
         est = make_grid_estimator(world, n, seed=seed)
-        flagged, method = est.classify(node, eps, gamma)
-        assert method == "sampled"
+        flagged, got = est.classify(node, eps, gamma)
+        assert not got.exact
         wrong += flagged
     bound = misclassification_bound(gamma, n)
     sigma = math.sqrt(bound * (1 - bound) / seeds)
