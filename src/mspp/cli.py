@@ -12,7 +12,10 @@ reads and no other, so a setting it would ignore is refused:
 Configuration precedence is defaults < MSPP_SEED environment fallback
 (seed only, where the subcommand reads seed) < JSON config file
 (--config) < explicit flags.  plan --map takes dim and depth from the
-map file and refuses them from flags or the config file.  Exit codes:
+map file and refuses them from flags or the config file.  eps, gamma,
+samples and seed act only map-free (a map node is an obstacle exactly
+when it is full), so plan --map in exact mode refuses them the same way
+and does not read MSPP_SEED.  Exit codes:
 0 success, 1 usage or I/O error, 2 planner failure (blocked endpoints or
 no path), 3 iteration budget exceeded.
 """
@@ -56,7 +59,7 @@ class Setting(NamedTuple):
 SETTINGS = {
     "dim": Setting(2, "world dimension d", lambda v: v >= 1, ">= 1"),
     "depth": Setting(5, "tree depth (side = 2**depth)", lambda v: v >= 0, ">= 0"),
-    "eps": Setting(0.5, "obstacle threshold scale", lambda v: 0 < v < 1, "in (0, 1)"),
+    "eps": Setting(0.5, "map-free threshold scale", lambda v: 0 < v < 1, "in (0, 1)"),
     "gamma": Setting(0.1, "sampling margin", lambda v: v > 0, "> 0"),
     "samples": Setting(256, "samples per node", lambda v: v >= 1, ">= 1"),
     "alpha": Setting(1.0, "window scale multiplier", lambda v: v > 0, "> 0"),
@@ -76,6 +79,9 @@ READS = {
     "bound": ("dim", "depth", "eps", "gamma", "regions"),
     "gen-map": ("dim", "depth", "seed", "density", "kind"),
 }
+
+# The plan settings that only map-free mode reads.
+MAP_FREE = ("eps", "gamma", "samples", "seed")
 
 
 def _setting_flags(p: argparse.ArgumentParser, command: str) -> None:
@@ -132,16 +138,11 @@ def _merged_config(args: argparse.Namespace, from_map: bool = False) -> dict:
     """The settings args.command reads, each from its highest source.
 
     from_map says that plan takes dim and depth from its map file; setting
-    either by flag or config file is then an error.
+    either by flag or config file is then an error, and so is setting one
+    of MAP_FREE in exact mode, which then does not read MSPP_SEED either.
     """
     keys = READS[args.command]
     cfg = {key: SETTINGS[key].default for key in keys}
-    env_seed = os.environ.get("MSPP_SEED")
-    if "seed" in cfg and env_seed is not None:
-        try:
-            cfg["seed"] = int(env_seed)
-        except ValueError:
-            raise ValueError(f"MSPP_SEED={env_seed!r} is not an integer")
     given = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
@@ -157,11 +158,6 @@ def _merged_config(args: argparse.Namespace, from_map: bool = False) -> dict:
     for key in keys:
         if getattr(args, key) is not None:
             given[key] = getattr(args, key)
-    clash = [key for key in ("dim", "depth") if from_map and key in given]
-    if clash:
-        raise ValueError(
-            f"the map file fixes dim and depth; do not set {', '.join(clash)}"
-        )
     cfg.update(given)
     # A config file skips argparse, so its values get the flags' checks here.
     for key, value in cfg.items():
@@ -180,6 +176,21 @@ def _merged_config(args: argparse.Namespace, from_map: bool = False) -> dict:
             raise ValueError(f"{key} must be a finite number, got {value!r}")
         if setting.valid is not None and not setting.valid(value):
             raise ValueError(f"{key} must be {setting.rule}, got {value!r}")
+    map_exact = from_map and cfg["mode"] == "exact"
+    for refused, names, reason in (
+        (from_map, ("dim", "depth"), "the map file fixes dim and depth"),
+        (map_exact, MAP_FREE, "exact mode reads no eps, gamma, samples or seed"),
+    ):
+        clash = [key for key in names if refused and key in given]
+        if clash:
+            raise ValueError(f"{reason}; do not set {', '.join(clash)}")
+    env_seed = os.environ.get("MSPP_SEED")
+    fallback = "seed" in keys and "seed" not in given and not map_exact
+    if fallback and env_seed is not None:
+        try:
+            cfg["seed"] = int(env_seed)
+        except ValueError:
+            raise ValueError(f"MSPP_SEED={env_seed!r} is not an integer")
     return cfg
 
 
@@ -270,7 +281,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     with _output(args.out) as stream:
         if result.success:
             if tree is not None:
-                ok, why = verify_path(tree, result.path, cfg["eps"], start, goal)
+                ok, why = verify_path(tree, result.path, start=start, goal=goal)
             else:
                 ok, why = verify_path_sampled(
                     predicate, result.path, depth, start, goal

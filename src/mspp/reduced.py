@@ -21,7 +21,7 @@ focus splits even when it is far, so every view leaf beside the focus is
 fine (a map leaf, a unit cell or a block proven free) at any alpha.
 Only at the scales where an adjacent node can be far (small alpha) does a
 far node need that face test, and only there does it run.
-Known obstacles and (with a map) scale-weighted obstacle leaves are
+Known obstacles and (with a map) fully occupied leaves are
 removed entirely: a removed child leaves a None hole in its parent's
 child list.  Visited cells stay in the view as leaves; keeping the walk
 out of them is the search's job.
@@ -38,10 +38,9 @@ after any sequence of refreshes the resolved view equals a view rebuilt
 from scratch with the same inputs.  Two facts make that exact:
 
 * A None hole is never stale.  Every removal is permanent: known-obstacle
-  keys are only ever added, and an exact-mode removal needs a value of at
-  least 1 - eps * 2**(-dim * k), which with eps < 1 on a 0/1 grid means
-  occupancy 1.0.  Every node below such a node holds 1.0 too, so at any
-  focus it is removed or keeps no leaf below it.
+  keys are only ever added, and an exact-mode removal needs occupancy
+  1.0.  Every node below such a node holds 1.0 too, so at any focus it is
+  removed or keeps no leaf below it.
 * A node that descends but loses every child stays in the view as an
   internal node with None slots.  Every lookup answers for it as if it
   were gone, and snapshot() skips it, as a rebuild would have dropped it;
@@ -60,7 +59,7 @@ from math import isqrt
 from typing import AbstractSet
 
 from .neighbors import are_neighbors, collect_leaves, find_containing
-from .tree import NodeIndex, OccupancyTree, obstacle_threshold, parent_of
+from .tree import NodeIndex, OccupancyTree, parent_of
 
 __all__ = [
     "RTNode",
@@ -197,9 +196,8 @@ class ReducedTree:
         self.depth = depth
         self.root = ViewRoot(depth, (1 << depth,) * dim)
         self.gen = 0
-        # (alpha, focus scale, eps or None) -> far thresholds, their
-        # denominator, the scales where a node beside the focus can be far
-        # and the per-scale obstacle values.
+        # (alpha, focus scale) -> far thresholds, their denominator and
+        # the scales where a node beside the focus can be far.
         self._windows: dict[tuple, tuple] = {}
 
     def vertices(self) -> list[RTNode]:
@@ -290,7 +288,6 @@ def refresh(
     tree: OccupancyTree | None,
     current: NodeIndex,
     visited: CellTracker,
-    eps: float,
     alpha: float,
     obstacles: AbstractSet[tuple] = frozenset(),
     free: AbstractSet[tuple] = frozenset(),
@@ -318,9 +315,9 @@ def refresh(
        it, and splits otherwise.  Below alpha of about sqrt(dim) / 2 a node
        beside the focus can be far; it splits all the same, so every view
        leaf beside the focus is one the walk may step onto.
-    4. In exact mode a leaf is removed when its value reaches
-       1 - eps * 2**(-dim * scale), a scale-weighted obstacle.  Map-free,
-       nothing is removed by value: classification is the searcher's job.
+    4. In exact mode a leaf is removed when every cell of it is occupied
+       (value 1.0).  Map-free, nothing is removed by value:
+       classification is the searcher's job.
 
     The inputs must stay as they are until the next refresh: a lookup that
     decides a node after visited, `obstacles` or `free` changed raises
@@ -337,15 +334,12 @@ def refresh(
             raise ValueError("current cell is outside the world box")
 
     exact = tree is not None
-    window_key = (alpha, current.scale, eps if exact else None)
+    window_key = (alpha, current.scale)
     window = rtree._windows.get(window_key)
     if window is None:
-        obs_at = None
-        if exact:
-            obs_at = [obstacle_threshold(eps, dim, k) for k in range(depth + 1)]
-        window = window_thresholds(dim, depth, alpha, current.scale) + (obs_at,)
+        window = window_thresholds(dim, depth, alpha, current.scale)
         rtree._windows[window_key] = window
-    thresholds, den_sq, beside, obs_at = window
+    thresholds, den_sq, beside = window
     if exact:
         lookup = tree.lookup
     cur2 = current.center2
@@ -389,7 +383,7 @@ def refresh(
         else:
             stop = True
         if stop:
-            if exact and value >= obs_at[k]:
+            if exact and value == 1.0:
                 return False
             node.children = None
         elif node.children is None:

@@ -3,13 +3,14 @@
 Map-free planning never builds an occupancy tree.  Instead, each node's
 occupancy value is estimated by sampling an obstacle predicate inside the
 node's cube, with a per-node margin gamma absorbing the estimation error:
-a node is flagged as an obstacle when
+a sampled node is flagged as an obstacle when
 
     estimate >= 1 - 2**(-dim*scale) * eps + gamma.
 
 Two scale cutoffs shape the hybrid scheme.  At or below exact_scale_cutoff
 a node holds no more unit cells than the sample budget, so full enumeration
-is cheaper than sampling and exact classification is used.  At or above
+is cheaper than sampling, and an enumerated node is an obstacle exactly
+when every cell of it is occupied, as a map node is.  At or above
 flag_scale_cutoff the margin pushes the threshold past 1, so no estimate
 can flag the node; only scales strictly between the cutoffs can be
 misclassified, and band_node_count counts those nodes in closed form.
@@ -29,11 +30,11 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, exp, expm1, inf
+from math import ceil, exp, expm1, inf, ldexp
 
 import numpy as np
 
-from .tree import NodeIndex, obstacle_threshold
+from .tree import NodeIndex
 
 __all__ = [
     "BoundParams",
@@ -45,6 +46,7 @@ __all__ = [
     "flag_scale_cutoff",
     "is_flagged_obstacle",
     "misclassification_bound",
+    "obstacle_threshold",
 ]
 
 
@@ -82,6 +84,16 @@ class BoundParams:
             raise ValueError("gamma must be positive and finite")
         if self.samples < 1 or self.regions < 1:
             raise ValueError("samples and regions must be >= 1")
+
+
+def obstacle_threshold(eps: float, dim: int, scale: int) -> float:
+    """Estimate at which a sampled scale-k node is an obstacle, before gamma.
+
+    This is 1 - eps / 2**(dim * k): the free volume such a node hides is
+    below eps unit cells.  Known nodes need no threshold: a map node, or a
+    node that is enumerated, is an obstacle exactly when it is full.
+    """
+    return 1.0 - ldexp(eps, -dim * scale)
 
 
 def is_flagged_obstacle(
@@ -244,8 +256,6 @@ class ValueEstimator:
         # construction cost on every node.
         self._bits = np.random.Philox(key=0)
         self._rng = np.random.Generator(self._bits)
-        # (eps, gamma) -> the obstacle threshold of each scale, see classify.
-        self._thresholds: dict[tuple[float, float], list[float]] = {}
         # The predicate answer at a unit-cell center is a session constant
         # (predicates are pure), so it is remembered per cell; nodes that
         # overlap, at any scale, re-test shared cells at dictionary cost.
@@ -319,21 +329,17 @@ class ValueEstimator:
         """Hybrid obstacle test: exact at coarse-enough-to-enumerate scales.
 
         Returns (is_obstacle, estimate).  At or below the enumeration
-        cutoff the estimate is exact and is held to the scale-weighted
-        threshold with no margin; above it the estimate is sampled and
-        gamma is added (is_flagged_obstacle).  Each scale's threshold is
-        worked out once per (eps, gamma).
+        cutoff the estimate is exact, and the node is an obstacle exactly
+        when every cell of it is occupied; eps and gamma play no part.
+        Above it the estimate is sampled and held to the scale-weighted
+        threshold plus gamma (is_flagged_obstacle).
         """
-        at = self._thresholds.get((eps, gamma))
-        if at is None:
-            cutoff = self.exact_cutoff
-            at = self._thresholds[eps, gamma] = [
-                obstacle_threshold(eps, self.dim, k) + (gamma if k > cutoff else 0.0)
-                for k in range(self.depth + 1)
-            ]
         k = idx.scale
-        est = self.exact(idx) if k <= self.exact_cutoff else self.estimate(idx)
-        return est.value >= at[k], est
+        if k <= self.exact_cutoff:
+            est = self.exact(idx)
+            return est.hits == est.n, est
+        est = self.estimate(idx)
+        return is_flagged_obstacle(est.value, k, self.dim, eps, gamma), est
 
     def known_free(self, idx: NodeIndex) -> bool:
         """True when enumeration already proved every cell of the node free."""

@@ -282,7 +282,9 @@ class PlannerSession:
     Exactly one of tree (exact mode: occupancy values come from the map)
     or predicate (map-free mode: values are estimated by sampling) must be
     given.  Map-free mode needs dim and depth; exact mode takes them from
-    the tree and refuses different ones.  weight scales how much a node's
+    the tree and refuses different ones.  eps, gamma, samples, seed and
+    cell_picks act only map-free: a map node is an obstacle exactly when
+    every cell of it is occupied.  weight scales how much a node's
     occupancy value adds to the cost of entering it.  The session exposes
     its iteration pieces (goal_reached, refresh_view, advance) so a caller
     can drive and inspect single iterations; run() drives to completion.
@@ -404,7 +406,7 @@ class PlannerSession:
             # front: two component labels, which the tree computes on the
             # first exact session and keeps.  The iterative loop would
             # reach the same verdict by exhausting its alternatives, only
-            # much slower: coarse cells that are not eps-obstacles keep
+            # much slower: coarse cells that are not full keep
             # suggesting optimistic routes, so the walk visits a large
             # share of the free component before its backtracking stack
             # drains.
@@ -423,7 +425,7 @@ class PlannerSession:
 
     def _is_obstacle(self, idx: NodeIndex) -> bool:
         if self.tree is not None:
-            return self.tree.is_eps_obstacle(idx, self.eps)
+            return self.tree.is_obstacle(idx)
         return self._values[idx] == inf
 
     def _is_fine(self, idx) -> bool:
@@ -449,7 +451,6 @@ class PlannerSession:
             self.tree,
             self.current,
             self.visited,
-            self.eps,
             self.alpha,
             obstacles=self._known_obstacles,
             free=self._known_free,
@@ -548,7 +549,7 @@ class PlannerSession:
 def verify_path(
     tree: OccupancyTree,
     path: list[NodeIndex],
-    eps: float,
+    eps=None,
     start=None,
     goal=None,
 ) -> tuple[bool, str | None]:
@@ -557,9 +558,13 @@ def verify_path(
     The path is walked in order.  At each position i the clauses are: node
     i is a node of the map that is not internal (a node under a stored
     leaf counts, since the map answers for it exactly like for the leaf),
-    node i is not an eps-obstacle, then nodes i and i + 1 are neighbors.
-    The endpoint clauses follow the walk.  Returns (True, None) or (False,
-    description of the earliest violated clause).
+    node i is not full (tree.is_obstacle), then nodes i and i + 1 are
+    neighbors.  The endpoint clauses follow the walk.  Returns (True,
+    None) or (False, description of the earliest violated clause).
+
+    eps is ignored: a map node is an obstacle exactly when it is full,
+    whatever eps is.  The parameter stays so that callers passing eps
+    positionally before start and goal keep working.
     """
     if not path:
         return False, "empty path"
@@ -568,7 +573,7 @@ def verify_path(
             return False, f"node {i} is not a node of the world"
         if tree.is_internal(idx):
             return False, f"node {i} is not a leaf"
-        if tree.is_eps_obstacle(idx, eps):
+        if tree.is_obstacle(idx):
             return False, f"node {i} is an obstacle"
         if i + 1 < len(path) and not are_neighbors(idx, path[i + 1]):
             return False, f"nodes {i} and {i + 1} are not neighbors"

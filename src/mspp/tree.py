@@ -27,7 +27,6 @@ Every module keys a node by its address, the (scale, center2) tuple.
 
 from __future__ import annotations
 
-from math import ldexp
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -41,7 +40,6 @@ __all__ = [
     "parent_of",
     "node_bounds2",
     "node_volume",
-    "obstacle_threshold",
     "read_map",
     "write_map",
     "parse_map_text",
@@ -104,24 +102,6 @@ def parent_of(idx: NodeIndex) -> NodeIndex:
     mask = ~((1 << (k + 2)) - 1)
     step = 1 << (k + 1)
     return NodeIndex(k + 1, tuple((c & mask) | step for c in c2))
-
-
-def obstacle_threshold(eps: float, dim: int, scale: int) -> float:
-    """Occupancy at which a scale-k node is an obstacle: 1 - eps / 2**(dim * k).
-
-    The free volume such a node hides is below eps unit cells.  Scaling by
-    a power of two is exact, so every caller compares against the same
-    float.
-
-    On a 0/1 map every scale-k value is a multiple of 2**(-dim * k), and
-    for eps in (0, 1) the threshold lies strictly between 1 - 2**(-dim * k)
-    and 1.  So a node reaches it exactly when every cell of it is
-    occupied, whatever eps is; the same holds for every node map-free mode
-    enumerates.  eps acts only on sampled nodes.  (In floats this holds
-    while 1 - eps > 2**(dim * k - 54); closer to 1 the threshold rounds
-    down to 1 - 2**(-dim * k).)
-    """
-    return 1.0 - ldexp(eps, -dim * scale)
 
 
 def valid_index(idx: NodeIndex, dim: int, depth: int) -> bool:
@@ -382,11 +362,13 @@ class OccupancyTree:
             k += 1
         return NodeIndex(k, address(k))
 
-    def is_eps_obstacle(self, idx: NodeIndex, eps: float) -> bool:
-        """Scale-weighted obstacle test: the value reaches obstacle_threshold."""
-        if not 0.0 < eps < 1.0:
-            raise ValueError("eps must be in (0, 1)")
-        return self.value(idx) >= obstacle_threshold(eps, self.dim, idx.scale)
+    def is_obstacle(self, idx: NodeIndex) -> bool:
+        """Every cell of the node is occupied.
+
+        The value is a count over a power of two, so the comparison with
+        1.0 is exact (for any grid with fewer than 2**53 cells).
+        """
+        return self.value(idx) == 1.0
 
     def iter_nodes(self) -> Iterator[tuple[NodeIndex, float]]:
         """Every stored node with its value: coarse to fine, levels in flat order."""

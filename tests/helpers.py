@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import ldexp
 
 import numpy as np
 
@@ -263,7 +264,8 @@ def eager_view(tree, current, visited, eps, alpha, obstacles=(), free=()):
     visited cell is a leaf and any other node holding one splits; else a
     map leaf (or, map-free, a unit cell or a known-free block) is a leaf
     and any other node is a leaf exactly when it is far.  With a map, a
-    leaf that is an eps-obstacle is removed.
+    leaf is removed when its value reaches 1 - eps * 2**(-dim * scale), the
+    float rule written out here, not the library's full-node test.
     """
     out: dict[tuple, bool] = {}
 
@@ -283,7 +285,8 @@ def eager_view(tree, current, visited, eps, alpha, obstacles=(), free=()):
         else:
             stop = idx.scale == 0 or idx in free or far(idx)
         if stop:
-            if tree is not None and tree.is_eps_obstacle(idx, eps):
+            threshold = 1.0 - ldexp(eps, -dim * idx.scale)
+            if tree is not None and tree.value(idx) >= threshold:
                 return False
             out[idx] = True
             return True

@@ -283,6 +283,48 @@ def test_plan_map_refuses_dim_and_depth(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "key, value", [("eps", 0.3), ("gamma", 0.2), ("samples", 9), ("seed", 3)]
+)
+def test_exact_plan_refuses_map_free_settings(tmp_path, capsys, key, value):
+    # a map node is an obstacle exactly when it is full, so exact mode
+    # would ignore these; map-free mode reads them
+    world = map_file(tmp_path, OPEN)
+    refused = (
+        f"error: exact mode reads no eps, gamma, samples or seed; do not set {key}"
+    )
+    code, out, err = run(capsys, "plan", "--map", world, f"--{key}", str(value))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(refused)
+    config = config_file(tmp_path, {key: value})
+    code, out, err = run(capsys, "plan", "--map", world, "--config", config)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(refused)
+    code, out, _ = run(
+        capsys, "plan", "--map", world, "--mode", "sampling", f"--{key}", str(value)
+    )
+    assert code == 0
+    assert out.splitlines()[-1].startswith("status=success")
+    config = config_file(tmp_path, {key: value, "mode": "sampling"})
+    code, out, _ = run(capsys, "plan", "--map", world, "--config", config)
+    assert code == 0
+    assert out.splitlines()[-1].startswith("status=success")
+
+
+def test_exact_plan_does_not_read_mspp_seed(tmp_path, capsys, monkeypatch):
+    world = map_file(tmp_path, OPEN)
+    monkeypatch.setenv("MSPP_SEED", "x")
+    code, out, _ = run(capsys, "plan", "--map", world)
+    assert code == 0
+    assert out.splitlines()[-1].startswith("status=success")
+    code, out, err = run(capsys, "plan", "--map", world, "--mode", "sampling")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: MSPP_SEED='x' is not an integer")
+
+
 def test_mspp_seed_seeds_only_where_seed_is_read(tmp_path, capsys, monkeypatch):
     def generated(*flags):
         out_path = tmp_path / "gen.map"

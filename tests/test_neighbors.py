@@ -233,7 +233,7 @@ def test_find_neighbors_decides_what_root_descent_decides(dim, depth):
             if not path.is_member(current):
                 path.add(current)
             for view in views:
-                refresh(view, tree, current, path, 0.5, 1.0)
+                refresh(view, tree, current, path, 1.0)
             mirror, ref = views
             frontier = [(mirror.find_vertex(current), ref.find_vertex(current))]
             seen = {current}

@@ -43,7 +43,6 @@ def fresh_equivalent(session):
         session.tree,
         session.current,
         session.visited,
-        session.eps,
         session.alpha,
         obstacles=session._known_obstacles,
         free=session._known_free,
@@ -205,7 +204,7 @@ def test_refresh_uniform_free_world_keeps_single_leaf():
     path = CellTracker(2, 3)
     current = tree.leaf_at((0.5, 0.5))
     path.add(current)
-    refresh(rtree, tree, current, path, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, current, path, alpha=1.0)
     assert leaf_keys(rtree) == {(3, (8, 8))}
 
 
@@ -233,7 +232,7 @@ def test_refresh_vertices_satisfy_window_predicate():
     path = CellTracker(2, 3)
     current = NodeIndex(0, (1, 1))
     path.add(current)
-    refresh(rtree, tree, current, path, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, current, path, alpha=1.0)
     assert window_stop_predicate(tree, rtree, current, path, 1.0)
     # near nodes got subdivided to source-tree leaves, far ones stayed coarse
     scales = {v.scale for v in rtree.vertices()}
@@ -250,7 +249,7 @@ def test_refresh_near_region_reaches_tree_leaves():
     path = CellTracker(2, 4)
     current = tree.leaf_at((0.5, 0.5))
     path.add(current)
-    refresh(rtree, tree, current, path, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, current, path, alpha=1.0)
     assert window_stop_predicate(tree, rtree, current, path, 1.0)
     for v in rtree.vertices():
         idx = NodeIndex(v.scale, v.center2)
@@ -279,14 +278,13 @@ def test_refresh_partition_and_obstacle_freeness():
         path = CellTracker(2, 4)
         current = tree.leaf_at((0.5, 0.5))
         path.add(current)
-        eps = 0.5
-        refresh(rtree, tree, current, path, eps=eps, alpha=1.0)
+        refresh(rtree, tree, current, path, alpha=1.0)
         painted = paint_cells(rtree, 2, 4)
         assert painted.max() <= 1
-        # no vertex is an eps-obstacle
+        # no vertex is an obstacle
         for v in rtree.vertices():
-            assert not tree.is_eps_obstacle(NodeIndex(v.scale, v.center2), eps)
-        # every unpainted cell lies under some eps-obstacle ancestor
+            assert not tree.is_obstacle(NodeIndex(v.scale, v.center2))
+        # every unpainted cell lies under some obstacle ancestor
         for x, y in zip(*np.nonzero(painted == 0)):
             c2 = (2 * int(x) + 1, 2 * int(y) + 1)
             chain = NodeIndex(0, c2)
@@ -294,7 +292,7 @@ def test_refresh_partition_and_obstacle_freeness():
             for k in range(0, 5):
                 step = 2 << k
                 a2 = tuple(((c >> (k + 1)) << (k + 1)) + (1 << k) for c in c2)
-                if tree.is_eps_obstacle(NodeIndex(k, a2), eps):
+                if tree.is_obstacle(NodeIndex(k, a2)):
                     covered = True
                     break
             assert covered
@@ -314,7 +312,7 @@ def test_refresh_keeps_blocked_cells_as_leaves():
     dead = NodeIndex(0, (3, 1))
     visited.add(dead)
     visited.add(current)
-    refresh(rtree, tree, current, visited, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, current, visited, alpha=1.0)
     leaf = rtree.find_vertex(dead)
     assert leaf is not None and rtree.leaf_at_point((1.5, 0.5)) is leaf
     start = rtree.find_vertex(current)
@@ -328,7 +326,7 @@ def test_refresh_keeps_blocked_cells_as_leaves():
     visited2.add(current)
     coarse_dead = NodeIndex(1, (6, 2))
     visited2.add(coarse_dead)
-    refresh(rtree2, None, current, visited2, eps=0.5, alpha=1.0)
+    refresh(rtree2, None, current, visited2, alpha=1.0)
     leaf = rtree2.find_vertex(coarse_dead)
     assert leaf is not None and rtree2.leaf_at_point((3.0, 1.0)) is leaf
     start = rtree2.find_vertex(current)
@@ -352,7 +350,6 @@ def test_refresh_prunes_known_obstacles_and_keeps_known_free():
         None,
         current,
         path,
-        eps=0.5,
         alpha=1.0,
         obstacles=obstacles,
         free=free,
@@ -365,7 +362,7 @@ def test_refresh_prunes_known_obstacles_and_keeps_known_free():
     assert (kept.scale, kept.center2) == (1, (6, 2))
     # without the free mark the same block refines to unit cells
     rtree2 = ReducedTree(2, 3)
-    refresh(rtree2, None, current, path, eps=0.5, alpha=1.0)
+    refresh(rtree2, None, current, path, alpha=1.0)
     assert rtree2.find_vertex(free_block) is None
     sub = rtree2.leaf_at_point((3.0, 1.0))
     assert sub is not None and sub.scale == 0
@@ -377,7 +374,7 @@ def test_refresh_rejects_focus_outside_world():
     world = GridWorld(2, 3, np.zeros(64, dtype=np.uint8))
     tree = build_from_grid(world)
     with pytest.raises(ValueError):
-        refresh(rtree, tree, NodeIndex(0, (99, 1)), path, 0.5, 1.0)
+        refresh(rtree, tree, NodeIndex(0, (99, 1)), path, 1.0)
 
 
 def test_refresh_incremental_matches_fresh_rebuild():
@@ -416,13 +413,13 @@ def test_refresh_reuses_surviving_nodes_in_place():
     path = CellTracker(2, 4)
     first = NodeIndex(0, (1, 1))
     path.add(first)
-    refresh(rtree, tree, first, path, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, first, path, alpha=1.0)
     # the quadrant away from both focus cells stays a single coarse vertex
     survivor = rtree.find_vertex(NodeIndex(3, (24, 24)))
     assert survivor is not None
     second = NodeIndex(0, (3, 1))
     path.add(second)
-    refresh(rtree, tree, second, path, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, second, path, alpha=1.0)
     again = rtree.find_vertex(NodeIndex(3, (24, 24)))
     assert again is survivor
 
@@ -475,14 +472,14 @@ def test_refresh_decides_only_the_root_and_lookups_their_own_path():
     path = CellTracker(2, 4)
     current = tree.leaf_at((0.5, 0.5))
     path.add(current)
-    refresh(rtree, tree, current, path, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, current, path, alpha=1.0)
     assert rtree.root.children is not None
     assert decided_nodes(rtree) == 1
     assert rtree.find_vertex(current) is not None
     # one root-to-leaf descent decides one node per scale on its way
     assert decided_nodes(rtree) == 1 + rtree.depth - current.scale
     total = len(rtree.snapshot())
-    refresh(rtree, tree, current, path, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, current, path, alpha=1.0)
     assert decided_nodes(rtree) == 1
     assert len(rtree.snapshot()) == total
 
@@ -493,10 +490,12 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
     """One view refreshed many times, resolved only in part between checks.
 
     Nodes left stale for several generations, None holes and internal nodes
-    that lost every child must still resolve to the eager rebuild.
+    that lost every child must still resolve to the eager rebuild.  The
+    rebuild removes a map leaf by the float eps rule; the view, which takes
+    no eps, must match it at eps 0.01, 0.5 and 0.99.
     """
     side = 1 << depth
-    eps = 0.5
+    eps_range = (0.01, 0.5, 0.99)
     for seed in range(8):
         rng = np.random.default_rng(seed)
         # below about sqrt(dim) / 2, alpha makes far nodes beside the focus,
@@ -528,14 +527,15 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
         free: set[NodeIndex] = set()
         for step in range(12):
             refresh(
-                rtree, tree, trail[-1], visited, eps, alpha,
+                rtree, tree, trail[-1], visited, alpha,
                 obstacles=obstacles, free=free,
             )
             if step % 3 == 2:
-                want = eager_view(
-                    tree, trail[-1], visited, eps, alpha, obstacles, free
-                )
-                assert rtree.snapshot() == want
+                for eps in eps_range:
+                    want = eager_view(
+                        tree, trail[-1], visited, eps, alpha, obstacles, free
+                    )
+                    assert rtree.snapshot() == want
                 leaves = rtree.vertices()
                 assert {v.index() for v in leaves} == {
                     key for key, leaf in want.items() if leaf
@@ -545,7 +545,7 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
                 # a new view decides every node afresh
                 fresh = ReducedTree(dim, depth)
                 refresh(
-                    fresh, tree, trail[-1], visited, eps, alpha,
+                    fresh, tree, trail[-1], visited, alpha,
                     obstacles=obstacles, free=free,
                 )
                 assert fresh.snapshot() == want
@@ -556,7 +556,8 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
                 eager_leaves = [
                     NodeIndex(*key)
                     for key, leaf in eager_view(
-                        tree, trail[-1], visited, eps, alpha, obstacles, free
+                        tree, trail[-1], visited, eps_range[seed % 3], alpha,
+                        obstacles, free,
                     ).items()
                     if leaf
                 ]
@@ -600,7 +601,7 @@ def test_blocked_cell_inside_a_stored_leaf_splits_it():
     dead = NodeIndex(0, (3, 11))
     visited.add(dead)
     rtree = ReducedTree(2, 3)
-    refresh(rtree, tree, start, visited, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, start, visited, alpha=1.0)
     leaves = {v.index() for v in rtree.vertices()}
     assert len(leaves) == 13
     assert NodeIndex(2, (4, 12)) not in leaves
@@ -625,15 +626,15 @@ def test_view_refuses_to_resolve_after_its_trackers_change():
     path = CellTracker(2, 3)
     current = tree.leaf_at((0.5, 0.5))
     path.add(current)
-    refresh(rtree, tree, current, path, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, current, path, alpha=1.0)
     assert rtree.root.children is not None
     step = tree.leaf_at((1.5, 0.5))
     path.add(step)
     with pytest.raises(RuntimeError):
         rtree.vertices()
-    refresh(rtree, tree, step, path, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, step, path, alpha=1.0)
     assert rtree.snapshot() == eager_view(tree, step, path, 0.5, 1.0)
-    refresh(rtree, tree, step, path, eps=0.5, alpha=1.0)
+    refresh(rtree, tree, step, path, alpha=1.0)
     path.discard(step)
     with pytest.raises(RuntimeError):
         rtree.leaf_at_point((7.5, 7.5))
@@ -643,7 +644,7 @@ def test_view_refuses_to_resolve_after_its_trackers_change():
         path = CellTracker(2, 3)
         path.add(near)
         keys = {"obstacles": set(), "free": set()}
-        refresh(rtree, None, near, path, 0.5, 1.0, **keys)
+        refresh(rtree, None, near, path, 1.0, **keys)
         keys[grown].add(NodeIndex(0, (15, 15)))
         with pytest.raises(RuntimeError):
             rtree.vertices()
@@ -657,7 +658,7 @@ def test_emptied_internal_nodes_answer_as_removed():
     near = NodeIndex(0, (3, 1))
     path.add(near)
     rtree = ReducedTree(2, 3)
-    refresh(rtree, None, near, path, 0.5, 1.0, obstacles=obstacles)
+    refresh(rtree, None, near, path, 1.0, obstacles=obstacles)
     # near the focus the block descends and loses all four children
     assert rtree.leaf_at_point((2.5, 0.5)) is None
     assert rtree.find_vertex(block) is None
@@ -669,6 +670,6 @@ def test_emptied_internal_nodes_answer_as_removed():
     # far from the next focus the same block is one unclassified vertex
     far = NodeIndex(0, (15, 15))
     path.add(far)
-    refresh(rtree, None, far, path, 0.5, 1.0, obstacles=obstacles)
+    refresh(rtree, None, far, path, 1.0, obstacles=obstacles)
     assert rtree.find_vertex(block) is not None
     assert rtree.snapshot() == eager_view(None, far, path, 0.5, 1.0, obstacles)

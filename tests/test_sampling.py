@@ -377,6 +377,19 @@ def test_known_free_requires_enumeration_not_sampling():
     assert est.known_free(quad)
 
 
+def test_enumerated_node_with_a_free_cell_is_not_flagged_at_eps_near_one():
+    # 255 of the node's 256 cells are occupied; at eps = 1 - 2**-47 the
+    # float threshold 1 - eps * 2**-8 rounds down to 255/256, which a
+    # threshold test would flag
+    cells = np.ones((32, 32), dtype=np.uint8)
+    cells[0, 0] = 0
+    world = GridWorld(2, 5, cells.ravel())
+    est = ValueEstimator(grid_predicate(world), 2, 5, 256, seed=0, cell_picks=True)
+    flagged, got = est.classify(NodeIndex(4, (16, 16)), 1 - 2**-47, 0.1)
+    assert got.exact and (got.hits, got.n) == (255, 256)
+    assert not flagged
+
+
 def test_classify_switches_between_exact_and_sampled():
     rng = np.random.default_rng(8)
     world = GridWorld(2, 4, (rng.random(256) < 0.5).astype(np.uint8))
@@ -390,7 +403,7 @@ def test_classify_switches_between_exact_and_sampled():
     for idx in [NodeIndex(2, (4, 4)), NodeIndex(1, (2, 2)), NodeIndex(0, (1, 1))]:
         flagged, got = est.classify(idx, eps, gamma)
         assert got.exact
-        assert flagged == tree.is_eps_obstacle(idx, eps)
+        assert flagged == tree.is_obstacle(idx)
     # above the cutoff the verdict is sampled and includes the margin
     flagged, got = est.classify(NodeIndex(3, (8, 8)), eps, gamma)
     assert not got.exact
@@ -400,14 +413,14 @@ def test_classify_switches_between_exact_and_sampled():
 
 def test_sampled_misclassification_rate_within_bound():
     # d=1 world, node at scale 4 holding 15 obstacle cells of 16: not an
-    # eps-obstacle, so flagging it is the one-sided error Hoeffding bounds
+    # obstacle, so flagging it is the one-sided error Hoeffding bounds
     cells = np.zeros(32, dtype=np.uint8)
     cells[:15] = 1
     world = GridWorld(1, 5, cells)
     node = NodeIndex(4, (16,))
     eps, gamma, n = 0.8, 0.05, 8
     tree = build_from_grid(world)
-    assert not tree.is_eps_obstacle(node, eps)
+    assert not tree.is_obstacle(node)
     assert exact_scale_cutoff(1, n) == 3
     wrong = 0
     seeds = 1000

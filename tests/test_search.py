@@ -246,9 +246,30 @@ def test_plan_corridor_cost_three():
     assert result.cost == pytest.approx(3.0)
     assert [p.scale for p in result.path] == [0, 0, 0, 0]
     ok, reason = verify_path(
-        tree, result.path, 0.5, start=(0.5, 0.5), goal=(3.5, 0.5)
+        tree, result.path, start=(0.5, 0.5), goal=(3.5, 0.5)
     )
     assert ok, reason
+
+
+def test_exact_mode_plans_the_same_at_eps_near_one():
+    # two full 32x32 quadrants meet at a corner; freeing cell (32, 32) of
+    # one joins the two free quadrants through it.  At eps = 1 - 2**-45 the
+    # float threshold 1 - eps * 2**(-2k) rounds down to 1 - 2**(-2k) from
+    # scale 5 on, so a threshold test counts the quadrant with the one free
+    # cell as full, and the map as unreachable
+    g = np.zeros((64, 64), dtype=np.uint8)  # g[y, x]
+    g[:32, :32] = 1
+    g[32:, 32:] = 1
+    g[32, 32] = 0
+    g[62, 1] = 1  # makes the start a unit cell
+    tree = build_from_grid(GridWorld(2, 6, g.ravel()))
+    start, goal = (0.5, 63.5), (63.5, 0.5)
+    for eps in (1 - 2**-45, 0.5):
+        result = PlannerSession(tree=tree, start=start, goal=goal, eps=eps).run()
+        assert result.status == SUCCESS
+        assert len(result.path) == 9
+        ok, reason = verify_path(tree, result.path, start=start, goal=goal)
+        assert ok, reason
 
 
 def test_plan_start_equals_goal():
@@ -268,7 +289,7 @@ def test_plan_collapsed_free_map_returns_single_node():
     assert result.status == SUCCESS
     assert result.path == [NodeIndex(3, (8, 8))]
     ok, reason = verify_path(
-        tree, result.path, 0.5, start=(0.5, 0.5), goal=(7.5, 7.5)
+        tree, result.path, start=(0.5, 0.5), goal=(7.5, 7.5)
     )
     assert ok, reason
 
@@ -328,11 +349,11 @@ def test_plan_budget_exhaustion():
     assert result.iterations == 3
 
 
-def make_refreshed_view(tree, start_cell, eps=0.5, alpha=1.0):
+def make_refreshed_view(tree, start_cell, alpha=1.0):
     rtree = ReducedTree(tree.dim, tree.depth)
     path = CellTracker(tree.dim, tree.depth)
     path.add(start_cell)
-    refresh(rtree, tree, start_cell, path, eps=eps, alpha=alpha)
+    refresh(rtree, tree, start_cell, path, alpha=alpha)
     return rtree
 
 
@@ -409,7 +430,7 @@ def test_session_counters_stay_lazy():
         assert lookups == [result.stats.pops]
         if result.status == SUCCESS:
             ok, reason = verify_path(
-                tree, result.path, 0.5, start=(0.5, 0.5), goal=(15.5, 15.5)
+                tree, result.path, start=(0.5, 0.5), goal=(15.5, 15.5)
             )
             assert ok, reason
 
@@ -442,29 +463,34 @@ def test_verify_path_clause_order_and_messages():
     obstacle = NodeIndex(0, (7, 1))
     internal = NodeIndex(1, (6, 2))
 
-    ok, reason = verify_path(tree, [], 0.5)
+    ok, reason = verify_path(tree, [])
     assert not ok and "empty" in reason
 
-    ok, reason = verify_path(tree, [a, diag], 0.5)
+    ok, reason = verify_path(tree, [a, diag])
     assert not ok and "neighbor" in reason
 
     # adjacency is checked before leaf-ness and obstacles
-    ok, reason = verify_path(tree, [a, obstacle], 0.5)
+    ok, reason = verify_path(tree, [a, obstacle])
     assert not ok and "neighbor" in reason
 
-    ok, reason = verify_path(tree, [NodeIndex(0, (5, 1)), obstacle], 0.5)
+    ok, reason = verify_path(tree, [NodeIndex(0, (5, 1)), obstacle])
     assert not ok and "obstacle" in reason
 
-    ok, reason = verify_path(tree, [internal, NodeIndex(0, (3, 5))], 0.5)
+    ok, reason = verify_path(tree, [internal, NodeIndex(0, (3, 5))])
     assert not ok and "leaf" in reason
 
-    ok, reason = verify_path(tree, [a, b], 0.5, start=(0.6, 0.6), goal=(3.9, 3.9))
+    ok, reason = verify_path(tree, [a, b], start=(0.6, 0.6), goal=(3.9, 3.9))
     assert not ok and "goal" in reason
-    ok, reason = verify_path(tree, [a, b], 0.5, start=(3.0, 3.0), goal=(1.6, 0.5))
+    ok, reason = verify_path(tree, [a, b], start=(3.0, 3.0), goal=(1.6, 0.5))
     assert not ok and "start" in reason
 
-    ok, reason = verify_path(tree, [a, b], 0.5, start=(0.6, 0.6), goal=(1.6, 0.5))
+    ok, reason = verify_path(tree, [a, b], start=(0.6, 0.6), goal=(1.6, 0.5))
     assert ok and reason is None
+    # an eps passed before start and goal is accepted and ignored
+    for eps in (0.01, 0.5, 0.99):
+        assert verify_path(tree, [a, b], eps, (0.6, 0.6), (1.6, 0.5)) == (True, None)
+        ok, reason = verify_path(tree, [NodeIndex(0, (5, 1)), obstacle], eps)
+        assert not ok and "obstacle" in reason
 
 
 def test_verify_path_sampled_detects_covered_obstacles():
@@ -497,7 +523,7 @@ def test_verifiers_report_nodes_outside_the_world():
     pred = grid_predicate(world)
     a = NodeIndex(0, (1, 1))
     for bad in (NodeIndex(0, (9, 1)), NodeIndex(3, (8, 8)), NodeIndex(0, (2, 1))):
-        ok, reason = verify_path(tree, [bad, a], 0.5)
+        ok, reason = verify_path(tree, [bad, a])
         assert not ok and "node 0" in reason and "world" in reason
         ok, reason = verify_path_sampled(pred, [a, bad], 2)
         assert not ok and "node 1" in reason and "world" in reason
@@ -514,7 +540,7 @@ def test_plan_returns_a_simple_path_on_a_looping_seed(mode):
     if mode == "exact":
         tree = build_from_grid(world)
         result = PlannerSession(tree=tree, start=start, goal=goal).run()
-        ok, reason = verify_path(tree, result.path, 0.5, start, goal)
+        ok, reason = verify_path(tree, result.path, start=start, goal=goal)
     else:
         pred = grid_predicate(world)
         result = PlannerSession(
@@ -746,7 +772,7 @@ def test_plan_agrees_with_grid_search(shape, kind, density, seed):
         if result.success:
             assert len(set(result.path)) == len(result.path)
             if exact:
-                ok, reason = verify_path(tree, result.path, 0.5, start, goal)
+                ok, reason = verify_path(tree, result.path, start=start, goal=goal)
             else:
                 ok, reason = verify_path_sampled(pred, result.path, depth, start, goal)
             assert ok, reason
@@ -771,7 +797,7 @@ def test_small_alpha_agrees_with_grid_search(dim, depth, alpha):
             if not result.success:
                 continue
             if exact:
-                ok, reason = verify_path(kwargs["tree"], result.path, 0.5, start, goal)
+                ok, reason = verify_path(kwargs["tree"], result.path, start=start, goal=goal)
             else:
                 ok, reason = verify_path_sampled(
                     kwargs["predicate"], result.path, depth, start, goal
@@ -835,7 +861,7 @@ def test_five_dimensional_worlds_agree_with_grid_search(exact, depth):
     assert result.success == reachable
     if result.success:
         if exact:
-            ok, reason = verify_path(kwargs["tree"], result.path, 0.5, start, goal)
+            ok, reason = verify_path(kwargs["tree"], result.path, start=start, goal=goal)
         else:
             ok, reason = verify_path_sampled(
                 kwargs["predicate"], result.path, depth, start, goal
@@ -874,7 +900,7 @@ def test_exact_query_at_max_depth(sealed):
         assert result.iterations == 0
     else:
         assert result.status == SUCCESS
-        ok, reason = verify_path(tree, result.path, 0.5, start, goal)
+        ok, reason = verify_path(tree, result.path, start=start, goal=goal)
         assert ok, reason
 
 

@@ -15,6 +15,7 @@ from helpers import (
     snake_world,
     tree_levels,
 )
+from mspp.sampling import is_flagged_obstacle
 from mspp.tree import (
     GridWorld,
     NodeIndex,
@@ -185,17 +186,23 @@ def test_every_address_reads_its_brute_force_value(dim, depth, seed):
     st.integers(0, 2**32 - 1),
 )
 def test_eps_obstacles_are_the_fully_occupied_nodes(dim, depth, density, eps, seed):
+    # is_obstacle holds exactly when every cell of the node is occupied, and
+    # that is the paper's rule value >= 1 - eps * 2**(-dim * k) at any eps:
     # a scale-k value is a multiple of 2**(-dim * k), and the threshold lies
     # strictly between the largest such value below 1 and 1
     rng = np.random.default_rng(seed)
     size = 1 << (dim * depth)
     world = GridWorld(dim, depth, (rng.random(size) < density).astype(np.uint8))
+    grid = world.cells.reshape((1 << depth,) * dim)  # axis a is spatial dim-1-a
     tree = build_from_grid(world)
     for k in range(depth + 1):
         axis = range(1 << k, 2 << depth, 2 << k)
         for c2 in itertools.product(axis, repeat=dim):
             idx = NodeIndex(k, c2)
-            assert tree.is_eps_obstacle(idx, eps) == (tree.value(idx) == 1.0)
+            box = tuple(slice((c - (1 << k)) >> 1, (c + (1 << k)) >> 1) for c in c2)
+            full = bool(grid[box[::-1]].all())
+            assert tree.is_obstacle(idx) == full
+            assert full == (tree.value(idx) >= 1.0 - math.ldexp(eps, -dim * k))
 
 
 def test_explicit_levels_are_checked():
@@ -302,35 +309,40 @@ def test_binary_maps_make_obstacles_exactly_full_nodes():
     rng = np.random.default_rng(5)
     world = GridWorld(2, 3, (rng.random(64) < 0.5).astype(np.uint8))
     tree = build_from_grid(world)
-    for eps in (0.1, 0.5, 0.9):
-        for idx, val in tree.iter_nodes():
-            assert tree.is_eps_obstacle(idx, eps) == (val == 1.0)
+    for idx, val in tree.iter_nodes():
+        assert tree.is_obstacle(idx) == (val == 1.0)
 
 
 def test_eps_obstacle_examples():
     cells = np.array([1, 0, 0, 0], dtype=np.uint8)
     tree = build_from_grid(GridWorld(2, 1, cells))
     unit = NodeIndex(0, (1, 1))
-    assert tree.is_eps_obstacle(unit, 0.9)  # occupied cell, 1 >= 1 - 0.9
-    assert not tree.is_eps_obstacle(NodeIndex(0, (3, 3)), 0.9)
-    assert not tree.is_eps_obstacle(tree.root, 0.9)  # 0.25 < 1 - 0.9/16
+    assert tree.is_obstacle(unit)  # the occupied cell
+    assert not tree.is_obstacle(NodeIndex(0, (3, 3)))
+    assert not tree.is_obstacle(tree.root)  # one cell of four occupied
     full = build_from_grid(GridWorld(2, 1, np.ones(4, dtype=np.uint8)))
-    assert full.is_eps_obstacle(full.root, 0.5)
-    with pytest.raises(ValueError):
-        tree.is_eps_obstacle(unit, 0.0)
-    with pytest.raises(ValueError):
-        tree.is_eps_obstacle(unit, 1.0)
+    assert full.is_obstacle(full.root)
+    # one free cell in 1024: no node holding it is an obstacle, however
+    # close to 1 its value, and every other node is
+    cells = np.ones(1024, dtype=np.uint8)
+    cells[0] = 0
+    nearly = build_from_grid(GridWorld(2, 5, cells))
+    for idx, _val in nearly.iter_nodes():
+        holds_free = all(c == 1 << idx.scale for c in idx.center2)
+        assert nearly.is_obstacle(idx) != holds_free
 
 
 def test_eps_threshold_monotone_in_eps():
-    # a node flagged at eps stays flagged at any larger eps
-    rng = np.random.default_rng(9)
-    world = GridWorld(2, 3, (rng.random(64) < 0.6).astype(np.uint8))
-    tree = build_from_grid(world)
-    for idx, _val in tree.iter_nodes():
-        for lo, hi in [(0.2, 0.5), (0.5, 0.8), (0.3, 0.9)]:
-            if tree.is_eps_obstacle(idx, lo):
-                assert tree.is_eps_obstacle(idx, hi)
+    # a sampled estimate flagged at eps stays flagged at any larger eps
+    flagged = 0
+    for dim, scale in itertools.product((1, 2, 3), range(4)):
+        for value in np.linspace(0.0, 1.0, 257).tolist():
+            for gamma in (0.001, 0.01, 0.1):
+                for lo, hi in [(0.2, 0.5), (0.5, 0.8), (0.3, 0.9)]:
+                    if is_flagged_obstacle(value, scale, dim, lo, gamma):
+                        flagged += 1
+                        assert is_flagged_obstacle(value, scale, dim, hi, gamma)
+    assert flagged
 
 
 def test_leaf_at_free_map_returns_root():
