@@ -17,7 +17,6 @@ from .environments import (
     uniform_astar,
 )
 from .neighbors import (
-    all_neighbor_pairs,
     are_neighbors,
     find_containing,
     find_neighbors,
@@ -33,7 +32,6 @@ from .sampling import (
     failure_bound,
     flag_scale_cutoff,
     is_flagged_obstacle,
-    misclassification_bound,
 )
 from .search import (
     BUDGET_EXCEEDED,
@@ -53,14 +51,10 @@ from .tree import (
     NodeIndex,
     OccupancyTree,
     build_from_grid,
-    children_of,
     map_text,
-    node_bounds2,
-    node_volume,
     parent_of,
     parse_map_text,
     read_map,
-    write_map,
 )
 
 __version__ = "0.1.0"

@@ -3,9 +3,7 @@
 Map generation is deterministic per seed and places an exact obstacle
 count (round(density * cells)), so achieved density tracks the request
 tightly for both scattered-cell and blob textures.  random_spheres builds
-analytic ball-obstacle scenes for map-free planning, and realize_grid
-turns any point predicate into an occupancy grid by querying every unit
-cell, which is what building a map from a black-box environment costs.
+analytic ball-obstacle scenes for map-free planning.
 The baseline planner runs plain A* over unit cells with face connectivity
 and unit edge costs; it serves as the correctness oracle for reachability
 and as the benchmark comparator.
@@ -17,7 +15,6 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from itertools import product
 from math import inf
 
 import numpy as np
@@ -32,7 +29,6 @@ __all__ = [
     "generate_map",
     "grid_predicate",
     "random_spheres",
-    "realize_grid",
     "uniform_astar",
 ]
 
@@ -147,22 +143,6 @@ def random_spheres(
         centers.append(c)
         radii.append(r)
     return SphereSet(centers, radii)
-
-
-def realize_grid(predicate, dim: int, depth: int) -> GridWorld:
-    """Occupancy grid obtained by querying the predicate at every cell center.
-
-    This is the map-construction step a planner with full map knowledge
-    needs when the environment is only available as a point oracle; its
-    cost is one predicate call per unit cell.  Cells are filled in the
-    grid's flat layout (axis 0 fastest).
-    """
-    side = 1 << depth
-    cells = np.empty(side**dim, dtype=np.uint8)
-    for i, cell in enumerate(product(range(side), repeat=dim)):
-        point = tuple(c + 0.5 for c in reversed(cell))
-        cells[i] = 1 if predicate(point) else 0
-    return GridWorld(dim, depth, cells)
 
 
 @dataclass

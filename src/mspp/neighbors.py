@@ -25,14 +25,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .tree import NodeIndex
-
 __all__ = [
     "are_neighbors",
     "find_containing",
     "add_face_leaves",
     "find_neighbors",
-    "all_neighbor_pairs",
     "collect_leaves",
 ]
 
@@ -218,17 +215,3 @@ def collect_leaves(root, sort: bool = True) -> list:
         out.sort(key=lambda n: (n.scale, n.center2))
     return out
 
-
-def all_neighbor_pairs(root, depth: int) -> set[tuple[NodeIndex, NodeIndex]]:
-    """The complete neighbor edge set of the tree's leaves.
-
-    One find_neighbors call per leaf, so the pass costs O(V log V).  Each
-    edge appears once, as the pair in (scale, center2) order.
-    """
-    edges: set[tuple[NodeIndex, NodeIndex]] = set()
-    for node in collect_leaves(root, sort=False):
-        me = NodeIndex(node.scale, node.center2)
-        for other in find_neighbors(root, node, depth):
-            you = NodeIndex(other.scale, other.center2)
-            edges.add((me, you) if me <= you else (you, me))
-    return edges

@@ -43,8 +43,8 @@ from scratch with the same inputs.  Two facts make that exact:
   removed or keeps no leaf below it.
 * A node that descends but loses every child stays in the view as an
   internal node with None slots.  Every lookup answers for it as if it
-  were gone, and snapshot() skips it, as a rebuild would have dropped it;
-  it is decided again in the next generation like any other node.
+  were gone, as if a rebuild had dropped it; it is decided again in the
+  next generation like any other node.
 
 The inputs of a generation are frozen until the next refresh: deciding a
 node after a CellTracker it reads has changed raises, and callers buffer
@@ -58,8 +58,8 @@ from itertools import product
 from math import isqrt
 from typing import AbstractSet
 
-from .neighbors import are_neighbors, collect_leaves, find_containing
-from .tree import NodeIndex, OccupancyTree, parent_of
+from .neighbors import are_neighbors, find_containing
+from .tree import NodeIndex, OccupancyTree
 
 __all__ = [
     "RTNode",
@@ -88,9 +88,6 @@ class RTNode:
         self.center2 = center2
         self.children = children
         self.gen = 0
-
-    def index(self) -> NodeIndex:
-        return NodeIndex(self.scale, self.center2)
 
     def __repr__(self) -> str:
         kind = "leaf" if self.children is None else "internal"
@@ -171,15 +168,9 @@ class CellTracker:
         """Some member center lies strictly inside the given node's cube."""
         return idx in self._anc
 
-    def is_member(self, idx: NodeIndex) -> bool:
-        return idx in self._members
-
     def cells(self):
         """The distinct member cells, as (scale, center2) keys."""
         return self._members.keys()
-
-    def __len__(self) -> int:
-        return sum(self._members.values())
 
 
 class ReducedTree:
@@ -199,10 +190,6 @@ class ReducedTree:
         # (alpha, focus scale) -> far thresholds, their denominator and
         # the scales where a node beside the focus can be far.
         self._windows: dict[tuple, tuple] = {}
-
-    def vertices(self) -> list[RTNode]:
-        """All leaves in canonical (scale, center2) order."""
-        return collect_leaves(self.root)
 
     def find_vertex(self, idx: NodeIndex) -> RTNode | None:
         """The leaf with exactly this address, if present."""
@@ -228,27 +215,6 @@ class ReducedTree:
             if not 0.0 < x < side:
                 raise ValueError(f"point {tuple(point)} not strictly inside")
         return find_containing(self.root, tuple(2 * int(x) + 1 for x in point))
-
-    def snapshot(self) -> dict[tuple, bool]:
-        """(scale, center2) -> is_leaf, for structural equality checks.
-
-        Resolves the whole view.  The internal nodes are the leaves'
-        ancestors, so internal nodes with no leaf below them are left out,
-        as a rebuild from scratch would have removed them; the root is
-        always present.
-        """
-        out: dict[tuple, bool] = {}
-        depth = self.depth
-        for leaf in collect_leaves(self.root, sort=False):
-            key = leaf.index()
-            out[key] = True
-            while key.scale < depth:
-                key = parent_of(key)
-                if key in out:
-                    break
-                out[key] = False
-        out.setdefault(self.root.index(), False)
-        return out
 
 
 def window_thresholds(

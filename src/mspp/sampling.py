@@ -30,7 +30,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, exp, expm1, inf, ldexp
+from math import ceil, expm1, inf, ldexp
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "failure_bound",
     "flag_scale_cutoff",
     "is_flagged_obstacle",
-    "misclassification_bound",
     "obstacle_threshold",
 ]
 
@@ -143,13 +142,6 @@ def exact_scale_cutoff(dim: int, samples: int) -> int:
     while (1 << (dim * (k + 1))) <= samples:
         k += 1
     return k
-
-
-def misclassification_bound(gamma: float, n: int) -> float:
-    """Hoeffding bound exp(-2 * gamma**2 * n) on one node's misclassification."""
-    if gamma <= 0.0 or n < 1:
-        raise ValueError("gamma must be positive and n >= 1")
-    return exp(-2.0 * gamma * gamma * n)
 
 
 def band_node_count(depth: int, dim: int, low: int, high: int) -> float:

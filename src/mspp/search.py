@@ -284,7 +284,8 @@ class PlannerSession:
     given.  Map-free mode needs dim and depth; exact mode takes them from
     the tree and refuses different ones.  eps, gamma, samples, seed and
     cell_picks act only map-free: a map node is an obstacle exactly when
-    every cell of it is occupied.  weight scales how much a node's
+    every cell of it is occupied.  eps, gamma and samples are range-checked
+    in both modes.  weight scales how much a node's
     occupancy value adds to the cost of entering it.  The session exposes
     its iteration pieces (goal_reached, refresh_view, advance) so a caller
     can drive and inspect single iterations; run() drives to completion.
@@ -323,6 +324,10 @@ class PlannerSession:
                 raise ValueError(f"{name} must be finite, got {value}")
         if weight < 0:
             raise ValueError("weight must be nonnegative")
+        if gamma <= 0.0:
+            raise ValueError("gamma must be positive")
+        if samples < 1:
+            raise ValueError("samples must be >= 1")
         if budget is not None and budget < 0:
             raise ValueError(f"budget must be nonnegative, got {budget}")
         if tree is not None:
@@ -363,8 +368,6 @@ class PlannerSession:
                 raise ValueError(f"{name} point {tuple(point)} outside the world box")
         self.estimator = None
         if predicate is not None:
-            if gamma <= 0.0:
-                raise ValueError("gamma must be positive in map-free mode")
             self.estimator = ValueEstimator(
                 predicate, dim, depth, samples, seed, cell_picks=cell_picks
             )

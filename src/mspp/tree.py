@@ -27,7 +27,7 @@ Every module keys a node by its address, the (scale, center2) tuple.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,12 +36,8 @@ __all__ = [
     "GridWorld",
     "OccupancyTree",
     "build_from_grid",
-    "children_of",
     "parent_of",
-    "node_bounds2",
-    "node_volume",
     "read_map",
-    "write_map",
     "parse_map_text",
     "map_text",
 ]
@@ -61,39 +57,6 @@ class NodeIndex(NamedTuple):
 
     scale: int
     center2: tuple[int, ...]
-
-
-def node_bounds2(idx: NodeIndex) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Lower and upper cube corners in doubled coordinates."""
-    half = 1 << idx.scale
-    lo = tuple(c - half for c in idx.center2)
-    hi = tuple(c + half for c in idx.center2)
-    return lo, hi
-
-
-def node_volume(idx: NodeIndex, dim: int) -> int:
-    """Number of unit cells covered by the node."""
-    return 1 << (dim * idx.scale)
-
-
-def children_of(idx: NodeIndex) -> list[NodeIndex]:
-    """The 2**dim children, axis 0 varying fastest, minus sign before plus.
-
-    Children of a scale-k node live at scale k - 1 with centers offset by
-    2**(k - 2) along every axis, which is 2**(k - 1) in doubled coordinates.
-    """
-    k, c2 = idx
-    if k <= 0:
-        raise ValueError("unit-scale node has no children")
-    half = 1 << (k - 1)
-    dim = len(c2)
-    out = []
-    for i in range(1 << dim):
-        q2 = tuple(
-            c2[j] + (half if (i >> j) & 1 else -half) for j in range(dim)
-        )
-        out.append(NodeIndex(k - 1, q2))
-    return out
 
 
 def parent_of(idx: NodeIndex) -> NodeIndex:
@@ -203,11 +166,6 @@ def parse_map_text(text: str) -> GridWorld:
     return GridWorld(dim, depth, cells)
 
 
-def write_map(world: GridWorld, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(map_text(world))
-
-
 def read_map(path: str) -> GridWorld:
     with open(path, "r", encoding="ascii") as fh:
         return parse_map_text(fh.read())
@@ -311,18 +269,6 @@ class OccupancyTree:
             i = (i << width) | (c >> shift)
         return self._counts[scale][i] / (1 << self.dim * scale), self._internal[scale][i]
 
-    def has_node(self, idx: NodeIndex) -> bool:
-        """True when idx is a node address under internal ancestors only."""
-        if not valid_index(idx, self.dim, self.depth):
-            return False
-        return idx.scale == self.depth or self.lookup(*parent_of(idx))[1]
-
-    def is_leaf(self, idx: NodeIndex) -> bool:
-        """True when the node is stored and carries no children."""
-        if not self.has_node(idx):
-            raise KeyError(f"node {idx} is not stored in the tree")
-        return not self.lookup(idx.scale, idx.center2)[1]
-
     def is_internal(self, idx: NodeIndex) -> bool:
         """True when the node has children; such a node is always stored."""
         if not valid_index(idx, self.dim, self.depth):
@@ -369,21 +315,6 @@ class OccupancyTree:
         1.0 is exact (for any grid with fewer than 2**53 cells).
         """
         return self.value(idx) == 1.0
-
-    def iter_nodes(self) -> Iterator[tuple[NodeIndex, float]]:
-        """Every stored node with its value: coarse to fine, levels in flat order."""
-        dim, depth = self.dim, self.depth
-        stored = np.ones(1, dtype=bool)
-        for k in range(depth, -1, -1):
-            shape = (1 << (depth - k),) * dim
-            flat = np.flatnonzero(stored)
-            # unravel_index gives numpy axes, the spatial axes reversed.
-            axes = np.unravel_index(flat, shape)[::-1]
-            centers = zip(*[(((a << 1) | 1) << k).tolist() for a in axes])
-            counts, full = self._counts[k], 1 << (dim * k)
-            for i, c2 in zip(flat.tolist(), centers):
-                yield NodeIndex(k, c2), counts[i] / full
-            stored = _under(np.asarray(self._internal[k]).reshape(shape)).ravel()
 
     def to_grid(self) -> GridWorld:
         """The unit-cell grid: level 0 of the pyramid."""

@@ -1,23 +1,31 @@
-"""Shared builders and independent oracles for the test suite.
+"""Shared builders, independent oracles and view drivers for the test suite.
 
-Oracles here intentionally avoid the library's own code paths: neighbor
+The oracles intentionally avoid the library's own code paths: neighbor
 checks go through interval intersection, window tests through exact
-integer arithmetic, connectivity through a set-based flood fill, so tests
-compare two separately derived answers.
+integer arithmetic, connectivity through a set-based flood fill, the
+stored nodes of a tree through a walk over its public lookups, so tests
+compare two separately derived answers.  The tree references
+(children_of, node_bounds2, has_node, is_leaf, stored_nodes) and
+realize_grid are written over public calls only.
+
+view_snapshot and all_neighbor_pairs are drivers, not oracles: they run
+the library's own lookups (collect_leaves, find_neighbors) over a whole
+view, to be compared with eager_view or pairwise_edges.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import product
 from math import ldexp
 
 import numpy as np
 
 from mspp.environments import GeneratorSpec, generate_map
-from mspp.neighbors import add_face_leaves
+from mspp.neighbors import add_face_leaves, collect_leaves, find_neighbors
 from mspp.reduced import ReducedTree, RTNode
-from mspp.tree import GridWorld, NodeIndex, children_of
+from mspp.tree import GridWorld, NodeIndex, parent_of, valid_index
 
 
 def random_world(
@@ -43,6 +51,117 @@ def random_index(rng, dim: int, depth: int, scale: int | None = None) -> NodeInd
         int(rng.integers(0, per_axis)) * step + (1 << k) for _ in range(dim)
     )
     return NodeIndex(k, c2)
+
+
+def node_bounds2(idx: NodeIndex) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Lower and upper cube corners in doubled coordinates."""
+    half = 1 << idx.scale
+    lo = tuple(c - half for c in idx.center2)
+    hi = tuple(c + half for c in idx.center2)
+    return lo, hi
+
+
+def children_of(idx: NodeIndex) -> list[NodeIndex]:
+    """The 2**dim children, axis 0 varying fastest, minus sign before plus.
+
+    Children of a scale-k node live at scale k - 1 with centers offset by
+    2**(k - 2) along every axis, which is 2**(k - 1) in doubled coordinates.
+    """
+    k, c2 = idx
+    if k <= 0:
+        raise ValueError("unit-scale node has no children")
+    half = 1 << (k - 1)
+    dim = len(c2)
+    out = []
+    for i in range(1 << dim):
+        q2 = tuple(
+            c2[j] + (half if (i >> j) & 1 else -half) for j in range(dim)
+        )
+        out.append(NodeIndex(k - 1, q2))
+    return out
+
+
+def has_node(tree, idx: NodeIndex) -> bool:
+    """True when idx is a node address under internal ancestors only."""
+    if not valid_index(idx, tree.dim, tree.depth):
+        return False
+    return idx.scale == tree.depth or tree.is_internal(parent_of(idx))
+
+
+def is_leaf(tree, idx: NodeIndex) -> bool:
+    """True when the node is stored and carries no children."""
+    if not has_node(tree, idx):
+        raise KeyError(f"node {idx} is not stored in the tree")
+    return not tree.is_internal(idx)
+
+
+def stored_nodes(tree) -> list[tuple[NodeIndex, float]]:
+    """Every stored node with its value, coarse to fine, levels in flat order.
+
+    A walk from the root through is_internal and value, so it reads no
+    level of the pyramid.  Flat order puts axis 0 fastest.
+    """
+    out = []
+    stack = [tree.root]
+    while stack:
+        idx = stack.pop()
+        out.append((idx, tree.value(idx)))
+        if tree.is_internal(idx):
+            stack.extend(children_of(idx))
+    out.sort(key=lambda item: (-item[0].scale, item[0].center2[::-1]))
+    return out
+
+
+def realize_grid(predicate, dim: int, depth: int) -> GridWorld:
+    """Occupancy grid obtained by querying the predicate at every cell center.
+
+    One predicate call per unit cell, which is what building a map from a
+    point oracle costs.  Cells are filled in the grid's flat layout (axis 0
+    fastest).
+    """
+    side = 1 << depth
+    cells = np.empty(side**dim, dtype=np.uint8)
+    for i, cell in enumerate(product(range(side), repeat=dim)):
+        point = tuple(c + 0.5 for c in reversed(cell))
+        cells[i] = 1 if predicate(point) else 0
+    return GridWorld(dim, depth, cells)
+
+
+def view_snapshot(rtree: ReducedTree) -> dict[tuple, bool]:
+    """(scale, center2) -> is_leaf of a view, for structural equality checks.
+
+    Resolves the whole view through collect_leaves.  The internal nodes
+    are the leaves' ancestors, so internal nodes with no leaf below them
+    are left out, as a rebuild from scratch would have removed them; the
+    root is always present.
+    """
+    out: dict[tuple, bool] = {}
+    depth = rtree.depth
+    for leaf in collect_leaves(rtree.root, sort=False):
+        key = NodeIndex(leaf.scale, leaf.center2)
+        out[key] = True
+        while key.scale < depth:
+            key = parent_of(key)
+            if key in out:
+                break
+            out[key] = False
+    out.setdefault((rtree.root.scale, rtree.root.center2), False)
+    return out
+
+
+def all_neighbor_pairs(root, depth: int) -> set[tuple[NodeIndex, NodeIndex]]:
+    """The complete neighbor edge set of a view's leaves.
+
+    One find_neighbors call per leaf, so the pass costs O(V log V).  Each
+    edge appears once, as the pair in (scale, center2) order.
+    """
+    edges: set[tuple[NodeIndex, NodeIndex]] = set()
+    for node in collect_leaves(root, sort=False):
+        me = NodeIndex(node.scale, node.center2)
+        for other in find_neighbors(root, node, depth):
+            you = NodeIndex(other.scale, other.center2)
+            edges.add((me, you) if me <= you else (you, me))
+    return edges
 
 
 def tree_levels(tree) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -256,7 +375,7 @@ def eager_view(tree, current, visited, eps, alpha, obstacles=(), free=()):
 
     Applies the decision rule to every node at once, the way refresh worked
     before the view became lazy, and returns (scale, center2) -> is_leaf in
-    the format of ReducedTree.snapshot(): internal nodes left with no leaf
+    the format of view_snapshot: internal nodes left with no leaf
     below them are dropped, the root excepted.  The far test is the exact
     rational oracle, not the library's integer thresholds, and a node that
     shares a face with the focus (by the interval oracle) is never far.
@@ -279,7 +398,7 @@ def eager_view(tree, current, visited, eps, alpha, obstacles=(), free=()):
         if idx in obstacles:
             return False
         if visited.covers(idx):
-            stop = visited.is_member(idx)
+            stop = idx in visited.cells()
         elif tree is not None:
             stop = not tree.is_internal(idx) or far(idx)
         else:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mspp.cli import SETTINGS, main
-from mspp.tree import GridWorld, read_map, write_map
+from mspp.tree import GridWorld, map_text, read_map
 
 
 def map_file(tmp_path, occupied, dim=2, depth=3):
@@ -17,7 +17,7 @@ def map_file(tmp_path, occupied, dim=2, depth=3):
     for cell in occupied:
         cells[world.flat_index(cell)] = 1
     path = tmp_path / "world.map"
-    write_map(GridWorld(dim, depth, cells), str(path))
+    path.write_text(map_text(GridWorld(dim, depth, cells)))
     return str(path)
 
 

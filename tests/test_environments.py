@@ -1,4 +1,4 @@
-"""Environments: realizing a point oracle as a grid, and the grid baseline."""
+"""Realizing a point oracle as a grid (the test helper), and the grid baseline."""
 
 from itertools import product
 
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_world
-from mspp.environments import realize_grid, uniform_astar
+from helpers import random_world, realize_grid
+from mspp.environments import uniform_astar
 from mspp.predicates import Slab
 
 

@@ -6,16 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    all_neighbor_pairs,
     full_rtree,
     interval_face_test,
+    is_leaf,
     pairwise_edges,
     random_index,
     random_rtree,
     random_world,
     root_descent_neighbors,
+    stored_nodes,
 )
 from mspp.neighbors import (
-    all_neighbor_pairs,
     add_face_leaves,
     are_neighbors,
     collect_leaves,
@@ -225,12 +227,12 @@ def test_find_neighbors_decides_what_root_descent_decides(dim, depth):
     for seed in range(4):
         rng = np.random.default_rng(seed)
         tree = build_from_grid(random_world(dim, depth, 0.3, seed=seed))
-        cells = [idx for idx, v in tree.iter_nodes() if v == 0.0 and tree.is_leaf(idx)]
+        cells = [idx for idx, v in stored_nodes(tree) if v == 0.0 and is_leaf(tree, idx)]
         path = CellTracker(dim, depth)
         views = (ReducedTree(dim, depth), ReducedTree(dim, depth))
         for _ in range(4):
             current = cells[int(rng.integers(len(cells)))]
-            if not path.is_member(current):
+            if current not in path.cells():
                 path.add(current)
             for view in views:
                 refresh(view, tree, current, path, 1.0)
@@ -241,10 +243,11 @@ def test_find_neighbors_decides_what_root_descent_decides(dim, depth):
                 a, b = frontier.pop(0)
                 got = find_neighbors(mirror.root, a, depth)
                 want = root_descent_neighbors(ref.root, b, depth)
-                assert [n.index() for n in got] == [n.index() for n in want]
-                for x, y in zip(got, want):
-                    if x.index() not in seen:
-                        seen.add(x.index())
+                keys = [(n.scale, n.center2) for n in got]
+                assert keys == [(n.scale, n.center2) for n in want]
+                for key, x, y in zip(keys, got, want):
+                    if key not in seen:
+                        seen.add(key)
                         frontier.append((x, y))
             assert view_state(mirror.root) == view_state(ref.root)
 

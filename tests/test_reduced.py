@@ -1,7 +1,6 @@
 """Focus-window geometry, path tracking, and view refresh semantics."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -10,12 +9,17 @@ from hypothesis import strategies as st
 
 from helpers import (
     eager_view,
+    has_node,
     interval_face_test,
+    is_leaf,
+    node_bounds2,
     random_index,
     random_world,
+    stored_nodes,
+    view_snapshot,
     window_far_oracle,
 )
-from mspp.neighbors import are_neighbors, find_neighbors
+from mspp.neighbors import are_neighbors, collect_leaves, find_neighbors
 from mspp.search import astar_lazy
 from mspp.reduced import (
     CellTracker,
@@ -23,16 +27,11 @@ from mspp.reduced import (
     refresh,
     window_thresholds,
 )
-from mspp.tree import (
-    GridWorld,
-    NodeIndex,
-    build_from_grid,
-    node_bounds2,
-)
+from mspp.tree import GridWorld, NodeIndex, build_from_grid
 
 
 def leaf_keys(rtree):
-    return {(v.scale, v.center2) for v in rtree.vertices()}
+    return {NodeIndex(v.scale, v.center2) for v in collect_leaves(rtree.root)}
 
 
 def fresh_equivalent(session):
@@ -147,17 +146,17 @@ def test_beside_flag_is_off_only_where_no_adjacent_node_is_far(dim, alpha):
 
 def test_cell_tracker_examples():
     tracker = CellTracker(2, 3)
-    assert len(tracker) == 0
+    assert not tracker.cells()
     cell = NodeIndex(0, (5, 3))
     tracker.add(cell)
-    assert tracker.is_member(NodeIndex(0, (5, 3)))
+    assert NodeIndex(0, (5, 3)) in tracker.cells()
     # every ancestor region containing the member center reports coverage
     assert tracker.covers(NodeIndex(3, (8, 8)))
     assert tracker.covers(NodeIndex(1, (6, 2)))
     assert not tracker.covers(NodeIndex(1, (2, 2)))
     assert not tracker.covers(NodeIndex(0, (3, 3)))
     tracker.discard(cell)
-    assert len(tracker) == 0
+    assert not tracker.cells()
     assert not tracker.covers(NodeIndex(3, (8, 8)))
 
 
@@ -215,9 +214,8 @@ def window_stop_predicate(tree, rtree, current, path, alpha):
     from the focus and carries no path member; internal vertices violate it.
     """
     ok = True
-    for v in rtree.vertices():
-        idx = NodeIndex(v.scale, v.center2)
-        is_tree_leaf = tree.is_leaf(idx) if tree.has_node(idx) else True
+    for idx in leaf_keys(rtree):
+        is_tree_leaf = is_leaf(tree, idx) if has_node(tree, idx) else True
         far = window_far_oracle(idx, current, alpha)
         has_path = path.covers(idx)
         if not (is_tree_leaf or (far and not has_path)):
@@ -235,7 +233,7 @@ def test_refresh_vertices_satisfy_window_predicate():
     refresh(rtree, tree, current, path, alpha=1.0)
     assert window_stop_predicate(tree, rtree, current, path, 1.0)
     # near nodes got subdivided to source-tree leaves, far ones stayed coarse
-    scales = {v.scale for v in rtree.vertices()}
+    scales = {v.scale for v in leaf_keys(rtree)}
     assert 0 in scales and max(scales) >= 1
     # the focus cell itself is present at unit scale
     assert rtree.find_vertex(current) is not None
@@ -251,19 +249,18 @@ def test_refresh_near_region_reaches_tree_leaves():
     path.add(current)
     refresh(rtree, tree, current, path, alpha=1.0)
     assert window_stop_predicate(tree, rtree, current, path, 1.0)
-    for v in rtree.vertices():
-        idx = NodeIndex(v.scale, v.center2)
+    for idx in leaf_keys(rtree):
         if not window_far_oracle(idx, current, 1.0):
             # near vertices are exactly the source-tree leaves there
-            assert tree.is_leaf(idx)
+            assert is_leaf(tree, idx)
 
 
 def paint_cells(rtree, dim, depth):
     """Mark unit cells covered by vertices; verify pairwise disjointness."""
     side = 1 << depth
     painted = np.zeros((side,) * dim, dtype=np.int32)
-    for v in rtree.vertices():
-        lo2, hi2 = node_bounds2(NodeIndex(v.scale, v.center2))
+    for v in leaf_keys(rtree):
+        lo2, hi2 = node_bounds2(v)
         slices = tuple(slice(a // 2, b // 2) for a, b in zip(lo2, hi2))
         painted[slices] += 1
     return painted
@@ -282,8 +279,8 @@ def test_refresh_partition_and_obstacle_freeness():
         painted = paint_cells(rtree, 2, 4)
         assert painted.max() <= 1
         # no vertex is an obstacle
-        for v in rtree.vertices():
-            assert not tree.is_obstacle(NodeIndex(v.scale, v.center2))
+        for v in leaf_keys(rtree):
+            assert not tree.is_obstacle(v)
         # every unpainted cell lies under some obstacle ancestor
         for x, y in zip(*np.nonzero(painted == 0)):
             c2 = (2 * int(x) + 1, 2 * int(y) + 1)
@@ -317,7 +314,7 @@ def test_refresh_keeps_blocked_cells_as_leaves():
     assert leaf is not None and rtree.leaf_at_point((1.5, 0.5)) is leaf
     start = rtree.find_vertex(current)
     assert start is not None
-    values = {v.index(): tree.value(v.index()) for v in rtree.vertices()}
+    values = {v: tree.value(v) for v in leaf_keys(rtree)}
     assert astar_lazy(rtree, start, leaf, 1.0, values) == [current, dead]
     assert astar_lazy(rtree, start, leaf, 1.0, values, excluded=visited.cells()) is None
     # map-free: a blocked cell is a leaf at whatever scale it was tried
@@ -330,7 +327,7 @@ def test_refresh_keeps_blocked_cells_as_leaves():
     leaf = rtree2.find_vertex(coarse_dead)
     assert leaf is not None and rtree2.leaf_at_point((3.0, 1.0)) is leaf
     start = rtree2.find_vertex(current)
-    values = {v.index(): 0.0 for v in rtree2.vertices()}
+    values = dict.fromkeys(leaf_keys(rtree2), 0.0)
     assert astar_lazy(rtree2, start, leaf, 1.0, values) == [current, coarse_dead]
     excluded = visited2.cells()
     assert astar_lazy(rtree2, start, leaf, 1.0, values, excluded=excluded) is None
@@ -394,7 +391,7 @@ def test_refresh_incremental_matches_fresh_rebuild():
         while session.status is None and not session.goal_reached() and steps < 200:
             session.refresh_view()
             twin = fresh_equivalent(session)
-            assert session.rtree.snapshot() == twin.snapshot()
+            assert view_snapshot(session.rtree) == view_snapshot(twin)
             assert leaf_keys(session.rtree) == leaf_keys(twin)
             session.advance()
             steps += 1
@@ -426,12 +423,12 @@ def test_refresh_reuses_surviving_nodes_in_place():
 
 def test_vertices_single_leaf_and_full_subdivision():
     rtree = ReducedTree(2, 2)
-    verts = rtree.vertices()
+    verts = collect_leaves(rtree.root)
     assert [(v.scale, v.center2) for v in verts] == [(2, (4, 4))]
     from helpers import full_rtree
 
     full = full_rtree(2, 2)
-    keyed = [(v.scale, v.center2) for v in full.vertices()]
+    keyed = [(v.scale, v.center2) for v in collect_leaves(full.root)]
     assert len(keyed) == 16
     assert keyed == sorted(keyed)
     assert all(k == 0 for k, _ in keyed)
@@ -478,10 +475,10 @@ def test_refresh_decides_only_the_root_and_lookups_their_own_path():
     assert rtree.find_vertex(current) is not None
     # one root-to-leaf descent decides one node per scale on its way
     assert decided_nodes(rtree) == 1 + rtree.depth - current.scale
-    total = len(rtree.snapshot())
+    total = len(view_snapshot(rtree))
     refresh(rtree, tree, current, path, alpha=1.0)
     assert decided_nodes(rtree) == 1
-    assert len(rtree.snapshot()) == total
+    assert len(view_snapshot(rtree)) == total
 
 
 @pytest.mark.parametrize("dim,depth", [(2, 4), (3, 3)])
@@ -506,7 +503,7 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
         if exact:
             # the visited cells of an exact walk are free map leaves
             cells = [
-                idx for idx, v in tree.iter_nodes() if v == 0.0 and tree.is_leaf(idx)
+                idx for idx, v in stored_nodes(tree) if v == 0.0 and is_leaf(tree, idx)
             ]
 
             def pick():
@@ -535,9 +532,9 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
                     want = eager_view(
                         tree, trail[-1], visited, eps, alpha, obstacles, free
                     )
-                    assert rtree.snapshot() == want
-                leaves = rtree.vertices()
-                assert {v.index() for v in leaves} == {
+                    assert view_snapshot(rtree) == want
+                leaves = collect_leaves(rtree.root)
+                assert {(v.scale, v.center2) for v in leaves} == {
                     key for key, leaf in want.items() if leaf
                 }
                 keyed = [(v.scale, v.center2) for v in leaves]
@@ -548,7 +545,7 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
                     fresh, tree, trail[-1], visited, alpha,
                     obstacles=obstacles, free=free,
                 )
-                assert fresh.snapshot() == want
+                assert view_snapshot(fresh) == want
             else:
                 # resolve only what a search would reach, and check the
                 # neighbors found on the part-stale view against the eager
@@ -569,9 +566,9 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
                         got = find_neighbors(rtree.root, leaf, depth)
                         want = {
                             key for key in eager_leaves
-                            if are_neighbors(leaf.index(), key)
+                            if are_neighbors(leaf, key)
                         }
-                        assert {n.index() for n in got} == want
+                        assert {(n.scale, n.center2) for n in got} == want
                         assert len(got) == len(want)
             if len(trail) == 1 or rng.random() < 0.6:
                 cell = pick()
@@ -602,12 +599,12 @@ def test_blocked_cell_inside_a_stored_leaf_splits_it():
     visited.add(dead)
     rtree = ReducedTree(2, 3)
     refresh(rtree, tree, start, visited, alpha=1.0)
-    leaves = {v.index() for v in rtree.vertices()}
+    leaves = leaf_keys(rtree)
     assert len(leaves) == 13
     assert NodeIndex(2, (4, 12)) not in leaves
     assert rtree.leaf_at_point((1.5, 5.5)) is rtree.find_vertex(dead)
     assert leaves >= {dead} | {NodeIndex(0, c2) for c2 in [(1, 9), (1, 11), (3, 9)]}
-    assert rtree.snapshot() == eager_view(tree, start, visited, 0.5, 1.0)
+    assert view_snapshot(rtree) == eager_view(tree, start, visited, 0.5, 1.0)
     # the cheapest way to the goal (1, (2, 14)) runs through the blocked cell
     goal = rtree.leaf_at_point((0.5, 6.5))
     values = {v: tree.value(v) for v in leaves}
@@ -631,9 +628,9 @@ def test_view_refuses_to_resolve_after_its_trackers_change():
     step = tree.leaf_at((1.5, 0.5))
     path.add(step)
     with pytest.raises(RuntimeError):
-        rtree.vertices()
+        collect_leaves(rtree.root)
     refresh(rtree, tree, step, path, alpha=1.0)
-    assert rtree.snapshot() == eager_view(tree, step, path, 0.5, 1.0)
+    assert view_snapshot(rtree) == eager_view(tree, step, path, 0.5, 1.0)
     refresh(rtree, tree, step, path, alpha=1.0)
     path.discard(step)
     with pytest.raises(RuntimeError):
@@ -647,7 +644,7 @@ def test_view_refuses_to_resolve_after_its_trackers_change():
         refresh(rtree, None, near, path, 1.0, **keys)
         keys[grown].add(NodeIndex(0, (15, 15)))
         with pytest.raises(RuntimeError):
-            rtree.vertices()
+            collect_leaves(rtree.root)
 
 
 def test_emptied_internal_nodes_answer_as_removed():
@@ -663,13 +660,13 @@ def test_emptied_internal_nodes_answer_as_removed():
     assert rtree.leaf_at_point((2.5, 0.5)) is None
     assert rtree.find_vertex(block) is None
     beside = find_neighbors(rtree.root, rtree.find_vertex(near), 3)
-    assert [n.index() for n in beside] == [NodeIndex(0, (1, 1)), NodeIndex(0, (3, 3))]
+    assert [(n.scale, n.center2) for n in beside] == [(0, (1, 1)), (0, (3, 3))]
     want = eager_view(None, near, path, 0.5, 1.0, obstacles)
     assert block not in want
-    assert rtree.snapshot() == want
+    assert view_snapshot(rtree) == want
     # far from the next focus the same block is one unclassified vertex
     far = NodeIndex(0, (15, 15))
     path.add(far)
     refresh(rtree, None, far, path, 1.0, obstacles=obstacles)
     assert rtree.find_vertex(block) is not None
-    assert rtree.snapshot() == eager_view(None, far, path, 0.5, 1.0, obstacles)
+    assert view_snapshot(rtree) == eager_view(None, far, path, 0.5, 1.0, obstacles)

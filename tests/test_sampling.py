@@ -9,20 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import children_of
 from mspp.environments import grid_predicate
 from mspp.predicates import Checkerboard, Slab, SphereSet
 from mspp.sampling import (
     BoundParams,
-    SampleEstimate,
     ValueEstimator,
     band_node_count,
     exact_scale_cutoff,
     failure_bound,
     flag_scale_cutoff,
     is_flagged_obstacle,
-    misclassification_bound,
 )
-from mspp.tree import GridWorld, NodeIndex, build_from_grid, children_of
+from mspp.tree import GridWorld, NodeIndex, build_from_grid
 
 
 def test_flag_threshold_examples():
@@ -93,23 +92,6 @@ def test_exact_scale_cutoff_is_tight(dim, samples):
     assert k >= 0
     assert (1 << (dim * k)) <= samples or k == 0
     assert (1 << (dim * (k + 1))) > samples
-
-
-def test_misclassification_bound_examples():
-    got = misclassification_bound(0.0035, 128)
-    assert got == pytest.approx(math.exp(-2 * 0.0035**2 * 128), rel=1e-15)
-    assert got == pytest.approx(0.996869, abs=1e-6)
-    # doubling the sample count squares the bound
-    for gamma, n in [(0.05, 100), (0.1, 400), (0.0035, 128)]:
-        assert misclassification_bound(gamma, 2 * n) == pytest.approx(
-            misclassification_bound(gamma, n) ** 2, rel=1e-12
-        )
-    # the bound degenerates to 1 as gamma vanishes
-    assert misclassification_bound(1e-12, 1) == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        misclassification_bound(0.0, 10)
-    with pytest.raises(ValueError):
-        misclassification_bound(0.1, 0)
 
 
 def band_sum(depth: int, dim: int, low: int, high: int) -> int:
@@ -429,7 +411,7 @@ def test_sampled_misclassification_rate_within_bound():
         flagged, got = est.classify(node, eps, gamma)
         assert not got.exact
         wrong += flagged
-    bound = misclassification_bound(gamma, n)
+    bound = math.exp(-2 * gamma * gamma * n)
     sigma = math.sqrt(bound * (1 - bound) / seeds)
     assert wrong / seeds <= bound + 3 * sigma
 

@@ -12,15 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    all_neighbor_pairs,
     dijkstra_vertex_path_cost,
     eager_view,
     full_rtree,
     random_world,
+    realize_grid,
     snake_world,
+    view_snapshot,
 )
 import mspp.search as msearch
 import mspp.tree as mtree
-from mspp.neighbors import all_neighbor_pairs, are_neighbors, collect_leaves
+from mspp.neighbors import are_neighbors, collect_leaves
 from mspp.predicates import WallWithGap
 from mspp.reduced import CellTracker, ReducedTree, refresh
 from mspp.search import (
@@ -43,7 +46,7 @@ from mspp.tree import (
     OccupancyTree,
     build_from_grid,
 )
-from mspp.environments import grid_predicate, realize_grid, uniform_astar
+from mspp.environments import grid_predicate, uniform_astar
 
 
 @contextlib.contextmanager
@@ -129,6 +132,17 @@ def test_non_finite_settings_are_rejected(name):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 PlannerSession(**{name: value}, **mode, **ends)
 
+
+
+@pytest.mark.parametrize("name,value", [("gamma", 0.0), ("gamma", -1.0), ("samples", 0)])
+def test_sampling_settings_are_checked_in_both_modes(name, value):
+    # exact mode stores these settings and never reads them, but a value
+    # map-free mode refuses is refused there too
+    tree = build_from_grid(corridor_world())
+    ends = dict(start=(0.5, 0.5), goal=(3.5, 0.5))
+    for mode in ({"tree": tree}, {"predicate": lambda p: False, "dim": 2, "depth": 2}):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            PlannerSession(**{name: value}, **mode, **ends, cell_picks=True)
 
 def test_weights_that_overflow_path_costs_are_rejected():
     # the bound 2 * (1 + weight) * sqrt(dim) * 2**(depth * (dim + 1)) on a
@@ -370,8 +384,8 @@ def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
     # is the view's leaf over the goal point, as in PlannerSession.advance
     goal_node = rtree.leaf_at_point(goal_point)
     assert rtree.find_vertex(start) is not None and goal_node is not None
-    goal = goal_node.index()
-    vertices = [v.index() for v in rtree.vertices()]
+    goal = NodeIndex(goal_node.scale, goal_node.center2)
+    vertices = [NodeIndex(v.scale, v.center2) for v in collect_leaves(rtree.root)]
     stats = SearchStats()
     values = {v: tree.value(v) for v in vertices}
     with counted_neighbor_lookups() as lookups:
@@ -729,10 +743,10 @@ def test_map_free_classifications_wait_for_the_next_refresh():
     learned = view_of(obstacles | session._fresh_obstacles, free | session._fresh_free)
     assert learned != view_of(obstacles, free)
     # nodes decided after the search still follow the inputs of the refresh
-    assert session.rtree.snapshot() == view_of(obstacles, free)
+    assert view_snapshot(session.rtree) == view_of(obstacles, free)
     session.refresh_view()
     assert not session._fresh_obstacles and not session._fresh_free
-    assert session.rtree.snapshot() == learned
+    assert view_snapshot(session.rtree) == learned
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,10 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    children_of,
     grid_bfs_reachable,
+    has_node,
+    is_leaf,
+    node_bounds2,
     random_index,
     random_world,
     snake_world,
+    stored_nodes,
     tree_levels,
 )
 from mspp.sampling import is_flagged_obstacle
@@ -21,16 +26,12 @@ from mspp.tree import (
     NodeIndex,
     OccupancyTree,
     build_from_grid,
-    children_of,
     grid_connected,
     map_text,
-    node_bounds2,
-    node_volume,
     parent_of,
     parse_map_text,
     read_map,
     valid_index,
-    write_map,
 )
 
 
@@ -104,7 +105,7 @@ def test_parent_child_round_trip(data):
         (clo, chi), (plo, phi) = node_bounds2(child), node_bounds2(node)
         assert all(p <= c and d <= q for c, d, p, q in zip(clo, chi, plo, phi))
     # volumes add up exactly
-    assert sum(node_volume(k, dim) for k in kids) == node_volume(node, dim)
+    assert sum(1 << dim * k.scale for k in kids) == 1 << dim * node.scale
 
 
 def test_valid_index_accepts_every_node_of_small_world():
@@ -124,7 +125,7 @@ def test_build_all_free_collapses_to_root():
     world = GridWorld(2, 2, np.zeros(16, dtype=np.uint8))
     tree = build_from_grid(world)
     assert tree.node_count == 1
-    assert tree.is_leaf(tree.root)
+    assert is_leaf(tree, tree.root)
     assert tree.value(tree.root) == 0.0
 
 
@@ -139,6 +140,23 @@ def test_build_single_obstacle_quadrant():
         assert tree.value(NodeIndex(0, c2)) == 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 4),
+    st.sampled_from([0.05, 0.3, 0.7, 0.95]),
+    st.integers(0, 2**32 - 1),
+)
+def test_node_count_matches_the_walk_from_the_root(dim, depth, density, seed):
+    # node_count reads the internal masks; stored_nodes walks the tree
+    # through is_internal and value
+    rng = np.random.default_rng(seed)
+    size = 1 << (dim * depth)
+    world = GridWorld(dim, depth, (rng.random(size) < density).astype(np.uint8))
+    tree = build_from_grid(world)
+    assert tree.node_count == len(stored_nodes(tree))
+
+
 def test_build_matches_brute_force_fractions():
     rng = np.random.default_rng(11)
     # dim 6 widens the count dtype by level: its root counts up to 2**12.
@@ -147,11 +165,11 @@ def test_build_matches_brute_force_fractions():
         world = GridWorld(dim, depth, (rng.random(size) < 0.4).astype(np.uint8))
         tree = build_from_grid(world)
         assert tree.value(tree.root) == world.cells.sum() / size
-        for idx, val in tree.iter_nodes():
+        for idx, val in stored_nodes(tree):
             expect = brute_fraction(world, idx)
             assert val == pytest.approx(expect, abs=1e-15)
             assert tree.value(idx) == val
-            if tree.is_leaf(idx) and idx.scale > 0:
+            if is_leaf(tree, idx) and idx.scale > 0:
                 assert expect in (0.0, 1.0)
 
 
@@ -172,7 +190,7 @@ def test_every_address_reads_its_brute_force_value(dim, depth, seed):
             assert tree.is_internal(idx) == (0.0 < expect < 1.0)
             point = tuple(c / 2.0 for c in c2)
             leaf = tree.leaf_at(point)
-            assert tree.is_leaf(leaf)
+            assert is_leaf(tree, leaf)
             lo2, hi2 = node_bounds2(leaf)
             assert all(a <= 2 * x < b for x, a, b in zip(point, lo2, hi2))
 
@@ -254,9 +272,9 @@ def test_value_inside_collapsed_leaf():
     world = GridWorld(2, 2, cells)
     tree = build_from_grid(world)
     quadrant = NodeIndex(1, (2, 2))
-    assert tree.is_leaf(quadrant)
+    assert is_leaf(tree, quadrant)
     assert tree.value(quadrant) == 1.0
-    assert not tree.has_node(NodeIndex(0, (1, 1)))
+    assert not has_node(tree, NodeIndex(0, (1, 1)))
     assert tree.value(NodeIndex(0, (1, 1))) == 1.0
     assert tree.value(NodeIndex(0, (3, 3))) == 1.0
 
@@ -284,7 +302,7 @@ def test_parent_value_is_mean_of_children(dim, depth, density, seed):
     size = 1 << (dim * depth)
     world = GridWorld(dim, depth, (rng.random(size) < density).astype(np.uint8))
     tree = build_from_grid(world)
-    for idx, _val in tree.iter_nodes():
+    for idx, _val in stored_nodes(tree):
         if tree.is_internal(idx):
             mean = sum(tree.value(c) for c in children_of(idx)) / (1 << dim)
             assert abs(tree.value(idx) - mean) <= 1e-12
@@ -298,9 +316,9 @@ def test_leaves_tile_the_box(dim, depth, seed):
     world = GridWorld(dim, depth, (rng.random(size) < 0.3).astype(np.uint8))
     tree = build_from_grid(world)
     covered = 0
-    for idx, _val in tree.iter_nodes():
-        if tree.is_leaf(idx):
-            covered += node_volume(idx, dim)
+    for idx, _val in stored_nodes(tree):
+        if is_leaf(tree, idx):
+            covered += 1 << dim * idx.scale
     assert covered == 1 << (dim * depth)
 
 
@@ -309,7 +327,7 @@ def test_binary_maps_make_obstacles_exactly_full_nodes():
     rng = np.random.default_rng(5)
     world = GridWorld(2, 3, (rng.random(64) < 0.5).astype(np.uint8))
     tree = build_from_grid(world)
-    for idx, val in tree.iter_nodes():
+    for idx, val in stored_nodes(tree):
         assert tree.is_obstacle(idx) == (val == 1.0)
 
 
@@ -327,7 +345,7 @@ def test_eps_obstacle_examples():
     cells = np.ones(1024, dtype=np.uint8)
     cells[0] = 0
     nearly = build_from_grid(GridWorld(2, 5, cells))
-    for idx, _val in nearly.iter_nodes():
+    for idx, _val in stored_nodes(nearly):
         holds_free = all(c == 1 << idx.scale for c in idx.center2)
         assert nearly.is_obstacle(idx) != holds_free
 
@@ -375,7 +393,7 @@ def test_leaf_at_contains_query_point(dim, depth, seed):
     for _ in range(50):
         point = tuple(rng.uniform(1e-9, side - 1e-9) for _ in range(dim))
         leaf = tree.leaf_at(point)
-        assert tree.is_leaf(leaf)
+        assert is_leaf(tree, leaf)
         lo2, hi2 = node_bounds2(leaf)
         assert all(a <= 2 * x < b for x, a, b in zip(point, lo2, hi2))
 
@@ -410,7 +428,7 @@ def test_map_file_round_trip(tmp_path):
     rng = np.random.default_rng(21)
     world = GridWorld(3, 2, (rng.random(64) < 0.5).astype(np.uint8))
     path = tmp_path / "maze.map"
-    write_map(world, path)
+    path.write_text(map_text(world))
     assert read_map(path) == world
 
 
