@@ -13,15 +13,16 @@ root of dim is eliminated by squaring twice with sign checks, folded into a
 per-scale integer threshold.  The thresholds depend only on the focus
 scale, so each view computes them once per focus scale.
 
-One rule decides every node in both modes (stated in refresh): known
-obstacles first, then the nodes holding a visited cell, then whether the
-node can split (an internal map node or, map-free, a coarse block not
-proven free) and the far window.  A node that shares a face with the
-focus splits even when it is far, so every view leaf beside the focus is
-fine (a map leaf, a unit cell or a block proven free) at any alpha.
-Only at the scales where an adjacent node can be far (small alpha) does a
-far node need that face test, and only there does it run.
-Known obstacles and (with a map) fully occupied leaves are
+One rule decides every node in both modes (stated in refresh): obstacles
+first, then the nodes holding a visited cell, then whether the node can
+split and the far window.  Both per-node facts come from one state
+source that the caller builds per mode: a full map node or a flagged
+node is an obstacle; an internal map node or, map-free, a coarse block
+not proven free can split.  A node that shares a face with the focus
+splits even when it is far, so every view leaf beside the focus is fine
+(a map leaf, a unit cell or a block proven free) at any alpha.  Only at
+the scales where an adjacent node can be far (small alpha) does a far
+node need that face test, and only there does it run.  Obstacles are
 removed entirely: a removed child leaves a None hole in its parent's
 child list.  Visited cells stay in the view as leaves; keeping the walk
 out of them is the search's job.
@@ -37,18 +38,21 @@ lookup reads children through that one step (neighbors.child_at), so
 after any sequence of refreshes the resolved view equals a view rebuilt
 from scratch with the same inputs.  Two facts make that exact:
 
-* A None hole is never stale.  Every removal is permanent: known-obstacle
-  keys are only ever added, and an exact-mode removal needs occupancy
-  1.0.  Every node below such a node holds 1.0 too, so at any focus it is
-  removed or keeps no leaf below it.
+* A None hole is never stale.  Every removal is permanent: once the
+  state source reports a node an obstacle, it always does, and every
+  node below a full map node is full too, so at any focus it is removed
+  or keeps no leaf below it.
 * A node that descends but loses every child stays in the view as an
   internal node with None slots.  Every lookup answers for it as if it
   were gone, as if a rebuild had dropped it; it is decided again in the
   next generation like any other node.
 
-The inputs of a generation are frozen until the next refresh: deciding a
-node after a CellTracker it reads has changed raises, and callers buffer
-new obstacle and free classifications until the next refresh.
+The visited cells of a generation are frozen until the next refresh:
+deciding a node after the CellTracker has changed raises.  The state
+source is read live.  A search learns facts only about view leaves it
+reached, which the current generation has already decided and never
+decides again, and each node's decision reads only its own facts, so
+what a search learns shows in the view from the next refresh on.
 """
 
 from __future__ import annotations
@@ -56,10 +60,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from typing import AbstractSet
+from typing import Callable
 
 from .neighbors import are_neighbors, find_containing
-from .tree import NodeIndex, OccupancyTree
+from .tree import NodeIndex
 
 __all__ = [
     "RTNode",
@@ -251,45 +255,41 @@ def window_thresholds(
 
 def refresh(
     rtree: ReducedTree,
-    tree: OccupancyTree | None,
+    state: Callable[[int, tuple[int, ...]], tuple[bool, bool]],
     current: NodeIndex,
     visited: CellTracker,
     alpha: float,
-    obstacles: AbstractSet[tuple] = frozenset(),
-    free: AbstractSet[tuple] = frozenset(),
 ) -> None:
     """Start a new generation of the view around the current cell.
 
     Only the root is decided here; every other node is decided when a
     lookup first reaches it (see the module docstring).
 
-    tree is the exact occupancy map, or None to run map-free.  visited
-    holds the cells the walk has entered: its trail and the cells it
-    backed out of.  Map-free
-    classifications already paid for come as (scale, center2) keys:
-    `obstacles` for nodes flagged as obstacles, `free` for nodes proven
-    fully free by enumeration.  One rule decides every node in both modes:
+    state(scale, center2) returns a node's (obstacle, splits) pair: with
+    the exact map, whether every cell of the node is occupied and whether
+    it is internal; map-free, whether it was flagged and whether it is a
+    coarse block not proven free.  visited holds the cells the walk has
+    entered: its trail and the cells it backed out of.  One rule decides
+    every node in both modes:
 
-    1. A known obstacle (a key in `obstacles`) is removed, before a
-       visited cell nearby could split it back into the view.
+    1. An obstacle is removed, before a visited cell nearby could split it
+       back into the view.
     2. A visited cell is a leaf, and any other node that holds one inside
        its cube splits, so visited cells keep their surroundings fine.
-    3. Any other node is internal when the map says so (exact mode, one
-       tree.lookup) or, map-free, unless it is a unit cell or a known-free
-       block.  A node that is not internal is a leaf; an internal node is a
-       leaf when it is far from the focus and does not share a face with
-       it, and splits otherwise.  Below alpha of about sqrt(dim) / 2 a node
+    3. A node that cannot split is a leaf; one that can is a leaf when it
+       is far from the focus and does not share a face with it, and
+       splits otherwise.  Below alpha of about sqrt(dim) / 2 a node
        beside the focus can be far; it splits all the same, so every view
        leaf beside the focus is one the walk may step onto.
-    4. In exact mode a leaf is removed when every cell of it is occupied
-       (value 1.0).  Map-free, nothing is removed by value:
-       classification is the searcher's job.
 
-    The inputs must stay as they are until the next refresh: a lookup that
-    decides a node after visited, `obstacles` or `free` changed raises
-    RuntimeError (the two key sets are checked by size, as they only
-    grow).  Across refreshes `obstacles` may only grow, as a removed node
-    is never decided again.
+    visited must stay as it is until the next refresh: a lookup that
+    decides a node after it changed raises RuntimeError.  state is read
+    live.  Between refreshes it may learn facts only about nodes the
+    current generation has already decided, and each decision reads only
+    its own node's facts, so no later decision of the generation sees
+    them: the resolved view still equals the eager rebuild from what
+    state knew at refresh.  Once state reports a node an obstacle, it
+    must always do so, as a removed node is never decided again.
     """
     dim, depth = rtree.dim, rtree.depth
     if current.scale > depth or len(current.center2) != dim:
@@ -299,44 +299,31 @@ def refresh(
         if not 0 < c < top:
             raise ValueError("current cell is outside the world box")
 
-    exact = tree is not None
     window_key = (alpha, current.scale)
     window = rtree._windows.get(window_key)
     if window is None:
         window = window_thresholds(dim, depth, alpha, current.scale)
         rtree._windows[window_key] = window
     thresholds, den_sq, beside = window
-    if exact:
-        lookup = tree.lookup
     cur2 = current.center2
     visited_anc = visited._anc
     visited_members = visited._members
     visited_version = visited.version
-    # obstacles and free only grow, so their sizes tell whether they moved.
-    obstacles_len = len(obstacles)
-    free_len = len(free)
     gen = rtree.gen = rtree.gen + 1
 
     def decide(node: RTNode) -> bool:
         """Decide a node for this generation; False when it is removed."""
-        if (
-            visited.version != visited_version
-            or len(obstacles) != obstacles_len
-            or len(free) != free_len
-        ):
-            raise RuntimeError("view inputs changed since the last refresh")
+        if visited.version != visited_version:
+            raise RuntimeError("visited cells changed since the last refresh")
         k = node.scale
         c2 = node.center2
-        key = (k, c2)
-        if key in obstacles:
+        obstacle, splits = state(k, c2)
+        if obstacle:
             return False
-        if exact:
-            value, inner = lookup(k, c2)
-        else:
-            inner = k > 0 and key not in free
+        key = (k, c2)
         if key in visited_anc:
             stop = key in visited_members
-        elif inner:
+        elif splits:
             # The far-window test; a node beside the focus splits even when
             # it is far, which only scales flagged in beside allow.
             s = 0
@@ -349,8 +336,6 @@ def refresh(
         else:
             stop = True
         if stop:
-            if exact and value == 1.0:
-                return False
             node.children = None
         elif node.children is None:
             # Slot bit j picks the high half on axis j; product varies its

@@ -53,7 +53,6 @@ __all__ = [
 class SampleEstimate:
     """Occupancy estimate for one node: hits obstacle samples out of n."""
 
-    idx: NodeIndex
     n: int
     hits: int
     exact: bool = False
@@ -299,7 +298,7 @@ class ValueEstimator:
         else:
             points = low + rng.random((n, self.dim)) * side
             hits = int(np.count_nonzero(self._batch(points)))
-        est = SampleEstimate(idx, n, hits)
+        est = SampleEstimate(n, hits)
         self._cache[idx] = est
         return est
 
@@ -311,7 +310,7 @@ class ValueEstimator:
         side = 1 << idx.scale
         axes = [range((c - side) >> 1, (c + side) >> 1) for c in idx.center2]
         cells = list(product(*axes))
-        est = SampleEstimate(idx, len(cells), self._hits_cells(cells), exact=True)
+        est = SampleEstimate(len(cells), self._hits_cells(cells), exact=True)
         self._cache[idx] = est
         return est
 

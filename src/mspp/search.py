@@ -35,7 +35,10 @@ The search reads values from a mapping keyed by (scale, center2) that
 must answer for every vertex it reaches.  A session hands it its own
 memo, which computes each node's value on first lookup and keeps it for
 the rest of the session, so every such fact is computed once per
-session.
+session.  The memo is also the one record of which nodes are flagged,
+and the estimator's cache the one record of which blocks enumeration
+proved free: the session's views and its commit test read both live,
+through one per-node state source.
 """
 
 from __future__ import annotations
@@ -248,32 +251,44 @@ class _Memo(dict):
         return got
 
 
-def _node_memo(tree, estimator, eps, gamma, fresh_obstacles, fresh_free):
-    """A session's value memo: each node's value, inf for a flagged one.
+def _node_facts(tree, estimator, eps, gamma):
+    """A session's value memo and the per-node state its views read.
 
-    Node values never change once known (exact map values are fixed,
-    estimator results are cached), and eps and gamma are fixed for the
-    session, so each value is computed once.  Exact values come from the
-    unchecked tree.lookup: every key the search reaches is a view node, a
-    valid address.  A map-free fill makes one classify call per node and
-    records what its estimate shows: flagged nodes in fresh_obstacles,
-    coarse nodes that enumeration proved free in fresh_free.  It returns
-    inf for a flagged node, else the estimate's value.
+    The memo holds each node's value, inf for a flagged one.  Node values
+    never change once known (exact map values are fixed, estimator
+    results are cached), and eps and gamma are fixed for the session, so
+    each value is computed once.  Exact values come from the unchecked
+    tree.lookup: every key the search reaches is a view node, a valid
+    address.  A map-free fill makes one classify call per node.
+
+    state(scale, center2) is the (obstacle, splits) pair refresh takes.
+    With the map, a node is an obstacle when it is full and splits when
+    it is internal.  Map-free, it reads what is already known and fills
+    nothing: a node is an obstacle when the memo holds inf for it, and
+    splits when it is coarse and enumeration has not proven it free.
     """
     if tree is not None:
         lookup = tree.lookup
-        return _Memo(lambda idx: lookup(idx[0], idx[1])[0])
+
+        def state(k: int, c2: tuple[int, ...]) -> tuple[bool, bool]:
+            value, inner = lookup(k, c2)
+            return value == 1.0, inner
+
+        return _Memo(lambda idx: lookup(idx[0], idx[1])[0]), state
 
     def value(idx: NodeIndex) -> float:
         flagged, est = estimator.classify(idx, eps, gamma)
-        if flagged:
-            fresh_obstacles.add(idx)
-            return inf
-        if est.exact and not est.hits and idx.scale > 0:
-            fresh_free.add(idx)
-        return est.value
+        return inf if flagged else est.value
 
-    return _Memo(value)
+    values = _Memo(value)
+    known = values.get
+    known_free = estimator.known_free
+
+    def state(k: int, c2: tuple[int, ...]) -> tuple[bool, bool]:
+        key = (k, c2)
+        return known(key) == inf, k > 0 and not known_free(key)
+
+    return values, state
 
 
 class PlannerSession:
@@ -358,7 +373,6 @@ class PlannerSession:
         self.tree = tree
         self.dim = dim
         self.depth = depth
-        self.eps = eps
         self.alpha = alpha
         self.weight = weight
         self.budget = budget if budget is not None else 4 * (1 << (dim * depth))
@@ -371,7 +385,6 @@ class PlannerSession:
             self.estimator = ValueEstimator(
                 predicate, dim, depth, samples, seed, cell_picks=cell_picks
             )
-        self.gamma = gamma
 
         start_v = self._locate(start)
         goal_v = self._locate(goal)
@@ -381,19 +394,14 @@ class PlannerSession:
         self.visited = CellTracker(dim, depth)
         self.visited.add(start_v)
         self.blocked = 0
-        # Nodes already classified: refresh prunes known obstacles from
-        # later views so A* stops re-touching them, and stops descent at
-        # blocks proven fully free, which otherwise would be split to unit
-        # scale on every iteration.  A search's own classifications wait in
-        # the fresh sets until the next refresh: the view decides its nodes
-        # lazily, and its inputs must not move under it.
-        self._known_obstacles: set[NodeIndex] = set()
-        self._known_free: set[NodeIndex] = set()
-        self._fresh_obstacles: set[NodeIndex] = set()
-        self._fresh_free: set[NodeIndex] = set()
-        self._values = _node_memo(
-            tree, self.estimator, eps, gamma, self._fresh_obstacles, self._fresh_free
-        )
+        # Nodes already classified: refresh prunes flagged nodes from later
+        # views so A* stops re-touching them, and stops descent at blocks
+        # proven fully free, which otherwise would be split to unit scale
+        # on every iteration.  The views read the memo and the estimator
+        # live; a search classifies only view leaves that its generation
+        # has already decided, so what it learns shows from the next
+        # refresh on.
+        self._values, self._state = _node_facts(tree, self.estimator, eps, gamma)
         self.rtree = ReducedTree(dim, depth)
         self.stats = SearchStats()
         self.iterations = 0
@@ -432,32 +440,15 @@ class PlannerSession:
         return self._values[idx] == inf
 
     def _is_fine(self, idx) -> bool:
-        if self.tree is not None:
-            # Every view node of exact mode is a stored node at a valid
-            # address, so the unchecked lookup serves.
-            return not self.tree.lookup(idx[0], idx[1])[1]
-        idx = NodeIndex(idx[0], idx[1])
-        # A block proven fully free is as fine as map-free knowledge gets,
-        # matching the role of stored leaves in map mode.
-        return idx.scale == 0 or self.estimator.known_free(idx)
+        # A node is fine when the view would not split it: a map leaf, or
+        # map-free a unit cell or a block proven fully free.
+        return not self._state(idx[0], idx[1])[1]
 
     def goal_reached(self) -> bool:
         return node_contains(self.current, self.goal_center, self.depth)
 
     def refresh_view(self) -> None:
-        self._known_obstacles |= self._fresh_obstacles
-        self._fresh_obstacles.clear()
-        self._known_free |= self._fresh_free
-        self._fresh_free.clear()
-        refresh(
-            self.rtree,
-            self.tree,
-            self.current,
-            self.visited,
-            self.alpha,
-            obstacles=self._known_obstacles,
-            free=self._known_free,
-        )
+        refresh(self.rtree, self._state, self.current, self.visited, self.alpha)
 
     def advance(self) -> str | None:
         """Run one A* attempt, then commit its leading fine hops or backtrack.

@@ -136,14 +136,6 @@ class GridWorld:
     def occupied(self, cell: Sequence[int]) -> bool:
         return bool(self.cells[self.flat_index(cell)])
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GridWorld)
-            and self.dim == other.dim
-            and self.depth == other.depth
-            and bool(np.array_equal(self.cells, other.cells))
-        )
-
 
 def map_text(world: GridWorld) -> str:
     """Serialize a world to the two-line map format."""

@@ -5,8 +5,8 @@ checks go through interval intersection, window tests through exact
 integer arithmetic, connectivity through a set-based flood fill, the
 stored nodes of a tree through a walk over its public lookups, so tests
 compare two separately derived answers.  The tree references
-(children_of, node_bounds2, has_node, is_leaf, stored_nodes) and
-realize_grid are written over public calls only.
+(children_of, node_bounds2, has_node, is_leaf, stored_nodes), realize_grid,
+same_world and state_source are written over public calls only.
 
 view_snapshot and all_neighbor_pairs are drivers, not oracles: they run
 the library's own lookups (collect_leaves, find_neighbors) over a whole
@@ -110,6 +110,37 @@ def stored_nodes(tree) -> list[tuple[NodeIndex, float]]:
             stack.extend(children_of(idx))
     out.sort(key=lambda item: (-item[0].scale, item[0].center2[::-1]))
     return out
+
+
+def same_world(a: GridWorld, b: GridWorld) -> bool:
+    """The two grids have the same dim, depth and cells."""
+    return (
+        a.dim == b.dim and a.depth == b.depth and np.array_equal(a.cells, b.cells)
+    )
+
+
+def state_source(tree=None, obstacles=(), free=()):
+    """A per-node state source for refresh, read off a map or key sets.
+
+    With a tree, a node is an obstacle when its value is 1 and splits
+    when it is internal.  Without one, a node is an obstacle when its key
+    is in obstacles and splits when it is coarse and its key is not in
+    free.  The sets are read live, so a caller may grow them between
+    refreshes.
+    """
+    if tree is not None:
+
+        def state(k, c2):
+            idx = NodeIndex(k, c2)
+            return tree.value(idx) == 1.0, tree.is_internal(idx)
+
+    else:
+
+        def state(k, c2):
+            key = (k, c2)
+            return key in obstacles, k > 0 and key not in free
+
+    return state
 
 
 def realize_grid(predicate, dim: int, depth: int) -> GridWorld:

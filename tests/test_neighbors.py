@@ -15,6 +15,7 @@ from helpers import (
     random_rtree,
     random_world,
     root_descent_neighbors,
+    state_source,
     stored_nodes,
 )
 from mspp.neighbors import (
@@ -229,13 +230,14 @@ def test_find_neighbors_decides_what_root_descent_decides(dim, depth):
         tree = build_from_grid(random_world(dim, depth, 0.3, seed=seed))
         cells = [idx for idx, v in stored_nodes(tree) if v == 0.0 and is_leaf(tree, idx)]
         path = CellTracker(dim, depth)
+        state = state_source(tree)
         views = (ReducedTree(dim, depth), ReducedTree(dim, depth))
         for _ in range(4):
             current = cells[int(rng.integers(len(cells)))]
             if current not in path.cells():
                 path.add(current)
             for view in views:
-                refresh(view, tree, current, path, 1.0)
+                refresh(view, state, current, path, 1.0)
             mirror, ref = views
             frontier = [(mirror.find_vertex(current), ref.find_vertex(current))]
             seen = {current}

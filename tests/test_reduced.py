@@ -15,6 +15,7 @@ from helpers import (
     node_bounds2,
     random_index,
     random_world,
+    state_source,
     stored_nodes,
     view_snapshot,
     window_far_oracle,
@@ -37,15 +38,8 @@ def leaf_keys(rtree):
 def fresh_equivalent(session):
     """Rebuild the session's view from scratch with identical inputs."""
     twin = ReducedTree(session.dim, session.depth)
-    refresh(
-        twin,
-        session.tree,
-        session.current,
-        session.visited,
-        session.alpha,
-        obstacles=session._known_obstacles,
-        free=session._known_free,
-    )
+    state = state_source(session.tree)
+    refresh(twin, state, session.current, session.visited, session.alpha)
     return twin
 
 
@@ -203,7 +197,7 @@ def test_refresh_uniform_free_world_keeps_single_leaf():
     path = CellTracker(2, 3)
     current = tree.leaf_at((0.5, 0.5))
     path.add(current)
-    refresh(rtree, tree, current, path, alpha=1.0)
+    refresh(rtree, state_source(tree), current, path, alpha=1.0)
     assert leaf_keys(rtree) == {(3, (8, 8))}
 
 
@@ -230,7 +224,7 @@ def test_refresh_vertices_satisfy_window_predicate():
     path = CellTracker(2, 3)
     current = NodeIndex(0, (1, 1))
     path.add(current)
-    refresh(rtree, tree, current, path, alpha=1.0)
+    refresh(rtree, state_source(tree), current, path, alpha=1.0)
     assert window_stop_predicate(tree, rtree, current, path, 1.0)
     # near nodes got subdivided to source-tree leaves, far ones stayed coarse
     scales = {v.scale for v in leaf_keys(rtree)}
@@ -247,7 +241,7 @@ def test_refresh_near_region_reaches_tree_leaves():
     path = CellTracker(2, 4)
     current = tree.leaf_at((0.5, 0.5))
     path.add(current)
-    refresh(rtree, tree, current, path, alpha=1.0)
+    refresh(rtree, state_source(tree), current, path, alpha=1.0)
     assert window_stop_predicate(tree, rtree, current, path, 1.0)
     for idx in leaf_keys(rtree):
         if not window_far_oracle(idx, current, 1.0):
@@ -275,7 +269,7 @@ def test_refresh_partition_and_obstacle_freeness():
         path = CellTracker(2, 4)
         current = tree.leaf_at((0.5, 0.5))
         path.add(current)
-        refresh(rtree, tree, current, path, alpha=1.0)
+        refresh(rtree, state_source(tree), current, path, alpha=1.0)
         painted = paint_cells(rtree, 2, 4)
         assert painted.max() <= 1
         # no vertex is an obstacle
@@ -309,7 +303,7 @@ def test_refresh_keeps_blocked_cells_as_leaves():
     dead = NodeIndex(0, (3, 1))
     visited.add(dead)
     visited.add(current)
-    refresh(rtree, tree, current, visited, alpha=1.0)
+    refresh(rtree, state_source(tree), current, visited, alpha=1.0)
     leaf = rtree.find_vertex(dead)
     assert leaf is not None and rtree.leaf_at_point((1.5, 0.5)) is leaf
     start = rtree.find_vertex(current)
@@ -323,7 +317,7 @@ def test_refresh_keeps_blocked_cells_as_leaves():
     visited2.add(current)
     coarse_dead = NodeIndex(1, (6, 2))
     visited2.add(coarse_dead)
-    refresh(rtree2, None, current, visited2, alpha=1.0)
+    refresh(rtree2, state_source(), current, visited2, alpha=1.0)
     leaf = rtree2.find_vertex(coarse_dead)
     assert leaf is not None and rtree2.leaf_at_point((3.0, 1.0)) is leaf
     start = rtree2.find_vertex(current)
@@ -342,15 +336,7 @@ def test_refresh_prunes_known_obstacles_and_keeps_known_free():
     obstacles = {bad}
     free = {free_block}
     rtree = ReducedTree(2, 3)
-    refresh(
-        rtree,
-        None,
-        current,
-        path,
-        alpha=1.0,
-        obstacles=obstacles,
-        free=free,
-    )
+    refresh(rtree, state_source(None, obstacles, free), current, path, alpha=1.0)
     assert rtree.find_vertex(bad) is None
     assert rtree.leaf_at_point((1.5, 0.5)) is None
     # known-free block stays a single vertex instead of splitting to units
@@ -359,7 +345,7 @@ def test_refresh_prunes_known_obstacles_and_keeps_known_free():
     assert (kept.scale, kept.center2) == (1, (6, 2))
     # without the free mark the same block refines to unit cells
     rtree2 = ReducedTree(2, 3)
-    refresh(rtree2, None, current, path, alpha=1.0)
+    refresh(rtree2, state_source(), current, path, alpha=1.0)
     assert rtree2.find_vertex(free_block) is None
     sub = rtree2.leaf_at_point((3.0, 1.0))
     assert sub is not None and sub.scale == 0
@@ -371,7 +357,7 @@ def test_refresh_rejects_focus_outside_world():
     world = GridWorld(2, 3, np.zeros(64, dtype=np.uint8))
     tree = build_from_grid(world)
     with pytest.raises(ValueError):
-        refresh(rtree, tree, NodeIndex(0, (99, 1)), path, 1.0)
+        refresh(rtree, state_source(tree), NodeIndex(0, (99, 1)), path, 1.0)
 
 
 def test_refresh_incremental_matches_fresh_rebuild():
@@ -410,13 +396,13 @@ def test_refresh_reuses_surviving_nodes_in_place():
     path = CellTracker(2, 4)
     first = NodeIndex(0, (1, 1))
     path.add(first)
-    refresh(rtree, tree, first, path, alpha=1.0)
+    refresh(rtree, state_source(tree), first, path, alpha=1.0)
     # the quadrant away from both focus cells stays a single coarse vertex
     survivor = rtree.find_vertex(NodeIndex(3, (24, 24)))
     assert survivor is not None
     second = NodeIndex(0, (3, 1))
     path.add(second)
-    refresh(rtree, tree, second, path, alpha=1.0)
+    refresh(rtree, state_source(tree), second, path, alpha=1.0)
     again = rtree.find_vertex(NodeIndex(3, (24, 24)))
     assert again is survivor
 
@@ -469,14 +455,14 @@ def test_refresh_decides_only_the_root_and_lookups_their_own_path():
     path = CellTracker(2, 4)
     current = tree.leaf_at((0.5, 0.5))
     path.add(current)
-    refresh(rtree, tree, current, path, alpha=1.0)
+    refresh(rtree, state_source(tree), current, path, alpha=1.0)
     assert rtree.root.children is not None
     assert decided_nodes(rtree) == 1
     assert rtree.find_vertex(current) is not None
     # one root-to-leaf descent decides one node per scale on its way
     assert decided_nodes(rtree) == 1 + rtree.depth - current.scale
     total = len(view_snapshot(rtree))
-    refresh(rtree, tree, current, path, alpha=1.0)
+    refresh(rtree, state_source(tree), current, path, alpha=1.0)
     assert decided_nodes(rtree) == 1
     assert len(view_snapshot(rtree)) == total
 
@@ -522,11 +508,9 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
         visited.add(trail[0])
         obstacles: set[NodeIndex] = set()
         free: set[NodeIndex] = set()
+        state = state_source(tree, obstacles, free)
         for step in range(12):
-            refresh(
-                rtree, tree, trail[-1], visited, alpha,
-                obstacles=obstacles, free=free,
-            )
+            refresh(rtree, state, trail[-1], visited, alpha)
             if step % 3 == 2:
                 for eps in eps_range:
                     want = eager_view(
@@ -541,10 +525,7 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
                 assert keyed == sorted(keyed)
                 # a new view decides every node afresh
                 fresh = ReducedTree(dim, depth)
-                refresh(
-                    fresh, tree, trail[-1], visited, alpha,
-                    obstacles=obstacles, free=free,
-                )
+                refresh(fresh, state, trail[-1], visited, alpha)
                 assert view_snapshot(fresh) == want
             else:
                 # resolve only what a search would reach, and check the
@@ -598,7 +579,7 @@ def test_blocked_cell_inside_a_stored_leaf_splits_it():
     dead = NodeIndex(0, (3, 11))
     visited.add(dead)
     rtree = ReducedTree(2, 3)
-    refresh(rtree, tree, start, visited, alpha=1.0)
+    refresh(rtree, state_source(tree), start, visited, alpha=1.0)
     leaves = leaf_keys(rtree)
     assert len(leaves) == 13
     assert NodeIndex(2, (4, 12)) not in leaves
@@ -623,28 +604,18 @@ def test_view_refuses_to_resolve_after_its_trackers_change():
     path = CellTracker(2, 3)
     current = tree.leaf_at((0.5, 0.5))
     path.add(current)
-    refresh(rtree, tree, current, path, alpha=1.0)
+    refresh(rtree, state_source(tree), current, path, alpha=1.0)
     assert rtree.root.children is not None
     step = tree.leaf_at((1.5, 0.5))
     path.add(step)
     with pytest.raises(RuntimeError):
         collect_leaves(rtree.root)
-    refresh(rtree, tree, step, path, alpha=1.0)
+    refresh(rtree, state_source(tree), step, path, alpha=1.0)
     assert view_snapshot(rtree) == eager_view(tree, step, path, 0.5, 1.0)
-    refresh(rtree, tree, step, path, alpha=1.0)
+    refresh(rtree, state_source(tree), step, path, alpha=1.0)
     path.discard(step)
     with pytest.raises(RuntimeError):
         rtree.leaf_at_point((7.5, 7.5))
-    # the known-obstacle and known-free key sets are inputs too
-    near = NodeIndex(0, (1, 1))
-    for grown in ("obstacles", "free"):
-        path = CellTracker(2, 3)
-        path.add(near)
-        keys = {"obstacles": set(), "free": set()}
-        refresh(rtree, None, near, path, 1.0, **keys)
-        keys[grown].add(NodeIndex(0, (15, 15)))
-        with pytest.raises(RuntimeError):
-            collect_leaves(rtree.root)
 
 
 def test_emptied_internal_nodes_answer_as_removed():
@@ -655,7 +626,7 @@ def test_emptied_internal_nodes_answer_as_removed():
     near = NodeIndex(0, (3, 1))
     path.add(near)
     rtree = ReducedTree(2, 3)
-    refresh(rtree, None, near, path, 1.0, obstacles=obstacles)
+    refresh(rtree, state_source(None, obstacles), near, path, 1.0)
     # near the focus the block descends and loses all four children
     assert rtree.leaf_at_point((2.5, 0.5)) is None
     assert rtree.find_vertex(block) is None
@@ -667,6 +638,6 @@ def test_emptied_internal_nodes_answer_as_removed():
     # far from the next focus the same block is one unclassified vertex
     far = NodeIndex(0, (15, 15))
     path.add(far)
-    refresh(rtree, None, far, path, 1.0, obstacles=obstacles)
+    refresh(rtree, state_source(None, obstacles), far, path, 1.0)
     assert rtree.find_vertex(block) is not None
     assert view_snapshot(rtree) == eager_view(None, far, path, 0.5, 1.0, obstacles)

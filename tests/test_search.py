@@ -18,7 +18,9 @@ from helpers import (
     full_rtree,
     random_world,
     realize_grid,
+    same_world,
     snake_world,
+    state_source,
     view_snapshot,
 )
 import mspp.search as msearch
@@ -367,7 +369,7 @@ def make_refreshed_view(tree, start_cell, alpha=1.0):
     rtree = ReducedTree(tree.dim, tree.depth)
     path = CellTracker(tree.dim, tree.depth)
     path.add(start_cell)
-    refresh(rtree, tree, start_cell, path, alpha=alpha)
+    refresh(rtree, state_source(tree), start_cell, path, alpha=alpha)
     return rtree
 
 
@@ -593,7 +595,7 @@ def test_backtracking_recovers_from_seeded_false_flags():
         samples=1024,
     )
     gap = NodeIndex(1, (2, 18))  # the block holding the only true gap
-    session._known_obstacles.add(gap)
+    session._values[gap] = math.inf
     result = session.run()
     assert result.status == NO_PATH
     assert result.blocked > 0
@@ -615,7 +617,7 @@ def test_backtracking_never_repeats_a_commitment():
         gamma=0.05,
         samples=1024,
     )
-    session._known_obstacles.add(NodeIndex(1, (2, 18)))
+    session._values[NodeIndex(1, (2, 18))] = math.inf
     seen = set()
     while session.status is None:
         n = len(session.trail)
@@ -718,15 +720,26 @@ def test_map_free_classifications_wait_for_the_next_refresh():
         cell_picks=True,
     )
 
+    def known():
+        # flagged nodes read inf in the memo; the estimator knows which
+        # coarse blocks enumeration proved free
+        values = session._values
+        obstacles = {key for key, value in values.items() if value == math.inf}
+        free = {
+            key for key in values
+            if key[0] > 0 and session.estimator.known_free(key)
+        }
+        return obstacles, free
+
     def view_of(obstacles, free):
+        # eps plays no part in a map-free view
         return eager_view(
-            None, session.current, session.visited, session.eps, session.alpha,
+            None, session.current, session.visited, 0.5, session.alpha,
             obstacles, free,
         )
 
     session.refresh_view()
-    obstacles = set(session._known_obstacles)
-    free = set(session._known_free)
+    obstacles, free = known()
     goal = session.rtree.leaf_at_point(session.goal_center)
     # the search advance() runs, without committing its step
     astar_lazy(
@@ -737,16 +750,68 @@ def test_map_free_classifications_wait_for_the_next_refresh():
         session._values,
         excluded=session.visited.cells(),
     )
-    assert session._known_obstacles == obstacles
-    assert session._known_free == free
-    assert session._fresh_obstacles
-    learned = view_of(obstacles | session._fresh_obstacles, free | session._fresh_free)
+    now_obstacles, now_free = known()
+    assert now_obstacles > obstacles
+    learned = view_of(now_obstacles, now_free)
     assert learned != view_of(obstacles, free)
-    # nodes decided after the search still follow the inputs of the refresh
+    # nodes decided after the search still follow what was known at refresh
     assert view_snapshot(session.rtree) == view_of(obstacles, free)
     session.refresh_view()
-    assert not session._fresh_obstacles and not session._fresh_free
     assert view_snapshot(session.rtree) == learned
+
+
+def current_leaf(rtree, key) -> bool:
+    """The key is a leaf of the view decided in its current generation.
+
+    Walks down from the root through current-generation children only, so
+    it decides nothing.
+    """
+    scale, c2 = key
+    node = rtree.root
+    while node is not None and node.gen == rtree.gen:
+        if node.scale == scale and node.center2 == c2:
+            return node.children is None
+        if node.children is None or node.scale <= scale:
+            return False
+        slot = 0
+        for j, (c, n) in enumerate(zip(c2, node.center2)):
+            if c >= n:
+                slot |= 1 << j
+        node = node.children[slot]
+    return False
+
+
+@pytest.mark.parametrize("dim,depth", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("cell_picks", [True, False], ids=["cells", "points"])
+def test_map_free_fills_only_leaves_decided_this_generation(dim, depth, cell_picks):
+    # The views read the memo live.  That is exact because every node the
+    # memo learns about after the first refresh is a leaf the current
+    # generation has already decided, which it never decides again.
+    side = 1 << depth
+    late = 0
+    for seed in range(4):
+        world = random_world(dim, depth, 0.3, seed=seed, free_corners=True)
+        session = PlannerSession(
+            predicate=grid_predicate(world),
+            dim=dim,
+            depth=depth,
+            start=(0.5,) * dim,
+            goal=(side - 0.5,) * dim,
+            seed=seed,
+            cell_picks=cell_picks,
+        )
+        fill = session._values.fill
+
+        def checked_fill(idx):
+            nonlocal late
+            if session.rtree.gen:
+                late += 1
+                assert current_leaf(session.rtree, idx), idx
+            return fill(idx)
+
+        session._values.fill = checked_fill
+        session.run()
+    assert late
 
 
 @settings(max_examples=100, deadline=None)
@@ -933,7 +998,8 @@ def test_grid_connected_labels_each_tree_once(monkeypatch):
     for start, goal in [((0.5, 0.5), (15.5, 15.5)), ((15.5, 15.5), (0.5, 0.5))] * 2:
         for t in (tree, other):
             PlannerSession(tree=t, start=start, goal=goal).run()
-    assert calls == [world, world]
+    assert len(calls) == 2
+    assert all(same_world(call, world) for call in calls)
 
 
 def test_map_free_depth_past_the_key_range_is_rejected():

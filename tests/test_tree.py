@@ -16,6 +16,7 @@ from helpers import (
     node_bounds2,
     random_index,
     random_world,
+    same_world,
     snake_world,
     stored_nodes,
     tree_levels,
@@ -412,16 +413,16 @@ def test_to_grid_round_trip():
         size = 1 << (dim * depth)
         world = GridWorld(dim, depth, (rng.random(size) < 0.4).astype(np.uint8))
         tree = build_from_grid(world)
-        assert tree.to_grid() == world
+        assert same_world(tree.to_grid(), world)
         detached = OccupancyTree(dim, depth, *tree_levels(tree))
-        assert detached.to_grid() == world
+        assert same_world(detached.to_grid(), world)
 
 
 def test_map_text_round_trip_and_format():
     world = GridWorld(2, 1, np.array([1, 0, 0, 0], dtype=np.uint8))
     text = map_text(world)
     assert text == "2 1\n1000\n"
-    assert parse_map_text(text) == world
+    assert same_world(parse_map_text(text), world)
 
 
 def test_map_file_round_trip(tmp_path):
@@ -429,7 +430,7 @@ def test_map_file_round_trip(tmp_path):
     world = GridWorld(3, 2, (rng.random(64) < 0.5).astype(np.uint8))
     path = tmp_path / "maze.map"
     path.write_text(map_text(world))
-    assert read_map(path) == world
+    assert same_world(read_map(path), world)
 
 
 def test_parse_map_text_rejects_garbage():
@@ -450,7 +451,7 @@ def test_map_text_round_trip_random(dim, depth, seed):
     rng = np.random.default_rng(seed)
     size = 1 << (dim * depth)
     world = GridWorld(dim, depth, (rng.random(size) < 0.5).astype(np.uint8))
-    assert parse_map_text(map_text(world)) == world
+    assert same_world(parse_map_text(map_text(world)), world)
 
 
 def test_grid_world_validation():
@@ -506,5 +507,5 @@ def test_generated_worlds_build_and_round_trip():
     for dim, depth in [(2, 4), (3, 3)]:
         world = random_world(dim, depth, 0.3, seed=2)
         tree = build_from_grid(world)
-        assert tree.to_grid() == world
-        assert parse_map_text(map_text(world)) == world
+        assert same_world(tree.to_grid(), world)
+        assert same_world(parse_map_text(map_text(world)), world)
