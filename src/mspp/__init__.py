@@ -52,7 +52,6 @@ from .tree import (
     OccupancyTree,
     build_from_grid,
     map_text,
-    parent_of,
     parse_map_text,
     read_map,
 )

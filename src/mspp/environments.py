@@ -20,7 +20,7 @@ from math import inf
 import numpy as np
 
 from .predicates import SphereSet
-from .tree import GridWorld
+from .tree import MAX_DEPTH, GridWorld
 
 __all__ = [
     "BaselineResult",
@@ -55,8 +55,10 @@ class GeneratorSpec:
     free_goal: bool = False
 
     def __post_init__(self):
-        if self.dim < 1 or self.depth < 0:
-            raise ValueError("need dim >= 1 and depth >= 0")
+        if self.dim < 1:
+            raise ValueError("need dim >= 1")
+        if not 0 <= self.depth <= MAX_DEPTH:
+            raise ValueError(f"depth must be in [0, {MAX_DEPTH}]")
         if not 0.0 <= self.density <= 1.0:
             raise ValueError("density must lie in [0, 1]")
         if self.kind not in ("bernoulli", "blobs"):

@@ -123,7 +123,7 @@ def _take(counts: dict[tuple, int], key: tuple) -> None:
 
 
 class CellTracker:
-    """Multiset of cells with O(1) containment queries against tree nodes.
+    """Multiset of cells that refresh tests against tree nodes in O(1).
 
     For every member cell the tracker records its own (scale, center2) key
     and the keys of its ancestors up to the root.  A node then holds some
@@ -147,7 +147,7 @@ class CellTracker:
         scale, c2 = idx
         keys = []
         for k in range(scale, self.depth + 1):
-            # The scale-k ancestor, in closed form (parent_of, k - scale times).
+            # The scale-k ancestor, in closed form.
             up = k + 1
             step = 1 << k
             keys.append((k, tuple([((c >> up) << up) | step for c in c2])))
@@ -167,10 +167,6 @@ class CellTracker:
         _take(self._members, keys[0])
         for key in keys:
             _take(self._anc, key)
-
-    def covers(self, idx: NodeIndex) -> bool:
-        """Some member center lies strictly inside the given node's cube."""
-        return idx in self._anc
 
     def cells(self):
         """The distinct member cells, as (scale, center2) keys."""

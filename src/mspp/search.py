@@ -339,6 +339,8 @@ class PlannerSession:
                 raise ValueError(f"{name} must be finite, got {value}")
         if weight < 0:
             raise ValueError("weight must be nonnegative")
+        if alpha <= 0:
+            raise ValueError("alpha must be positive")
         if gamma <= 0.0:
             raise ValueError("gamma must be positive")
         if samples < 1:

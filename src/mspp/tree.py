@@ -7,11 +7,12 @@ centers in doubled coordinates: center2 = 2 * center, which is integral at
 every scale.  A node at scale k has center2 components congruent to 2**k
 modulo 2**(k + 1).
 
-The tree gives every node its occupancy value: the fraction of obstacle
-volume inside the node's cube.  A node is subdivided only when its value
-is strictly between 0 and 1, so uniformly free or uniformly blocked
-regions collapse into single leaves.  Internal nodes always carry all
-2**dim children.
+A tree is built from a grid of 0/1 unit cells (OccupancyTree(world), or
+build_from_grid), the form perception maps come in.  It gives every node
+its occupancy value: the fraction of obstacle volume inside the node's
+cube.  A node is subdivided only when its value is strictly between 0
+and 1, so uniformly free or uniformly blocked regions collapse into
+single leaves.  Internal nodes always carry all 2**dim children.
 
 The tree is stored as a count pyramid, one level per scale.  Level k holds
 two arrays with one entry per scale-k node address: the number of
@@ -36,15 +37,14 @@ __all__ = [
     "GridWorld",
     "OccupancyTree",
     "build_from_grid",
-    "parent_of",
     "read_map",
     "parse_map_text",
     "map_text",
 ]
 
 # The deepest world the package supports and tests (2**10 cells a side).
-# GridWorld enforces it, and a map-free PlannerSession, which builds no
-# grid, checks it itself.
+# GridWorld enforces it.  A map-free PlannerSession, which builds no grid,
+# and GeneratorSpec, before a grid is filled, check it themselves.
 MAX_DEPTH = 10
 
 
@@ -57,14 +57,6 @@ class NodeIndex(NamedTuple):
 
     scale: int
     center2: tuple[int, ...]
-
-
-def parent_of(idx: NodeIndex) -> NodeIndex:
-    """The scale k+1 node whose cube contains this node."""
-    k, c2 = idx
-    mask = ~((1 << (k + 2)) - 1)
-    step = 1 << (k + 1)
-    return NodeIndex(k + 1, tuple((c & mask) | step for c in c2))
 
 
 def valid_index(idx: NodeIndex, dim: int, depth: int) -> bool:
@@ -177,58 +169,32 @@ def _child_sums(level: np.ndarray, k: int) -> np.ndarray:
     return level
 
 
-def _under(mask: np.ndarray) -> np.ndarray:
-    """A level's per-node mask spread onto the 2**dim children of each node."""
-    for ax in range(mask.ndim):
-        mask = mask.repeat(2, axis=ax)
-    return mask
-
-
 class OccupancyTree:
-    """Pruned multiscale occupancy map stored as a count pyramid.
+    """Pruned multiscale occupancy map of a grid, stored as a count pyramid.
 
-    counts[k] and internal[k] are level k of the pyramid (see the module
-    docstring), arrays of shape (2**(depth - k),) * dim: the obstacle cells
-    in each scale-k node, and whether the node has children.  The
-    constructor checks that level 0 is a 0/1 grid, each coarser count sums
-    its node's children, a node is internal only under internal ancestors,
-    unit nodes never are, and a leaf above scale 0 is uniform.  Values
-    are exact dyadic rationals, counts[k] / 2**(dim * k).
+    OccupancyTree(world) builds the tree of a GridWorld, whose cells are
+    already checked to be 0 or 1.  Level 0 is a copy of the grid's cells
+    and level k sums the children of each scale-k node, so values are
+    exact dyadic rationals, counts[k] / 2**(dim * k), and a parent's value
+    is exactly the mean of its children's.  A node is internal when its
+    cube holds both free and obstacle cells, so uniform subtrees collapse
+    into single leaves.  Every level is read-only: neither the source
+    grid nor the grid to_grid returns can change the tree.
     """
 
     __slots__ = ("dim", "depth", "side", "_counts", "_internal", "_labels")
 
-    def __init__(
-        self,
-        dim: int,
-        depth: int,
-        counts: Sequence[np.ndarray],
-        internal: Sequence[np.ndarray],
-    ):
-        if len(counts) != depth + 1 or len(internal) != depth + 1:
-            raise ValueError(f"a depth-{depth} tree needs {depth + 1} levels")
-        counts = [np.ascontiguousarray(c) for c in counts]
-        internal = [np.ascontiguousarray(m, dtype=bool) for m in internal]
-        for k, (c, m) in enumerate(zip(counts, internal)):
-            shape = (1 << (depth - k),) * dim
-            if c.shape != shape or m.shape != shape:
-                raise ValueError(f"level {k} needs shape {shape}")
-        if internal[0].any():
-            raise ValueError("a unit node cannot be internal")
-        if counts[0].min() < 0 or counts[0].max() > 1:
-            raise ValueError("level-0 counts must be 0 or 1")
-        for k in range(1, depth + 1):
-            c, inner = counts[k], internal[k]
-            # Checked from level 1 up, so _child_sums' dtype holds the sums.
-            if (_child_sums(counts[k - 1], k) != c).any():
-                raise ValueError(f"level-{k} counts are not the sums of level {k - 1}")
-            if ((0 < c) & (c < (1 << (dim * k))) & ~inner).any():
-                raise ValueError(f"a scale-{k} leaf is not uniform")
-            if (internal[k - 1] & ~_under(inner)).any():
-                raise ValueError(f"an internal scale-{k - 1} node has a leaf ancestor")
+    def __init__(self, world: GridWorld):
+        dim = world.dim
+        counts = [world.cells.reshape((world.side,) * dim).copy()]
+        for k in range(1, world.depth + 1):
+            counts.append(_child_sums(counts[-1], k))
+        internal = [(0 < c) & (c < (1 << (dim * k))) for k, c in enumerate(counts)]
+        for level in counts + internal:
+            level.flags.writeable = False
         self.dim = dim
-        self.depth = depth
-        self.side = 1 << depth
+        self.depth = world.depth
+        self.side = world.side
         # Flat memoryviews: indexing one returns a Python int or bool, at
         # half the cost of reading a numpy element.
         self._counts = [memoryview(c.ravel()) for c in counts]
@@ -236,10 +202,6 @@ class OccupancyTree:
         # Component labels of the unit grid, computed on the first
         # grid_connected call.
         self._labels: np.ndarray | None = None
-
-    @property
-    def root(self) -> NodeIndex:
-        return NodeIndex(self.depth, (self.side,) * self.dim)
 
     @property
     def node_count(self) -> int:
@@ -309,7 +271,7 @@ class OccupancyTree:
         return self.value(idx) == 1.0
 
     def to_grid(self) -> GridWorld:
-        """The unit-cell grid: level 0 of the pyramid."""
+        """The unit-cell grid: level 0 of the pyramid, read-only."""
         return GridWorld(self.dim, self.depth, np.asarray(self._counts[0]))
 
 
@@ -380,17 +342,5 @@ def _component_labels(world: GridWorld) -> np.ndarray:
     return parent
 
 
-def build_from_grid(world: GridWorld) -> OccupancyTree:
-    """Build the pruned occupancy tree of a grid.
-
-    A node is internal when its cube holds both free and obstacle cells,
-    so uniform subtrees collapse into single leaves.  Values come from
-    unit-cell counts, so a parent's value is exactly the mean of its
-    children's.
-    """
-    dim = world.dim
-    counts = [world.cells.reshape((world.side,) * dim)]
-    for k in range(1, world.depth + 1):
-        counts.append(_child_sums(counts[-1], k))
-    internal = [(0 < c) & (c < (1 << (dim * k))) for k, c in enumerate(counts)]
-    return OccupancyTree(dim, world.depth, counts, internal)
+# The name callers build a tree by.
+build_from_grid = OccupancyTree

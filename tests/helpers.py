@@ -5,8 +5,9 @@ checks go through interval intersection, window tests through exact
 integer arithmetic, connectivity through a set-based flood fill, the
 stored nodes of a tree through a walk over its public lookups, so tests
 compare two separately derived answers.  The tree references
-(children_of, node_bounds2, has_node, is_leaf, stored_nodes), realize_grid,
-same_world and state_source are written over public calls only.
+(parent_of, root_of, children_of, node_bounds2, has_node, is_leaf,
+stored_nodes), covers, realize_grid, same_world and state_source are
+written over public calls only.
 
 view_snapshot and all_neighbor_pairs are drivers, not oracles: they run
 the library's own lookups (collect_leaves, find_neighbors) over a whole
@@ -25,7 +26,7 @@ import numpy as np
 from mspp.environments import GeneratorSpec, generate_map
 from mspp.neighbors import add_face_leaves, collect_leaves, find_neighbors
 from mspp.reduced import ReducedTree, RTNode
-from mspp.tree import GridWorld, NodeIndex, parent_of, valid_index
+from mspp.tree import GridWorld, NodeIndex, valid_index
 
 
 def random_world(
@@ -59,6 +60,29 @@ def node_bounds2(idx: NodeIndex) -> tuple[tuple[int, ...], tuple[int, ...]]:
     lo = tuple(c - half for c in idx.center2)
     hi = tuple(c + half for c in idx.center2)
     return lo, hi
+
+
+def parent_of(idx: NodeIndex) -> NodeIndex:
+    """The scale k+1 node whose cube contains this node."""
+    k, c2 = idx
+    mask = ~((1 << (k + 2)) - 1)
+    step = 1 << (k + 1)
+    return NodeIndex(k + 1, tuple((c & mask) | step for c in c2))
+
+
+def root_of(tree) -> NodeIndex:
+    """The address of the root of an occupancy tree."""
+    return NodeIndex(tree.depth, (tree.side,) * tree.dim)
+
+
+def covers(tracker, idx: NodeIndex) -> bool:
+    """Some member of a CellTracker, at idx's scale or finer, has its center
+    strictly inside idx's cube: idx is a member or one of its ancestors."""
+    lo2, hi2 = node_bounds2(idx)
+    return any(
+        k <= idx.scale and all(a < c < b for c, a, b in zip(c2, lo2, hi2))
+        for k, c2 in tracker.cells()
+    )
 
 
 def children_of(idx: NodeIndex) -> list[NodeIndex]:
@@ -102,7 +126,7 @@ def stored_nodes(tree) -> list[tuple[NodeIndex, float]]:
     level of the pyramid.  Flat order puts axis 0 fastest.
     """
     out = []
-    stack = [tree.root]
+    stack = [root_of(tree)]
     while stack:
         idx = stack.pop()
         out.append((idx, tree.value(idx)))
@@ -193,26 +217,6 @@ def all_neighbor_pairs(root, depth: int) -> set[tuple[NodeIndex, NodeIndex]]:
             you = NodeIndex(other.scale, other.center2)
             edges.add((me, you) if me <= you else (you, me))
     return edges
-
-
-def tree_levels(tree) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The count and internal-flag levels of a tree, read node by node.
-
-    Each level is shaped as OccupancyTree takes it: numpy axis a holds
-    spatial axis dim - 1 - a.
-    """
-    counts, internal = [], []
-    for k in range(tree.depth + 1):
-        shape = (1 << (tree.depth - k),) * tree.dim
-        count = np.zeros(shape, dtype=np.int64)
-        inner = np.zeros(shape, dtype=bool)
-        for pos in np.ndindex(shape):
-            idx = NodeIndex(k, tuple(((p << 1) | 1) << k for p in reversed(pos)))
-            count[pos] = round(tree.value(idx) * (1 << (tree.dim * k)))
-            inner[pos] = tree.is_internal(idx)
-        counts.append(count)
-        internal.append(inner)
-    return counts, internal
 
 
 def interval_face_test(a, b) -> bool:
@@ -428,7 +432,7 @@ def eager_view(tree, current, visited, eps, alpha, obstacles=(), free=()):
     def visit(idx: NodeIndex) -> bool:
         if idx in obstacles:
             return False
-        if visited.covers(idx):
+        if covers(visited, idx):
             stop = idx in visited.cells()
         elif tree is not None:
             stop = not tree.is_internal(idx) or far(idx)

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_world, realize_grid
-from mspp.environments import uniform_astar
+from mspp.environments import GeneratorSpec, uniform_astar
 from mspp.predicates import Slab
+from mspp.tree import MAX_DEPTH
 
 
 def corner_block(point) -> bool:
@@ -79,3 +80,12 @@ def test_uniform_astar_step_count_is_the_bfs_distance(dim, density, seed):
     for a, b in zip(base.path, base.path[1:]):
         assert sum(abs(x - y) for x, y in zip(a, b)) == 1
         assert not world.occupied(b)
+
+
+def test_generator_spec_refuses_a_depth_beyond_max_depth():
+    # refused by the spec, before generate_map would fill 2**(dim * depth)
+    # cells for GridWorld to refuse
+    GeneratorSpec(2, MAX_DEPTH, 0.3)
+    for dim in (2, 3):
+        with pytest.raises(ValueError, match="depth must be in"):
+            GeneratorSpec(dim, MAX_DEPTH + 1, 0.3)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    covers,
     eager_view,
     has_node,
     interval_face_test,
@@ -145,13 +146,13 @@ def test_cell_tracker_examples():
     tracker.add(cell)
     assert NodeIndex(0, (5, 3)) in tracker.cells()
     # every ancestor region containing the member center reports coverage
-    assert tracker.covers(NodeIndex(3, (8, 8)))
-    assert tracker.covers(NodeIndex(1, (6, 2)))
-    assert not tracker.covers(NodeIndex(1, (2, 2)))
-    assert not tracker.covers(NodeIndex(0, (3, 3)))
+    assert covers(tracker, NodeIndex(3, (8, 8)))
+    assert covers(tracker, NodeIndex(1, (6, 2)))
+    assert not covers(tracker, NodeIndex(1, (2, 2)))
+    assert not covers(tracker, NodeIndex(0, (3, 3)))
     tracker.discard(cell)
     assert not tracker.cells()
-    assert not tracker.covers(NodeIndex(3, (8, 8)))
+    assert not covers(tracker, NodeIndex(3, (8, 8)))
 
 
 def test_cell_tracker_multiset_semantics():
@@ -160,9 +161,9 @@ def test_cell_tracker_multiset_semantics():
     tracker.add(cell)
     tracker.add(cell)
     tracker.discard(cell)
-    assert tracker.covers(NodeIndex(2, (4, 4)))
+    assert covers(tracker, NodeIndex(2, (4, 4)))
     tracker.discard(cell)
-    assert not tracker.covers(NodeIndex(2, (4, 4)))
+    assert not covers(tracker, NodeIndex(2, (4, 4)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -176,18 +177,14 @@ def test_cell_tracker_matches_geometric_scan(dim, depth, seed):
     for m in members[: len(members) // 2]:
         tracker.discard(m)
     alive = members[len(members) // 2 :]
-    for _ in range(30):
-        probe = random_index(rng, dim, depth)
-        lo2, hi2 = node_bounds2(probe)
-        # coverage is defined against members at the probe's scale or finer;
-        # such centers are never on the probe's boundary, so strict interior
-        # containment is unambiguous
-        expect = any(
-            m.scale <= probe.scale
-            and all(a < c < b for c, a, b in zip(m.center2, lo2, hi2))
-            for m in alive
-        )
-        assert tracker.covers(probe) == expect
+    # a member added twice and discarded once stays
+    assert set(tracker.cells()) == set(alive)
+    # with no node splitting on its own, refresh splits exactly the nodes
+    # that hold a member's center and are not members themselves
+    rtree = ReducedTree(dim, depth)
+    refresh(rtree, lambda k, c2: (False, False), alive[0], tracker, alpha=1.0)
+    for idx, leaf in view_snapshot(rtree).items():
+        assert (not leaf) == (covers(tracker, idx) and idx not in tracker.cells())
 
 
 def test_refresh_uniform_free_world_keeps_single_leaf():
@@ -211,7 +208,7 @@ def window_stop_predicate(tree, rtree, current, path, alpha):
     for idx in leaf_keys(rtree):
         is_tree_leaf = is_leaf(tree, idx) if has_node(tree, idx) else True
         far = window_far_oracle(idx, current, alpha)
-        has_path = path.covers(idx)
+        has_path = covers(path, idx)
         if not (is_tree_leaf or (far and not has_path)):
             ok = False
     return ok

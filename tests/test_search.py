@@ -45,7 +45,6 @@ from mspp.tree import (
     MAX_DEPTH,
     GridWorld,
     NodeIndex,
-    OccupancyTree,
     build_from_grid,
 )
 from mspp.environments import grid_predicate, uniform_astar
@@ -75,12 +74,18 @@ def corridor_world():
     return GridWorld(2, 2, cells)
 
 
-def full_free_tree(dim: int, depth: int) -> OccupancyTree:
-    """All-free occupancy tree kept fully subdivided (no collapsing)."""
-    shapes = [(1 << (depth - k),) * dim for k in range(depth + 1)]
-    counts = [np.zeros(shape, dtype=np.int64) for shape in shapes]
-    internal = [np.full(shape, k > 0) for k, shape in enumerate(shapes)]
-    return OccupancyTree(dim, depth, counts, internal)
+def free_map_free_session(depth: int, **kwargs) -> PlannerSession:
+    """Map-free session on an empty 2-D world, corner to corner.
+
+    With one sample per node no block above scale 0 is ever proven free,
+    so every view splits as the fully subdivided free tree would.
+    """
+    world = GridWorld(2, depth, np.zeros(4**depth, dtype=np.uint8))
+    side = 1 << depth
+    return PlannerSession(
+        predicate=grid_predicate(world), dim=2, depth=depth, samples=1,
+        start=(0.5, 0.5), goal=(side - 0.5, side - 0.5), **kwargs,
+    )
 
 
 def test_cost_model_examples():
@@ -134,6 +139,24 @@ def test_non_finite_settings_are_rejected(name):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 PlannerSession(**{name: value}, **mode, **ends)
 
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0])
+def test_non_positive_alpha_is_refused_up_front(alpha):
+    # neither session reaches a refresh, which is where the window
+    # thresholds would refuse alpha: start and goal share a cell, and the
+    # component labels rule the goal out
+    world = corridor_world()
+    cells = world.cells.copy()
+    cells[world.flat_index((2, 0))] = 1
+    cut = build_from_grid(GridWorld(2, 2, cells))
+    for tree, goal, status in (
+        (build_from_grid(world), (0.7, 0.2), SUCCESS),
+        (cut, (3.5, 0.5), NO_PATH),
+    ):
+        ends = dict(tree=tree, start=(0.5, 0.5), goal=goal)
+        assert PlannerSession(**ends).run().status == status
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            PlannerSession(alpha=alpha, **ends)
 
 
 @pytest.mark.parametrize("name,value", [("gamma", 0.0), ("gamma", -1.0), ("samples", 0)])
@@ -311,13 +334,11 @@ def test_plan_collapsed_free_map_returns_single_node():
 
 
 def test_plan_subdivided_free_map_matches_uniform_grid_length():
-    # on a fully subdivided free map the walk advances cell by cell, so the
-    # zero-weight path length equals the uniform-grid shortest path length
+    # every view of this free map is subdivided to unit cells, so the walk
+    # advances cell by cell and the zero-weight path length equals the
+    # uniform-grid shortest path length
     depth = 3
-    tree = full_free_tree(2, depth)
-    result = PlannerSession(
-        tree=tree, start=(0.5, 0.5), goal=(7.5, 7.5), weight=0.0
-    ).run()
+    result = free_map_free_session(depth, weight=0.0).run()
     assert result.status == SUCCESS
     assert all(p.scale == 0 for p in result.path)
     world = GridWorld(2, depth, np.zeros(64, dtype=np.uint8))
@@ -357,10 +378,7 @@ def test_plan_blocked_endpoints_statuses():
 
 
 def test_plan_budget_exhaustion():
-    tree = full_free_tree(2, 3)
-    result = PlannerSession(
-        tree=tree, start=(0.5, 0.5), goal=(7.5, 7.5), budget=3
-    ).run()
+    result = free_map_free_session(3, budget=3).run()
     assert result.status == BUDGET_EXCEEDED
     assert result.iterations == 3
 

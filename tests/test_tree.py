@@ -15,21 +15,20 @@ from helpers import (
     is_leaf,
     node_bounds2,
     random_index,
+    parent_of,
     random_world,
+    root_of,
     same_world,
     snake_world,
     stored_nodes,
-    tree_levels,
 )
 from mspp.sampling import is_flagged_obstacle
 from mspp.tree import (
     GridWorld,
     NodeIndex,
-    OccupancyTree,
     build_from_grid,
     grid_connected,
     map_text,
-    parent_of,
     parse_map_text,
     read_map,
     valid_index,
@@ -126,15 +125,15 @@ def test_build_all_free_collapses_to_root():
     world = GridWorld(2, 2, np.zeros(16, dtype=np.uint8))
     tree = build_from_grid(world)
     assert tree.node_count == 1
-    assert is_leaf(tree, tree.root)
-    assert tree.value(tree.root) == 0.0
+    assert is_leaf(tree, root_of(tree))
+    assert tree.value(root_of(tree)) == 0.0
 
 
 def test_build_single_obstacle_quadrant():
     world = GridWorld(2, 1, np.array([1, 0, 0, 0], dtype=np.uint8))
     tree = build_from_grid(world)
-    assert tree.value(tree.root) == 0.25
-    assert tree.is_internal(tree.root)
+    assert tree.value(root_of(tree)) == 0.25
+    assert tree.is_internal(root_of(tree))
     assert tree.node_count == 5
     assert tree.value(NodeIndex(0, (1, 1))) == 1.0
     for c2 in [(3, 1), (1, 3), (3, 3)]:
@@ -165,7 +164,7 @@ def test_build_matches_brute_force_fractions():
         size = 1 << (dim * depth)
         world = GridWorld(dim, depth, (rng.random(size) < 0.4).astype(np.uint8))
         tree = build_from_grid(world)
-        assert tree.value(tree.root) == world.cells.sum() / size
+        assert tree.value(root_of(tree)) == world.cells.sum() / size
         for idx, val in stored_nodes(tree):
             expect = brute_fraction(world, idx)
             assert val == pytest.approx(expect, abs=1e-15)
@@ -224,43 +223,12 @@ def test_eps_obstacles_are_the_fully_occupied_nodes(dim, depth, density, eps, se
             assert full == (tree.value(idx) >= 1.0 - math.ldexp(eps, -dim * k))
 
 
-def test_explicit_levels_are_checked():
-    zeros = [np.zeros((4, 4), int), np.zeros((2, 2), int), np.zeros((1, 1), int)]
-    flags = [np.zeros(c.shape, bool) for c in zeros]
-    OccupancyTree(2, 2, zeros, flags)
-    with pytest.raises(ValueError, match="3 levels"):
-        OccupancyTree(2, 2, zeros[:2], flags[:2])
-    with pytest.raises(ValueError, match="level 1 needs shape"):
-        OccupancyTree(2, 2, [zeros[0], zeros[0], zeros[2]], flags)
-    with pytest.raises(ValueError, match="level 0 needs shape"):
-        OccupancyTree(2, 2, zeros, [np.zeros(16, bool)] + flags[1:])
-    unit = [np.ones((4, 4), bool)] + flags[1:]
-    with pytest.raises(ValueError, match="unit node"):
-        OccupancyTree(2, 2, zeros, unit)
-    orphan = [flags[0], np.ones((2, 2), bool), flags[2]]
-    with pytest.raises(ValueError, match="leaf ancestor"):
-        OccupancyTree(2, 2, zeros, orphan)
-    with pytest.raises(ValueError, match="0 or 1"):
-        OccupancyTree(2, 2, [np.full((4, 4), 2)] + zeros[1:], flags)
-    # one obstacle cell under a root that still reads 0
-    cell = np.zeros((4, 4), int)
-    cell[0, 0] = 1
-    mixed = [flags[0], np.array([[True, False], [False, False]]), np.ones((1, 1), bool)]
-    with pytest.raises(ValueError, match="level-2 counts"):
-        OccupancyTree(2, 2, [cell, np.array([[1, 0], [0, 0]]), zeros[2]], mixed)
-    # the same cell, but its scale-1 node is a leaf that reads 1/4
-    levels = [cell, np.array([[1, 0], [0, 0]]), np.ones((1, 1), int)]
-    with pytest.raises(ValueError, match="scale-1 leaf is not uniform"):
-        OccupancyTree(2, 2, levels, [flags[0], flags[1], np.ones((1, 1), bool)])
-    OccupancyTree(2, 2, levels, mixed)
-
-
 def test_value_three_sixteenths():
     cells = np.zeros(16, dtype=np.uint8)
     cells[[0, 5, 12]] = 1
     world = GridWorld(2, 2, cells)
     tree = build_from_grid(world)
-    assert tree.value(tree.root) == 0.1875
+    assert tree.value(root_of(tree)) == 0.1875
 
 
 def test_value_inside_collapsed_leaf():
@@ -338,9 +306,9 @@ def test_eps_obstacle_examples():
     unit = NodeIndex(0, (1, 1))
     assert tree.is_obstacle(unit)  # the occupied cell
     assert not tree.is_obstacle(NodeIndex(0, (3, 3)))
-    assert not tree.is_obstacle(tree.root)  # one cell of four occupied
+    assert not tree.is_obstacle(root_of(tree))  # one cell of four occupied
     full = build_from_grid(GridWorld(2, 1, np.ones(4, dtype=np.uint8)))
-    assert full.is_obstacle(full.root)
+    assert full.is_obstacle(root_of(full))
     # one free cell in 1024: no node holding it is an obstacle, however
     # close to 1 its value, and every other node is
     cells = np.ones(1024, dtype=np.uint8)
@@ -367,7 +335,7 @@ def test_eps_threshold_monotone_in_eps():
 def test_leaf_at_free_map_returns_root():
     world = GridWorld(2, 2, np.zeros(16, dtype=np.uint8))
     tree = build_from_grid(world)
-    assert tree.leaf_at((0.2, 0.3)) == tree.root
+    assert tree.leaf_at((0.2, 0.3)) == root_of(tree)
 
 
 def test_leaf_at_corner_uses_half_open_cells():
@@ -414,8 +382,19 @@ def test_to_grid_round_trip():
         world = GridWorld(dim, depth, (rng.random(size) < 0.4).astype(np.uint8))
         tree = build_from_grid(world)
         assert same_world(tree.to_grid(), world)
-        detached = OccupancyTree(dim, depth, *tree_levels(tree))
-        assert same_world(detached.to_grid(), world)
+
+
+def test_tree_owns_its_level_zero():
+    # neither the source grid nor the grid to_grid returns shares its
+    # cells with the tree
+    world = GridWorld(2, 2, np.zeros(16, dtype=np.uint8))
+    tree = build_from_grid(world)
+    world.cells[0] = 1
+    assert tree.value(NodeIndex(0, (1, 1))) == 0.0
+    assert tree.to_grid().cells[0] == 0
+    with pytest.raises(ValueError, match="read-only"):
+        tree.to_grid().cells[0] = 1
+    assert tree.value(NodeIndex(0, (1, 1))) == 0.0
 
 
 def test_map_text_round_trip_and_format():
@@ -470,15 +449,12 @@ def test_grid_world_validation():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
-def test_grid_connected_matches_flood_fill(dim, depth, detach, seed):
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_grid_connected_matches_flood_fill(dim, depth, seed):
     rng = np.random.default_rng(seed)
     size = 1 << (dim * depth)
     world = GridWorld(dim, depth, (rng.random(size) < 0.4).astype(np.uint8))
     tree = build_from_grid(world)
-    if detach:
-        # the same levels through the explicit-levels constructor
-        tree = OccupancyTree(dim, depth, *tree_levels(tree))
     side = 1 << depth
     for _ in range(6):
         a = tuple(int(rng.integers(0, side)) for _ in range(dim))
