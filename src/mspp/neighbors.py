@@ -53,13 +53,15 @@ def child_at(node, slot: int, settle):
     """The child in a slot of a decided node, itself decided first if stale.
 
     A child stamped with another generation than its parent is stale:
-    settle (the view root's decision step) decides it for the current
-    generation and returns it, or writes None into the slot and returns
-    None when the child is removed.  The descents inline this step.
+    settle (the view root's decision step), given the parent's child list
+    and the slot, decides it for the current generation and returns it,
+    or writes None into the slot and returns None when the child is
+    removed.  The descents inline this step.
     """
-    child = node.children[slot]
+    kids = node.children
+    child = kids[slot]
     if child is not None and child.gen != node.gen:
-        child = settle(node, slot)
+        child = settle(kids, slot)
     return child
 
 
@@ -92,7 +94,7 @@ def _descend(root, target2: Sequence[int], scale: int, nodes: list, slots: list)
         add_slot(slot)
         child = kids[slot]
         if child is not None and child.gen != node.gen:
-            child = settle(node, slot)
+            child = settle(kids, slot)
         if child is None:
             return None
         node = child
@@ -176,9 +178,10 @@ def find_neighbors(root, node, depth: int) -> list:
             parent = nodes[i]
             while True:
                 slot = slots[i] ^ flip
-                child = parent.children[slot]
+                kids = parent.children
+                child = kids[slot]
                 if child is not None and child.gen != gen:
-                    child = settle(parent, slot)
+                    child = settle(kids, slot)
                 if child is None:
                     break
                 i += 1

@@ -10,8 +10,9 @@ refines to the finest stored resolution.  A node stops subdividing when
 which is evaluated exactly: alpha is a dyadic float, so both sides can be
 squared into integer comparisons on doubled coordinates; the lone square
 root of dim is eliminated by squaring twice with sign checks, folded into a
-per-scale integer threshold.  The thresholds depend only on the focus
-scale, so each view computes them once per focus scale.
+per-scale integer threshold.  The thresholds depend only on the dimension,
+depth, alpha and focus scale, so they are computed once per process for
+each such tuple (window_thresholds) and shared, read-only, by every view.
 
 One rule decides every node in both modes (stated in refresh): obstacles
 first, then the nodes holding a visited cell, then whether the node can
@@ -31,12 +32,13 @@ The view is lazy.  refresh() does O(1) work: it captures its inputs,
 starts a new generation and decides the root.  Every node carries the
 generation it was decided in (its stamp); a node with an older stamp is
 stale, and a descent that reaches a stale child decides that one child
-then, by the same rule an eager rebuild would apply: removed (None is
-written into the parent's slot), a leaf (its children are dropped) or
-internal (it keeps its child list, or gets one of stale children).  Every
-lookup reads children through that one step (neighbors.child_at), so
-after any sequence of refreshes the resolved view equals a view rebuilt
-from scratch with the same inputs.  Two facts make that exact:
+then, in one decision step (the view root's settle, which applies the
+rule itself and reads the state source once), by the same rule an eager
+rebuild would apply: removed (None is written into the parent's slot), a
+leaf (its children are dropped) or internal (it keeps its child list, or
+gets one of stale children).  Every lookup reads children through that
+one step (neighbors.child_at), so after any sequence of refreshes the
+resolved view equals a view rebuilt from scratch with the same inputs.  Two facts make that exact:
 
 * A None hole is never stale.  Every removal is permanent: once the
   state source reports a node an obstacle, it always does, and every
@@ -58,6 +60,7 @@ what a search learns shows in the view from the next refresh on.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import isqrt
 from typing import Callable
@@ -101,10 +104,11 @@ class RTNode:
 class ViewRoot(RTNode):
     """Root of a reduced view; it also carries the view's decision step.
 
-    settle(parent, slot) decides the stale child in that slot of a decided
-    parent for the current generation and returns it, or writes None into
-    the slot and returns None when the child is removed.  A view that was
-    never refreshed has nothing stale and no decision step.
+    settle(children, slot) decides the stale child in that slot of a
+    decided node's child list for the current generation and returns it,
+    or writes None into the slot and returns None when the child is
+    removed.  A view that was never refreshed has nothing stale and no
+    decision step.
     """
 
     __slots__ = ("settle",)
@@ -114,23 +118,19 @@ class ViewRoot(RTNode):
         self.settle = None
 
 
-def _take(counts: dict[tuple, int], key: tuple) -> None:
-    left = counts[key] - 1
-    if left:
-        counts[key] = left
-    else:
-        del counts[key]
-
-
 class CellTracker:
     """Multiset of cells that refresh tests against tree nodes in O(1).
 
-    For every member cell the tracker records its own (scale, center2) key
-    and the keys of its ancestors up to the root.  A node then holds some
-    member's center strictly inside its cube exactly when its key is among
-    the recorded ancestor keys.  Counts make removal exact when the same
-    cell was added twice.  version counts the changes, so a view can tell
-    that its inputs moved on.
+    The tracker keeps each member cell's (scale, center2) key with its
+    count, and a set of ancestor keys closed upward: every member's own
+    key and the keys of its ancestors up to the root.  A node then holds
+    some member's center strictly inside its cube exactly when its key is
+    in that set.  As the set is closed upward, add stops at the first
+    ancestor key already in it, so adding a cell beside earlier ones costs
+    a key or two instead of the whole lineage.  Counts make removal exact
+    when the same cell was added twice; discard rebuilds the ancestor set
+    from the remaining members.  version counts the changes, so a view
+    can tell that its inputs moved on.
     """
 
     __slots__ = ("dim", "depth", "version", "_anc", "_members")
@@ -139,34 +139,43 @@ class CellTracker:
         self.dim = dim
         self.depth = depth
         self.version = 0
-        self._anc: dict[tuple, int] = {}
+        self._anc: set[tuple] = set()
         self._members: dict[tuple, int] = {}
 
-    def _lineage(self, idx: NodeIndex) -> list[tuple]:
-        """Keys of idx and of its ancestors up to the root, idx first."""
-        scale, c2 = idx
-        keys = []
+    def _close(self, scale: int, c2: tuple[int, ...]) -> None:
+        """Put the keys of a cell and of its ancestors into the ancestor
+        set, up to the first key already there."""
+        anc = self._anc
         for k in range(scale, self.depth + 1):
             # The scale-k ancestor, in closed form.
             up = k + 1
             step = 1 << k
-            keys.append((k, tuple([((c >> up) << up) | step for c in c2])))
-        return keys
+            key = (k, tuple([((c >> up) << up) | step for c in c2]))
+            if key in anc:
+                return
+            anc.add(key)
 
     def add(self, idx: NodeIndex) -> None:
         self.version += 1
-        keys = self._lineage(idx)
-        members, anc = self._members, self._anc
-        members[keys[0]] = members.get(keys[0], 0) + 1
-        for key in keys:
-            anc[key] = anc.get(key, 0) + 1
+        scale, c2 = idx
+        members = self._members
+        key = (scale, c2)
+        members[key] = members.get(key, 0) + 1
+        self._close(scale, c2)
 
     def discard(self, idx: NodeIndex) -> None:
         self.version += 1
-        keys = self._lineage(idx)
-        _take(self._members, keys[0])
-        for key in keys:
-            _take(self._anc, key)
+        scale, c2 = idx
+        members = self._members
+        key = (scale, c2)
+        left = members[key] - 1
+        if left:
+            members[key] = left
+        else:
+            del members[key]
+        self._anc.clear()
+        for member in members:
+            self._close(*member)
 
     def cells(self):
         """The distinct member cells, as (scale, center2) keys."""
@@ -180,16 +189,13 @@ class ReducedTree:
     The lookups resolve the nodes they reach and nothing else.
     """
 
-    __slots__ = ("dim", "depth", "root", "gen", "_windows")
+    __slots__ = ("dim", "depth", "root", "gen")
 
     def __init__(self, dim: int, depth: int):
         self.dim = dim
         self.depth = depth
         self.root = ViewRoot(depth, (1 << depth,) * dim)
         self.gen = 0
-        # (alpha, focus scale) -> far thresholds, their denominator and
-        # the scales where a node beside the focus can be far.
-        self._windows: dict[tuple, tuple] = {}
 
     def find_vertex(self, idx: NodeIndex) -> RTNode | None:
         """The leaf with exactly this address, if present."""
@@ -217,9 +223,10 @@ class ReducedTree:
         return find_containing(self.root, tuple(2 * int(x) + 1 for x in point))
 
 
+@lru_cache(maxsize=1024)
 def window_thresholds(
     dim: int, depth: int, alpha: float, focus_scale: int
-) -> tuple[list[int], int, list[bool]]:
+) -> tuple[tuple[int, ...], int, tuple[bool, ...]]:
     """Integer far-window thresholds per scale.
 
     Returns (thresholds, den_sq, beside): a node at scale k with squared
@@ -229,6 +236,10 @@ def window_thresholds(
     away on one axis (f the focus scale) and, as dyadic cubes nest, at
     most |2**k - 2**f| on every other, so S is at most the sum of those
     squares.
+
+    The result depends on the arguments alone, so a process-wide cache
+    (of the last 1024 argument tuples) computes it once and shares it with
+    every view; its tuples cannot be changed.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -246,7 +257,7 @@ def window_thresholds(
         out.append(base + root + (0 if root * root == rad else 1))
         near = ((1 << k) + f) ** 2 + (dim - 1) * ((1 << k) - f) ** 2
         beside.append(near * den_sq >= out[-1])
-    return out, den_sq, beside
+    return tuple(out), den_sq, tuple(beside)
 
 
 def refresh(
@@ -259,14 +270,18 @@ def refresh(
     """Start a new generation of the view around the current cell.
 
     Only the root is decided here; every other node is decided when a
-    lookup first reaches it (see the module docstring).
+    lookup first reaches it (see the module docstring).  Each decision is
+    one call of the step this installs as rtree.root.settle, plus one
+    state call; the window thresholds come from the process-wide
+    window_thresholds, and the visited test reads the tracker's ancestor
+    set directly.
 
     state(scale, center2) returns a node's (obstacle, splits) pair: with
-    the exact map, whether every cell of the node is occupied and whether
-    it is internal; map-free, whether it was flagged and whether it is a
-    coarse block not proven free.  visited holds the cells the walk has
-    entered: its trail and the cells it backed out of.  One rule decides
-    every node in both modes:
+    the exact map (OccupancyTree.state), whether every cell of the node
+    is occupied and whether it is internal; map-free, whether it was
+    flagged and whether it is a coarse block not proven free.  visited
+    holds the cells the walk has entered: its trail and the cells it
+    backed out of.  One rule decides every node in both modes:
 
     1. An obstacle is removed, before a visited cell nearby could split it
        back into the view.
@@ -295,27 +310,25 @@ def refresh(
         if not 0 < c < top:
             raise ValueError("current cell is outside the world box")
 
-    window_key = (alpha, current.scale)
-    window = rtree._windows.get(window_key)
-    if window is None:
-        window = window_thresholds(dim, depth, alpha, current.scale)
-        rtree._windows[window_key] = window
-    thresholds, den_sq, beside = window
+    thresholds, den_sq, beside = window_thresholds(dim, depth, alpha, current.scale)
     cur2 = current.center2
     visited_anc = visited._anc
     visited_members = visited._members
     visited_version = visited.version
     gen = rtree.gen = rtree.gen + 1
 
-    def decide(node: RTNode) -> bool:
-        """Decide a node for this generation; False when it is removed."""
+    def settle(kids: list, slot: int) -> RTNode | None:
+        """Decide the node in a slot of a child list for this generation;
+        write None into the slot and return None when it is removed."""
         if visited.version != visited_version:
             raise RuntimeError("visited cells changed since the last refresh")
+        node = kids[slot]
         k = node.scale
         c2 = node.center2
         obstacle, splits = state(k, c2)
         if obstacle:
-            return False
+            kids[slot] = None
+            return None
         key = (k, c2)
         if key in visited_anc:
             stop = key in visited_members
@@ -340,18 +353,11 @@ def refresh(
             sides = [(c - half, c + half) for c in reversed(c2)]
             node.children = [RTNode(k - 1, q[::-1]) for q in product(*sides)]
         node.gen = gen
-        return True
-
-    def settle(parent: RTNode, slot: int) -> RTNode | None:
-        child = parent.children[slot]
-        if decide(child):
-            return child
-        parent.children[slot] = None
-        return None
+        return node
 
     root = rtree.root
     root.settle = settle
-    if not decide(root):
+    if settle([root], 0) is None:
         # Nothing survived: keep the root but with no leaves below it.
         root.children = [None] * (1 << dim)
         root.gen = gen

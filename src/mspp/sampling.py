@@ -10,12 +10,15 @@ a sampled node is flagged as an obstacle when
 Two scale cutoffs shape the hybrid scheme.  At or below exact_scale_cutoff
 a node holds no more unit cells than the sample budget, so full enumeration
 is cheaper than sampling, and an enumerated node is an obstacle exactly
-when every cell of it is occupied, as a map node is.  At or above
+when every cell of it is occupied, as a map node is.  Above
 flag_scale_cutoff the margin pushes the threshold past 1, so no estimate
-can flag the node; only scales strictly between the cutoffs can be
-misclassified, and band_node_count counts those nodes in closed form.
-failure_bound combines the pieces into the standard probability bound on
-planning failure.
+can flag the node.  At the cutoff itself the threshold is exactly 1 when
+gamma * 2**(dim*k) equals eps, and an estimate whose samples all hit
+flags the node.  So the misclassifiable band runs from above the
+enumeration cutoff to the first scale where classify's own threshold
+test leaves a saturated estimate unflagged, and band_node_count counts
+its nodes in closed form.  failure_bound combines the pieces into the
+standard probability bound on planning failure.
 
 Estimates are cached per node for the lifetime of an estimator, and each
 node draws from its own counter-based random stream derived from the
@@ -102,11 +105,13 @@ def is_flagged_obstacle(
 
 
 def flag_scale_cutoff(dim: int, eps: float, gamma: float) -> int:
-    """Smallest scale at which no estimate can be flagged as an obstacle.
+    """Smallest scale whose flag threshold reaches 1.
 
     This is ceil(log2(eps/gamma) / dim), evaluated exactly: the smallest k
-    with gamma * 2**(dim*k) >= eps.  Negative when gamma > eps; returned
-    as-is in that case.
+    with gamma * 2**(dim*k) >= eps.  Above it no estimate can be flagged
+    as an obstacle; at it the threshold is exactly 1 on a tie, where a
+    saturated estimate is still flagged.  Negative when gamma > eps;
+    returned as-is in that case.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -170,19 +175,31 @@ def failure_bound(params: BoundParams) -> float:
     Evaluates 1 - (1 - exp(-2 gamma^2 n))^count over `regions` independent
     solution regions of count/regions nodes each, clamped to [0, 1].
 
+    The band holds the sampled scales, above the enumeration cutoff, where
+    is_flagged_obstacle flags an estimate of 1.  It ends at the flag
+    cutoff, or past it where the threshold there is 1: exactly, on a tie,
+    or after rounding, for a gamma within a rounding error above
+    eps * 2**(-dim*k).  The bound reads the same float test classify
+    does, so the two cannot disagree on a scale.
+
     With one region the bound is either 0 or close to 1.  It is 0 exactly
     when no scale of the misclassifiable band lies in the tree (sampling
     decides no node).  Otherwise it exceeds exp(-2 eps^2 / n): a band scale
-    k has 2**(dim*k) > n cells and gamma * 2**(dim*k) < eps, so gamma^2 n
+    k has 2**(dim*k) > n cells and gamma * 2**(dim*k) <= eps, so gamma^2 n
     < eps^2 / n, and one node's term exp(-2 gamma^2 n) already exceeds it.
+    A scale that rounding adds keeps gamma * n < eps, hence the same, while
+    n * (n + 1) < eps * 2**52.
     """
-    low = exact_scale_cutoff(params.dim, params.samples)
-    high = flag_scale_cutoff(params.dim, params.eps, params.gamma)
-    count = band_node_count(params.depth, params.dim, low, high)
+    dim, eps, gamma = params.dim, params.eps, params.gamma
+    low = exact_scale_cutoff(dim, params.samples)
+    high = flag_scale_cutoff(dim, eps, gamma)
+    while high <= params.depth and is_flagged_obstacle(1.0, high, dim, eps, gamma):
+        high += 1
+    count = band_node_count(params.depth, dim, low, high)
     if count == 0.0:
         return 0.0
     # 1 - exp(-2 g^2 n), kept accurate when the exponent is tiny.
-    miss = -expm1(-2.0 * params.gamma * params.gamma * params.samples)
+    miss = -expm1(-2.0 * gamma * gamma * params.samples)
     keep = miss ** (count / params.regions)
     bound = (1.0 - keep) ** params.regions
     return min(1.0, max(0.0, bound))
@@ -259,9 +276,16 @@ class ValueEstimator:
         """Obstacle count over integer cells, consulting the cell memo.
 
         Repeated cells (within one draw or across nodes) are counted per
-        occurrence; each distinct cell costs one oracle point, ever.
+        occurrence; each distinct cell costs one oracle point, ever.  When
+        every cell is already memoized the count is one pass of reads;
+        otherwise the distinct misses go to the oracle as one batch, in
+        their first-seen order.
         """
         memo = self._cells
+        try:
+            return sum(map(memo.__getitem__, cells))
+        except KeyError:
+            pass
         misses = [cell for cell in dict.fromkeys(cells) if cell not in memo]
         if misses:
             flags = self._batch(np.asarray(misses, dtype=np.float64) + 0.5)
@@ -307,10 +331,19 @@ class ValueEstimator:
         got = self._cache.get(idx)
         if got is not None and got.exact:
             return got
-        side = 1 << idx.scale
-        axes = [range((c - side) >> 1, (c + side) >> 1) for c in idx.center2]
-        cells = list(product(*axes))
-        est = SampleEstimate(len(cells), self._hits_cells(cells), exact=True)
+        scale, c2 = idx
+        if scale == 0:
+            # A unit cell: one read of the cell memo, a one-point batch on
+            # a miss.
+            cell = tuple([c >> 1 for c in c2])
+            hit = self._cells.get(cell)
+            hits = self._hits_cells([cell]) if hit is None else int(hit)
+            est = SampleEstimate(1, hits, exact=True)
+        else:
+            side = 1 << scale
+            axes = [range((c - side) >> 1, (c + side) >> 1) for c in c2]
+            cells = list(product(*axes))
+            est = SampleEstimate(len(cells), self._hits_cells(cells), exact=True)
         self._cache[idx] = est
         return est
 

@@ -262,19 +262,14 @@ def _node_facts(tree, estimator, eps, gamma):
     address.  A map-free fill makes one classify call per node.
 
     state(scale, center2) is the (obstacle, splits) pair refresh takes.
-    With the map, a node is an obstacle when it is full and splits when
-    it is internal.  Map-free, it reads what is already known and fills
+    With the map it is tree.state: a node is an obstacle when it is full
+    and splits when it is internal.  Map-free, it reads what is already known and fills
     nothing: a node is an obstacle when the memo holds inf for it, and
     splits when it is coarse and enumeration has not proven it free.
     """
     if tree is not None:
         lookup = tree.lookup
-
-        def state(k: int, c2: tuple[int, ...]) -> tuple[bool, bool]:
-            value, inner = lookup(k, c2)
-            return value == 1.0, inner
-
-        return _Memo(lambda idx: lookup(idx[0], idx[1])[0]), state
+        return _Memo(lambda idx: lookup(idx[0], idx[1])[0]), tree.state
 
     def value(idx: NodeIndex) -> float:
         flagged, est = estimator.classify(idx, eps, gamma)

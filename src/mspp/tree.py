@@ -223,6 +223,21 @@ class OccupancyTree:
             i = (i << width) | (c >> shift)
         return self._counts[scale][i] / (1 << self.dim * scale), self._internal[scale][i]
 
+    def state(self, scale: int, center2: Sequence[int]) -> tuple[bool, bool]:
+        """Whether a node address is full and whether it is internal.
+
+        The unchecked form of is_obstacle and is_internal in one call: the
+        exact-mode state source a reduced view reads once per node it
+        decides.  It repeats lookup's address arithmetic, as a call to a
+        shared helper would cost more than the arithmetic.
+        """
+        shift = scale + 1
+        width = self.depth - scale
+        i = 0
+        for c in reversed(center2):
+            i = (i << width) | (c >> shift)
+        return self._counts[scale][i] == 1 << self.dim * scale, self._internal[scale][i]
+
     def is_internal(self, idx: NodeIndex) -> bool:
         """True when the node has children; such a node is always stored."""
         if not valid_index(idx, self.dim, self.depth):

@@ -500,7 +500,7 @@ def root_descent_neighbors(root, node, depth: int) -> list:
                         slot |= 1 << j
                 child = kids[slot]
                 if child is not None and child.gen != gen:
-                    child = settle(found, slot)
+                    child = settle(kids, slot)
                 found = child
                 if found is None:
                     break

@@ -1,6 +1,7 @@
 """Focus-window geometry, path tracking, and view refresh semantics."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from helpers import (
     interval_face_test,
     is_leaf,
     node_bounds2,
+    parent_of,
     random_index,
     random_world,
     state_source,
@@ -185,6 +187,40 @@ def test_cell_tracker_matches_geometric_scan(dim, depth, seed):
     refresh(rtree, lambda k, c2: (False, False), alive[0], tracker, alpha=1.0)
     for idx, leaf in view_snapshot(rtree).items():
         assert (not leaf) == (covers(tracker, idx) and idx not in tracker.cells())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 5)), max_size=40),
+)
+def test_cell_tracker_ancestor_set_is_the_union_of_live_lineages(dim, depth, seed, ops):
+    # add stops at the first ancestor key already recorded, which is sound
+    # only while the set stays closed upward: after any add and discard
+    # sequence, repeated cells and nested ones included, it holds exactly
+    # the live members and all their ancestors
+    rng = np.random.default_rng(seed)
+    pool = [random_index(rng, dim, depth) for _ in range(6)]
+    tracker = CellTracker(dim, depth)
+    live = Counter()
+    for add, i in ops:
+        cell = pool[i]
+        if add or not live[cell]:
+            tracker.add(cell)
+            live[cell] += 1
+        else:
+            tracker.discard(cell)
+            live[cell] -= 1
+        lineages = set()
+        for key in +live:
+            lineages.add(key)
+            while key.scale < depth:
+                key = parent_of(key)
+                lineages.add(key)
+        assert tracker._anc == lineages
+        assert set(tracker.cells()) == set(+live)
 
 
 def test_refresh_uniform_free_world_keeps_single_leaf():

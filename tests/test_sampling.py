@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import children_of
@@ -199,14 +199,19 @@ def test_failure_bound_stays_in_unit_interval(depth, dim, eps, gamma, n, z):
     st.floats(1e-4, 0.3),
     st.integers(1, 4096),
 )
+# gamma * 2**4 == eps: the flag cutoff, scale 4, has threshold exactly 1;
+# one ulp above that gamma the threshold still rounds to 1
+@example(1, 5, 0.8, 0.05, 8)
+@example(1, 5, 0.8, math.nextafter(0.05, 1.0), 8)
 def test_failure_bound_is_zero_or_near_vacuous(dim, depth, eps, gamma, n):
-    # a band scale k has 2**(dim * k) > n cells and gamma * 2**(dim * k) <
+    # a band scale k has 2**(dim * k) > n cells and gamma * 2**(dim * k) <=
     # eps, so its node's term exp(-2 gamma**2 n) exceeds exp(-2 eps**2 / n)
     params = BoundParams(depth=depth, dim=dim, eps=eps, gamma=gamma, samples=n)
     low = exact_scale_cutoff(dim, n)
-    high = flag_scale_cutoff(dim, eps, gamma)
     got = failure_bound(params)
-    if any(0 <= k <= depth for k in range(low + 1, high)):
+    # a band scale is sampled and can flag an estimate of 1, which the
+    # flag cutoff itself does on a tie
+    if any(is_flagged_obstacle(1.0, k, dim, eps, gamma) for k in range(low + 1, depth + 1)):
         assert got > math.exp(-2.0 * eps * eps / n)
     else:
         assert got == 0.0
@@ -414,6 +419,12 @@ def test_sampled_misclassification_rate_within_bound():
     bound = math.exp(-2 * gamma * gamma * n)
     sigma = math.sqrt(bound * (1 - bound) / seeds)
     assert wrong / seeds <= bound + 3 * sigma
+    # gamma * 2**4 == eps: scale 4 is the flag cutoff, where the threshold
+    # is exactly 1, so the planning bound must count it
+    assert flag_scale_cutoff(1, eps, gamma) == 4
+    assert wrong > 0
+    params = BoundParams(depth=5, dim=1, eps=eps, gamma=gamma, samples=n)
+    assert wrong / seeds <= failure_bound(params)
 
 
 def test_continuous_predicate_estimates():

@@ -27,7 +27,7 @@ import mspp.search as msearch
 import mspp.tree as mtree
 from mspp.neighbors import are_neighbors, collect_leaves
 from mspp.predicates import WallWithGap
-from mspp.reduced import CellTracker, ReducedTree, refresh
+from mspp.reduced import CellTracker, ReducedTree, refresh, window_thresholds
 from mspp.search import (
     BUDGET_EXCEEDED,
     GOAL_BLOCKED,
@@ -900,6 +900,39 @@ def test_small_alpha_agrees_with_grid_search(dim, depth, alpha):
                     kwargs["predicate"], result.path, depth, start, goal
                 )
             assert ok, reason
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_sessions_at_two_alphas_interleaved_return_what_each_returns_alone(exact):
+    # window thresholds are computed once per process and shared by every
+    # view: two sessions stepping in turn, one at alpha 1 and one at 0.25,
+    # each end as they do alone, from a cache emptied before each run
+    world = random_world(2, 5, 0.25, seed=3, free_corners=True)
+    kwargs = mode_kwargs(world, exact)
+    ends = dict(start=(0.5, 0.5), goal=(31.5, 31.5))
+    alphas = (1.0, 0.25)
+    alone = []
+    for alpha in alphas:
+        window_thresholds.cache_clear()
+        alone.append(PlannerSession(alpha=alpha, **ends, **kwargs).run())
+    assert alone[0].iterations != alone[1].iterations
+    window_thresholds.cache_clear()
+    sessions = [PlannerSession(alpha=alpha, **ends, **kwargs) for alpha in alphas]
+    while any(session.status is None for session in sessions):
+        for session in sessions:
+            session.step()
+    for session, want in zip(sessions, alone):
+        got = session.result()
+        assert (got.status, got.path, got.cost, got.iterations, got.blocked, got.stats) == (
+            want.status, want.path, want.cost, want.iterations, want.blocked, want.stats
+        )
+    # the shared result is one object per argument tuple, and read-only
+    thresholds, _, beside = window_thresholds(2, 5, 0.25, 0)
+    assert window_thresholds(2, 5, 0.25, 0)[0] is thresholds
+    with pytest.raises(TypeError):
+        thresholds[0] = 0
+    with pytest.raises(TypeError):
+        beside[0] = True
 
 
 def mode_kwargs(world: GridWorld, exact: bool) -> dict:
