@@ -38,7 +38,8 @@ rebuild would apply: removed (None is written into the parent's slot), a
 leaf (its children are dropped) or internal (it keeps its child list, or
 gets one of stale children).  Every lookup reads children through that
 one step (neighbors.child_at), so after any sequence of refreshes the
-resolved view equals a view rebuilt from scratch with the same inputs.  Two facts make that exact:
+resolved view equals a view rebuilt from scratch with the same inputs.
+Two facts make that exact:
 
 * A None hole is never stale.  Every removal is permanent: once the
   state source reports a node an obstacle, it always does, and every
@@ -129,8 +130,9 @@ class CellTracker:
     ancestor key already in it, so adding a cell beside earlier ones costs
     a key or two instead of the whole lineage.  Counts make removal exact
     when the same cell was added twice; discard rebuilds the ancestor set
-    from the remaining members.  version counts the changes, so a view
-    can tell that its inputs moved on.
+    from the remaining members when a cell's last occurrence goes, at
+    O(members * depth).  version counts the changes, so a view can tell
+    that its inputs moved on.
     """
 
     __slots__ = ("dim", "depth", "version", "_anc", "_members")
@@ -164,6 +166,15 @@ class CellTracker:
         self._close(scale, c2)
 
     def discard(self, idx: NodeIndex) -> None:
+        """Remove one occurrence of a member cell.
+
+        When the cell's last occurrence goes, the ancestor set is rebuilt
+        from the remaining members, at O(members * depth) per call where
+        add costs O(depth) at most: the closed set keeps no counts that
+        would tell which keys another member still reaches.  The planner
+        never discards; a caller that discards once per step of a long
+        walk pays a cost quadratic in the walk.
+        """
         self.version += 1
         scale, c2 = idx
         members = self._members
@@ -171,8 +182,8 @@ class CellTracker:
         left = members[key] - 1
         if left:
             members[key] = left
-        else:
-            del members[key]
+            return
+        del members[key]
         self._anc.clear()
         for member in members:
             self._close(*member)

@@ -276,16 +276,9 @@ class ValueEstimator:
         """Obstacle count over integer cells, consulting the cell memo.
 
         Repeated cells (within one draw or across nodes) are counted per
-        occurrence; each distinct cell costs one oracle point, ever.  When
-        every cell is already memoized the count is one pass of reads;
-        otherwise the distinct misses go to the oracle as one batch, in
-        their first-seen order.
+        occurrence; each distinct cell costs one oracle point, ever.
         """
         memo = self._cells
-        try:
-            return sum(map(memo.__getitem__, cells))
-        except KeyError:
-            pass
         misses = [cell for cell in dict.fromkeys(cells) if cell not in memo]
         if misses:
             flags = self._batch(np.asarray(misses, dtype=np.float64) + 0.5)
@@ -331,19 +324,10 @@ class ValueEstimator:
         got = self._cache.get(idx)
         if got is not None and got.exact:
             return got
-        scale, c2 = idx
-        if scale == 0:
-            # A unit cell: one read of the cell memo, a one-point batch on
-            # a miss.
-            cell = tuple([c >> 1 for c in c2])
-            hit = self._cells.get(cell)
-            hits = self._hits_cells([cell]) if hit is None else int(hit)
-            est = SampleEstimate(1, hits, exact=True)
-        else:
-            side = 1 << scale
-            axes = [range((c - side) >> 1, (c + side) >> 1) for c in c2]
-            cells = list(product(*axes))
-            est = SampleEstimate(len(cells), self._hits_cells(cells), exact=True)
+        side = 1 << idx.scale
+        axes = [range((c - side) >> 1, (c + side) >> 1) for c in idx.center2]
+        cells = list(product(*axes))
+        est = SampleEstimate(len(cells), self._hits_cells(cells), exact=True)
         self._cache[idx] = est
         return est
 

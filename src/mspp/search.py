@@ -263,9 +263,10 @@ def _node_facts(tree, estimator, eps, gamma):
 
     state(scale, center2) is the (obstacle, splits) pair refresh takes.
     With the map it is tree.state: a node is an obstacle when it is full
-    and splits when it is internal.  Map-free, it reads what is already known and fills
-    nothing: a node is an obstacle when the memo holds inf for it, and
-    splits when it is coarse and enumeration has not proven it free.
+    and splits when it is internal.  Map-free, it reads what is already
+    known and fills nothing: a node is an obstacle when the memo holds inf
+    for it, and splits when it is coarse and enumeration has not proven it
+    free.
     """
     if tree is not None:
         lookup = tree.lookup

@@ -213,8 +213,7 @@ class OccupancyTree:
         """Value and internal flag of a node address, without checking it.
 
         The address must be valid (valid_index); value and is_internal are
-        the checked forms.  The reduced view makes this one call per node
-        it decides.
+        the checked forms, and exact planning reads node values through it.
         """
         shift = scale + 1
         width = self.depth - scale
@@ -228,8 +227,10 @@ class OccupancyTree:
 
         The unchecked form of is_obstacle and is_internal in one call: the
         exact-mode state source a reduced view reads once per node it
-        decides.  It repeats lookup's address arithmetic, as a call to a
-        shared helper would cost more than the arithmetic.
+        decides.  It repeats lookup's address arithmetic rather than wrap
+        lookup: against a closure over lookup, the local-exact benchmark's
+        plan_p50_ref reads 3.2% lower in the median and lower in 9 of 10
+        alternating pairs of runs (seed 1, shared 2-vCPU Xeon).
         """
         shift = scale + 1
         width = self.depth - scale
