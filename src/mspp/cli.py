@@ -61,7 +61,8 @@ SETTINGS = {
     "depth": Setting(5, "tree depth (side = 2**depth)", lambda v: v >= 0, ">= 0"),
     "eps": Setting(0.5, "map-free threshold scale", lambda v: 0 < v < 1, "in (0, 1)"),
     "gamma": Setting(0.1, "sampling margin", lambda v: v > 0, "> 0"),
-    "samples": Setting(256, "samples per node", lambda v: v >= 1, ">= 1"),
+    "samples": Setting(256, "map-free: nodes of <= SAMPLES cells are enumerated, "
+                       "others draw SAMPLES points", lambda v: v >= 1, ">= 1"),
     "alpha": Setting(1.0, "window scale multiplier", lambda v: v > 0, "> 0"),
     "weight": Setting(1.0, "occupancy cost weight w", lambda v: v >= 0, ">= 0"),
     "regions": Setting(1, "independent-region count Z", lambda v: v >= 1, ">= 1"),

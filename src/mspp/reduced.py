@@ -17,16 +17,17 @@ each such tuple (window_thresholds) and shared, read-only, by every view.
 One rule decides every node in both modes (stated in refresh): obstacles
 first, then the nodes holding a visited cell, then whether the node can
 split and the far window.  Both per-node facts come from one state
-source that the caller builds per mode: a full map node or a flagged
-node is an obstacle; an internal map node or, map-free, a coarse block
-not proven free can split.  A node that shares a face with the focus
-splits even when it is far, so every view leaf beside the focus is fine
-(a map leaf, a unit cell or a block proven free) at any alpha.  Only at
-the scales where an adjacent node can be far (small alpha) does a far
-node need that face test, and only there does it run.  Obstacles are
-removed entirely: a removed child leaves a None hole in its parent's
-child list.  Visited cells stay in the view as leaves; keeping the walk
-out of them is the search's job.
+source that the caller builds per mode.  A map node is an obstacle when
+it is full and can split when it is internal.  Map-free, a node small
+enough to enumerate is read the same way from its enumeration, and a
+larger node is an obstacle when flagged and can split otherwise.  A node
+that shares a face with the focus splits even when it is far, so every
+view leaf beside the focus is fine (a map leaf, a unit cell or a block
+proven free) at any alpha.  Only at the scales where an adjacent node
+can be far (small alpha) does a far node need that face test, and only
+there does it run.  Obstacles are removed entirely: a removed child
+leaves a None hole in its parent's child list.  Visited cells stay in
+the view as leaves; keeping the walk out of them is the search's job.
 
 The view is lazy.  refresh() does O(1) work: it captures its inputs,
 starts a new generation and decides the root.  Every node carries the
@@ -43,7 +44,7 @@ Two facts make that exact:
 
 * A None hole is never stale.  Every removal is permanent: once the
   state source reports a node an obstacle, it always does, and every
-  node below a full map node is full too, so at any focus it is removed
+  node below a full node is full too, so at any focus it is removed
   or keeps no leaf below it.
 * A node that descends but loses every child stays in the view as an
   internal node with None slots.  Every lookup answers for it as if it
@@ -52,9 +53,10 @@ Two facts make that exact:
 
 The visited cells of a generation are frozen until the next refresh:
 deciding a node after the CellTracker has changed raises.  The state
-source is read live.  A search learns facts only about view leaves it
-reached, which the current generation has already decided and never
-decides again, and each node's decision reads only its own facts, so
+source is read live.  What it reports for a node changes only when a
+search learns a fact about it, and a search learns facts only about view
+leaves it reached, which the current generation has already decided and
+never decides again.  Each node's decision reads only its own facts, so
 what a search learns shows in the view from the next refresh on.
 """
 
@@ -289,8 +291,9 @@ def refresh(
 
     state(scale, center2) returns a node's (obstacle, splits) pair: with
     the exact map (OccupancyTree.state), whether every cell of the node
-    is occupied and whether it is internal; map-free, whether it was
-    flagged and whether it is a coarse block not proven free.  visited
+    is occupied and whether it is internal.  Map-free, a node of at most
+    `samples` cells answers the same from its enumeration, and a larger
+    one is an obstacle when flagged and splits otherwise.  visited
     holds the cells the walk has entered: its trail and the cells it
     backed out of.  One rule decides every node in both modes:
 

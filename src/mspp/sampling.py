@@ -348,8 +348,3 @@ class ValueEstimator:
             return est.hits == est.n, est
         est = self.estimate(idx)
         return is_flagged_obstacle(est.value, k, self.dim, eps, gamma), est
-
-    def known_free(self, idx: NodeIndex) -> bool:
-        """True when enumeration already proved every cell of the node free."""
-        got = self._cache.get(idx)
-        return got is not None and got.exact and got.hits == 0

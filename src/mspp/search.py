@@ -27,18 +27,25 @@ The A* is lazy in two ways matching the planner's cost structure: a
 vertex's neighbors are computed only when it is popped from the open
 queue, and occupancy values (map lookups in exact mode, cached sampling
 estimates in map-free mode) are evaluated per vertex only when first
-needed for a g-value.  Map-free obstacle classification happens here too:
-a flagged vertex reads the value inf, and enters the queue with infinite
-cost so it is counted as touched but never expanded or routed through.
+needed for a g-value.
+
+Map-free, a view decides a node of at most `samples` cells (at or below
+exact_scale_cutoff) the way it decides a map node, from the node's
+enumeration: a full block is removed before the search reaches it, a
+free block stays whole, and only a mixed block splits.  A larger node
+splits unless the search has flagged it.  The search classifies the
+sampled nodes it reaches: a flagged vertex reads the value inf, and
+enters the queue with infinite cost so it is counted as touched but never
+expanded or routed through.
 
 The search reads values from a mapping keyed by (scale, center2) that
 must answer for every vertex it reaches.  A session hands it its own
 memo, which computes each node's value on first lookup and keeps it for
 the rest of the session, so every such fact is computed once per
 session.  The memo is also the one record of which nodes are flagged,
-and the estimator's cache the one record of which blocks enumeration
-proved free: the session's views and its commit test read both live,
-through one per-node state source.
+and the estimator's cache the one record of each node's enumeration: the
+session's views and its commit test read both live, through one per-node
+state source.
 """
 
 from __future__ import annotations
@@ -89,7 +96,10 @@ class SearchStats:
     popped vertex's neighbors once; lazy-deletion duplicates and the final
     goal pop are not expansions.
     touched is the number of vertices ever given a g-value (open or
-    closed), new_samples the occupancy estimates drawn during the runs.
+    closed).  new_samples counts, map-free, the node values the runs
+    computed: the fills of the session's value memo, one per node and
+    session (0 in exact mode).  The view's own decisions fill no memo
+    entry, so it reads the same however much of each view is resolved.
     """
 
     pops: int = 0
@@ -263,10 +273,13 @@ def _node_facts(tree, estimator, eps, gamma):
 
     state(scale, center2) is the (obstacle, splits) pair refresh takes.
     With the map it is tree.state: a node is an obstacle when it is full
-    and splits when it is internal.  Map-free, it reads what is already
-    known and fills nothing: a node is an obstacle when the memo holds inf
-    for it, and splits when it is coarse and enumeration has not proven it
-    free.
+    and splits when it is internal.  Map-free, a node the memo holds inf
+    for is an obstacle.  Any other node at or below the enumeration
+    cutoff is decided as a map node would be, from its enumeration
+    (estimator.exact, cached, at most `samples` oracle points): an
+    obstacle when full, split when mixed, a leaf when free.  Above the
+    cutoff a node that is not flagged splits.  state fills no memo entry,
+    so the memo stays the one record of flags.
     """
     if tree is not None:
         lookup = tree.lookup
@@ -278,11 +291,17 @@ def _node_facts(tree, estimator, eps, gamma):
 
     values = _Memo(value)
     known = values.get
-    known_free = estimator.known_free
+    exact = estimator.exact
+    cutoff = estimator.exact_cutoff
 
     def state(k: int, c2: tuple[int, ...]) -> tuple[bool, bool]:
-        key = (k, c2)
-        return known(key) == inf, k > 0 and not known_free(key)
+        if known((k, c2)) == inf:
+            return True, False
+        if k > cutoff:
+            return False, True
+        est = exact(NodeIndex(k, c2))
+        hits = est.hits
+        return hits == est.n, 0 < hits < est.n
 
     return values, state
 
@@ -392,12 +411,13 @@ class PlannerSession:
         self.visited = CellTracker(dim, depth)
         self.visited.add(start_v)
         self.blocked = 0
-        # Nodes already classified: refresh prunes flagged nodes from later
-        # views so A* stops re-touching them, and stops descent at blocks
-        # proven fully free, which otherwise would be split to unit scale
-        # on every iteration.  The views read the memo and the estimator
+        # Map-free, a view decides a node small enough to enumerate as a map
+        # would (a free block stays whole, a full one is removed, a mixed
+        # one splits), and splits a larger one unless the search flagged
+        # it; refresh prunes flagged nodes from later views so A* stops
+        # re-touching them.  The views read the memo and the estimator
         # live; a search classifies only view leaves that its generation
-        # has already decided, so what it learns shows from the next
+        # has already decided, so the flags it learns show from the next
         # refresh on.
         self._values, self._state = _node_facts(tree, self.estimator, eps, gamma)
         self.rtree = ReducedTree(dim, depth)
@@ -464,7 +484,7 @@ class PlannerSession:
         start_node = self.rtree.find_vertex(self.current)
         path = None
         if goal_node is not None and start_node is not None:
-            before = len(self.estimator) if self.estimator else 0
+            before = len(self._values)
             path = astar_lazy(
                 self.rtree,
                 start_node,
@@ -474,8 +494,8 @@ class PlannerSession:
                 excluded=self.visited.cells(),
                 stats=run,
             )
-            if self.estimator:
-                run.new_samples = len(self.estimator) - before
+            if self.estimator is not None:
+                run.new_samples = len(self._values) - before
                 assert run.new_samples <= run.touched
             self.stats.add(run)
         if path is None:

@@ -341,10 +341,9 @@ def test_exact_enumeration_and_known_free():
     got = est.exact(quad)
     assert got.exact and got.n == 4 and got.hits == 1
     assert est.exact(quad).value == 0.25
-    free_quad = NodeIndex(1, (6, 6))
-    assert est.exact(free_quad).hits == 0
-    assert est.known_free(free_quad)
-    assert not est.known_free(quad)
+    # enumeration proves a block free
+    got = est.exact(NodeIndex(1, (6, 6)))
+    assert got.exact and got.hits == 0
     # unit cells enumerate like any other node
     unit = NodeIndex(0, (1, 1))
     assert est.exact(unit).value == 1.0
@@ -357,11 +356,14 @@ def test_known_free_requires_enumeration_not_sampling():
     root = NodeIndex(3, (8, 8))
     # root is above the exact cutoff for 8 samples; a clean sample is not
     # proof of freeness
-    assert est.estimate(root).hits == 0
-    assert not est.known_free(root)
+    got = est.estimate(root)
+    assert got.hits == 0 and not got.exact
+    # exact() does not take the cached sample for an enumeration
+    got = est.exact(root)
+    assert got.exact and got.n == 64 and got.hits == 0
     quad = NodeIndex(1, (2, 2))
-    est.exact(quad)
-    assert est.known_free(quad)
+    got = est.exact(quad)
+    assert got.exact and got.hits == 0
 
 
 def test_enumerated_node_with_a_free_cell_is_not_flagged_at_eps_near_one():

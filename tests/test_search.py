@@ -5,6 +5,7 @@ import gc
 import math
 import weakref
 from collections import defaultdict
+from itertools import product
 
 import numpy as np
 import pytest
@@ -45,8 +46,10 @@ from mspp.tree import (
     MAX_DEPTH,
     GridWorld,
     NodeIndex,
+    OccupancyTree,
     build_from_grid,
 )
+from mspp.sampling import exact_scale_cutoff
 from mspp.environments import grid_predicate, uniform_astar
 
 
@@ -728,36 +731,39 @@ def test_blocked_cells_stay_view_leaves(exact):
 
 
 def test_map_free_classifications_wait_for_the_next_refresh():
-    world = random_world(2, 4, 0.3, seed=3, free_corners=True)
+    # With one sample a node, 2-D nodes above scale 0 are sampled: a
+    # scale-1 node is flagged when its one sample hits.  Unit cells are
+    # enumerated, so every view removes the occupied ones as a map would.
+    # On this world the first search flags a scale-1 node.
+    world = random_world(2, 4, 0.3, seed=4, free_corners=True)
     session = PlannerSession(
         predicate=grid_predicate(world),
         dim=2,
         depth=4,
         start=(0.5, 0.5),
         goal=(15.5, 15.5),
+        samples=1,
         cell_picks=True,
     )
+    occupied = {
+        (0, tuple(2 * c + 1 for c in cell))
+        for cell in product(range(16), repeat=2)
+        if world.occupied(cell)
+    }
 
-    def known():
-        # flagged nodes read inf in the memo; the estimator knows which
-        # coarse blocks enumeration proved free
-        values = session._values
-        obstacles = {key for key, value in values.items() if value == math.inf}
-        free = {
-            key for key in values
-            if key[0] > 0 and session.estimator.known_free(key)
-        }
-        return obstacles, free
+    def flags():
+        # flagged nodes read inf in the memo
+        return {key for key, value in session._values.items() if value == math.inf}
 
-    def view_of(obstacles, free):
+    def view_of(flagged):
         # eps plays no part in a map-free view
         return eager_view(
             None, session.current, session.visited, 0.5, session.alpha,
-            obstacles, free,
+            flagged | occupied,
         )
 
     session.refresh_view()
-    obstacles, free = known()
+    flagged = flags()
     goal = session.rtree.leaf_at_point(session.goal_center)
     # the search advance() runs, without committing its step
     astar_lazy(
@@ -768,12 +774,13 @@ def test_map_free_classifications_wait_for_the_next_refresh():
         session._values,
         excluded=session.visited.cells(),
     )
-    now_obstacles, now_free = known()
-    assert now_obstacles > obstacles
-    learned = view_of(now_obstacles, now_free)
-    assert learned != view_of(obstacles, free)
+    learned_flags = flags()
+    assert learned_flags > flagged
+    assert {key[0] for key in learned_flags} == {1}
+    learned = view_of(learned_flags)
+    assert learned != view_of(flagged)
     # nodes decided after the search still follow what was known at refresh
-    assert view_snapshot(session.rtree) == view_of(obstacles, free)
+    assert view_snapshot(session.rtree) == view_of(flagged)
     session.refresh_view()
     assert view_snapshot(session.rtree) == learned
 
@@ -830,6 +837,34 @@ def test_map_free_fills_only_leaves_decided_this_generation(dim, depth, cell_pic
         session._values.fill = checked_fill
         session.run()
     assert late
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.sampled_from([1, 4, 8, 64, 256]),
+    st.sampled_from([0.1, 0.3, 0.5, 0.8]),
+    st.integers(0, 2**16 - 1),
+)
+def test_map_free_decides_enumerable_nodes_as_the_map(dim, depth, samples, density, seed):
+    # at or below the enumeration cutoff a map-free view reads a node the
+    # way it reads the map's node: obstacle when full, split when mixed
+    world = random_world(dim, depth, density, seed=seed)
+    state = PlannerSession(
+        predicate=grid_predicate(world),
+        dim=dim,
+        depth=depth,
+        start=(0.5,) * dim,
+        goal=(0.5,) * dim,
+        samples=samples,
+        cell_picks=True,
+    )._state
+    tree_state = OccupancyTree(world).state
+    for k in range(min(exact_scale_cutoff(dim, samples), depth) + 1):
+        for cell in product(range(1 << (depth - k)), repeat=dim):
+            c2 = tuple((2 * i + 1) << k for i in cell)
+            assert state(k, c2) == tree_state(k, c2), (k, c2)
 
 
 @settings(max_examples=100, deadline=None)
