@@ -24,16 +24,24 @@ Estimates are cached per node for the lifetime of an estimator, and each
 node draws from its own counter-based random stream derived from the
 session seed and the node address, so results do not depend on the order
 in which a lazy search touches nodes.
+
+Enumeration lists a node's unit cells in row-major order (the last axis
+varies fastest).  They are distinct, so the ones the per-cell memo lacks
+go to the predicate as they are, in that order, as one batch; only cell
+picks, which may repeat a cell, are deduplicated first.  Each cell costs
+one oracle point per estimator.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import ceil, expm1, inf, ldexp
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SampleEstimate:
+class SampleEstimate(NamedTuple):
     """Occupancy estimate for one node: hits obstacle samples out of n."""
 
     n: int
@@ -83,8 +90,19 @@ class BoundParams:
             raise ValueError("eps must lie in (0, 1)")
         if not 0.0 < self.gamma < inf:
             raise ValueError("gamma must be positive and finite")
-        if self.samples < 1 or self.regions < 1:
-            raise ValueError("samples and regions must be >= 1")
+        check_samples(self.samples)
+        if self.regions < 1:
+            raise ValueError("regions must be >= 1")
+
+
+def check_samples(samples) -> int:
+    """samples as an int; ValueError unless it is an integer >= 1."""
+    try:
+        if operator.index(samples) >= 1:
+            return operator.index(samples)
+    except TypeError:
+        pass
+    raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
 
 
 def obstacle_threshold(eps: float, dim: int, scale: int) -> float:
@@ -209,8 +227,9 @@ def _stream_digest(seed: int, idx: NodeIndex) -> bytes:
     """16-byte stream key for one node, stable across evaluation orders."""
     h = hashlib.blake2b(digest_size=16)
     h.update(struct.pack("<Q", seed & (2**64 - 1)))
-    h.update(struct.pack("<i", idx.scale))
-    h.update(struct.pack(f"<{len(idx.center2)}I", *idx.center2))
+    k, c2 = idx
+    h.update(struct.pack("<i", k))
+    h.update(struct.pack(f"<{len(c2)}I", *c2))
     return h.digest()
 
 
@@ -223,12 +242,15 @@ class ValueEstimator:
     construction.  With cell_picks=True samples are uniform unit-cell
     centers (the discrete model of a grid world); otherwise they are
     continuous uniform points.  Each node is sampled at most once; repeated
-    queries hit the cache.  Exact enumeration, and cell-centered sampling,
+    queries hit the cache, which a NodeIndex or its plain (scale, center2)
+    tuple finds alike.  Exact enumeration, and cell-centered sampling,
     ask the predicate about unit-cell centers through one per-cell memo, so
     a cell shared between nodes, scales or draws is paid for once.
     Enumeration lists a node's cells in row-major order of their integer
-    coordinates (the last axis varies fastest), and the memo's misses go
-    to the predicate in that order, as one batch.
+    coordinates (the last axis varies fastest); they are distinct, so the
+    memo's misses go to the predicate in that order, as one batch, with no
+    dedupe.  A cell-picked draw may repeat a cell, so its distinct cells
+    are found first, in draw order, and its misses go as one batch too.
     """
 
     def __init__(
@@ -240,15 +262,13 @@ class ValueEstimator:
         seed: int,
         cell_picks: bool = False,
     ):
-        if samples < 1:
-            raise ValueError("samples must be >= 1")
         self.predicate = predicate
         self.dim = dim
         self.depth = depth
-        self.samples = samples
+        self.samples = check_samples(samples)
         self.seed = seed
         self.cell_picks = cell_picks
-        self.exact_cutoff = exact_scale_cutoff(dim, samples)
+        self.exact_cutoff = exact_scale_cutoff(dim, self.samples)
         batch = getattr(predicate, "batch", None)
         if batch is None:
 
@@ -272,14 +292,16 @@ class ValueEstimator:
     def __len__(self) -> int:
         return len(self._cache)
 
-    def _hits_cells(self, cells) -> int:
+    def _hits_cells(self, cells, distinct) -> int:
         """Obstacle count over integer cells, consulting the cell memo.
 
-        Repeated cells (within one draw or across nodes) are counted per
-        occurrence; each distinct cell costs one oracle point, ever.
+        distinct lists each of the cells once.  Repeated cells are counted
+        per occurrence; the distinct cells the memo lacks go to the
+        predicate in their order, as one batch, so each costs one oracle
+        point, ever.
         """
         memo = self._cells
-        misses = [cell for cell in dict.fromkeys(cells) if cell not in memo]
+        misses = [cell for cell in distinct if cell not in memo]
         if misses:
             flags = self._batch(np.asarray(misses, dtype=np.float64) + 0.5)
             memo.update(zip(misses, np.asarray(flags, dtype=bool).tolist()))
@@ -306,12 +328,13 @@ class ValueEstimator:
             return got
         n = self.samples
         rng = self._node_rng(idx)
-        side = 1 << idx.scale
-        low = np.array([(c - side) >> 1 for c in idx.center2], dtype=np.int64)
+        k, c2 = idx
+        side = 1 << k
+        low = np.array([(c - side) >> 1 for c in c2], dtype=np.int64)
         if self.cell_picks:
             draws = rng.integers(0, side, size=(n, self.dim))
             cells = [tuple(row) for row in (low + draws).tolist()]
-            hits = self._hits_cells(cells)
+            hits = self._hits_cells(cells, dict.fromkeys(cells))
         else:
             points = low + rng.random((n, self.dim)) * side
             hits = int(np.count_nonzero(self._batch(points)))
@@ -324,10 +347,12 @@ class ValueEstimator:
         got = self._cache.get(idx)
         if got is not None and got.exact:
             return got
-        side = 1 << idx.scale
-        axes = [range((c - side) >> 1, (c + side) >> 1) for c in idx.center2]
+        k, c2 = idx
+        side = 1 << k
+        axes = [range((c - side) >> 1, (c + side) >> 1) for c in c2]
         cells = list(product(*axes))
-        est = SampleEstimate(len(cells), self._hits_cells(cells), exact=True)
+        # A node's cells are distinct: only picks need a dedupe.
+        est = SampleEstimate(len(cells), self._hits_cells(cells, cells), True)
         self._cache[idx] = est
         return est
 
@@ -342,7 +367,7 @@ class ValueEstimator:
         Above it the estimate is sampled and held to the scale-weighted
         threshold plus gamma (is_flagged_obstacle).
         """
-        k = idx.scale
+        k = idx[0]
         if k <= self.exact_cutoff:
             est = self.exact(idx)
             return est.hits == est.n, est

@@ -58,7 +58,7 @@ from math import inf, sqrt
 
 from .neighbors import are_neighbors, find_neighbors
 from .reduced import CellTracker, ReducedTree, RTNode, refresh
-from .sampling import ValueEstimator
+from .sampling import ValueEstimator, check_samples
 from .tree import (
     MAX_DEPTH,
     NodeIndex,
@@ -245,9 +245,10 @@ class PlanResult:
 class _Memo(dict):
     """Node facts by (scale, center2) key, each filled on first lookup.
 
-    fill gets the key as a NodeIndex.  It must not hold the session that
-    owns the memo (a bound method would): the two would form a reference
-    cycle, which only the cyclic garbage collector frees.
+    fill gets the key as it was looked up, a plain (scale, center2) tuple
+    or a NodeIndex.  It must not hold the session that owns the memo (a
+    bound method would): the two would form a reference cycle, which only
+    the cyclic garbage collector frees.
     """
 
     __slots__ = ("fill",)
@@ -257,7 +258,7 @@ class _Memo(dict):
         self.fill = fill
 
     def __missing__(self, key):
-        got = self[key] = self.fill(NodeIndex(key[0], key[1]))
+        got = self[key] = self.fill(key)
         return got
 
 
@@ -285,7 +286,7 @@ def _node_facts(tree, estimator, eps, gamma):
         lookup = tree.lookup
         return _Memo(lambda idx: lookup(idx[0], idx[1])[0]), tree.state
 
-    def value(idx: NodeIndex) -> float:
+    def value(idx) -> float:
         flagged, est = estimator.classify(idx, eps, gamma)
         return inf if flagged else est.value
 
@@ -299,7 +300,7 @@ def _node_facts(tree, estimator, eps, gamma):
             return True, False
         if k > cutoff:
             return False, True
-        est = exact(NodeIndex(k, c2))
+        est = exact((k, c2))
         hits = est.hits
         return hits == est.n, 0 < hits < est.n
 
@@ -358,8 +359,7 @@ class PlannerSession:
             raise ValueError("alpha must be positive")
         if gamma <= 0.0:
             raise ValueError("gamma must be positive")
-        if samples < 1:
-            raise ValueError("samples must be >= 1")
+        samples = check_samples(samples)
         if budget is not None and budget < 0:
             raise ValueError(f"budget must be nonnegative, got {budget}")
         if tree is not None:

@@ -253,11 +253,18 @@ def test_bound_params_validation():
     with pytest.raises(ValueError):
         BoundParams(depth=5, dim=1, eps=0.9, gamma=math.inf, samples=16)
     with pytest.raises(ValueError):
-        BoundParams(depth=5, dim=1, eps=0.9, gamma=0.1, samples=0)
-    with pytest.raises(ValueError):
         BoundParams(depth=5, dim=0, eps=0.9, gamma=0.1, samples=16)
     with pytest.raises(ValueError):
         BoundParams(depth=5, dim=1, eps=0.9, gamma=0.1, samples=16, regions=0)
+    # a sample count must be an integer (one operator.index accepts) >= 1;
+    # the estimator refuses it up front, not at its first sampled node
+    for samples in (0, 2.5, "16"):
+        with pytest.raises(ValueError, match="samples must be"):
+            BoundParams(depth=5, dim=1, eps=0.9, gamma=0.1, samples=samples)
+        with pytest.raises(ValueError, match="samples must be"):
+            ValueEstimator(lambda p: False, 1, 5, samples, seed=0)
+    est = ValueEstimator(lambda p: False, 1, 5, np.int64(16), seed=0)
+    assert type(est.samples) is int and est.estimate(NodeIndex(5, (32,))).n == 16
 
 
 def make_grid_estimator(world, samples, seed, cell_picks=False):
@@ -429,6 +436,37 @@ def test_sampled_misclassification_rate_within_bound():
     assert wrong / seeds <= failure_bound(params)
 
 
+def test_misclassification_rate_strictly_inside_the_band():
+    # d=1, depth 5, 8 samples: nodes of up to 8 cells are enumerated
+    # (cutoff 3) and gamma * 2**5 == eps puts the flag cutoff at 5, so
+    # scale 4 lies strictly inside the misclassifiable band.  The scale-4
+    # node holds one free cell of 16, more free volume than eps, so a
+    # flag is the one-sided error Hoeffding bounds by exp(-2 gamma^2 n).
+    eps, gamma, n = 0.5, 2.0**-6, 8
+    assert exact_scale_cutoff(1, n) == 3 and flag_scale_cutoff(1, eps, gamma) == 5
+    params = BoundParams(depth=5, dim=1, eps=eps, gamma=gamma, samples=n)
+    bound = failure_bound(params)
+    assert bound == pytest.approx(0.99999994, abs=1e-8)
+    cells = np.zeros(32, dtype=np.uint8)
+    cells[16:31] = 1
+    world = GridWorld(1, 5, cells)
+    node = NodeIndex(4, (48,))
+    seeds = 1000
+    flags = 0
+    for seed in range(seeds):
+        flagged, got = make_grid_estimator(world, n, seed=seed).classify(node, eps, gamma)
+        assert not got.exact
+        flags += flagged
+    # all 8 samples hit with probability (15/16)**8 = 0.597, so flags occur
+    assert flags > 0
+    # 3 sigma of the binomial rate: about 99.87% one-sided confidence
+    # under the normal approximation that each check holds by chance
+    hoeffding = math.exp(-2 * gamma * gamma * n)
+    sigma = math.sqrt(hoeffding * (1 - hoeffding) / seeds)
+    assert flags / seeds <= hoeffding + 3 * sigma
+    assert flags / seeds <= bound
+
+
 def test_continuous_predicate_estimates():
     # exact fractional volumes need no grid: a slab of width 1/4 of the box
     est = ValueEstimator(Slab(0, 4.0), 2, 4, samples=2000, seed=3)
@@ -563,6 +601,46 @@ def test_exact_matches_scalar_count_at_every_scale(scene, dim, depth, cell_picks
             assert (got.n, got.hits) == (side**dim, brute), idx
     # the whole world was enumerated depth + 1 times, each cell asked once
     assert oracle.points == 1 << (dim * depth)
+
+
+class RecordingOracle:
+    """Batch predicate that records the points of every batch call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = []
+
+    def __call__(self, point):
+        raise AssertionError("the estimator asked a single point")
+
+    def batch(self, points):
+        self.batches.append([tuple(p) for p in points.tolist()])
+        return self.inner.batch(points)
+
+
+@pytest.mark.parametrize("cell_picks", [False, True])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_enumeration_asks_unasked_cells_in_one_row_major_batch(dim, cell_picks):
+    oracle = RecordingOracle(Checkerboard(1.5))
+    est = ValueEstimator(oracle, dim, 3, samples=8, seed=1, cell_picks=cell_picks)
+    node = NodeIndex(2, (4,) * dim)
+    # learn some of the node's cells first: a child's enumeration, then a
+    # draw over the node (above the cutoff, so it samples), whose points
+    # are remembered only when they are cell picks
+    est.exact(children_of(node)[1])
+    est.estimate(node)
+    assert len(oracle.batches) == 2
+    known = set(oracle.batches[0] + (oracle.batches[1] if cell_picks else []))
+    oracle.batches.clear()
+    got = est.exact((node.scale, node.center2))
+    # one batch of the unasked cell centers, last axis fastest, none twice
+    row_major = [tuple(c + 0.5 for c in cell) for cell in itertools.product(range(4), repeat=dim)]
+    assert oracle.batches == [[p for p in row_major if p not in known]]
+    # the node's cells are all known now: its children ask for nothing
+    oracle.batches.clear()
+    hits = sum(est.exact(child).hits for child in children_of(node))
+    assert oracle.batches == [] and hits == got.hits
+    assert est.exact(NodeIndex(node.scale, node.center2)) is got
 
 
 def test_cell_picks_draw_asks_each_distinct_cell_once():

@@ -162,7 +162,9 @@ def test_non_positive_alpha_is_refused_up_front(alpha):
             PlannerSession(alpha=alpha, **ends)
 
 
-@pytest.mark.parametrize("name,value", [("gamma", 0.0), ("gamma", -1.0), ("samples", 0)])
+@pytest.mark.parametrize(
+    "name,value", [("gamma", 0.0), ("gamma", -1.0), ("samples", 0), ("samples", 2.5)]
+)
 def test_sampling_settings_are_checked_in_both_modes(name, value):
     # exact mode stores these settings and never reads them, but a value
     # map-free mode refuses is refused there too
