@@ -36,6 +36,16 @@ class SphereSet:
     Below eight axes numpy sums a short last axis in that order too, so
     there batch answers bit for bit like a sum over the (n, m, d) array of
     differences, at a fraction of its cost.
+
+    batch first drops every sphere whose squared distance to the points'
+    bounding box, summed the same way, exceeds its r**2.  That drops no
+    sphere a point could lie in: rounding is monotone, so a point's
+    rounded difference to a center is at least the rounded gap from the
+    center to the box on that axis, its square at least the gap's square,
+    and a same-order sum of larger terms at least as large.  The kept
+    spheres' sums are computed exactly as before, so the answers keep
+    their bits.  A NaN coordinate makes every gap NaN, which keeps every
+    sphere.
     """
 
     def __init__(self, centers, radii):
@@ -53,12 +63,22 @@ class SphereSet:
         return bool(np.any(d2 <= self.radii**2))
 
     def batch(self, points: np.ndarray) -> np.ndarray:
-        d2 = np.zeros((len(points), len(self.centers)))
-        for j, column in enumerate(self.centers.T):
+        if not len(points):
+            return np.zeros(0, dtype=bool)
+        gap = np.maximum(points.min(axis=0) - self.centers, self.centers - points.max(axis=0))
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        gap2 = np.zeros(len(gap))
+        for column in gap.T:
+            gap2 += column
+        near = ~(gap2 > self._r2)
+        columns, r2 = self.centers[near].T, self._r2[near]
+        d2 = np.zeros((len(points), len(r2)))
+        for j, column in enumerate(columns):
             d = points[:, j, None] - column
             d *= d
             d2 += d
-        return np.any(d2 <= self._r2, axis=1)
+        return np.any(d2 <= r2, axis=1)
 
 
 class Checkerboard:

@@ -25,11 +25,15 @@ node draws from its own counter-based random stream derived from the
 session seed and the node address, so results do not depend on the order
 in which a lazy search touches nodes.
 
-Enumeration lists a node's unit cells in row-major order (the last axis
-varies fastest).  They are distinct, so the ones the per-cell memo lacks
-go to the predicate as they are, in that order, as one batch; only cell
-picks, which may repeat a cell, are deduplicated first.  Each cell costs
-one oracle point per estimator.
+The cell memo that enumeration and cell picks share keeps one byte per
+unit cell (0 not yet asked, 1 free, 2 obstacle) in blocks, one per node
+at the block scale min(exact_cutoff, depth).  A block lists its cells in
+Morton order, so a node at or below the block scale is one contiguous run
+of bytes and its count of occupied cells is a C-level count of that run.
+The cells the memo lacks still go to the predicate in row-major order of
+the node (the last axis varies fastest), as one batch; cell picks, which
+may repeat a cell, ask their distinct cells in draw order.  Each cell
+costs one oracle point per estimator.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import operator
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
 from math import ceil, expm1, inf, ldexp
 from typing import NamedTuple
 
@@ -223,6 +227,28 @@ def failure_bound(params: BoundParams) -> float:
     return min(1.0, max(0.0, bound))
 
 
+@lru_cache(maxsize=None)
+def _layout(dim: int, k: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Cells of a scale-k node: row-major center offsets and Morton ranks.
+
+    centers lists each cell's center as an offset from the node's low
+    corner, last axis fastest (the order of itertools.product).  ranks
+    holds each cell's position in the node's Morton order, whose slot bits
+    are taken as neighbors._descend takes them: bit j of the slot at level
+    l is bit l of the cell's offset on axis j.  rank_list is ranks as a
+    list, for scalar lookups.  Every caller shares the arrays, so they are
+    read-only.
+    """
+    offsets = np.indices((1 << k,) * dim).reshape(dim, -1).T
+    ranks = np.zeros(len(offsets), dtype=np.intp)
+    for level in range(k):
+        for j in range(dim):
+            ranks |= (offsets[:, j] >> level & 1) << (level * dim + j)
+    centers = offsets + 0.5
+    centers.flags.writeable = ranks.flags.writeable = False
+    return centers, ranks, ranks.tolist()
+
+
 def _stream_digest(seed: int, idx: NodeIndex) -> bytes:
     """16-byte stream key for one node, stable across evaluation orders."""
     h = hashlib.blake2b(digest_size=16)
@@ -243,14 +269,23 @@ class ValueEstimator:
     centers (the discrete model of a grid world); otherwise they are
     continuous uniform points.  Each node is sampled at most once; repeated
     queries hit the cache, which a NodeIndex or its plain (scale, center2)
-    tuple finds alike.  Exact enumeration, and cell-centered sampling,
-    ask the predicate about unit-cell centers through one per-cell memo, so
-    a cell shared between nodes, scales or draws is paid for once.
-    Enumeration lists a node's cells in row-major order of their integer
-    coordinates (the last axis varies fastest); they are distinct, so the
-    memo's misses go to the predicate in that order, as one batch, with no
-    dedupe.  A cell-picked draw may repeat a cell, so its distinct cells
-    are found first, in draw order, and its misses go as one batch too.
+    tuple finds alike.
+
+    Exact enumeration, and cell-centered sampling, ask the predicate about
+    unit-cell centers through one cell memo, so a cell shared between
+    nodes, scales or draws is paid for once.  The memo is a set of blocks:
+    one bytearray per node at the block scale min(exact_cutoff, depth),
+    keyed by its center2 and made when first touched, with one byte per
+    cell (0 not yet asked, 1 free, 2 obstacle).  A block lists its cells
+    in Morton order, so every node at or below the block scale is one
+    contiguous run of its block, and enumerating it is two counts of that
+    run: of 0 bytes, and when there are none, of 2 bytes.  The cells of
+    the run that are not yet asked still go to the predicate in row-major
+    order of their integer coordinates (the last axis varies fastest), as
+    one batch.  A cell-picked draw may repeat a cell, so its distinct
+    cells are found first, in draw order, and the unasked ones go as one
+    batch too; an enumeration above the block scale is read the same way,
+    over the blocks it covers.
     """
 
     def __init__(
@@ -285,27 +320,55 @@ class ValueEstimator:
         self._bits = np.random.Philox(key=0)
         self._rng = np.random.Generator(self._bits)
         # The predicate answer at a unit-cell center is a session constant
-        # (predicates are pure), so it is remembered per cell; nodes that
-        # overlap, at any scale, re-test shared cells at dictionary cost.
-        self._cells: dict[tuple[int, ...], bool] = {}
+        # (predicates are pure), so it is remembered per cell, in blocks.
+        self._scale = min(self.exact_cutoff, depth)
+        self._blocks: dict[tuple[int, ...], bytearray] = {}
+        self._block_ranks = _layout(dim, self._scale)[2]
 
     def __len__(self) -> int:
         return len(self._cache)
 
-    def _hits_cells(self, cells, distinct) -> int:
-        """Obstacle count over integer cells, consulting the cell memo.
+    def _block(self, key: tuple[int, ...]) -> bytearray:
+        block = self._blocks.get(key)
+        if block is None:
+            block = self._blocks[key] = bytearray(1 << self.dim * self._scale)
+        return block
 
-        distinct lists each of the cells once.  Repeated cells are counted
-        per occurrence; the distinct cells the memo lacks go to the
-        predicate in their order, as one batch, so each costs one oracle
-        point, ever.
+    def _hits_at(self, cells: np.ndarray) -> int:
+        """Obstacle count over the rows of an (n, dim) array of cells.
+
+        Repeated cells are counted per row.  The distinct cells not yet
+        asked go to the predicate in the order of their first rows, as
+        one batch, so each costs one oracle point, ever.
         """
-        memo = self._cells
-        misses = [cell for cell in distinct if cell not in memo]
-        if misses:
-            flags = self._batch(np.asarray(misses, dtype=np.float64) + 0.5)
-            memo.update(zip(misses, np.asarray(flags, dtype=bool).tolist()))
-        return sum(map(memo.__getitem__, cells))
+        dim, b = self.dim, self._scale
+        size = 1 << dim * b
+        _, ranks, _ = _layout(dim, b)
+        # Row-major index of each cell inside its block, then its rank.
+        rank = ranks[(cells & (1 << b) - 1) @ (1 << b * np.arange(dim - 1, -1, -1))]
+        # Group the rows by block: sort on the block coordinates, and
+        # number the distinct ones (no flat block id, which could overflow).
+        tops = cells >> b
+        order = np.lexsort(tops.T)
+        tops = tops[order]
+        new = np.ones(len(tops), dtype=bool)
+        new[1:] = np.any(tops[1:] != tops[:-1], axis=1)
+        inv = np.empty(len(tops), dtype=np.intp)
+        inv[order] = np.cumsum(new) - 1
+        keys = (tops[new] << b + 1 | 1 << b).tolist()
+        blocks = [self._block(tuple(key)) for key in keys]
+        joined = bytearray().join(blocks)
+        window = np.frombuffer(joined, dtype=np.uint8)
+        at = inv * size + rank
+        _, first = np.unique(at, return_index=True)
+        first.sort()
+        ask = first[window[at[first]] == 0]
+        if ask.size:
+            flags = np.asarray(self._batch(cells[ask] + 0.5), dtype=bool)
+            window[at[ask]] = 1 + flags
+            for i, block in enumerate(blocks):
+                block[:] = joined[i * size : (i + 1) * size]
+        return int(np.count_nonzero(window[at] == 2))
 
     def _node_rng(self, idx: NodeIndex) -> np.random.Generator:
         self._bits.state = {
@@ -332,9 +395,7 @@ class ValueEstimator:
         side = 1 << k
         low = np.array([(c - side) >> 1 for c in c2], dtype=np.int64)
         if self.cell_picks:
-            draws = rng.integers(0, side, size=(n, self.dim))
-            cells = [tuple(row) for row in (low + draws).tolist()]
-            hits = self._hits_cells(cells, dict.fromkeys(cells))
+            hits = self._hits_at(low + rng.integers(0, side, size=(n, self.dim)))
         else:
             points = low + rng.random((n, self.dim)) * side
             hits = int(np.count_nonzero(self._batch(points)))
@@ -348,11 +409,33 @@ class ValueEstimator:
         if got is not None and got.exact:
             return got
         k, c2 = idx
-        side = 1 << k
-        axes = [range((c - side) >> 1, (c + side) >> 1) for c in c2]
-        cells = list(product(*axes))
-        # A node's cells are distinct: only picks need a dedupe.
-        est = SampleEstimate(len(cells), self._hits_cells(cells, cells), True)
+        dim, b = self.dim, self._scale
+        n = 1 << dim * k
+        if k > b:
+            side = 1 << k
+            low = np.array([(c - side) >> 1 for c in c2], dtype=np.int64)
+            hits = self._hits_at(low + np.indices((side,) * dim).reshape(dim, -1).T)
+        else:
+            # The enclosing block's center2, and the row-major index in it
+            # of the cell at the node's center: that cell's Morton rank
+            # is the node's run start in every bit above the low dim * k.
+            key = []
+            row = 0
+            for c in c2:
+                key.append(c >> b + 1 << b + 1 | 1 << b)
+                row = row << b | (c >> 1 & (1 << b) - 1)
+            key = tuple(key)
+            block = self._blocks.get(key) or self._block(key)
+            start = self._block_ranks[row] >> dim * k << dim * k
+            end = start + n
+            if block.count(0, start, end):
+                centers, ranks, _ = _layout(dim, k)
+                run = np.frombuffer(block, dtype=np.uint8, count=n, offset=start)
+                ask = run[ranks] == 0
+                flags = self._batch(centers[ask] + [(c - (1 << k)) >> 1 for c in c2])
+                run[ranks[ask]] = 1 + np.asarray(flags, dtype=bool)
+            hits = block.count(2, start, end)
+        est = SampleEstimate(n, hits, True)
         self._cache[idx] = est
         return est
 

@@ -59,3 +59,34 @@ def test_batch_agrees_with_the_scalar_call(dim, seed):
         assert not disagree.size, (name, points[disagree[:3]])
         if isinstance(predicate, SphereSet):
             assert np.array_equal(batch, broadcast_spheres(predicate, points)), name
+
+
+# Integer legs whose squares sum to the square of the radius, per dim.
+SURFACE_LEGS = {1: ([3.0], 3.0), 2: ([3.0, 4.0], 5.0), 3: ([1.0, 2.0, 2.0], 3.0), 4: ([1.0] * 4, 2.0)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_sphere_pruning_keeps_every_answer(dim, seed):
+    # Points exactly on the surfaces (legs scaled by a dyadic s, so d2 ==
+    # r**2 in floats) and random points, asked whole, in chunks of about
+    # three, and one at a time: a lone surface point's box touches its
+    # sphere, so a sphere pruned on a tie would lose that hit.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 40))
+    legs, radius = SURFACE_LEGS[dim]
+    centers = rng.integers(0, 4 * SIDE, (m, dim)) / 4.0
+    s = 2.0 ** rng.integers(-3, 2, (m, 1))
+    spheres = SphereSet(centers, radius * s[:, 0])
+    signs = rng.choice([-1.0, 1.0], (m, dim))
+    surface = centers + rng.permuted(np.tile(legs, (m, 1)), axis=1) * s * signs
+    assert np.all(((surface - centers) ** 2).sum(axis=1) == spheres.radii**2)
+    points = np.vstack([surface, rng.uniform(-2, SIDE + 2, (60, dim))])
+    rng.shuffle(points)
+    dense = broadcast_spheres(spheres, points)
+    assert np.array_equal(spheres.batch(points), dense)
+    for chunk in np.array_split(np.arange(len(points)), len(points) // 3):
+        assert np.array_equal(spheres.batch(points[chunk]), dense[chunk])
+    for i in range(len(points)):
+        assert spheres.batch(points[i : i + 1])[0] == dense[i]
+    assert spheres.batch(np.zeros((0, dim))).shape == (0,)

@@ -15,6 +15,7 @@ from mspp.predicates import Checkerboard, Slab, SphereSet
 from mspp.sampling import (
     BoundParams,
     ValueEstimator,
+    _layout,
     band_node_count,
     exact_scale_cutoff,
     failure_bound,
@@ -656,6 +657,118 @@ def test_cell_picks_draw_asks_each_distinct_cell_once():
     got = est.estimate(idx)
     assert oracle.points == len(distinct)
     assert got.hits == replay_cell_draws(replay, oracle.inner, idx)
+
+
+@pytest.mark.parametrize("dim, k", [(1, 4), (2, 3), (3, 2), (4, 1)])
+def test_layout_ranks_follow_the_descent_slots(dim, k):
+    # a cell's rank is its slots on the way down from the node, as
+    # neighbors._descend takes them (bit j of the slot at scale s is bit s
+    # of the doubled coordinate on axis j), so each subnode is one run
+    centers, ranks, rank_list = _layout(dim, k)
+    offsets = list(itertools.product(range(1 << k), repeat=dim))
+    assert centers.tolist() == [[o + 0.5 for o in off] for off in offsets]
+    for off, rank in zip(offsets, rank_list):
+        target2 = [2 * o + 1 for o in off]
+        slots = [sum((c >> s & 1) << j for j, c in enumerate(target2)) for s in range(k, 0, -1)]
+        assert rank == sum(slot << dim * (s - 1) for s, slot in zip(range(k, 0, -1), slots))
+    assert sorted(rank_list) == list(range(1 << dim * k))
+    assert rank_list == ranks.tolist()
+
+
+def test_block_memo_in_a_world_past_int64_cell_ids():
+    # 8-D depth 10 holds 2**80 cells; with 16 samples a block is one cell,
+    # so block coordinates are cell coordinates, 80 bits in all
+    scene = CountingBatchOracle(Checkerboard(3.0))
+    est = ValueEstimator(scene, 8, 10, samples=16, seed=7, cell_picks=True)
+    node = NodeIndex(1, (2**10 + 2,) + (6,) * 7)  # 256 cells, above the block scale
+    brute = sum(
+        bool(scene.inner(tuple((c >> 1) - 1 + o + 0.5 for c, o in zip(node.center2, off))))
+        for off in itertools.product(range(2), repeat=8)
+    )
+    assert est.exact(node) == (256, brute, True)
+    assert scene.points == 256
+    root = NodeIndex(10, (2**10,) * 8)
+    replay = ValueEstimator(scene.inner, 8, 10, samples=16, seed=7, cell_picks=True)
+    assert est.estimate(root).hits == replay_cell_draws(replay, scene.inner, root)
+
+
+class DictMemoModel:
+    """Reference cell memo: one dict entry per cell tuple.
+
+    It asks the predicate what ValueEstimator must ask, in the same
+    order: a node's unasked cells in row-major order, a draw's distinct
+    unasked cells in first-draw order, and continuous draws as drawn.
+    Draws are replayed from a twin estimator's node streams.
+    """
+
+    def __init__(self, predicate, dim, depth, samples, seed, cell_picks):
+        self.predicate = predicate
+        self.twin = ValueEstimator(predicate.inner, dim, depth, samples, seed, cell_picks)
+        self.cells = {}
+        self.cache = {}
+
+    def _hits(self, cells, distinct):
+        misses = [cell for cell in distinct if cell not in self.cells]
+        if misses:
+            flags = self.predicate.batch(np.asarray(misses, dtype=np.float64) + 0.5)
+            self.cells.update(zip(misses, np.asarray(flags).tolist()))
+        return sum(self.cells[cell] for cell in cells)
+
+    def exact(self, idx):
+        got = self.cache.get(idx)
+        if got is None or not got[2]:
+            k, c2 = idx
+            axes = [range((c - (1 << k)) >> 1, (c + (1 << k)) >> 1) for c in c2]
+            cells = list(itertools.product(*axes))
+            got = self.cache[idx] = (len(cells), self._hits(cells, cells), True)
+        return got
+
+    def estimate(self, idx):
+        got = self.cache.get(idx)
+        if got is None:
+            est, (k, c2) = self.twin, idx
+            n, side = est.samples, 1 << k
+            rng = est._node_rng(idx)
+            low = np.array([(c - side) >> 1 for c in c2])
+            if est.cell_picks:
+                cells = [tuple(r) for r in (low + rng.integers(0, side, (n, est.dim))).tolist()]
+                hits = self._hits(cells, dict.fromkeys(cells))
+            else:
+                points = low + rng.random((n, est.dim)) * side
+                hits = int(np.count_nonzero(self.predicate.batch(points)))
+            got = self.cache[idx] = (n, hits, False)
+        return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4096), st.booleans(), st.data())
+def test_block_memo_asks_and_counts_like_a_dict_memo(dim, samples, cell_picks, data):
+    # Block scales from 0 up to the whole world: the batches match the
+    # dict memo's in content and order, exact counts match brute force,
+    # and no cell center is asked twice.
+    depth = data.draw(st.integers(0, 10 // dim), label="depth")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    world = GridWorld(dim, depth, np.random.default_rng(seed).random(1 << dim * depth) < 0.4)
+    truth = grid_predicate(world)
+    real = RecordingOracle(truth)
+    model = DictMemoModel(RecordingOracle(truth), dim, depth, samples, seed, cell_picks)
+    est = ValueEstimator(real, dim, depth, samples, seed, cell_picks)
+    calls = st.tuples(st.booleans(), st.integers(0, depth), st.integers(0, 2**30))
+    for enumerate_node, k, pick in data.draw(st.lists(calls, max_size=8), label="calls"):
+        per_axis = 1 << (depth - k)
+        cell = [pick // per_axis**j % per_axis for j in range(dim)]
+        idx = NodeIndex(k, tuple((2 * c + 1) << k for c in cell))
+        if enumerate_node:
+            got = est.exact(idx)
+            assert got == model.exact(idx)
+            low = [(c - (1 << k)) >> 1 for c in idx.center2]
+            box = tuple(slice(lo, lo + (1 << k)) for lo in low)
+            assert got.hits == int(world.cells.reshape((1 << depth,) * dim, order="F")[box].sum())
+        else:
+            assert est.estimate(idx) == model.estimate(idx)
+        assert real.batches == model.predicate.batches
+    centers = [p for batch in real.batches for p in batch if all(x % 1 == 0.5 for x in p)]
+    assert len(centers) == len(set(centers))
 
 
 def test_one_sided_deviation_obeys_hoeffding_small():
