@@ -60,7 +60,7 @@ class SphereSet:
     def __call__(self, point) -> bool:
         p = np.asarray(point, dtype=np.float64)
         d2 = ((self.centers - p) ** 2).sum(axis=1)
-        return bool(np.any(d2 <= self.radii**2))
+        return bool(np.any(d2 <= self._r2))
 
     def batch(self, points: np.ndarray) -> np.ndarray:
         if not len(points):

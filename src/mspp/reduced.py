@@ -122,19 +122,18 @@ class ViewRoot(RTNode):
 
 
 class CellTracker:
-    """Multiset of cells that refresh tests against tree nodes in O(1).
+    """Set of cells that refresh tests against tree nodes in O(1).
 
-    The tracker keeps each member cell's (scale, center2) key with its
-    count, and a set of ancestor keys closed upward: every member's own
-    key and the keys of its ancestors up to the root.  A node then holds
-    some member's center strictly inside its cube exactly when its key is
-    in that set.  As the set is closed upward, add stops at the first
+    The tracker keeps the set of its member cells' (scale, center2) keys,
+    and a set of ancestor keys closed upward: every member's own key and
+    the keys of its ancestors up to the root.  A node then holds some
+    member's center strictly inside its cube exactly when its key is in
+    that set.  As the set is closed upward, add stops at the first
     ancestor key already in it, so adding a cell beside earlier ones costs
-    a key or two instead of the whole lineage.  Counts make removal exact
-    when the same cell was added twice; discard rebuilds the ancestor set
-    from the remaining members when a cell's last occurrence goes, at
-    O(members * depth).  version counts the changes, so a view can tell
-    that its inputs moved on.
+    a key or two instead of the whole lineage.  Adding a member again
+    changes neither set.  discard rebuilds the ancestor set from the
+    remaining members, at O(members * depth).  version counts the calls
+    of add and discard, so a view can tell that its inputs moved on.
     """
 
     __slots__ = ("dim", "depth", "version", "_anc", "_members")
@@ -144,7 +143,7 @@ class CellTracker:
         self.depth = depth
         self.version = 0
         self._anc: set[tuple] = set()
-        self._members: dict[tuple, int] = {}
+        self._members: set[tuple] = set()
 
     def _close(self, scale: int, c2: tuple[int, ...]) -> None:
         """Put the keys of a cell and of its ancestors into the ancestor
@@ -162,53 +161,44 @@ class CellTracker:
     def add(self, idx: NodeIndex) -> None:
         self.version += 1
         scale, c2 = idx
-        members = self._members
-        key = (scale, c2)
-        members[key] = members.get(key, 0) + 1
+        self._members.add((scale, c2))
         self._close(scale, c2)
 
     def discard(self, idx: NodeIndex) -> None:
-        """Remove one occurrence of a member cell.
+        """Remove the cell, if it is a member.
 
-        When the cell's last occurrence goes, the ancestor set is rebuilt
-        from the remaining members, at O(members * depth) per call where
-        add costs O(depth) at most: the closed set keeps no counts that
-        would tell which keys another member still reaches.  The planner
-        never discards; a caller that discards once per step of a long
-        walk pays a cost quadratic in the walk.
+        The ancestor set is rebuilt from the remaining members, at
+        O(members * depth) per call where add costs O(depth) at most: the
+        closed set does not tell which keys another member still reaches.
+        The planner never discards; a caller that discards once per step
+        of a long walk pays a cost quadratic in the walk.
         """
         self.version += 1
-        scale, c2 = idx
-        members = self._members
-        key = (scale, c2)
-        left = members[key] - 1
-        if left:
-            members[key] = left
-            return
-        del members[key]
+        self._members.discard(idx)
         self._anc.clear()
-        for member in members:
+        for member in self._members:
             self._close(*member)
 
     def cells(self):
-        """The distinct member cells, as (scale, center2) keys."""
-        return self._members.keys()
+        """The member cells, as (scale, center2) keys: the tracker's own
+        set, which callers only read."""
+        return self._members
 
 
 class ReducedTree:
     """Root container for the coarsened planning view.
 
-    gen counts the refreshes; nodes decided since the last one carry it.
-    The lookups resolve the nodes they reach and nothing else.
+    The root's stamp, root.gen, is the view's generation: it counts the
+    refreshes, and nodes decided since the last one carry it.  The
+    lookups resolve the nodes they reach and nothing else.
     """
 
-    __slots__ = ("dim", "depth", "root", "gen")
+    __slots__ = ("dim", "depth", "root")
 
     def __init__(self, dim: int, depth: int):
         self.dim = dim
         self.depth = depth
         self.root = ViewRoot(depth, (1 << depth,) * dim)
-        self.gen = 0
 
     def find_vertex(self, idx: NodeIndex) -> RTNode | None:
         """The leaf with exactly this address, if present."""
@@ -329,7 +319,8 @@ def refresh(
     visited_anc = visited._anc
     visited_members = visited._members
     visited_version = visited.version
-    gen = rtree.gen = rtree.gen + 1
+    root = rtree.root
+    gen = root.gen + 1
 
     def settle(kids: list, slot: int) -> RTNode | None:
         """Decide the node in a slot of a child list for this generation;
@@ -369,7 +360,6 @@ def refresh(
         node.gen = gen
         return node
 
-    root = rtree.root
     root.settle = settle
     if settle([root], 0) is None:
         # Nothing survived: keep the root but with no leaves below it.

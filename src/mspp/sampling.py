@@ -27,9 +27,10 @@ in which a lazy search touches nodes.
 
 The cell memo that enumeration and cell picks share keeps one byte per
 unit cell (0 not yet asked, 1 free, 2 obstacle) in blocks, one per node
-at the block scale min(exact_cutoff, depth).  A block lists its cells in
-Morton order, so a node at or below the block scale is one contiguous run
-of bytes and its count of occupied cells is a C-level count of that run.
+at the estimator's enumeration cutoff, exact_cutoff, which it caps at the
+depth.  A block lists its cells in Morton order, so a node the estimator
+enumerates is one contiguous run of bytes and its count of occupied cells
+is a C-level count of that run.
 The cells the memo lacks still go to the predicate in row-major order of
 the node (the last axis varies fastest), as one batch; cell picks, which
 may repeat a cell, ask their distinct cells in draw order.  Each cell
@@ -269,20 +270,22 @@ class ValueEstimator:
     centers (the discrete model of a grid world); otherwise they are
     continuous uniform points.  Each node is sampled at most once; repeated
     queries hit the cache, which a NodeIndex or its plain (scale, center2)
-    tuple finds alike.
+    tuple finds alike.  exact_cutoff is the scale up to which classify
+    enumerates: exact_scale_cutoff(dim, samples), capped at depth, as no
+    node lies above it.
 
     Exact enumeration, and cell-centered sampling, ask the predicate about
     unit-cell centers through one cell memo, so a cell shared between
     nodes, scales or draws is paid for once.  The memo is a set of blocks:
-    one bytearray per node at the block scale min(exact_cutoff, depth),
-    keyed by its center2 and made when first touched, with one byte per
-    cell (0 not yet asked, 1 free, 2 obstacle).  A block lists its cells
-    in Morton order, so every node at or below the block scale is one
-    contiguous run of its block, and enumerating it is two counts of that
-    run: of 0 bytes, and when there are none, of 2 bytes.  The cells of
-    the run that are not yet asked still go to the predicate in row-major
-    order of their integer coordinates (the last axis varies fastest), as
-    one batch.  A cell-picked draw may repeat a cell, so its distinct
+    one bytearray per node at scale exact_cutoff (the block scale), keyed
+    by its center2 and made when first touched, with one byte per cell (0
+    not yet asked, 1 free, 2 obstacle).  A block lists its cells in Morton
+    order, so every node at or below the block scale is one contiguous run
+    of its block, and enumerating it is two counts of that run: of 0
+    bytes, and when there are none, of 2 bytes.  The cells of the run that
+    are not yet asked still go to the predicate in row-major order of
+    their integer coordinates (the last axis varies fastest), as one
+    batch.  A cell-picked draw may repeat a cell, so its distinct
     cells are found first, in draw order, and the unasked ones go as one
     batch too; an enumeration above the block scale is read the same way,
     over the blocks it covers.
@@ -303,7 +306,7 @@ class ValueEstimator:
         self.samples = check_samples(samples)
         self.seed = seed
         self.cell_picks = cell_picks
-        self.exact_cutoff = exact_scale_cutoff(dim, self.samples)
+        self.exact_cutoff = min(exact_scale_cutoff(dim, self.samples), depth)
         batch = getattr(predicate, "batch", None)
         if batch is None:
 
@@ -321,9 +324,8 @@ class ValueEstimator:
         self._rng = np.random.Generator(self._bits)
         # The predicate answer at a unit-cell center is a session constant
         # (predicates are pure), so it is remembered per cell, in blocks.
-        self._scale = min(self.exact_cutoff, depth)
         self._blocks: dict[tuple[int, ...], bytearray] = {}
-        self._block_ranks = _layout(dim, self._scale)[2]
+        self._block_ranks = _layout(dim, self.exact_cutoff)[2]
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -331,7 +333,7 @@ class ValueEstimator:
     def _block(self, key: tuple[int, ...]) -> bytearray:
         block = self._blocks.get(key)
         if block is None:
-            block = self._blocks[key] = bytearray(1 << self.dim * self._scale)
+            block = self._blocks[key] = bytearray(1 << self.dim * self.exact_cutoff)
         return block
 
     def _hits_at(self, cells: np.ndarray) -> int:
@@ -341,7 +343,7 @@ class ValueEstimator:
         asked go to the predicate in the order of their first rows, as
         one batch, so each costs one oracle point, ever.
         """
-        dim, b = self.dim, self._scale
+        dim, b = self.dim, self.exact_cutoff
         size = 1 << dim * b
         _, ranks, _ = _layout(dim, b)
         # Row-major index of each cell inside its block, then its rank.
@@ -409,7 +411,7 @@ class ValueEstimator:
         if got is not None and got.exact:
             return got
         k, c2 = idx
-        dim, b = self.dim, self._scale
+        dim, b = self.dim, self.exact_cutoff
         n = 1 << dim * k
         if k > b:
             side = 1 << k

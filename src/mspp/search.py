@@ -34,9 +34,9 @@ exact_scale_cutoff) the way it decides a map node, from the node's
 enumeration: a full block is removed before the search reaches it, a
 free block stays whole, and only a mixed block splits.  A larger node
 splits unless the search has flagged it.  The search classifies the
-sampled nodes it reaches: a flagged vertex reads the value inf, and
-enters the queue with infinite cost so it is counted as touched but never
-expanded or routed through.
+sampled nodes it reaches: a flagged vertex reads the value inf and gets
+the g-value inf, so it is counted as touched, but it never enters the
+queue and is never expanded or routed through.
 
 The search reads values from a mapping keyed by (scale, center2) that
 must answer for every vertex it reaches.  A session hands it its own
@@ -145,8 +145,8 @@ def astar_lazy(
     [] for every vertex the search reaches; a PlannerSession passes a memo
     that computes each entry on first lookup, once per session.  A value
     of inf marks a vertex that must not be routed through (map-free, a
-    node flagged as an obstacle): it still enters the queue, with
-    infinite cost, so the touched count reflects it, but it is never
+    node flagged as an obstacle): it gets the g-value inf, so the touched
+    count reflects it, but it never enters the queue and is never
     expanded.  excluded lists vertex keys the path never enters (the start
     excepted).  Any neighbor of the start may be the first hop: on a view
     refreshed around the start, every one of them is fine.
@@ -178,11 +178,9 @@ def astar_lazy(
     found = False
 
     while heap:
-        f, hv, v, v_node = heappop(heap)
+        _, _, v, v_node = heappop(heap)
         if v in closed:
             continue
-        if f == inf:
-            break
         if v == goal_key:
             found = True
             break
@@ -198,10 +196,7 @@ def astar_lazy(
                 continue
             value = values[w]
             if value == inf:
-                if w not in g:
-                    g[w] = inf
-                    hw = 0.5 * dist(nc2, goal_center2)
-                    heappush(heap, (inf, hw, w, node))
+                g[w] = inf
                 continue
             tentative = gv + 0.5 * dist(vc2, nc2) * (1.0 + weight * value)
             if tentative < g_get(w, inf):

@@ -1,7 +1,6 @@
 """Focus-window geometry, path tracking, and view refresh semantics."""
 
 import itertools
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -157,15 +156,23 @@ def test_cell_tracker_examples():
     assert not covers(tracker, NodeIndex(3, (8, 8)))
 
 
-def test_cell_tracker_multiset_semantics():
+def test_cell_tracker_set_semantics():
     tracker = CellTracker(2, 2)
     cell = NodeIndex(0, (1, 1))
     tracker.add(cell)
     tracker.add(cell)
-    tracker.discard(cell)
+    # a cell added twice is one member, and one discard removes it
+    assert list(tracker.cells()) == [cell]
     assert covers(tracker, NodeIndex(2, (4, 4)))
     tracker.discard(cell)
+    assert not tracker.cells()
     assert not covers(tracker, NodeIndex(2, (4, 4)))
+    # discarding a cell that is not a member leaves the members as they are
+    other = NodeIndex(0, (3, 3))
+    tracker.add(other)
+    tracker.discard(cell)
+    assert set(tracker.cells()) == {other}
+    assert covers(tracker, NodeIndex(1, (2, 2)))
 
 
 @settings(max_examples=120, deadline=None)
@@ -176,15 +183,16 @@ def test_cell_tracker_matches_geometric_scan(dim, depth, seed):
     members = [random_index(rng, dim, depth) for _ in range(8)]
     for m in members:
         tracker.add(m)
-    for m in members[: len(members) // 2]:
+    gone = members[: len(members) // 2]
+    for m in gone:
         tracker.discard(m)
-    alive = members[len(members) // 2 :]
-    # a member added twice and discarded once stays
-    assert set(tracker.cells()) == set(alive)
+    # a discarded cell is gone, also when it was added more than once
+    assert set(tracker.cells()) == set(members) - set(gone)
     # with no node splitting on its own, refresh splits exactly the nodes
     # that hold a member's center and are not members themselves
     rtree = ReducedTree(dim, depth)
-    refresh(rtree, lambda k, c2: (False, False), alive[0], tracker, alpha=1.0)
+    focus = members[len(members) // 2]
+    refresh(rtree, lambda k, c2: (False, False), focus, tracker, alpha=1.0)
     for idx, leaf in view_snapshot(rtree).items():
         assert (not leaf) == (covers(tracker, idx) and idx not in tracker.cells())
 
@@ -199,28 +207,28 @@ def test_cell_tracker_matches_geometric_scan(dim, depth, seed):
 def test_cell_tracker_ancestor_set_is_the_union_of_live_lineages(dim, depth, seed, ops):
     # add stops at the first ancestor key already recorded, which is sound
     # only while the set stays closed upward: after any add and discard
-    # sequence, repeated cells and nested ones included, it holds exactly
-    # the live members and all their ancestors
+    # sequence, repeated cells, nested ones and discards of non-members
+    # included, it holds exactly the live members and all their ancestors
     rng = np.random.default_rng(seed)
     pool = [random_index(rng, dim, depth) for _ in range(6)]
     tracker = CellTracker(dim, depth)
-    live = Counter()
+    live = set()
     for add, i in ops:
         cell = pool[i]
-        if add or not live[cell]:
+        if add:
             tracker.add(cell)
-            live[cell] += 1
+            live.add(cell)
         else:
             tracker.discard(cell)
-            live[cell] -= 1
+            live.discard(cell)
         lineages = set()
-        for key in +live:
+        for key in live:
             lineages.add(key)
             while key.scale < depth:
                 key = parent_of(key)
                 lineages.add(key)
         assert tracker._anc == lineages
-        assert set(tracker.cells()) == set(+live)
+        assert set(tracker.cells()) == live
 
 
 def test_refresh_uniform_free_world_keeps_single_leaf():
@@ -473,7 +481,7 @@ def decided_nodes(rtree):
     stack = [rtree.root]
     while stack:
         node = stack.pop()
-        if node.gen != rtree.gen:
+        if node.gen != rtree.root.gen:
             continue
         count += 1
         if node.children is not None:
@@ -649,6 +657,23 @@ def test_view_refuses_to_resolve_after_its_trackers_change():
     path.discard(step)
     with pytest.raises(RuntimeError):
         rtree.leaf_at_point((7.5, 7.5))
+
+
+def test_view_whose_root_is_removed_keeps_an_empty_root():
+    # a state source that reports every node an obstacle removes the root
+    # itself: the view keeps it, stamped with the new generation, with
+    # every slot empty, and no lookup finds a leaf
+    rtree = ReducedTree(2, 3)
+    path = CellTracker(2, 3)
+    focus = NodeIndex(0, (1, 1))
+    path.add(focus)
+    for gen in (1, 2):
+        refresh(rtree, lambda k, c2: (True, False), focus, path, 1.0)
+        assert rtree.root.gen == gen
+        assert rtree.root.children == [None] * 4
+        assert rtree.leaf_at_point((0.5, 0.5)) is None
+        assert rtree.leaf_at_point((7.5, 7.5)) is None
+        assert rtree.find_vertex(focus) is None
 
 
 def test_emptied_internal_nodes_answer_as_removed():

@@ -236,7 +236,7 @@ def test_enumerated_nodes_are_flagged_exactly_when_full(
     size = 1 << (dim * depth)
     world = GridWorld(dim, depth, (rng.random(size) < density).astype(np.uint8))
     estimator = ValueEstimator(grid_predicate(world), dim, depth, samples, seed=0)
-    for k in range(min(estimator.exact_cutoff, depth) + 1):
+    for k in range(estimator.exact_cutoff + 1):
         axis = range(1 << k, 2 << depth, 2 << k)
         for c2 in itertools.product(axis, repeat=dim):
             idx = NodeIndex(k, c2)
@@ -642,6 +642,21 @@ def test_enumeration_asks_unasked_cells_in_one_row_major_batch(dim, cell_picks):
     hits = sum(est.exact(child).hits for child in children_of(node))
     assert oracle.batches == [] and hits == got.hits
     assert est.exact(NodeIndex(node.scale, node.center2)) is got
+
+
+def test_enumeration_cutoff_is_capped_at_the_depth():
+    # 4096 samples would enumerate a 2-D scale-6 node, but a depth-3 world
+    # has no node above scale 3: the cutoff stops there, so the root is one
+    # block, and enumerating it asks all its cells in one batch
+    oracle = RecordingOracle(Checkerboard(3.0))
+    est = ValueEstimator(oracle, 2, 3, samples=4096, seed=0)
+    assert est.exact_cutoff == 3
+    root = NodeIndex(3, (8, 8))
+    got = est.exact(root)
+    assert [len(batch) for batch in oracle.batches] == [64]
+    oracle.batches.clear()
+    hits = sum(est.exact(child).hits for child in children_of(root))
+    assert oracle.batches == [] and hits == got.hits
 
 
 def test_cell_picks_draw_asks_each_distinct_cell_once():

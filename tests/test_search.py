@@ -411,29 +411,58 @@ def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
     assert rtree.find_vertex(start) is not None and goal_node is not None
     goal = NodeIndex(goal_node.scale, goal_node.center2)
     vertices = [NodeIndex(v.scale, v.center2) for v in collect_leaves(rtree.root)]
-    stats = SearchStats()
-    values = {v: tree.value(v) for v in vertices}
-    with counted_neighbor_lookups() as lookups:
-        got = astar_lazy(
-            rtree, rtree.find_vertex(start), goal_node, weight, values, stats=stats
-        )
     edges = all_neighbor_pairs(rtree.root, depth)
-    expect = dijkstra_vertex_path_cost(
-        vertices, edges, tree.value, weight, start, goal
-    )
-    if expect is None:
-        assert got is None
-        return
-    assert got is not None
-    total = sum(
-        0.5 * math.dist(a.center2, b.center2) * (1.0 + weight * tree.value(b))
-        for a, b in zip(got, got[1:])
-    )
-    assert total == pytest.approx(expect, rel=1e-9)
-    # laziness: one neighbor lookup per expansion, both within the vertex
-    # budget
-    assert lookups == [stats.pops]
-    assert stats.pops <= len(vertices)
+    around = defaultdict(set)
+    for a, b in edges:
+        around[a].add(b)
+        around[b].add(a)
+    # flagged vertices read the value inf: none, a random fifth of the
+    # others, and every neighbor of the goal, which leaves no route to it
+    # unless the start is one of them
+    rng = np.random.default_rng(seed)
+    drawn = {v for v in vertices if v not in (start, goal) and rng.random() < 0.2}
+    ring = around[goal] - {start}
+    lookup = msearch.find_neighbors
+    for flagged in (set(), drawn, ring):
+        values = {v: math.inf if v in flagged else tree.value(v) for v in vertices}
+        stats = SearchStats()
+        expanded = []
+
+        def recording(root, node, depth):
+            expanded.append(NodeIndex(node.scale, node.center2))
+            return lookup(root, node, depth)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(msearch, "find_neighbors", recording)
+            got = astar_lazy(
+                rtree, rtree.find_vertex(start), goal_node, weight, values, stats=stats
+            )
+        kept = [v for v in vertices if v not in flagged]
+        expect = dijkstra_vertex_path_cost(
+            kept,
+            [(a, b) for a, b in edges if a not in flagged and b not in flagged],
+            tree.value,
+            weight,
+            start,
+            goal,
+        )
+        # laziness: one neighbor lookup per expansion, both within the
+        # vertex budget; a flagged vertex is never expanded, but every
+        # neighbor of an expanded vertex, flagged or not, is touched
+        assert len(expanded) == stats.pops <= len(kept)
+        assert not flagged & set(expanded)
+        assert stats.touched == len({start}.union(*(around[v] for v in expanded)))
+        if flagged is ring:
+            assert (expect is None) == (start not in around[goal])
+        if expect is None:
+            assert got is None
+            continue
+        assert got is not None and not flagged & set(got)
+        total = sum(
+            0.5 * math.dist(a.center2, b.center2) * (1.0 + weight * tree.value(b))
+            for a, b in zip(got, got[1:])
+        )
+        assert total == pytest.approx(expect, rel=1e-9)
 
 
 def test_finished_sessions_need_no_cycle_collection():
@@ -795,7 +824,7 @@ def current_leaf(rtree, key) -> bool:
     """
     scale, c2 = key
     node = rtree.root
-    while node is not None and node.gen == rtree.gen:
+    while node is not None and node.gen == rtree.root.gen:
         if node.scale == scale and node.center2 == c2:
             return node.children is None
         if node.children is None or node.scale <= scale:
@@ -831,7 +860,7 @@ def test_map_free_fills_only_leaves_decided_this_generation(dim, depth, cell_pic
 
         def checked_fill(idx):
             nonlocal late
-            if session.rtree.gen:
+            if session.rtree.root.gen:
                 late += 1
                 assert current_leaf(session.rtree, idx), idx
             return fill(idx)
