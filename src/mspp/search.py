@@ -29,6 +29,18 @@ queue, and occupancy values (map lookups in exact mode, cached sampling
 estimates in map-free mode) are evaluated per vertex only when first
 needed for a g-value.
 
+A session's searches share what they learn (Adaptive A*, Koenig &
+Likhachev 2005): each one that reaches the goal raises the cost-to-go
+of the vertices it expanded, keyed by (scale, center2), and later
+searches take the larger of that and the center distance as their
+heuristic.  A far coarse node keeps its key from one view to the next,
+so most of what a search learned carries over.  A finer view can open a
+shorter route than the one a value was learned on, so a learned value
+may overestimate and a path need not be the view's cheapest.  The walk
+does not rest on an admissible heuristic: an A* with any finite one
+finds a path whenever the view holds one, so the depth-first argument
+above holds unchanged.
+
 Map-free, a view decides a node of at most `samples` cells (at or below
 exact_scale_cutoff) the way it decides a map node, from the node's
 enumeration: a full block is removed before the search reaches it, a
@@ -136,8 +148,9 @@ def astar_lazy(
     values,
     excluded=frozenset(),
     stats: SearchStats | None = None,
+    learned: dict | None = None,
 ) -> list[NodeIndex] | None:
-    """Vertex path of minimal cost from the start leaf to the goal leaf, or None.
+    """Vertex path from the start leaf to the goal leaf, or None.
 
     start and goal are leaves of the view rtree.  An edge costs the center
     distance times 1 + weight * (the target's occupancy value).  values
@@ -152,9 +165,22 @@ def astar_lazy(
     refreshed around the start, every one of them is fine.
     A vertex's neighbors come from the tree lookup find_neighbors, read
     as a module global at call time, once per expansion.
+
+    learned maps vertex keys to learned cost-to-go values (Adaptive A*,
+    Koenig & Likhachev 2005), read and updated in place; None stands for
+    a fresh empty dict.  A queued vertex's heuristic is the larger of its
+    center distance to the goal leaf and its learned value (0 when it has
+    none).  A search that reaches the goal at cost C raises the learned
+    value of every vertex it expanded, the start included, to at least C
+    minus that vertex's g-value; a failed search learns nothing.  The
+    returned path has minimal cost while the learned values are
+    admissible: with an empty mapping, or one filled only by searches of
+    the same graph and goal.
     """
     if stats is None:
         stats = SearchStats()
+    if learned is None:
+        learned = {}
     root, depth = rtree.root, rtree.depth
     goal_center2 = goal.center2
 
@@ -172,6 +198,7 @@ def astar_lazy(
     closed: set = set(excluded)
     closed.discard(start_key)
     g_get = g.get
+    learned_get = learned.get
     closed_add = closed.add
     h0 = 0.5 * dist(start.center2, goal_center2)
     heap: list[tuple] = [(h0, h0, start_key, start)]
@@ -203,11 +230,20 @@ def astar_lazy(
                 g[w] = tentative
                 parent[w] = v
                 hw = 0.5 * dist(nc2, goal_center2)
+                lw = learned_get(w, 0.0)
+                if lw > hw:
+                    hw = lw
                 heappush(heap, (tentative + hw, hw, w, node))
 
     stats.touched += len(g)
     if not found:
         return None
+    # The expanded vertices are the closed ones with a g-value: excluded
+    # vertices never get one, and flagged ones are never closed.
+    cost = g[goal_key]
+    for v, gv in g.items():
+        if v in closed and cost - gv > learned_get(v, 0.0):
+            learned[v] = cost - gv
     path = [goal_key]
     while path[-1] != start_key:
         path.append(parent[path[-1]])
@@ -371,8 +407,10 @@ class PlannerSession:
             raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
         # A path has at most 2**(dim * depth) hops, each costing at most the
         # world's diagonal times 1 + weight, and the heuristic adds at most
-        # as much again: a finite bound keeps every A* key finite, so no
-        # edge is dropped as if it were blocked.
+        # as much again: its center distance is shorter than the diagonal,
+        # and a learned value is a found path's cost less a g-value, so at
+        # most a path cost.  A finite bound keeps every A* key finite, so
+        # no edge is dropped as if it were blocked.
         try:
             cost_bound = 2 * (1 + weight) * sqrt(dim) * 2.0 ** (depth * (dim + 1))
         except OverflowError:
@@ -415,6 +453,9 @@ class PlannerSession:
         # has already decided, so the flags it learns show from the next
         # refresh on.
         self._values, self._state = _node_facts(tree, self.estimator, eps, gamma)
+        # Cost-to-go learned by this session's searches, all toward the
+        # goal point; it must not outlive the session or reach another one.
+        self._learned: dict = {}
         self.rtree = ReducedTree(dim, depth)
         self.stats = SearchStats()
         self.iterations = 0
@@ -488,6 +529,7 @@ class PlannerSession:
                 self._values,
                 excluded=self.visited.cells(),
                 stats=run,
+                learned=self._learned,
             )
             if self.estimator is not None:
                 run.new_samples = len(self._values) - before

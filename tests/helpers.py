@@ -353,11 +353,11 @@ def grid_bfs_reachable(world: GridWorld, a, b) -> bool:
     return b in seen
 
 
-def dijkstra_vertex_path_cost(vertices, edges, value_of, weight, start, goal):
+def dijkstra_vertex_costs(vertices, edges, value_of, weight, start):
     """Eager shortest-path oracle over a fully materialized vertex graph.
 
     Edge cost is center distance times (1 + weight * value(target)).
-    Returns the minimal cost to goal or None when unreachable.
+    Returns the minimal cost from start to each vertex it reaches.
     """
     adjacency: dict[NodeIndex, list[NodeIndex]] = {v: [] for v in vertices}
     for a, b in edges:
@@ -375,15 +375,13 @@ def dijkstra_vertex_path_cost(vertices, edges, value_of, weight, start, goal):
         d, u = heapq.heappop(heap)
         if u in done:
             continue
-        if u == goal:
-            return d
         done.add(u)
         for v in adjacency[u]:
             nd = d + edge_cost(u, v)
             if nd < dist.get(v, float("inf")):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return None
+    return dist
 
 
 def window_far_oracle(idx: NodeIndex, current: NodeIndex, alpha) -> bool:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     all_neighbor_pairs,
-    dijkstra_vertex_path_cost,
+    dijkstra_vertex_costs,
     eager_view,
     full_rtree,
     random_world,
@@ -418,15 +418,19 @@ def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
         around[b].add(a)
     # flagged vertices read the value inf: none, a random fifth of the
     # others, and every neighbor of the goal, which leaves no route to it
-    # unless the start is one of them
+    # unless the start is one of them.  Each set is searched with no
+    # excluded vertices and with the start (as a session excludes its
+    # current cell) and a random tenth of the others excluded.
     rng = np.random.default_rng(seed)
     drawn = {v for v in vertices if v not in (start, goal) and rng.random() < 0.2}
     ring = around[goal] - {start}
+    some = {start} | {v for v in vertices if v != goal and rng.random() < 0.1}
     lookup = msearch.find_neighbors
-    for flagged in (set(), drawn, ring):
+    for flagged, excluded in product((set(), drawn, ring), (set(), some)):
         values = {v: math.inf if v in flagged else tree.value(v) for v in vertices}
         stats = SearchStats()
         expanded = []
+        learned = {}
 
         def recording(root, node, depth):
             expanded.append(NodeIndex(node.scale, node.center2))
@@ -435,34 +439,88 @@ def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(msearch, "find_neighbors", recording)
             got = astar_lazy(
-                rtree, rtree.find_vertex(start), goal_node, weight, values, stats=stats
+                rtree, rtree.find_vertex(start), goal_node, weight, values,
+                excluded=excluded, stats=stats, learned=learned,
             )
-        kept = [v for v in vertices if v not in flagged]
-        expect = dijkstra_vertex_path_cost(
+        shut = flagged | (excluded - {start})
+        kept = [v for v in vertices if v not in shut]
+        costs = dijkstra_vertex_costs(
             kept,
-            [(a, b) for a, b in edges if a not in flagged and b not in flagged],
+            [(a, b) for a, b in edges if a not in shut and b not in shut],
             tree.value,
             weight,
             start,
-            goal,
         )
+        expect = costs.get(goal)
         # laziness: one neighbor lookup per expansion, both within the
-        # vertex budget; a flagged vertex is never expanded, but every
-        # neighbor of an expanded vertex, flagged or not, is touched
+        # vertex budget; a flagged or excluded vertex is never expanded,
+        # but every neighbor of an expanded vertex that is not excluded,
+        # flagged or not, is touched
         assert len(expanded) == stats.pops <= len(kept)
-        assert not flagged & set(expanded)
-        assert stats.touched == len({start}.union(*(around[v] for v in expanded)))
-        if flagged is ring:
+        assert not shut & set(expanded)
+        assert stats.touched == len(
+            {start}.union(*(around[v] - excluded for v in expanded))
+        )
+        if flagged is ring and not excluded:
             assert (expect is None) == (start not in around[goal])
         if expect is None:
-            assert got is None
+            # a failed search learns nothing, and leaves what it was
+            # given as it was
+            assert got is None and learned == {}
+            before = {v: float(i) for i, v in enumerate(vertices)}
+            filled = dict(before)
+            assert astar_lazy(
+                rtree, rtree.find_vertex(start), goal_node, weight, values,
+                excluded=excluded, learned=filled,
+            ) is None
+            assert filled == before
             continue
-        assert got is not None and not flagged & set(got)
-        total = sum(
-            0.5 * math.dist(a.center2, b.center2) * (1.0 + weight * tree.value(b))
-            for a, b in zip(got, got[1:])
+
+        def cost_of(path):
+            assert path is not None and not shut & set(path)
+            return sum(
+                0.5 * math.dist(a.center2, b.center2) * (1.0 + weight * tree.value(b))
+                for a, b in zip(path, path[1:])
+            )
+
+        assert cost_of(got) == pytest.approx(expect, rel=1e-9)
+        # the expanded vertices, the start included, and no others learn
+        # C - g(v); the Euclidean heuristic is consistent, so g(v) is the
+        # least cost from the start
+        assert start in expanded
+        assert set(learned) == set(expanded)
+        for v in expanded:
+            assert learned[v] == pytest.approx(expect - costs[v], rel=1e-9, abs=1e-9)
+        # on the same graph the learned values stay consistent and are at
+        # least the Euclidean ones: a search that reads them still finds a
+        # cheapest path, and expands no more vertices
+        again_stats = SearchStats()
+        again = astar_lazy(
+            rtree, rtree.find_vertex(start), goal_node, weight, values,
+            excluded=excluded, stats=again_stats, learned=learned,
         )
-        assert total == pytest.approx(expect, rel=1e-9)
+        assert cost_of(again) == pytest.approx(expect, rel=1e-9)
+        assert again_stats.pops <= stats.pops
+
+
+def test_a_search_reads_what_an_earlier_one_learned():
+    # learned cost-to-go is exact on the first search's expanded vertices,
+    # so a second search of the same view walks straight down its path
+    tree = build_from_grid(random_world(2, 5, 0.3, seed=0, free_corners=True))
+    start = tree.leaf_at((0.5, 0.5))
+    rtree = make_refreshed_view(tree, start)
+    goal = rtree.leaf_at_point((31.5, 31.5))
+    leaves = [NodeIndex(v.scale, v.center2) for v in collect_leaves(rtree.root)]
+    values = {v: tree.value(v) for v in leaves}
+    learned = {}
+    first, again = SearchStats(), SearchStats()
+    path = astar_lazy(
+        rtree, rtree.find_vertex(start), goal, 1.0, values, stats=first, learned=learned
+    )
+    assert astar_lazy(
+        rtree, rtree.find_vertex(start), goal, 1.0, values, stats=again, learned=learned
+    ) == path
+    assert again.pops == len(path) - 1 < first.pops
 
 
 def test_finished_sessions_need_no_cycle_collection():
@@ -984,6 +1042,18 @@ def test_sessions_at_two_alphas_interleaved_return_what_each_returns_alone(exact
     assert alone[0].iterations != alone[1].iterations
     window_thresholds.cache_clear()
     sessions = [PlannerSession(alpha=alpha, **ends, **kwargs) for alpha in alphas]
+    assert_interleaved_end_as_alone(sessions, alone)
+    # the shared result is one object per argument tuple, and read-only
+    thresholds, _, beside = window_thresholds(2, 5, 0.25, 0)
+    assert window_thresholds(2, 5, 0.25, 0)[0] is thresholds
+    with pytest.raises(TypeError):
+        thresholds[0] = 0
+    with pytest.raises(TypeError):
+        beside[0] = True
+
+
+def assert_interleaved_end_as_alone(sessions, alone):
+    """Step the sessions in turn to the end; each returns what it did alone."""
     while any(session.status is None for session in sessions):
         for session in sessions:
             session.step()
@@ -992,13 +1062,18 @@ def test_sessions_at_two_alphas_interleaved_return_what_each_returns_alone(exact
         assert (got.status, got.path, got.cost, got.iterations, got.blocked, got.stats) == (
             want.status, want.path, want.cost, want.iterations, want.blocked, want.stats
         )
-    # the shared result is one object per argument tuple, and read-only
-    thresholds, _, beside = window_thresholds(2, 5, 0.25, 0)
-    assert window_thresholds(2, 5, 0.25, 0)[0] is thresholds
-    with pytest.raises(TypeError):
-        thresholds[0] = 0
-    with pytest.raises(TypeError):
-        beside[0] = True
+
+
+def test_sessions_toward_two_goals_on_one_tree_learn_apart():
+    # each session learns cost-to-go toward its own goal: two sessions on
+    # one shared tree (as local-exact shares its maps), stepped in turn,
+    # each end as they do alone
+    tree = build_from_grid(random_world(2, 5, 0.25, seed=3, free_corners=True))
+    ends = [((0.5, 0.5), (31.5, 31.5)), ((31.5, 31.5), (0.5, 0.5))]
+    alone = [PlannerSession(tree=tree, start=a, goal=b).run() for a, b in ends]
+    assert all(result.success for result in alone)
+    sessions = [PlannerSession(tree=tree, start=a, goal=b) for a, b in ends]
+    assert_interleaved_end_as_alone(sessions, alone)
 
 
 def mode_kwargs(world: GridWorld, exact: bool) -> dict:
