@@ -30,7 +30,6 @@ from .sampling import (
     band_node_count,
     exact_scale_cutoff,
     failure_bound,
-    flag_scale_cutoff,
     is_flagged_obstacle,
 )
 from .search import (

@@ -119,9 +119,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "bound",
         help="failure-probability bound curve, CSV output",
         description="Failure-probability bound per sample count n, CSV output. "
-        "With --regions 1 each row is either 0, when no scale strictly "
-        "between the enumeration and flag cutoffs lies in the tree (sampling "
-        "decides no node), or above exp(-2 eps^2 / n).",
+        "With --regions 1 each row is either 0, when no scale above the "
+        "enumeration cutoff where a saturated estimate is flagged lies in the "
+        "tree (sampling decides no node), or above exp(-2 eps^2 / n).",
     )
     p.add_argument("--n-range", default="1,300", help="inclusive sample range lo,hi")
     _setting_flags(p, "bound")

@@ -7,18 +7,18 @@ a sampled node is flagged as an obstacle when
 
     estimate >= 1 - 2**(-dim*scale) * eps + gamma.
 
-Two scale cutoffs shape the hybrid scheme.  At or below exact_scale_cutoff
-a node holds no more unit cells than the sample budget, so full enumeration
-is cheaper than sampling, and an enumerated node is an obstacle exactly
-when every cell of it is occupied, as a map node is.  Above
-flag_scale_cutoff the margin pushes the threshold past 1, so no estimate
-can flag the node.  At the cutoff itself the threshold is exactly 1 when
-gamma * 2**(dim*k) equals eps, and an estimate whose samples all hit
-flags the node.  So the misclassifiable band runs from above the
-enumeration cutoff to the first scale where classify's own threshold
-test leaves a saturated estimate unflagged, and band_node_count counts
-its nodes in closed form.  failure_bound combines the pieces into the
-standard probability bound on planning failure.
+A node's scale alone decides how it is known.  At or below
+exact_scale_cutoff a node holds no more unit cells than the sample budget,
+so full enumeration is cheaper than sampling, and an enumerated node is an
+obstacle exactly when every cell of it is occupied, as a map node is.
+Above it the node is sampled and held to the threshold.  The threshold
+rises with the scale (its float rounding is monotone too), so an estimate
+whose samples all hit is flagged up to some scale and never past it.  The
+misclassifiable band runs from above the enumeration cutoff to the first
+scale where is_flagged_obstacle leaves that saturated estimate unflagged,
+and band_node_count counts its nodes in closed form.  failure_bound
+combines the pieces into the standard probability bound on planning
+failure.
 
 Estimates are cached per node for the lifetime of an estimator, and each
 node draws from its own counter-based random stream derived from the
@@ -43,9 +43,8 @@ import hashlib
 import operator
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import ceil, expm1, inf, ldexp
+from math import expm1, inf, ldexp
 from typing import NamedTuple
 
 import numpy as np
@@ -59,7 +58,6 @@ __all__ = [
     "band_node_count",
     "exact_scale_cutoff",
     "failure_bound",
-    "flag_scale_cutoff",
     "is_flagged_obstacle",
     "obstacle_threshold",
 ]
@@ -70,7 +68,6 @@ class SampleEstimate(NamedTuple):
 
     n: int
     hits: int
-    exact: bool = False
 
     @property
     def value(self) -> float:
@@ -127,48 +124,15 @@ def is_flagged_obstacle(
     return value >= obstacle_threshold(eps, dim, scale) + gamma
 
 
-def flag_scale_cutoff(dim: int, eps: float, gamma: float) -> int:
-    """Smallest scale whose flag threshold reaches 1.
-
-    This is ceil(log2(eps/gamma) / dim), evaluated exactly: the smallest k
-    with gamma * 2**(dim*k) >= eps.  Above it no estimate can be flagged
-    as an obstacle; at it the threshold is exactly 1 on a tie, where a
-    saturated estimate is still flagged.  Negative when gamma > eps;
-    returned as-is in that case.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    ratio = Fraction(eps) / Fraction(gamma)
-    num, den = ratio.numerator, ratio.denominator
-    k = ceil((num.bit_length() - den.bit_length()) / dim)
-
-    def holds(k: int) -> bool:
-        t = dim * k
-        if t >= 0:
-            return (den << t) >= num
-        return den >= (num << -t)
-
-    while not holds(k):
-        k += 1
-    while holds(k - 1):
-        k -= 1
-    return k
-
-
 def exact_scale_cutoff(dim: int, samples: int) -> int:
     """Largest scale at which a node has at most `samples` unit cells.
 
     This is floor(log2(samples) / dim); full enumeration at such scales is
     no more expensive than drawing the samples.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    k = 0
-    while (1 << (dim * (k + 1))) <= samples:
-        k += 1
-    return k
+    if dim < 1 or samples < 1:
+        raise ValueError("dim and samples must be >= 1")
+    return (operator.index(samples).bit_length() - 1) // dim
 
 
 def band_node_count(depth: int, dim: int, low: int, high: int) -> float:
@@ -199,23 +163,25 @@ def failure_bound(params: BoundParams) -> float:
     solution regions of count/regions nodes each, clamped to [0, 1].
 
     The band holds the sampled scales, above the enumeration cutoff, where
-    is_flagged_obstacle flags an estimate of 1.  It ends at the flag
-    cutoff, or past it where the threshold there is 1: exactly, on a tie,
-    or after rounding, for a gamma within a rounding error above
-    eps * 2**(-dim*k).  The bound reads the same float test classify
-    does, so the two cannot disagree on a scale.
+    is_flagged_obstacle flags an estimate of 1.  That float test holds up
+    to some scale and fails at every scale past it, so the band is found
+    by walking up from the cutoff while it holds.  It reads the same test
+    classify does, so the two cannot disagree on a scale: a scale whose
+    threshold is exactly 1 (gamma * 2**(dim*k) == eps) or rounds to 1 is
+    in the band.
 
     With one region the bound is either 0 or close to 1.  It is 0 exactly
     when no scale of the misclassifiable band lies in the tree (sampling
     decides no node).  Otherwise it exceeds exp(-2 eps^2 / n): a band scale
     k has 2**(dim*k) > n cells and gamma * 2**(dim*k) <= eps, so gamma^2 n
     < eps^2 / n, and one node's term exp(-2 gamma^2 n) already exceeds it.
-    A scale that rounding adds keeps gamma * n < eps, hence the same, while
+    A band scale that only rounding flags (gamma * 2**(dim*k) a rounding
+    error above eps) keeps gamma * n < eps, hence the same, while
     n * (n + 1) < eps * 2**52.
     """
     dim, eps, gamma = params.dim, params.eps, params.gamma
     low = exact_scale_cutoff(dim, params.samples)
-    high = flag_scale_cutoff(dim, eps, gamma)
+    high = low + 1
     while high <= params.depth and is_flagged_obstacle(1.0, high, dim, eps, gamma):
         high += 1
     count = band_node_count(params.depth, dim, low, high)
@@ -270,9 +236,12 @@ class ValueEstimator:
     centers (the discrete model of a grid world); otherwise they are
     continuous uniform points.  Each node is sampled at most once; repeated
     queries hit the cache, which a NodeIndex or its plain (scale, center2)
-    tuple finds alike.  exact_cutoff is the scale up to which classify
-    enumerates: exact_scale_cutoff(dim, samples), capped at depth, as no
-    node lies above it.
+    tuple finds alike.  exact_cutoff is exact_scale_cutoff(dim, samples),
+    capped at depth, as no node lies above it.  The scale alone decides
+    how a node is known: one at or below exact_cutoff is enumerated (exact,
+    which estimate returns there too), and one above it is sampled
+    (estimate; exact refuses it).  The cache thus holds one kind of entry
+    per scale.
 
     Exact enumeration, and cell-centered sampling, ask the predicate about
     unit-cell centers through one cell memo, so a cell shared between
@@ -287,8 +256,7 @@ class ValueEstimator:
     their integer coordinates (the last axis varies fastest), as one
     batch.  A cell-picked draw may repeat a cell, so its distinct
     cells are found first, in draw order, and the unasked ones go as one
-    batch too; an enumeration above the block scale is read the same way,
-    over the blocks it covers.
+    batch too.
     """
 
     def __init__(
@@ -387,13 +355,15 @@ class ValueEstimator:
         return self._rng
 
     def estimate(self, idx: NodeIndex) -> SampleEstimate:
-        """Sampled estimate of the node's occupancy value."""
+        """The node's occupancy: sampled, or enumerated at or below exact_cutoff."""
         got = self._cache.get(idx)
         if got is not None:
             return got
+        k, c2 = idx
+        if k <= self.exact_cutoff:
+            return self.exact(idx)
         n = self.samples
         rng = self._node_rng(idx)
-        k, c2 = idx
         side = 1 << k
         low = np.array([(c - side) >> 1 for c in c2], dtype=np.int64)
         if self.cell_picks:
@@ -406,45 +376,46 @@ class ValueEstimator:
         return est
 
     def exact(self, idx: NodeIndex) -> SampleEstimate:
-        """Exact occupancy by enumerating every unit cell of the node."""
-        got = self._cache.get(idx)
-        if got is not None and got.exact:
-            return got
+        """Exact occupancy by enumerating every unit cell of the node.
+
+        Only a node at or below exact_cutoff is enumerated; a coarser one
+        raises ValueError.
+        """
         k, c2 = idx
         dim, b = self.dim, self.exact_cutoff
-        n = 1 << dim * k
         if k > b:
-            side = 1 << k
-            low = np.array([(c - side) >> 1 for c in c2], dtype=np.int64)
-            hits = self._hits_at(low + np.indices((side,) * dim).reshape(dim, -1).T)
-        else:
-            # The enclosing block's center2, and the row-major index in it
-            # of the cell at the node's center: that cell's Morton rank
-            # is the node's run start in every bit above the low dim * k.
-            key = []
-            row = 0
-            for c in c2:
-                key.append(c >> b + 1 << b + 1 | 1 << b)
-                row = row << b | (c >> 1 & (1 << b) - 1)
-            key = tuple(key)
-            block = self._blocks.get(key) or self._block(key)
-            start = self._block_ranks[row] >> dim * k << dim * k
-            end = start + n
-            if block.count(0, start, end):
-                centers, ranks, _ = _layout(dim, k)
-                run = np.frombuffer(block, dtype=np.uint8, count=n, offset=start)
-                ask = run[ranks] == 0
-                flags = self._batch(centers[ask] + [(c - (1 << k)) >> 1 for c in c2])
-                run[ranks[ask]] = 1 + np.asarray(flags, dtype=bool)
-            hits = block.count(2, start, end)
-        est = SampleEstimate(n, hits, True)
+            raise ValueError(f"scale {k} lies above the enumeration cutoff {b}")
+        got = self._cache.get(idx)
+        if got is not None:
+            return got
+        # The enclosing block's center2, and the row-major index in it of
+        # the cell at the node's center: that cell's Morton rank is the
+        # node's run start in every bit above the low dim * k.
+        key = []
+        row = 0
+        for c in c2:
+            key.append(c >> b + 1 << b + 1 | 1 << b)
+            row = row << b | (c >> 1 & (1 << b) - 1)
+        key = tuple(key)
+        block = self._blocks.get(key) or self._block(key)
+        n = 1 << dim * k
+        start = self._block_ranks[row] >> dim * k << dim * k
+        end = start + n
+        if block.count(0, start, end):
+            centers, ranks, _ = _layout(dim, k)
+            run = np.frombuffer(block, dtype=np.uint8, count=n, offset=start)
+            ask = run[ranks] == 0
+            flags = self._batch(centers[ask] + [(c - (1 << k)) >> 1 for c in c2])
+            run[ranks[ask]] = 1 + np.asarray(flags, dtype=bool)
+        hits = block.count(2, start, end)
+        est = SampleEstimate(n, hits)
         self._cache[idx] = est
         return est
 
     def classify(
         self, idx: NodeIndex, eps: float, gamma: float
     ) -> tuple[bool, SampleEstimate]:
-        """Hybrid obstacle test: exact at coarse-enough-to-enumerate scales.
+        """Hybrid obstacle test: exact at or below the enumeration cutoff.
 
         Returns (is_obstacle, estimate).  At or below the enumeration
         cutoff the estimate is exact, and the node is an obstacle exactly
@@ -454,6 +425,7 @@ class ValueEstimator:
         """
         k = idx[0]
         if k <= self.exact_cutoff:
+            # exact itself, not estimate's detour to it: one call a node.
             est = self.exact(idx)
             return est.hits == est.n, est
         est = self.estimate(idx)

@@ -402,8 +402,10 @@ class PlannerSession:
             dim, depth = tree.dim, tree.depth
         elif dim is None or depth is None:
             raise ValueError("map-free mode needs dim and depth")
+        # Map-free mode builds no GridWorld to check these.
+        elif dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
         elif not 0 <= depth <= MAX_DEPTH:
-            # Map-free mode builds no GridWorld to check this.
             raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
         # A path has at most 2**(dim * depth) hops, each costing at most the
         # world's diagonal times 1 + weight, and the heuristic adds at most

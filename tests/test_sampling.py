@@ -19,7 +19,6 @@ from mspp.sampling import (
     band_node_count,
     exact_scale_cutoff,
     failure_bound,
-    flag_scale_cutoff,
     is_flagged_obstacle,
 )
 from mspp.tree import GridWorld, NodeIndex, build_from_grid
@@ -37,43 +36,16 @@ def test_flag_threshold_examples():
 
 
 def test_flag_threshold_never_fires_past_cutoff():
-    # past the cutoff scale the threshold exceeds 1 and nothing is flagged
+    # past the cutoff scale the threshold exceeds 1 and nothing is flagged;
+    # the cutoff is the smallest k with gamma * 2**(dim*k) >= eps
     dim, eps, gamma = 1, 0.9, 0.0035
-    k_max = flag_scale_cutoff(dim, eps, gamma)
-    assert k_max == 9
+    k_max = 9
+    assert Fraction(gamma) * 2 ** (k_max - 1) < Fraction(eps) <= Fraction(gamma) * 2**k_max
     for value in (0.5, 0.99, 1.0):
         assert not is_flagged_obstacle(value, k_max, dim, eps, gamma)
         assert not is_flagged_obstacle(value, k_max + 2, dim, eps, gamma)
     # just below the cutoff a saturated estimate is still flaggable
     assert is_flagged_obstacle(1.0, k_max - 1, dim, eps, gamma)
-
-
-def test_flag_scale_cutoff_values():
-    assert flag_scale_cutoff(1, 0.9, 0.0035) == 9
-    assert flag_scale_cutoff(2, 0.8, 0.05) == 2
-    assert flag_scale_cutoff(3, 0.25, 0.25) == 0  # gamma == eps
-    assert flag_scale_cutoff(1, 0.2, 0.9) == -2  # gamma above eps
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 5),
-    st.floats(0.01, 0.99),
-    st.floats(0.001, 0.99),
-)
-def test_flag_scale_cutoff_is_tight(dim, eps, gamma):
-    k = flag_scale_cutoff(dim, eps, gamma)
-    # smallest k with gamma * 2^(dk) >= eps, verified in exact arithmetic
-    g, e = Fraction(gamma), Fraction(eps)
-    if k >= 0:
-        assert g * 2 ** (dim * k) >= e
-    else:
-        assert g * Fraction(1, 2 ** (dim * -k)) >= e
-    below = k - 1
-    if below >= 0:
-        assert g * 2 ** (dim * below) < e
-    else:
-        assert g * Fraction(1, 2 ** (dim * -below)) < e
 
 
 def test_exact_scale_cutoff_values():
@@ -84,6 +56,10 @@ def test_exact_scale_cutoff_values():
     assert exact_scale_cutoff(2, 256) == 4
     with pytest.raises(ValueError):
         exact_scale_cutoff(1, 0)
+    # every node of a world below one dimension is a single cell
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dim and samples must be >= 1"):
+            exact_scale_cutoff(dim, 256)
 
 
 @settings(max_examples=100, deadline=None)
@@ -165,12 +141,11 @@ def test_failure_bound_edges_and_monotone_plateau():
         if prev is not None:
             assert got <= prev + 1e-15
         prev = got
-    # single-region variant reproduces the direct formula
+    # single-region variant reproduces the direct formula; the band ends
+    # below scale 9, the first whose threshold exceeds 1
     n = 64
     miss = -math.expm1(-2 * 0.0035**2 * n)
-    from mspp.sampling import band_node_count as banc
-
-    count = banc(5, 1, exact_scale_cutoff(1, n), flag_scale_cutoff(1, 0.9, 0.0035))
+    count = band_node_count(5, 1, exact_scale_cutoff(1, n), 9)
     direct = 1.0 - miss ** count
     got = failure_bound(BoundParams(depth=5, dim=1, eps=0.9, gamma=0.0035, samples=n))
     assert got == pytest.approx(direct, rel=1e-12)
@@ -200,8 +175,8 @@ def test_failure_bound_stays_in_unit_interval(depth, dim, eps, gamma, n, z):
     st.floats(1e-4, 0.3),
     st.integers(1, 4096),
 )
-# gamma * 2**4 == eps: the flag cutoff, scale 4, has threshold exactly 1;
-# one ulp above that gamma the threshold still rounds to 1
+# gamma * 2**4 == eps: scale 4 has threshold exactly 1; one ulp above
+# that gamma the threshold still rounds to 1
 @example(1, 5, 0.8, 0.05, 8)
 @example(1, 5, 0.8, math.nextafter(0.05, 1.0), 8)
 def test_failure_bound_is_zero_or_near_vacuous(dim, depth, eps, gamma, n):
@@ -210,12 +185,51 @@ def test_failure_bound_is_zero_or_near_vacuous(dim, depth, eps, gamma, n):
     params = BoundParams(depth=depth, dim=dim, eps=eps, gamma=gamma, samples=n)
     low = exact_scale_cutoff(dim, n)
     got = failure_bound(params)
-    # a band scale is sampled and can flag an estimate of 1, which the
-    # flag cutoff itself does on a tie
+    # a band scale is sampled and can flag an estimate of 1, which a scale
+    # whose threshold is exactly 1 does on a tie
     if any(is_flagged_obstacle(1.0, k, dim, eps, gamma) for k in range(low + 1, depth + 1)):
         assert got > math.exp(-2.0 * eps * eps / n)
     else:
         assert got == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 12),
+    st.floats(0.01, 0.99),
+    st.floats(1e-7, 0.5),
+    st.integers(1, 4096),
+    st.integers(1, 4),
+    st.none() | st.tuples(st.integers(0, 14), st.integers(-3, 3)),
+)
+# gamma * 2**(dim*k) == eps exactly (threshold 1 at scale k), and gammas a
+# few ulps off it, where the float threshold may still round to 1
+@example(1, 5, 0.8, 0.05, 8, 1, (4, 0))
+@example(1, 5, 0.8, 0.05, 8, 1, (4, 1))
+@example(1, 5, 0.8, 0.05, 8, 1, (4, -1))
+@example(2, 6, 0.3, 0.05, 16, 2, (3, 0))
+@example(2, 6, 0.3, 0.05, 16, 2, (3, 3))
+@example(3, 5, 0.7, 0.05, 8, 1, (2, -3))
+def test_failure_bound_sums_the_flaggable_sampled_scales(dim, depth, eps, gamma, n, z, tie):
+    # the band is every sampled scale of the tree at which classify flags
+    # an estimate of 1, counted one term per node
+    if tie is not None:
+        k, ulps = tie
+        gamma = math.ldexp(eps, -dim * k)
+        for _ in range(abs(ulps)):
+            gamma = math.nextafter(gamma, math.inf if ulps > 0 else 0.0)
+    params = BoundParams(depth=depth, dim=dim, eps=eps, gamma=gamma, samples=n, regions=z)
+    low = exact_scale_cutoff(dim, n)
+    band = [k for k in range(low + 1, depth + 1) if is_flagged_obstacle(1.0, k, dim, eps, gamma)]
+    count = sum(2 ** (dim * (depth - k)) for k in band)
+    got = failure_bound(params)
+    if count == 0:
+        assert got == 0.0
+    else:
+        miss = -math.expm1(-2 * gamma * gamma * n)
+        direct = (1 - miss ** (count / z)) ** z
+        assert got == pytest.approx(min(1.0, direct), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,8 +255,8 @@ def test_enumerated_nodes_are_flagged_exactly_when_full(
         for c2 in itertools.product(axis, repeat=dim):
             idx = NodeIndex(k, c2)
             flagged, est = estimator.classify(idx, eps, 0.1)
-            assert est.exact
-            assert est is estimator.exact(idx)
+            assert est.n == 1 << dim * k
+            assert est is estimator.exact(idx) is estimator.estimate(idx)
             assert flagged == (est.hits == est.n)
 
 
@@ -280,25 +294,26 @@ def make_grid_estimator(world, samples, seed, cell_picks=False):
 
 
 def test_estimate_degenerate_worlds():
+    # 32 samples enumerate nodes of up to 16 cells, so the root is sampled
     free = GridWorld(2, 3, np.zeros(64, dtype=np.uint8))
-    est = make_grid_estimator(free, 128, seed=1)
+    est = make_grid_estimator(free, 32, seed=1)
     root = NodeIndex(3, (8, 8))
     assert est.estimate(root).value == 0.0
     full = GridWorld(2, 3, np.ones(64, dtype=np.uint8))
-    est = make_grid_estimator(full, 128, seed=1)
+    est = make_grid_estimator(full, 32, seed=1)
     assert est.estimate(root).value == 1.0
 
 
 def test_estimate_mean_concentrates():
     # quarter-occupied world: over many seeds the estimate mean lands within
-    # 0.01 of 0.25 and large one-sided errors essentially never happen
-    cells = np.zeros(64, dtype=np.uint8)
-    world = GridWorld(2, 3, cells)
+    # 0.01 of 0.25 and large one-sided errors essentially never happen; the
+    # root holds more cells than the samples, so it is sampled
+    cells = np.zeros(16384, dtype=np.uint8)
     rng = np.random.default_rng(0)
-    picks = rng.choice(64, size=16, replace=False)
+    picks = rng.choice(16384, size=4096, replace=False)
     cells[picks] = 1
-    world = GridWorld(2, 3, cells)
-    root = NodeIndex(3, (8, 8))
+    world = GridWorld(2, 7, cells)
+    root = NodeIndex(7, (128, 128))
     n = 10_000
     values = []
     for seed in range(1000):
@@ -313,15 +328,16 @@ def test_estimate_mean_concentrates():
 
 
 def test_estimates_are_cached_and_deterministic():
-    world = GridWorld(2, 4, (np.random.default_rng(3).random(256) < 0.4).astype(np.uint8))
+    # 64 samples enumerate nodes of up to scale 3; these are all sampled
+    world = GridWorld(2, 6, (np.random.default_rng(3).random(4096) < 0.4).astype(np.uint8))
     a = make_grid_estimator(world, 64, seed=9)
     b = make_grid_estimator(world, 64, seed=9)
     c = make_grid_estimator(world, 64, seed=10)
     nodes = [
-        NodeIndex(4, (16, 16)),
-        NodeIndex(3, (8, 8)),
-        NodeIndex(3, (24, 8)),
-        NodeIndex(2, (4, 12)),
+        NodeIndex(6, (64, 64)),
+        NodeIndex(5, (32, 32)),
+        NodeIndex(5, (96, 32)),
+        NodeIndex(4, (16, 48)),
     ]
     for idx in nodes:
         first = a.estimate(idx)
@@ -347,11 +363,11 @@ def test_exact_enumeration_and_known_free():
     est = make_grid_estimator(world, 64, seed=0)
     quad = NodeIndex(1, (2, 2))
     got = est.exact(quad)
-    assert got.exact and got.n == 4 and got.hits == 1
+    assert got.n == 4 and got.hits == 1
     assert est.exact(quad).value == 0.25
     # enumeration proves a block free
     got = est.exact(NodeIndex(1, (6, 6)))
-    assert got.exact and got.hits == 0
+    assert got.n == 4 and got.hits == 0
     # unit cells enumerate like any other node
     unit = NodeIndex(0, (1, 1))
     assert est.exact(unit).value == 1.0
@@ -365,13 +381,34 @@ def test_known_free_requires_enumeration_not_sampling():
     # root is above the exact cutoff for 8 samples; a clean sample is not
     # proof of freeness
     got = est.estimate(root)
-    assert got.hits == 0 and not got.exact
-    # exact() does not take the cached sample for an enumeration
-    got = est.exact(root)
-    assert got.exact and got.n == 64 and got.hits == 0
+    assert got.hits == 0 and got.n == 8
+    # exact() does not pass the cached sample off as an enumeration
+    with pytest.raises(ValueError):
+        est.exact(root)
     quad = NodeIndex(1, (2, 2))
     got = est.exact(quad)
-    assert got.exact and got.hits == 0
+    assert got.n == 4 and got.hits == 0
+
+
+@pytest.mark.parametrize("cell_picks", [False, True])
+def test_the_scale_alone_decides_enumeration_or_sampling(cell_picks):
+    # 16 samples in 2-D: nodes of up to scale 2 are enumerated, by exact
+    # and by estimate alike; coarser ones are only sampled
+    scene = SphereSet(np.array([[5.0, 6.0]]), np.array([3.0]))
+    est = ValueEstimator(scene, 2, 4, samples=16, seed=2, cell_picks=cell_picks)
+    assert est.exact_cutoff == 2
+    for k in range(3):
+        idx = NodeIndex(k, (1 << k,) * 2)
+        got = est.estimate(idx)
+        assert got is est.exact(idx) and got.n == 1 << 2 * k
+    fresh = ValueEstimator(scene, 2, 4, samples=16, seed=2, cell_picks=cell_picks)
+    assert fresh.exact(NodeIndex(2, (4, 4))) is fresh.estimate(NodeIndex(2, (4, 4)))
+    for idx in (NodeIndex(3, (8, 8)), NodeIndex(4, (16, 16))):
+        with pytest.raises(ValueError, match="above the enumeration cutoff"):
+            est.exact(idx)
+        assert est.estimate(idx).n == 16
+        with pytest.raises(ValueError, match="above the enumeration cutoff"):
+            est.exact(idx)
 
 
 def test_enumerated_node_with_a_free_cell_is_not_flagged_at_eps_near_one():
@@ -383,7 +420,7 @@ def test_enumerated_node_with_a_free_cell_is_not_flagged_at_eps_near_one():
     world = GridWorld(2, 5, cells.ravel())
     est = ValueEstimator(grid_predicate(world), 2, 5, 256, seed=0, cell_picks=True)
     flagged, got = est.classify(NodeIndex(4, (16, 16)), 1 - 2**-47, 0.1)
-    assert got.exact and (got.hits, got.n) == (255, 256)
+    assert (got.hits, got.n) == (255, 256)
     assert not flagged
 
 
@@ -399,11 +436,11 @@ def test_classify_switches_between_exact_and_sampled():
     # at or below the cutoff the verdict is exact and gamma-free
     for idx in [NodeIndex(2, (4, 4)), NodeIndex(1, (2, 2)), NodeIndex(0, (1, 1))]:
         flagged, got = est.classify(idx, eps, gamma)
-        assert got.exact
+        assert got.n == 1 << 2 * idx.scale
         assert flagged == tree.is_obstacle(idx)
     # above the cutoff the verdict is sampled and includes the margin
     flagged, got = est.classify(NodeIndex(3, (8, 8)), eps, gamma)
-    assert not got.exact
+    assert got.n == samples
     value = est.estimate(NodeIndex(3, (8, 8))).value
     assert flagged == is_flagged_obstacle(value, 3, 2, eps, gamma)
 
@@ -424,14 +461,14 @@ def test_sampled_misclassification_rate_within_bound():
     for seed in range(seeds):
         est = make_grid_estimator(world, n, seed=seed)
         flagged, got = est.classify(node, eps, gamma)
-        assert not got.exact
+        assert got.n == n
         wrong += flagged
     bound = math.exp(-2 * gamma * gamma * n)
     sigma = math.sqrt(bound * (1 - bound) / seeds)
     assert wrong / seeds <= bound + 3 * sigma
-    # gamma * 2**4 == eps: scale 4 is the flag cutoff, where the threshold
-    # is exactly 1, so the planning bound must count it
-    assert flag_scale_cutoff(1, eps, gamma) == 4
+    # gamma * 2**4 == eps: scale 4 is the first whose threshold reaches 1,
+    # and there it is exactly 1, so the planning bound must count it
+    assert gamma * 2**3 < eps == gamma * 2**4
     assert wrong > 0
     params = BoundParams(depth=5, dim=1, eps=eps, gamma=gamma, samples=n)
     assert wrong / seeds <= failure_bound(params)
@@ -439,12 +476,12 @@ def test_sampled_misclassification_rate_within_bound():
 
 def test_misclassification_rate_strictly_inside_the_band():
     # d=1, depth 5, 8 samples: nodes of up to 8 cells are enumerated
-    # (cutoff 3) and gamma * 2**5 == eps puts the flag cutoff at 5, so
-    # scale 4 lies strictly inside the misclassifiable band.  The scale-4
+    # (cutoff 3) and gamma * 2**5 == eps puts the first threshold of 1 at
+    # scale 5, so scale 4 lies strictly inside the misclassifiable band.  The scale-4
     # node holds one free cell of 16, more free volume than eps, so a
     # flag is the one-sided error Hoeffding bounds by exp(-2 gamma^2 n).
     eps, gamma, n = 0.5, 2.0**-6, 8
-    assert exact_scale_cutoff(1, n) == 3 and flag_scale_cutoff(1, eps, gamma) == 5
+    assert exact_scale_cutoff(1, n) == 3 and gamma * 2**4 < eps == gamma * 2**5
     params = BoundParams(depth=5, dim=1, eps=eps, gamma=gamma, samples=n)
     bound = failure_bound(params)
     assert bound == pytest.approx(0.99999994, abs=1e-8)
@@ -456,7 +493,7 @@ def test_misclassification_rate_strictly_inside_the_band():
     flags = 0
     for seed in range(seeds):
         flagged, got = make_grid_estimator(world, n, seed=seed).classify(node, eps, gamma)
-        assert not got.exact
+        assert got.n == n
         flags += flagged
     # all 8 samples hit with probability (15/16)**8 = 0.597, so flags occur
     assert flags > 0
@@ -469,15 +506,16 @@ def test_misclassification_rate_strictly_inside_the_band():
 
 
 def test_continuous_predicate_estimates():
-    # exact fractional volumes need no grid: a slab of width 1/4 of the box
-    est = ValueEstimator(Slab(0, 4.0), 2, 4, samples=2000, seed=3)
-    root = NodeIndex(4, (16, 16))
+    # exact fractional volumes need no grid: a slab of half the box; 2000
+    # samples enumerate nodes of up to scale 5, so these are all sampled
+    est = ValueEstimator(Slab(0, 64.0), 2, 7, samples=2000, seed=3)
+    root = NodeIndex(7, (128, 128))
     got = est.estimate(root).value
-    assert abs(got - 0.25) < 0.05
+    assert abs(got - 0.5) < 0.05
     # node fully inside the slab
-    assert est.estimate(NodeIndex(2, (4, 4))).value == 1.0
+    assert est.estimate(NodeIndex(6, (64, 64))).value == 1.0
     # node fully outside
-    assert est.estimate(NodeIndex(2, (28, 4))).value == 0.0
+    assert est.estimate(NodeIndex(6, (192, 64))).value == 0.0
 
 
 def replay_cell_draws(estimator, predicate, idx):
@@ -497,15 +535,16 @@ def test_cell_picks_memo_matches_direct_recount():
     scene = SphereSet(
         np.array([[4.0, 4.0], [10.0, 12.0]]), np.array([2.5, 3.0])
     )
+    # 200 samples enumerate nodes of up to scale 3; these are all sampled
     nodes = [
+        NodeIndex(6, (64, 64)),
+        NodeIndex(5, (32, 32)),
+        NodeIndex(5, (32, 96)),
         NodeIndex(4, (16, 16)),
-        NodeIndex(3, (8, 8)),
-        NodeIndex(3, (8, 24)),
-        NodeIndex(2, (12, 12)),
-        NodeIndex(3, (8, 8)),  # repeat consults the cache
+        NodeIndex(5, (32, 32)),  # repeat consults the cache
     ]
-    est = ValueEstimator(scene, 2, 4, samples=200, seed=11, cell_picks=True)
-    replay = ValueEstimator(scene, 2, 4, samples=200, seed=11, cell_picks=True)
+    est = ValueEstimator(scene, 2, 6, samples=200, seed=11, cell_picks=True)
+    replay = ValueEstimator(scene, 2, 6, samples=200, seed=11, cell_picks=True)
     for idx in nodes:
         got = est.estimate(idx)
         assert got.hits == replay_cell_draws(replay, scene, idx)
@@ -533,16 +572,18 @@ class CountingBatchOracle(CountingOracle):
 
 
 def test_cell_picks_scalar_and_batch_paths_agree():
+    # 150 samples enumerate nodes of up to scale 3: the first two nodes are
+    # sampled, the rest enumerated
     scene = SphereSet(np.array([[6.0, 3.0]]), np.array([2.2]))
-    fast = ValueEstimator(scene, 2, 3, samples=150, seed=4, cell_picks=True)
+    fast = ValueEstimator(scene, 2, 5, samples=150, seed=4, cell_picks=True)
     slow = ValueEstimator(
-        CountingOracle(scene), 2, 3, samples=150, seed=4, cell_picks=True
+        CountingOracle(scene), 2, 5, samples=150, seed=4, cell_picks=True
     )
-    for idx in [NodeIndex(3, (8, 8)), NodeIndex(2, (4, 12)), NodeIndex(1, (10, 2))]:
+    nodes = [NodeIndex(5, (32, 32)), NodeIndex(4, (16, 16)), NodeIndex(3, (8, 8)),
+             NodeIndex(2, (4, 12)), NodeIndex(1, (10, 2))]
+    for idx in nodes:
         a, b = fast.estimate(idx), slow.estimate(idx)
         assert (a.n, a.hits) == (b.n, b.hits)
-        ea, eb = fast.exact(idx), slow.exact(idx)
-        assert (ea.n, ea.hits) == (eb.n, eb.hits)
 
 
 def nodes_at(scale, dim, depth):
@@ -588,20 +629,23 @@ def test_exact_asks_each_unit_cell_once(oracle, cell_picks):
     ],
 )
 def test_exact_matches_scalar_count_at_every_scale(scene, dim, depth, cell_picks):
-    oracle = CountingBatchOracle(scene)
-    est = ValueEstimator(oracle, dim, depth, samples=8, seed=0, cell_picks=cell_picks)
-    for scale in range(depth, -1, -1):
-        for idx in nodes_at(scale, dim, depth):
-            side = 1 << scale
-            low = [(c - side) // 2 for c in idx.center2]
-            brute = sum(
-                bool(scene(tuple(l + o + 0.5 for l, o in zip(low, off))))
-                for off in np.ndindex(*(side,) * dim)
-            )
-            got = est.exact(idx)
-            assert (got.n, got.hits) == (side**dim, brute), idx
-    # the whole world was enumerated depth + 1 times, each cell asked once
-    assert oracle.points == 1 << (dim * depth)
+    # 8 samples make blocks of scale 1; as many as the world has cells make
+    # every scale enumerable and the world one block
+    for samples in (8, 1 << (dim * depth)):
+        oracle = CountingBatchOracle(scene)
+        est = ValueEstimator(oracle, dim, depth, samples, seed=0, cell_picks=cell_picks)
+        for scale in range(est.exact_cutoff, -1, -1):
+            for idx in nodes_at(scale, dim, depth):
+                side = 1 << scale
+                low = [(c - side) // 2 for c in idx.center2]
+                brute = sum(
+                    bool(scene(tuple(l + o + 0.5 for l, o in zip(low, off))))
+                    for off in np.ndindex(*(side,) * dim)
+                )
+                got = est.exact(idx)
+                assert (got.n, got.hits) == (side**dim, brute), idx
+        # the whole world was enumerated once a scale, each cell asked once
+        assert oracle.points == 1 << (dim * depth)
 
 
 class RecordingOracle:
@@ -622,14 +666,16 @@ class RecordingOracle:
 @pytest.mark.parametrize("cell_picks", [False, True])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_enumeration_asks_unasked_cells_in_one_row_major_batch(dim, cell_picks):
+    # samples for a block of scale 2: the node is one block, the root above
+    # it is sampled
     oracle = RecordingOracle(Checkerboard(1.5))
-    est = ValueEstimator(oracle, dim, 3, samples=8, seed=1, cell_picks=cell_picks)
+    est = ValueEstimator(oracle, dim, 3, samples=1 << 2 * dim, seed=1, cell_picks=cell_picks)
     node = NodeIndex(2, (4,) * dim)
     # learn some of the node's cells first: a child's enumeration, then a
-    # draw over the node (above the cutoff, so it samples), whose points
-    # are remembered only when they are cell picks
+    # draw over the root, whose points are remembered only when they are
+    # cell picks
     est.exact(children_of(node)[1])
-    est.estimate(node)
+    est.estimate(NodeIndex(3, (8,) * dim))
     assert len(oracle.batches) == 2
     known = set(oracle.batches[0] + (oracle.batches[1] if cell_picks else []))
     oracle.batches.clear()
@@ -691,19 +737,20 @@ def test_layout_ranks_follow_the_descent_slots(dim, k):
 
 
 def test_block_memo_in_a_world_past_int64_cell_ids():
-    # 8-D depth 10 holds 2**80 cells; with 16 samples a block is one cell,
-    # so block coordinates are cell coordinates, 80 bits in all
+    # 8-D depth 10 holds 2**80 cells; with 256 samples a block is one
+    # scale-1 node of 256 cells, so block coordinates take 9 bits an axis,
+    # 72 bits in all
     scene = CountingBatchOracle(Checkerboard(3.0))
-    est = ValueEstimator(scene, 8, 10, samples=16, seed=7, cell_picks=True)
-    node = NodeIndex(1, (2**10 + 2,) + (6,) * 7)  # 256 cells, above the block scale
+    est = ValueEstimator(scene, 8, 10, samples=256, seed=7, cell_picks=True)
+    node = NodeIndex(1, (2**10 + 2,) + (6,) * 7)  # one block
     brute = sum(
         bool(scene.inner(tuple((c >> 1) - 1 + o + 0.5 for c, o in zip(node.center2, off))))
         for off in itertools.product(range(2), repeat=8)
     )
-    assert est.exact(node) == (256, brute, True)
+    assert est.exact(node) == (256, brute)
     assert scene.points == 256
     root = NodeIndex(10, (2**10,) * 8)
-    replay = ValueEstimator(scene.inner, 8, 10, samples=16, seed=7, cell_picks=True)
+    replay = ValueEstimator(scene.inner, 8, 10, samples=256, seed=7, cell_picks=True)
     assert est.estimate(root).hits == replay_cell_draws(replay, scene.inner, root)
 
 
@@ -713,12 +760,14 @@ class DictMemoModel:
     It asks the predicate what ValueEstimator must ask, in the same
     order: a node's unasked cells in row-major order, a draw's distinct
     unasked cells in first-draw order, and continuous draws as drawn.
+    Nodes at or below the cutoff are enumerated, larger ones sampled.
     Draws are replayed from a twin estimator's node streams.
     """
 
     def __init__(self, predicate, dim, depth, samples, seed, cell_picks):
         self.predicate = predicate
         self.twin = ValueEstimator(predicate.inner, dim, depth, samples, seed, cell_picks)
+        self.cutoff = min(exact_scale_cutoff(dim, samples), depth)
         self.cells = {}
         self.cache = {}
 
@@ -731,14 +780,16 @@ class DictMemoModel:
 
     def exact(self, idx):
         got = self.cache.get(idx)
-        if got is None or not got[2]:
+        if got is None:
             k, c2 = idx
             axes = [range((c - (1 << k)) >> 1, (c + (1 << k)) >> 1) for c in c2]
             cells = list(itertools.product(*axes))
-            got = self.cache[idx] = (len(cells), self._hits(cells, cells), True)
+            got = self.cache[idx] = (len(cells), self._hits(cells, cells))
         return got
 
     def estimate(self, idx):
+        if idx[0] <= self.cutoff:
+            return self.exact(idx)
         got = self.cache.get(idx)
         if got is None:
             est, (k, c2) = self.twin, idx
@@ -751,7 +802,7 @@ class DictMemoModel:
             else:
                 points = low + rng.random((n, est.dim)) * side
                 hits = int(np.count_nonzero(self.predicate.batch(points)))
-            got = self.cache[idx] = (n, hits, False)
+            got = self.cache[idx] = (n, hits)
         return got
 
 
@@ -760,7 +811,8 @@ class DictMemoModel:
 def test_block_memo_asks_and_counts_like_a_dict_memo(dim, samples, cell_picks, data):
     # Block scales from 0 up to the whole world: the batches match the
     # dict memo's in content and order, exact counts match brute force,
-    # and no cell center is asked twice.
+    # exact refuses nodes above the block scale, and no cell center is
+    # asked twice.
     depth = data.draw(st.integers(0, 10 // dim), label="depth")
     seed = data.draw(st.integers(0, 2**16), label="seed")
     world = GridWorld(dim, depth, np.random.default_rng(seed).random(1 << dim * depth) < 0.4)
@@ -773,7 +825,10 @@ def test_block_memo_asks_and_counts_like_a_dict_memo(dim, samples, cell_picks, d
         per_axis = 1 << (depth - k)
         cell = [pick // per_axis**j % per_axis for j in range(dim)]
         idx = NodeIndex(k, tuple((2 * c + 1) << k for c in cell))
-        if enumerate_node:
+        if enumerate_node and k > model.cutoff:
+            with pytest.raises(ValueError):
+                est.exact(idx)
+        elif enumerate_node:
             got = est.exact(idx)
             assert got == model.exact(idx)
             low = [(c - (1 << k)) >> 1 for c in idx.center2]
@@ -788,14 +843,15 @@ def test_block_memo_asks_and_counts_like_a_dict_memo(dim, samples, cell_picks, d
 
 def test_one_sided_deviation_obeys_hoeffding_small():
     # single configuration smoke check; the acceptance suite sweeps the grid
+    # 400 samples enumerate nodes of up to scale 4, so the root is sampled
     est_true = 0.25
     gamma, n, seeds = 0.05, 400, 400
-    side = 1 << 4
+    side = 1 << 5
     pred = Slab(0, est_true * side)
     exceed = 0
     for seed in range(seeds):
-        est = ValueEstimator(pred, 2, 4, samples=n, seed=seed)
-        exceed += est.estimate(NodeIndex(4, (16, 16))).value - est_true >= gamma
+        est = ValueEstimator(pred, 2, 5, samples=n, seed=seed)
+        exceed += est.estimate(NodeIndex(5, (32, 32))).value - est_true >= gamma
     bound = math.exp(-2 * gamma**2 * n)
     sigma = math.sqrt(bound * (1 - bound) / seeds)
     assert exceed / seeds <= bound + 3 * sigma

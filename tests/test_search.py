@@ -1202,6 +1202,14 @@ def test_map_free_depth_past_the_key_range_is_rejected():
         )
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_map_free_dim_below_one_is_rejected(dim):
+    # refused by the session itself: dim -1 would otherwise fail first in
+    # the cost bound's square root
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        PlannerSession(predicate=lambda p: False, dim=dim, depth=3, start=(), goal=())
+
+
 @pytest.mark.parametrize("maze", [True, False], ids=["snake", "backtracking"])
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "map-free"])
 def test_each_iteration_commits_a_fine_prefix(exact, maze):
