@@ -168,7 +168,12 @@ def failure_bound(params: BoundParams) -> float:
     by walking up from the cutoff while it holds.  It reads the same test
     classify does, so the two cannot disagree on a scale: a scale whose
     threshold is exactly 1 (gamma * 2**(dim*k) == eps) or rounds to 1 is
-    in the band.
+    in the band.  Once obstacle_threshold reads 1.0 it reads 1.0 at every
+    higher scale, so the test does too: a band that is still open there
+    runs to depth without walking on.  eps < 1 makes the threshold 1.0 at
+    every scale with dim * k >= 54, so the walk takes at most 54 steps
+    however deep the tree.  (A band reaches those scales only when gamma
+    is at most 2**-53, which rounds 1 + gamma to 1.)
 
     With one region the bound is either 0 or close to 1.  It is 0 exactly
     when no scale of the misclassifiable band lies in the tree (sampling
@@ -183,6 +188,9 @@ def failure_bound(params: BoundParams) -> float:
     low = exact_scale_cutoff(dim, params.samples)
     high = low + 1
     while high <= params.depth and is_flagged_obstacle(1.0, high, dim, eps, gamma):
+        if obstacle_threshold(eps, dim, high) == 1.0:
+            high = params.depth + 1
+            break
         high += 1
     count = band_node_count(params.depth, dim, low, high)
     if count == 0.0:

@@ -23,6 +23,21 @@ Every iteration commits at least one hop or blocks a cell, and each
 blocked cell was committed once, so the iterations number at most twice
 the distinct commitments, which bounds them.
 
+With the exact map at hand, whether the goal is reachable at all is
+decidable: two component labels, which the tree computes once and keeps
+(grid_connected).  An exact walk asks them only when it would first stop
+short of the goal: at a failed search, before it backtracks, or when it
+runs out of budget.  If they put the goal out of reach, the walk ends
+no_path there; otherwise it goes on unchanged, and never asks again.  A
+walk that reaches the goal without a dead end never labels the map.
+Until its first failed search every iteration commits a hop, and the
+trail is a simple path inside the start's component, so that search
+comes within the component's size in iterations.  Without the labels the
+walk would reach the same verdict by exhausting its alternatives, only
+much slower: coarse nodes that are not full keep suggesting optimistic
+routes, so the walk visits a large share of the free component before
+its backtracking stack drains.
+
 The A* is lazy in two ways matching the planner's cost structure: a
 vertex's neighbors are computed only when it is popped from the open
 queue, and occupancy values (map lookups in exact mode, cached sampling
@@ -200,6 +215,10 @@ def astar_lazy(
     g_get = g.get
     learned_get = learned.get
     closed_add = closed.add
+    # The vertices this run expands, in order; a found path raises their
+    # learned values.
+    expanded: list = []
+    expand = expanded.append
     h0 = 0.5 * dist(start.center2, goal_center2)
     heap: list[tuple] = [(h0, h0, start_key, start)]
     found = False
@@ -212,7 +231,7 @@ def astar_lazy(
             found = True
             break
         closed_add(v)
-        stats.pops += 1
+        expand(v)
         nbrs = find_neighbors(root, v_node, depth)
         gv = g[v]
         vc2 = v[1]
@@ -235,15 +254,15 @@ def astar_lazy(
                     hw = lw
                 heappush(heap, (tentative + hw, hw, w, node))
 
+    stats.pops += len(expanded)
     stats.touched += len(g)
     if not found:
         return None
-    # The expanded vertices are the closed ones with a g-value: excluded
-    # vertices never get one, and flagged ones are never closed.
     cost = g[goal_key]
-    for v, gv in g.items():
-        if v in closed and cost - gv > learned_get(v, 0.0):
-            learned[v] = cost - gv
+    for v in expanded:
+        left = cost - g[v]
+        if left > learned_get(v, 0.0):
+            learned[v] = left
     path = [goal_key]
     while path[-1] != start_key:
         path.append(parent[path[-1]])
@@ -352,6 +371,12 @@ class PlannerSession:
     its iteration pieces (goal_reached, refresh_view, advance) so a caller
     can drive and inspect single iterations; run() drives to completion.
 
+    An exact session asks the map's component labels whether the goal is
+    reachable the first time its walk would stop short of the goal (a
+    failed search, or the budget), and ends no_path there if it is not;
+    it asks at most once.  So an unreachable exact query never ends
+    budget_exceeded, and a walk with no dead end never labels the map.
+
     The walk is recorded in trail, and every cell it has entered in
     visited.  Each advance() commits the leading fine hops of one search,
     all of them exact moves.  The search routes around visited cells, so
@@ -440,6 +465,9 @@ class PlannerSession:
 
         start_v = self._locate(start)
         goal_v = self._locate(goal)
+        self._cells = (self._cell(start), self._cell(goal))
+        # Exact mode: whether the labels join the two cells, once asked.
+        self._reachable: bool | None = None
         self.goal_center = _center(goal_v)
         self.current = start_v
         self.trail: list[NodeIndex] = [start_v]
@@ -466,18 +494,6 @@ class PlannerSession:
             self.status = START_BLOCKED
         elif self._is_obstacle(goal_v):
             self.status = GOAL_BLOCKED
-        elif tree is not None and not grid_connected(
-            tree, self._cell(start), self._cell(goal)
-        ):
-            # With the exact map at hand, unreachability is decidable up
-            # front: two component labels, which the tree computes on the
-            # first exact session and keeps.  The iterative loop would
-            # reach the same verdict by exhausting its alternatives, only
-            # much slower: coarse cells that are not full keep
-            # suggesting optimistic routes, so the walk visits a large
-            # share of the free component before its backtracking stack
-            # drains.
-            self.status = NO_PATH
 
     def _cell(self, point) -> tuple[int, ...]:
         side = 1 << self.depth
@@ -494,6 +510,20 @@ class PlannerSession:
         if self.tree is not None:
             return self.tree.is_obstacle(idx)
         return self._values[idx] == inf
+
+    def _cut_off(self) -> bool:
+        """Exact mode: the map's labels put the goal out of reach.
+
+        Asked where the walk would first stop short of the goal, so the
+        labels are computed only then; the answer is kept.  Map-free
+        there is no map to label, and the walk decides alone.
+        """
+        if self.tree is None:
+            return False
+        if self._reachable is None:
+            # grid_connected is read as a module global, so a caller can wrap it.
+            self._reachable = grid_connected(self.tree, *self._cells)
+        return not self._reachable
 
     def _is_fine(self, idx) -> bool:
         # A node is fine when the view would not split it: a map leaf, or
@@ -512,10 +542,11 @@ class PlannerSession:
         The view makes every leaf beside the current cell fine, so the
         first hop is committed (a coarse one raises RuntimeError, as a
         non-adjacent one does); the following hops are committed while the
-        next node is fine.  With no path, the last trail cell is blocked
-        and the walk steps back to the one before it; the blocked cell
-        stays visited, so later views keep it as a leaf and later searches
-        never enter it.
+        next node is fine.  With no path, an exact walk whose labels put
+        the goal out of reach ends no_path; otherwise the last trail cell
+        is blocked and the walk steps back to the one before it.  The
+        blocked cell stays visited, so later views keep it as a leaf and
+        later searches never enter it.
         """
         run = SearchStats()
         goal_node = self.rtree.leaf_at_point(self.goal_center)
@@ -538,7 +569,7 @@ class PlannerSession:
                 assert run.new_samples <= run.touched
             self.stats.add(run)
         if path is None:
-            if len(self.trail) == 1:
+            if self._cut_off() or len(self.trail) == 1:
                 self.status = NO_PATH
                 return self.status
             self.trail.pop()
@@ -571,7 +602,7 @@ class PlannerSession:
             self.status = SUCCESS
             return self.status
         if self.iterations >= self.budget:
-            self.status = BUDGET_EXCEEDED
+            self.status = NO_PATH if self._cut_off() else BUDGET_EXCEEDED
             return self.status
         self.iterations += 1
         self.refresh_view()

@@ -299,7 +299,8 @@ def grid_connected(
     Compares the cells' component labels.  Reachability is a fixed fact of
     the map, so the first call labels the whole grid of tree.to_grid() once
     (_component_labels) and keeps the labels on the tree; every later call
-    costs two lookups.
+    costs two lookups.  An exact PlannerSession asks it only when its walk
+    first stops short of the goal, so a walk that never does labels nothing.
     """
     labels = tree._labels
     if labels is None:
@@ -312,30 +313,51 @@ def _component_labels(world: GridWorld) -> np.ndarray:
     """Face-connected component label of every cell, in the flat layout.
 
     A free cell's label is the smallest flat index in its component, an
-    obstacle cell's is -1.  A vectorized union-find over the free face pairs.  Every cell starts as
+    obstacle cell's is -1.  The labels go to runs, not cells (He, Chao &
+    Suzuki, IEEE TIP 2008): a run is a maximal line of free cells along
+    spatial axis 0, which is contiguous in the flat layout, and runs are
+    numbered in flat order by a cumulative sum of run starts.  Two runs on
+    lines that are neighbours along another axis overlap in one interval
+    at most, so one joined pair per maximal stretch of free face pairs
+    joins them.
+
+    A vectorized union-find then runs over the runs.  Every run starts as
     its own root.  Each round hooks the larger root of every pair that
     still spans two roots under the smaller one (parents only ever point
-    to smaller indices, so no cycle forms), then jumps pointers until every
-    cell points at its root.  A round with such a pair hooks at least one
-    root, so the rounds end, at the latest when each component has one.
+    to smaller ids, so no cycle forms), then jumps pointers until every run
+    points at its root.  A round with such a pair hooks at least one root,
+    so the rounds end, at the latest when each component has one.  A
+    cell's label is the first cell of its root run: the smallest cell of a
+    component starts a run, and runs are numbered in flat order.
     """
     dim, side = world.dim, world.side
     n = world.cells.size
     dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     free = world.cells.reshape((side,) * dim) == 0
-    index = np.arange(n, dtype=dtype)
-    flat = index.reshape(free.shape)
-    lows, highs = [], []
+    # The last numpy axis is spatial axis 0.
+    starts = free.copy()
+    starts[..., 1:] &= ~free[..., :-1]
+    first = np.flatnonzero(starts).astype(dtype)
+    if not first.size:
+        return np.full(n, -1, dtype=dtype)
+    # Each cell's run, the last one started at or before it.
+    run = np.cumsum(starts, axis=None, dtype=dtype) - 1
+    # One joined pair per overlap; a 1-D map has none.
+    lows, highs = [np.empty(0, dtype)], [np.empty(0, dtype)]
     full = slice(None)
-    for ax in range(dim):
+    for ax in range(dim - 1):
         lead = tuple(slice(1, None) if i == ax else full for i in range(dim))
         trail = tuple(slice(None, -1) if i == ax else full for i in range(dim))
-        both = free[lead] & free[trail]
-        lows.append(flat[trail][both])
-        highs.append(flat[lead][both])
+        pairs = np.zeros_like(free)
+        pairs[trail] = free[lead] & free[trail]
+        pairs[..., 1:] &= ~pairs[..., :-1]
+        at = np.flatnonzero(pairs)
+        lows.append(run[at])
+        highs.append(run[at + side ** (dim - 1 - ax)])
     low, high = np.concatenate(lows), np.concatenate(highs)
+    index = np.arange(first.size, dtype=dtype)
     parent = index.copy()
-    roots = n
+    roots = first.size
     while True:
         root_low, root_high = parent[low], parent[high]
         split = root_low != root_high
@@ -354,8 +376,7 @@ def _component_labels(world: GridWorld) -> np.ndarray:
         if left >= roots:
             raise RuntimeError("component labelling hooked no root in a round")
         roots = left
-    parent[~free.ravel()] = -1
-    return parent
+    return np.where(free.ravel(), first[parent][run], -1).astype(dtype, copy=False)
 
 
 # The name callers build a tree by.

@@ -2,9 +2,10 @@
 
 The oracles intentionally avoid the library's own code paths: neighbor
 checks go through interval intersection, window tests through exact
-integer arithmetic, connectivity through a set-based flood fill, the
-stored nodes of a tree through a walk over its public lookups, so tests
-compare two separately derived answers.  The tree references
+integer arithmetic, connectivity through a set-based flood fill and
+component labels through a cell-by-cell one, the stored nodes of a tree
+through a walk over its public lookups, so tests compare two separately
+derived answers.  The tree references
 (parent_of, root_of, children_of, node_bounds2, has_node, is_leaf,
 stored_nodes), covers, realize_grid, same_world and state_source are
 written over public calls only.
@@ -351,6 +352,35 @@ def grid_bfs_reachable(world: GridWorld, a, b) -> bool:
                     nxt.append(nb)
         frontier = nxt
     return b in seen
+
+
+def flood_labels(world: GridWorld) -> np.ndarray:
+    """Component labels cell by cell: a free cell's is the smallest flat
+    index in its component, an obstacle's -1.
+
+    Cells are taken in flat order, and each free cell not yet labelled
+    floods its component with its own index, which is the component's
+    smallest.  The dtype is the library's: int32 while the flat indices
+    fit.
+    """
+    side, n = world.side, world.cells.size
+    occupied = world.cells.tolist()
+    strides = [side**j for j in range(world.dim)]
+    labels = [-1] * n
+    for seed in range(n):
+        if occupied[seed] or labels[seed] >= 0:
+            continue
+        labels[seed] = seed
+        frontier = [seed]
+        while frontier:
+            flat = frontier.pop()
+            for stride in strides:
+                coord = flat // stride % side
+                for nb, inside in ((flat - stride, coord > 0), (flat + stride, coord < side - 1)):
+                    if inside and not occupied[nb] and labels[nb] < 0:
+                        labels[nb] = seed
+                        frontier.append(nb)
+    return np.array(labels, dtype=np.int32 if n <= np.iinfo(np.int32).max else np.int64)
 
 
 def dijkstra_vertex_costs(vertices, edges, value_of, weight, start):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import children_of
+import mspp.sampling as msampling
 from mspp.environments import grid_predicate
 from mspp.predicates import Checkerboard, Slab, SphereSet
 from mspp.sampling import (
@@ -230,6 +231,74 @@ def test_failure_bound_sums_the_flaggable_sampled_scales(dim, depth, eps, gamma,
         miss = -math.expm1(-2 * gamma * gamma * n)
         direct = (1 - miss ** (count / z)) ** z
         assert got == pytest.approx(min(1.0, direct), rel=1e-12)
+
+
+def walked_failure_bound(params: BoundParams) -> float:
+    """failure_bound with its band end found by walking every scale up to
+    the depth, whatever the threshold reads."""
+    dim, eps, gamma = params.dim, params.eps, params.gamma
+    low = exact_scale_cutoff(dim, params.samples)
+    high = low + 1
+    while high <= params.depth and is_flagged_obstacle(1.0, high, dim, eps, gamma):
+        high += 1
+    count = band_node_count(params.depth, dim, low, high)
+    if count == 0.0:
+        return 0.0
+    keep = (-math.expm1(-2.0 * gamma * gamma * params.samples)) ** (count / params.regions)
+    return min(1.0, max(0.0, (1.0 - keep) ** params.regions))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(0, 400),
+    st.floats(0.01, 0.99),
+    st.floats(1e-7, 0.5) | st.sampled_from([2.0**-53, 2.0**-60, 1e-300, 5e-324]),
+    st.integers(1, 4096),
+    st.integers(1, 4),
+    st.none() | st.tuples(st.integers(0, 14), st.integers(-3, 3)),
+)
+# the ties of the test above, at depths short and long
+@example(1, 5, 0.8, 0.05, 8, 1, (4, 0))
+@example(1, 5, 0.8, 0.05, 8, 1, (4, 1))
+@example(1, 5, 0.8, 0.05, 8, 1, (4, -1))
+@example(2, 6, 0.3, 0.05, 16, 2, (3, 0))
+@example(2, 6, 0.3, 0.05, 16, 2, (3, 3))
+@example(3, 5, 0.7, 0.05, 8, 1, (2, -3))
+@example(1, 300, 0.8, 0.05, 8, 1, (4, 0))
+# gamma at most 2**-53 rounds 1 + gamma to 1: the band runs to the depth
+@example(1, 400, 0.5, 2.0**-53, 1, 1, None)
+@example(1, 400, 0.5, 1e-300, 1, 1, None)
+@example(3, 40, 0.9, 2.0**-53, 64, 3, None)
+@example(1, 60, 0.5, math.nextafter(2.0**-53, 1.0), 1, 1, None)
+# 2**60 samples enumerate up to scale 60, so the band is the root alone
+@example(1, 61, 0.5, 2.0**-53, 2**60, 1, None)
+def test_failure_bound_equals_the_walked_band(dim, depth, eps, gamma, n, z, tie):
+    # Past the scale where the threshold reads 1.0 the band end is read,
+    # not walked; the bound is the walked one bit for bit.
+    if tie is not None:
+        k, ulps = tie
+        gamma = math.ldexp(eps, -dim * k)
+        for _ in range(abs(ulps)):
+            gamma = math.nextafter(gamma, math.inf if ulps > 0 else 0.0)
+    params = BoundParams(depth=depth, dim=dim, eps=eps, gamma=gamma, samples=n, regions=z)
+    assert failure_bound(params) == walked_failure_bound(params)
+
+
+def test_failure_bound_past_the_float_range_does_not_walk(monkeypatch):
+    # With gamma below 2**-53 every scale of a 10**7-deep tree is in the
+    # band; the flag test runs only until the threshold reads 1.0.
+    calls = []
+    flagged = msampling.is_flagged_obstacle
+
+    def counting(*args):
+        calls.append(args)
+        return flagged(*args)
+
+    monkeypatch.setattr(msampling, "is_flagged_obstacle", counting)
+    params = BoundParams(depth=10**7, dim=1, eps=0.5, gamma=1e-300, samples=1)
+    assert failure_bound(params) == 1.0
+    assert 0 < len(calls) <= 54
 
 
 @settings(max_examples=60, deadline=None)

@@ -68,6 +68,30 @@ def counted_neighbor_lookups():
         yield calls
 
 
+@pytest.fixture
+def labellings(monkeypatch):
+    """The worlds the trees label, one per _component_labels call."""
+    calls = []
+    labeller = mtree._component_labels
+
+    def counting(world):
+        calls.append(world)
+        return labeller(world)
+
+    monkeypatch.setattr(mtree, "_component_labels", counting)
+    return calls
+
+
+def assert_no_path_at_first_failed_search(result, labellings):
+    # An exact walk asks the labels the first time a search fails, and an
+    # unreachable goal ends it there: no cell was blocked, one labelling.
+    assert result.status == NO_PATH
+    assert result.path is None
+    assert result.iterations >= 1
+    assert result.blocked == 0
+    assert len(labellings) == 1
+
+
 def corridor_world():
     # 4x4 box with only the bottom row free
     cells = np.ones(16, dtype=np.uint8)
@@ -353,19 +377,22 @@ def test_plan_subdivided_free_map_matches_uniform_grid_length():
     assert result.cost == pytest.approx(len(base.path) - 1)
 
 
-def test_plan_walled_world_fails_like_grid_search():
+def walled_world() -> GridWorld:
+    # a full column of obstacles at x = 4 splits an 8x8 world in two
     cells = np.zeros(64, dtype=np.uint8)
     world = GridWorld(2, 3, cells)
     for y in range(8):
         cells[world.flat_index((4, y))] = 1
-    world = GridWorld(2, 3, cells)
+    return GridWorld(2, 3, cells)
+
+
+def test_plan_walled_world_fails_like_grid_search(labellings):
+    world = walled_world()
     tree = build_from_grid(world)
     result = PlannerSession(tree=tree, start=(0.5, 0.5), goal=(7.5, 7.5)).run()
-    assert result.status == NO_PATH
-    assert result.path is None
-    # the up-front connectivity test decides the case before any iteration
-    assert result.iterations == 0
-    assert result.blocked == 0
+    assert_no_path_at_first_failed_search(result, labellings)
+    # one search commits hops toward the wall, the next finds no route
+    assert result.iterations == 2
     base = uniform_astar(world, (0, 0), (7, 7))
     assert not base.reachable
 
@@ -1103,15 +1130,14 @@ def test_snake_maze_walks_the_shortest_corridor(exact, depth):
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "map-free"])
-def test_sealed_wall_ends_in_no_path(exact):
+def test_sealed_wall_ends_in_no_path(exact, labellings):
     # a full plane of obstacles splits a 16^3 world in two
     wall = WallWithGap(0, 8.0, 0.0, (8.0,) * 3)
     start, goal = (0.5,) * 3, (15.5,) * 3
     if exact:
         tree = build_from_grid(realize_grid(wall, 3, 4))
         result = PlannerSession(tree=tree, start=start, goal=goal).run()
-        # the up-front connectivity test decides before any iteration
-        assert result.iterations == 0
+        assert_no_path_at_first_failed_search(result, labellings)
     else:
         session = PlannerSession(predicate=wall, dim=3, depth=4, start=start, goal=goal)
         result = session.run()
@@ -1153,10 +1179,10 @@ def test_map_free_query_at_max_depth():
 
 
 @pytest.mark.parametrize("sealed", [False, True], ids=["gap", "sealed"])
-def test_exact_query_at_max_depth(sealed):
+def test_exact_query_at_max_depth(sealed, labellings):
     # The wall of the map-free test above, painted on a 2**MAX_DEPTH grid.
-    # The up-front check labels all 2**(2 * MAX_DEPTH) cells once; a
-    # sealed wall ends there, before the first iteration.
+    # A sealed wall ends at the walk's first failed search, which labels
+    # all 2**(2 * MAX_DEPTH) cells once.
     side = 1 << MAX_DEPTH
     cells = np.zeros((side, side), dtype=np.uint8)  # numpy axes: y, x
     cells[:, 20] = 1
@@ -1167,31 +1193,54 @@ def test_exact_query_at_max_depth(sealed):
     tree = build_from_grid(world)
     result = PlannerSession(tree=tree, start=start, goal=goal).run()
     if sealed:
-        assert result.status == NO_PATH
-        assert result.iterations == 0
+        assert_no_path_at_first_failed_search(result, labellings)
     else:
         assert result.status == SUCCESS
         ok, reason = verify_path(tree, result.path, start=start, goal=goal)
         assert ok, reason
 
 
-def test_grid_connected_labels_each_tree_once(monkeypatch):
-    calls = []
-    labeller = mtree._component_labels
-
-    def counting(world):
-        calls.append(world)
-        return labeller(world)
-
-    monkeypatch.setattr(mtree, "_component_labels", counting)
+def test_grid_connected_labels_each_tree_once(labellings):
+    # A walk with no dead end never labels its map.
+    free = build_from_grid(GridWorld(2, 4, np.zeros(256, dtype=np.uint8)))
+    for start, goal in [((0.5, 0.5), (15.5, 15.5)), ((15.5, 0.5), (0.5, 9.5))]:
+        result = PlannerSession(tree=free, start=start, goal=goal).run()
+        assert result.status == SUCCESS
+        assert result.blocked == 0
+    assert labellings == []
+    # Seed 2's walk from the origin backs out of dead ends, so each tree is
+    # labelled at its first one, and only there.
     world = random_world(2, 4, 0.3, seed=2, free_corners=True)
     tree = build_from_grid(world)
     other = build_from_grid(world)
+    blocked = []
     for start, goal in [((0.5, 0.5), (15.5, 15.5)), ((15.5, 15.5), (0.5, 0.5))] * 2:
         for t in (tree, other):
-            PlannerSession(tree=t, start=start, goal=goal).run()
-    assert len(calls) == 2
-    assert all(same_world(call, world) for call in calls)
+            result = PlannerSession(tree=t, start=start, goal=goal).run()
+            assert result.status == SUCCESS
+            blocked.append(result.blocked)
+    assert blocked[0] > 0
+    assert len(labellings) == 2
+    assert all(same_world(call, world) for call in labellings)
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_unreachable_exact_query_out_of_budget_ends_in_no_path(budget, labellings):
+    # The walled world's walk commits one search before its first dead
+    # end, so both budgets run out first.  The labels are asked at the
+    # budget instead; a reachable query still ends budget_exceeded.
+    tree = build_from_grid(walled_world())
+    result = PlannerSession(
+        tree=tree, start=(0.5, 0.5), goal=(7.5, 7.5), budget=budget
+    ).run()
+    assert result.status == NO_PATH
+    assert (result.iterations, result.blocked) == (budget, 0)
+    assert len(labellings) == 1
+    result = PlannerSession(
+        tree=tree, start=(0.5, 0.5), goal=(3.5, 7.5), budget=0
+    ).run()
+    assert result.status == BUDGET_EXCEEDED
+    assert len(labellings) == 1
 
 
 def test_map_free_depth_past_the_key_range_is_rejected():

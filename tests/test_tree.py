@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     children_of,
+    flood_labels,
     grid_bfs_reachable,
     has_node,
     is_leaf,
@@ -23,6 +24,7 @@ from helpers import (
     stored_nodes,
 )
 from mspp.sampling import is_flagged_obstacle
+import mspp.tree as mtree
 from mspp.tree import (
     GridWorld,
     NodeIndex,
@@ -461,6 +463,31 @@ def test_grid_connected_matches_flood_fill(dim, depth, seed):
         b = tuple(int(rng.integers(0, side)) for _ in range(dim))
         assert grid_connected(tree, a, b) == grid_bfs_reachable(world, a, b)
         assert grid_connected(tree, a, a) == (not world.occupied(a))
+
+
+# The deepest map the labelling test draws, per dimension (at most 4096
+# cells): the flood fill it is checked against walks cell by cell.
+LABEL_DEPTHS = {1: 10, 2: 6, 3: 4, 4: 3, 5: 2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5), st.integers(0, 10), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1)
+)
+@example(2, 3, 0.0, 0)  # all free: one component, label 0
+@example(3, 2, 1.0, 0)  # all blocked: no run at all
+@example(1, 0, 0.0, 0)  # depth 0: a single free cell
+@example(4, 0, 1.0, 0)  # depth 0: a single blocked cell
+@example(1, 10, 0.5, 0)  # 1-D: each run is its own component
+def test_component_labels_match_a_flood_fill(dim, depth, density, seed):
+    depth = min(depth, LABEL_DEPTHS[dim])
+    rng = np.random.default_rng(seed)
+    cells = (rng.random(1 << (dim * depth)) < density).astype(np.uint8)
+    world = GridWorld(dim, depth, cells)
+    labels = mtree._component_labels(world)
+    expected = flood_labels(world)
+    assert labels.dtype == expected.dtype
+    assert np.array_equal(labels, expected)
 
 
 def test_grid_connected_joins_long_winding_corridors():
