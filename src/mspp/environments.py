@@ -19,7 +19,7 @@ from math import inf
 
 import numpy as np
 
-from .predicates import SphereSet
+from .predicates import BatchPredicate, SphereSet
 from .tree import MAX_DEPTH, GridWorld
 
 __all__ = [
@@ -245,8 +245,13 @@ def uniform_astar(world: GridWorld, start, goal) -> BaselineResult:
     return BaselineResult(True, cells, expanded, elapsed)
 
 
-class GridPredicate:
-    """Point-obstacle queries backed by a grid world (half-open cells)."""
+class GridPredicate(BatchPredicate):
+    """Point-obstacle queries backed by a grid world (half-open cells).
+
+    A point reads the unit cell floor(point), clamped inward on the
+    world's upper faces.  A point outside the box [0, side]**dim, or with
+    a NaN coordinate, raises ValueError.
+    """
 
     def __init__(self, world: GridWorld):
         self.world = world
@@ -254,12 +259,10 @@ class GridPredicate:
             [world.side**j for j in range(world.dim)], dtype=np.int64
         )
 
-    def __call__(self, point) -> bool:
-        return bool(self.world.cells[self.world.flat_index(self.world.cell_of(point))])
-
     def batch(self, points: np.ndarray) -> np.ndarray:
         side = self.world.side
-        if np.any(points < 0) or np.any(points > side):
+        # Written so that NaN, which compares false, fails it.
+        if not np.all((points >= 0) & (points <= side)):
             raise ValueError("point outside the world box")
         cells = np.minimum(points.astype(np.int64), side - 1)
         flat = (cells * self._strides).sum(axis=1)

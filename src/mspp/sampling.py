@@ -49,6 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .predicates import batch_of
 from .tree import NodeIndex
 
 __all__ = [
@@ -238,11 +239,10 @@ class ValueEstimator:
     """Cached per-node occupancy estimation against an obstacle predicate.
 
     predicate maps a d-point to True on obstacles.  Every query goes through
-    one vectorized call on an (n, d) array: the predicate's own `batch`
-    method when present, else a per-point loop wrapped once at
-    construction.  With cell_picks=True samples are uniform unit-cell
-    centers (the discrete model of a grid world); otherwise they are
-    continuous uniform points.  Each node is sampled at most once; repeated
+    one vectorized call on an (n, d) array, batch_of(predicate), bound
+    once at construction.  With cell_picks=True samples are uniform
+    unit-cell centers (the discrete model of a grid world); otherwise they
+    are continuous uniform points.  Each node is sampled at most once; repeated
     queries hit the cache, which a NodeIndex or its plain (scale, center2)
     tuple finds alike.  exact_cutoff is exact_scale_cutoff(dim, samples),
     capped at depth, as no node lies above it.  The scale alone decides
@@ -283,14 +283,7 @@ class ValueEstimator:
         self.seed = seed
         self.cell_picks = cell_picks
         self.exact_cutoff = min(exact_scale_cutoff(dim, self.samples), depth)
-        batch = getattr(predicate, "batch", None)
-        if batch is None:
-
-            def batch(points: np.ndarray) -> np.ndarray:
-                flags = [bool(predicate(tuple(p))) for p in points.tolist()]
-                return np.array(flags, dtype=bool)
-
-        self._batch = batch
+        self._batch = batch_of(predicate)
         self._cache: dict[NodeIndex, SampleEstimate] = {}
         # One bit generator shared by all nodes; each draw rekeys it with
         # the node's stream key and a zeroed counter, which reproduces the

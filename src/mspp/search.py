@@ -80,12 +80,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import product
 from math import inf, sqrt
 
+import numpy as np
+
 from .neighbors import are_neighbors, find_neighbors
+from .predicates import batch_of
 from .reduced import CellTracker, ReducedTree, RTNode, refresh
-from .sampling import ValueEstimator, check_samples
+from .sampling import ValueEstimator, _layout, check_samples
 from .tree import (
     MAX_DEPTH,
     NodeIndex,
@@ -678,7 +680,9 @@ def verify_path_sampled(
     Clauses are checked over the whole path in this order: every node is
     a node of the world (the first node's dimension), every unit cell a
     node covers is free under the predicate, consecutive nodes are
-    neighbors, then the endpoints.
+    neighbors, then the endpoints.  Each node's cell centers go to the
+    predicate as one batch_of call, the call the planner's estimator
+    asks, so the check and the planner read the same rule.
     Returns (True, None) or (False, description of the first violation).
     """
     if not path:
@@ -687,12 +691,11 @@ def verify_path_sampled(
     for i, idx in enumerate(path):
         if not valid_index(idx, dim, depth):
             return False, f"node {i} is not a node of the world"
-    for i, idx in enumerate(path):
-        side = 1 << idx.scale
-        low = [(c - side) >> 1 for c in idx.center2]
-        for off in product(range(side), repeat=len(low)):
-            if predicate(tuple(l + o + 0.5 for l, o in zip(low, off))):
-                return False, f"node {i} covers an obstacle cell"
+    batch = batch_of(predicate)
+    for i, (k, c2) in enumerate(path):
+        centers = _layout(dim, k)[0] + [(c - (1 << k)) >> 1 for c in c2]
+        if np.any(batch(centers)):
+            return False, f"node {i} covers an obstacle cell"
     for i, (u, v) in enumerate(zip(path, path[1:])):
         if not are_neighbors(u, v):
             return False, f"nodes {i} and {i + 1} are not neighbors"

@@ -116,15 +116,6 @@ class GridWorld:
     def flat_index(self, cell: Sequence[int]) -> int:
         return _flat_index(self.dim, self.side, cell)
 
-    def cell_of(self, point: Sequence[float]) -> tuple[int, ...]:
-        """Unit cell containing a point, half-open on upper faces."""
-        cell = []
-        for x in point:
-            if not 0.0 <= x <= self.side:
-                raise ValueError(f"point {tuple(point)} outside the world")
-            cell.append(min(int(x), self.side - 1))
-        return tuple(cell)
-
     def occupied(self, cell: Sequence[int]) -> bool:
         return bool(self.cells[self.flat_index(cell)])
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from mspp.cli import SETTINGS, main
-from mspp.tree import GridWorld, map_text, read_map
+from mspp.predicates import parse_predicate
+from mspp.search import verify_path_sampled
+from mspp.tree import GridWorld, NodeIndex, map_text, read_map
 
 
 def map_file(tmp_path, occupied, dim=2, depth=3):
@@ -381,3 +383,24 @@ def test_one_dimensional_wall_with_a_gap_is_open(capsys):
     )
     assert code == 0
     assert out.splitlines()[-1].startswith("status=success")
+
+
+def test_eight_axis_sphere_plan_passes_its_own_check(capsys):
+    # the goal cell's centre lies on this sphere's surface to within the
+    # rounding of its squared distance, which batch and a pairwise sum
+    # round apart: the planner and the path check must ask the same rule
+    spheres = (
+        "spheres:1.499999988824129,1.4999999925494194,1.499999988824129,"
+        "1.4999999850988388,1.0,1.4999999850988388,0.75,0.75,1.1726039399558577"
+    )
+    code, out, err = run(
+        capsys, "plan", "--predicate", spheres, "--mode", "sampling",
+        "--dim", "8", "--depth", "1",
+    )
+    assert code == 0, err
+    *rows, summary = out.splitlines()
+    assert summary.startswith("status=success")
+    path = [NodeIndex(int(k), tuple(round(2 * float(c)) for c in cs))
+            for k, *cs in map(str.split, rows)]
+    predicate = parse_predicate(spheres, 8, 2)
+    assert verify_path_sampled(predicate, path, 1, (0.5,) * 8, (1.5,) * 8) == (True, None)

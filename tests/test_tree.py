@@ -445,9 +445,6 @@ def test_grid_world_validation():
         world.flat_index((2, 0))
     with pytest.raises(ValueError, match="not 2-dimensional"):
         world.flat_index((0,))
-    with pytest.raises(ValueError):
-        world.cell_of((-0.1, 0.5))
-    assert world.cell_of((2.0, 1.5)) == (1, 1)  # upper boundary clamps inward
 
 
 @settings(max_examples=40, deadline=None)
