@@ -88,16 +88,26 @@ class RTNode:
     2**dim whose entries may be None where a subtree was removed.  gen is
     the generation the node was decided in; until a descent decides it
     again, a node stamped with an older generation than its parent's is
-    stale and its children field is not to be read.
+    stale and its children field is not to be read.  key is the node's
+    (scale, center2) tuple, built once.
+
+    The other fields belong to the search (astar_lazy): g is the node's
+    g-value in the latest run that reached it, and reached and closed are
+    that run's stamp once the run has reached, and closed, the node.  A
+    field carrying another run's stamp says nothing about the current run.
     """
 
-    __slots__ = ("scale", "center2", "children", "gen")
+    __slots__ = ("scale", "center2", "children", "gen", "key", "g", "reached", "closed")
 
     def __init__(self, scale: int, center2: tuple[int, ...], children=None):
         self.scale = scale
         self.center2 = center2
         self.children = children
         self.gen = 0
+        self.key = (scale, center2)
+        self.g = 0.0
+        self.reached = None
+        self.closed = None
 
     def __repr__(self) -> str:
         kind = "leaf" if self.children is None else "internal"
@@ -334,7 +344,7 @@ def refresh(
         if obstacle:
             kids[slot] = None
             return None
-        key = (k, c2)
+        key = node.key
         if key in visited_anc:
             stop = key in visited_members
         elif splits:

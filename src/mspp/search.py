@@ -42,7 +42,11 @@ The A* is lazy in two ways matching the planner's cost structure: a
 vertex's neighbors are computed only when it is popped from the open
 queue, and occupancy values (map lookups in exact mode, cached sampling
 estimates in map-free mode) are evaluated per vertex only when first
-needed for a g-value.
+needed for a g-value.  A run keeps its per-vertex state on the view nodes
+it reaches (see RTNode): the g-value, and a fresh stamp object marking
+the nodes it has reached and closed, so the loop hashes no key to find
+them, and a stamp left by an earlier run reads as unreached.  Only the
+predecessors go in a dict of the run's own, keyed by node identity.
 
 A session's searches share what they learn (Adaptive A*, Koenig &
 Likhachev 2005): each one that reaches the goal raises the cost-to-go
@@ -177,9 +181,10 @@ def astar_lazy(
     of inf marks a vertex that must not be routed through (map-free, a
     node flagged as an obstacle): it gets the g-value inf, so the touched
     count reflects it, but it never enters the queue and is never
-    expanded.  excluded lists vertex keys the path never enters (the start
-    excepted).  Any neighbor of the start may be the first hop: on a view
-    refreshed around the start, every one of them is fine.
+    expanded.  excluded is a container of vertex keys the path never
+    enters (the start excepted), asked once per vertex the run reaches.
+    Any neighbor of the start may be the first hop: on a view refreshed
+    around the start, every one of them is fine.
     A vertex's neighbors come from the tree lookup find_neighbors, read
     as a module global at call time, once per expansion.
 
@@ -201,55 +206,62 @@ def astar_lazy(
     root, depth = rtree.root, rtree.depth
     goal_center2 = goal.center2
 
-    # Vertices are keyed by plain (scale, center2) tuples.  Heap entries
-    # are (f, h, key, node): within one run a key always comes with the
-    # same node, so ties never compare nodes.
+    # The run's vertex state lives on the view nodes (see the module
+    # docstring): run is this run's stamp.  values and learned are keyed
+    # by node.key.  Heap entries are (f, h, key, node): within one run a
+    # key always comes with the same node, so ties never compare nodes.
+    run = object()
     dist = math.dist
     heappush, heappop = heapq.heappush, heapq.heappop
 
-    start_key = (start.scale, start.center2)
-    goal_key = (goal.scale, goal_center2)
-    g: dict = {start_key: 0.0}
+    goal_key = goal.key
+    start.reached = run
+    start.g = 0.0
+    touched = 1
+    # Predecessors, keyed by node identity; no node refers to another.
     parent: dict = {}
-    # Excluded vertices start out closed: never queued, never expanded.
-    closed: set = set(excluded)
-    closed.discard(start_key)
-    g_get = g.get
     learned_get = learned.get
-    closed_add = closed.add
     # The vertices this run expands, in order; a found path raises their
     # learned values.
     expanded: list = []
     expand = expanded.append
     h0 = 0.5 * dist(start.center2, goal_center2)
-    heap: list[tuple] = [(h0, h0, start_key, start)]
-    found = False
+    heap: list[tuple] = [(h0, h0, start.key, start)]
+    found = None
 
     while heap:
         _, _, v, v_node = heappop(heap)
-        if v in closed:
+        if v_node.closed is run:
             continue
         if v == goal_key:
-            found = True
+            found = v_node
             break
-        closed_add(v)
-        expand(v)
+        v_node.closed = run
+        expand(v_node)
         nbrs = find_neighbors(root, v_node, depth)
-        gv = g[v]
-        vc2 = v[1]
+        gv = v_node.g
+        vc2 = v_node.center2
         for node in nbrs:
-            nc2 = node.center2
-            w = (node.scale, nc2)
-            if w in closed:
+            if node.reached is not run:
+                # First reach in this run: excluded vertices start out
+                # closed, never queued, never expanded.
+                node.reached = run
+                if node.key in excluded:
+                    node.closed = run
+                    continue
+                node.g = inf
+                touched += 1
+            elif node.closed is run:
                 continue
+            w = node.key
             value = values[w]
             if value == inf:
-                g[w] = inf
                 continue
+            nc2 = node.center2
             tentative = gv + 0.5 * dist(vc2, nc2) * (1.0 + weight * value)
-            if tentative < g_get(w, inf):
-                g[w] = tentative
-                parent[w] = v
+            if tentative < node.g:
+                node.g = tentative
+                parent[node] = v_node
                 hw = 0.5 * dist(nc2, goal_center2)
                 lw = learned_get(w, 0.0)
                 if lw > hw:
@@ -257,19 +269,20 @@ def astar_lazy(
                 heappush(heap, (tentative + hw, hw, w, node))
 
     stats.pops += len(expanded)
-    stats.touched += len(g)
-    if not found:
+    stats.touched += touched
+    if found is None:
         return None
-    cost = g[goal_key]
-    for v in expanded:
-        left = cost - g[v]
+    cost = found.g
+    for v_node in expanded:
+        left = cost - v_node.g
+        v = v_node.key
         if left > learned_get(v, 0.0):
             learned[v] = left
-    path = [goal_key]
-    while path[-1] != start_key:
+    path = [found]
+    while path[-1] is not start:
         path.append(parent[path[-1]])
     path.reverse()
-    return [NodeIndex(k, c2) for k, c2 in path]
+    return [NodeIndex(*node.key) for node in path]
 
 
 @dataclass

@@ -13,14 +13,19 @@ written over public calls only.
 view_snapshot and all_neighbor_pairs are drivers, not oracles: they run
 the library's own lookups (collect_leaves, find_neighbors) over a whole
 view, to be compared with eager_view or pairwise_edges.
+
+root_descent_neighbors and dict_astar keep earlier forms of library
+routines (the neighbor lookup and the A* loop), to be compared with the
+current ones.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 from itertools import product
-from math import ldexp
+from math import inf, ldexp
 
 import numpy as np
 
@@ -539,3 +544,67 @@ def root_descent_neighbors(root, node, depth: int) -> list:
             else:
                 add_face_leaves(found, axis, 1 if coord < base else -1, out, settle)
     return out
+
+
+def dict_astar(rtree, start, goal, weight, values, excluded=frozenset(),
+               stats=None, learned=None) -> list | None:
+    """Reference lazy A*: astar_lazy as it was before it kept its per-run
+    vertex state on the view nodes.
+
+    Vertices are keyed by (scale, center2) tuples: g-values, predecessors
+    and the closed set are dicts and a set of the run's own, and the
+    excluded keys are copied into the closed set up front.  It takes
+    astar_lazy's arguments and keeps its contract, with the library's
+    find_neighbors as the lookup; stats (a SearchStats) and learned are
+    updated the same way.
+    """
+    if learned is None:
+        learned = {}
+    root, depth = rtree.root, rtree.depth
+    goal_center2 = goal.center2
+    start_key = (start.scale, start.center2)
+    goal_key = (goal.scale, goal_center2)
+    g = {start_key: 0.0}
+    parent = {}
+    closed = set(excluded)
+    closed.discard(start_key)
+    expanded = []
+    h0 = 0.5 * math.dist(start.center2, goal_center2)
+    heap = [(h0, h0, start_key, start)]
+    found = False
+    while heap:
+        _, _, v, v_node = heapq.heappop(heap)
+        if v in closed:
+            continue
+        if v == goal_key:
+            found = True
+            break
+        closed.add(v)
+        expanded.append(v)
+        for node in find_neighbors(root, v_node, depth):
+            w = (node.scale, node.center2)
+            if w in closed:
+                continue
+            value = values[w]
+            if value == inf:
+                g[w] = inf
+                continue
+            tentative = g[v] + 0.5 * math.dist(v[1], w[1]) * (1.0 + weight * value)
+            if tentative < g.get(w, inf):
+                g[w] = tentative
+                parent[w] = v
+                hw = max(0.5 * math.dist(w[1], goal_center2), learned.get(w, 0.0))
+                heapq.heappush(heap, (tentative + hw, hw, w, node))
+    if stats is not None:
+        stats.pops += len(expanded)
+        stats.touched += len(g)
+    if not found:
+        return None
+    cost = g[goal_key]
+    for v in expanded:
+        if cost - g[v] > learned.get(v, 0.0):
+            learned[v] = cost - g[v]
+    path = [goal_key]
+    while path[-1] != start_key:
+        path.append(parent[path[-1]])
+    return [NodeIndex(k, c2) for k, c2 in reversed(path)]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     all_neighbor_pairs,
+    dict_astar,
     dijkstra_vertex_costs,
     eager_view,
     full_rtree,
@@ -26,9 +27,9 @@ from helpers import (
 )
 import mspp.search as msearch
 import mspp.tree as mtree
-from mspp.neighbors import are_neighbors, collect_leaves
+from mspp.neighbors import are_neighbors, collect_leaves, find_neighbors
 from mspp.predicates import WallWithGap
-from mspp.reduced import CellTracker, ReducedTree, refresh, window_thresholds
+from mspp.reduced import CellTracker, ReducedTree, RTNode, refresh, window_thresholds
 from mspp.search import (
     BUDGET_EXCEEDED,
     GOAL_BLOCKED,
@@ -530,6 +531,66 @@ def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
         assert again_stats.pops <= stats.pops
 
 
+class _Flagged(dict):
+    """Map values by key, a seeded share of the keys flagged (inf)."""
+
+    def __init__(self, tree, seed, share):
+        super().__init__()
+        self.tree, self.seed, self.share = tree, seed, share
+
+    def __missing__(self, key):
+        rng = np.random.default_rng([self.seed, key[0], *key[1]])
+        flagged = rng.random() < self.share
+        got = self[key] = math.inf if flagged else self.tree.lookup(*key)[0]
+        return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 4), (2, 5), (3, 3)]),
+    st.sampled_from([0.0, 1.0, 5.0]),
+    st.sampled_from([0.0, 0.1, 0.3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_astar_matches_the_dict_keyed_reference(shape, weight, share, seed):
+    # a walk over refreshed views of one map, whose searches share one
+    # learned dict per side; each view is searched twice, with two
+    # excluded sets, so a second run must not read the first one's stamps
+    dim, depth = shape
+    tree = build_from_grid(random_world(dim, depth, 0.3, seed=seed, free_corners=True))
+    rng = np.random.default_rng(seed)
+    values = _Flagged(tree, seed, share)
+    current = tree.leaf_at((0.5,) * dim)
+    goal_point = ((1 << depth) - 0.5,) * dim
+    visited = CellTracker(dim, depth)
+    visited.add(current)
+    rtree = ReducedTree(dim, depth)
+    learned, learned_ref = {}, {}
+    for _ in range(4):
+        refresh(rtree, tree.state, current, visited, 1.0)
+        start, goal = rtree.find_vertex(current), rtree.leaf_at_point(goal_point)
+        if goal is None:
+            break
+        leaves = [v.key for v in collect_leaves(rtree.root, sort=False)]
+        drawn = {v for v in leaves if rng.random() < 0.15}
+        for excluded in (set(visited.cells()), drawn | visited.cells()):
+            stats, stats_ref = SearchStats(), SearchStats()
+            got = astar_lazy(rtree, start, goal, weight, values, excluded=excluded,
+                             stats=stats, learned=learned)
+            ref = dict_astar(rtree, start, goal, weight, values, excluded=excluded,
+                             stats=stats_ref, learned=learned_ref)
+            assert got == ref
+            assert (stats.pops, stats.touched) == (stats_ref.pops, stats_ref.touched)
+            assert learned == learned_ref
+        # step to a random unvisited leaf beside the current cell
+        beside = [v for v in find_neighbors(rtree.root, start, depth)
+                  if v.key not in visited.cells()]
+        if not beside:
+            break
+        current = NodeIndex(*beside[rng.integers(len(beside))].key)
+        visited.add(current)
+
+
 def test_a_search_reads_what_an_earlier_one_learned():
     # learned cost-to-go is exact on the first search's expanded vertices,
     # so a second search of the same view walks straight down its path
@@ -551,26 +612,45 @@ def test_a_search_reads_what_an_earlier_one_learned():
 
 
 def test_finished_sessions_need_no_cycle_collection():
-    # the session's memos and view must not refer back to the session, so
-    # a finished session is freed as soon as its last reference goes
-    world = random_world(2, 4, 0.2, seed=1, free_corners=True)
-    tree = build_from_grid(world)
+    # the session's memos and view must not refer back to the session, and
+    # the searches keep no link from one view node to another, so a
+    # finished session is freed as soon as its last reference goes, also
+    # after a walk that backtracks: with the cycle collector off, nothing
+    # is left for it to find
+    blocked = []
     enabled = gc.isenabled()
+    gc.collect()
     gc.disable()
     try:
-        for kwargs in (
-            {"tree": tree},
-            {"predicate": grid_predicate(world), "dim": 2, "depth": 4},
-        ):
-            session = PlannerSession(start=(0.5, 0.5), goal=(15.5, 15.5), **kwargs)
-            assert session.run().status == SUCCESS
-            assert session.stats.touched > 0
-            ref = weakref.ref(session)
-            del session
-            assert ref() is None
+        for depth, density, seed in ((4, 0.2, 1), (5, 0.3, 2)):
+            world = random_world(2, depth, density, seed=seed, free_corners=True)
+            side = 1 << depth
+            for kwargs in (
+                {"tree": build_from_grid(world)},
+                {"predicate": grid_predicate(world), "dim": 2, "depth": depth},
+            ):
+                session = PlannerSession(
+                    start=(0.5, 0.5), goal=(side - 0.5, side - 0.5), **kwargs
+                )
+                assert session.run().status == SUCCESS
+                assert session.stats.touched > 0
+                blocked.append(session.blocked)
+                # no view node refers to another but through its child list
+                stack = [session.rtree.root]
+                while stack:
+                    node = stack.pop()
+                    assert not any(
+                        isinstance(r, RTNode) for r in gc.get_referents(node)
+                    )
+                    stack.extend(c for c in node.children or () if c is not None)
+                ref = weakref.ref(session)
+                del session, node
+                assert ref() is None
+                assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
+    assert blocked[-2] > 0 and blocked[-1] > 0
 
 
 def test_session_counters_stay_lazy():
