@@ -16,8 +16,8 @@ map file and refuses them from flags or the config file.  eps, gamma,
 samples and seed act only map-free (a map node is an obstacle exactly
 when it is full), so plan --map in exact mode refuses them the same way
 and does not read MSPP_SEED.  Exit codes:
-0 success, 1 usage or I/O error, 2 planner failure (blocked endpoints or
-no path), 3 iteration budget exceeded.
+0 success, 1 usage, I/O or out-of-memory error, 2 planner failure
+(blocked endpoints or no path), 3 iteration budget exceeded.
 """
 
 from __future__ import annotations
@@ -363,7 +363,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -149,6 +149,10 @@ def band_node_count(depth: int, dim: int, low: int, high: int) -> float:
     if low >= high - 1:
         return 0.0
     top = dim * (depth - low)
+    # The band's largest term, 2**(top - dim), past the float range makes
+    # the count inf without building the top-bit integer.
+    if top - dim >= 1024:
+        return inf
     bot = dim * (depth - high + 1)
     total = ((1 << top) - (1 << bot)) // ((1 << dim) - 1)
     try:
@@ -317,16 +321,11 @@ class ValueEstimator:
         _, ranks, _ = _layout(dim, b)
         # Row-major index of each cell inside its block, then its rank.
         rank = ranks[(cells & (1 << b) - 1) @ (1 << b * np.arange(dim - 1, -1, -1))]
-        # Group the rows by block: sort on the block coordinates, and
-        # number the distinct ones (no flat block id, which could overflow).
-        tops = cells >> b
-        order = np.lexsort(tops.T)
-        tops = tops[order]
-        new = np.ones(len(tops), dtype=bool)
-        new[1:] = np.any(tops[1:] != tops[:-1], axis=1)
-        inv = np.empty(len(tops), dtype=np.intp)
-        inv[order] = np.cumsum(new) - 1
-        keys = (tops[new] << b + 1 | 1 << b).tolist()
+        # Group the rows by block, numbering the distinct block coordinates
+        # (no flat block id, which could overflow).
+        tops, inv = np.unique(cells >> b, axis=0, return_inverse=True)
+        inv = inv.ravel()
+        keys = (tops << b + 1 | 1 << b).tolist()
         blocks = [self._block(tuple(key)) for key in keys]
         joined = bytearray().join(blocks)
         window = np.frombuffer(joined, dtype=np.uint8)

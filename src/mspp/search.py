@@ -88,10 +88,10 @@ from math import inf, sqrt
 
 import numpy as np
 
-from .neighbors import are_neighbors, find_neighbors
+from .neighbors import are_neighbors, find_containing, find_neighbors
 from .predicates import batch_of
 from .reduced import CellTracker, ReducedTree, RTNode, refresh
-from .sampling import ValueEstimator, _layout, check_samples
+from .sampling import ValueEstimator, check_samples
 from .tree import (
     MAX_DEPTH,
     NodeIndex,
@@ -143,10 +143,6 @@ class SearchStats:
         self.pops += other.pops
         self.touched += other.touched
         self.new_samples += other.new_samples
-
-
-def _center(idx: NodeIndex) -> tuple[float, ...]:
-    return tuple(c / 2.0 for c in idx.center2)
 
 
 def node_contains(idx: NodeIndex, point, depth: int) -> bool:
@@ -483,7 +479,10 @@ class PlannerSession:
         self._cells = (self._cell(start), self._cell(goal))
         # Exact mode: whether the labels join the two cells, once asked.
         self._reachable: bool | None = None
-        self.goal_center = _center(goal_v)
+        # The goal cell's doubled center.  An exact walk stands only on
+        # stored leaves, and the view never splits one, so the node that
+        # holds the goal cell is the one that holds the goal leaf.
+        self.goal_center2 = tuple(2 * c + 1 for c in self._cells[1])
         self.current = start_v
         self.trail: list[NodeIndex] = [start_v]
         self.visited = CellTracker(dim, depth)
@@ -546,7 +545,10 @@ class PlannerSession:
         return not self._state(idx[0], idx[1])[1]
 
     def goal_reached(self) -> bool:
-        return node_contains(self.current, self.goal_center, self.depth)
+        half = 1 << self.current.scale
+        return all(
+            abs(c - g) < half for c, g in zip(self.current.center2, self.goal_center2)
+        )
 
     def refresh_view(self) -> None:
         refresh(self.rtree, self._state, self.current, self.visited, self.alpha)
@@ -564,7 +566,7 @@ class PlannerSession:
         later searches never enter it.
         """
         run = SearchStats()
-        goal_node = self.rtree.leaf_at_point(self.goal_center)
+        goal_node = find_containing(self.rtree.root, self.goal_center2)
         start_node = self.rtree.find_vertex(self.current)
         path = None
         if goal_node is not None and start_node is not None:
@@ -643,71 +645,15 @@ class PlannerSession:
         )
 
 
-def verify_path(
-    tree: OccupancyTree,
-    path: list[NodeIndex],
-    eps=None,
-    start=None,
-    goal=None,
-) -> tuple[bool, str | None]:
-    """Check a path against the map: leafness, obstacles, adjacency, endpoints.
-
-    The path is walked in order.  At each position i the clauses are: node
-    i is a node of the map that is not internal (a node under a stored
-    leaf counts, since the map answers for it exactly like for the leaf),
-    node i is not full (tree.is_obstacle), then nodes i and i + 1 are
-    neighbors.  The endpoint clauses follow the walk.  Returns (True,
-    None) or (False, description of the earliest violated clause).
-
-    eps is ignored: a map node is an obstacle exactly when it is full,
-    whatever eps is.  The parameter stays so that callers passing eps
-    positionally before start and goal keep working.
-    """
+def _check_path(path, dim, depth, covers_obstacle, start, goal):
+    """The path rule both checks apply, with their obstacle clause."""
     if not path:
         return False, "empty path"
-    for i, idx in enumerate(path):
-        if not valid_index(idx, tree.dim, tree.depth):
-            return False, f"node {i} is not a node of the world"
-        if tree.is_internal(idx):
-            return False, f"node {i} is not a leaf"
-        if tree.is_obstacle(idx):
-            return False, f"node {i} is an obstacle"
-        if i + 1 < len(path) and not are_neighbors(idx, path[i + 1]):
-            return False, f"nodes {i} and {i + 1} are not neighbors"
-    if start is not None and not node_contains(path[0], start, tree.depth):
-        return False, "first node does not contain the start point"
-    if goal is not None and not node_contains(path[-1], goal, tree.depth):
-        return False, "last node does not contain the goal point"
-    return True, None
-
-
-def verify_path_sampled(
-    predicate,
-    path: list[NodeIndex],
-    depth: int,
-    start=None,
-    goal=None,
-) -> tuple[bool, str | None]:
-    """Map-free path check: every covered unit cell free, then adjacency.
-
-    Clauses are checked over the whole path in this order: every node is
-    a node of the world (the first node's dimension), every unit cell a
-    node covers is free under the predicate, consecutive nodes are
-    neighbors, then the endpoints.  Each node's cell centers go to the
-    predicate as one batch_of call, the call the planner's estimator
-    asks, so the check and the planner read the same rule.
-    Returns (True, None) or (False, description of the first violation).
-    """
-    if not path:
-        return False, "empty path"
-    dim = len(path[0].center2)
     for i, idx in enumerate(path):
         if not valid_index(idx, dim, depth):
             return False, f"node {i} is not a node of the world"
-    batch = batch_of(predicate)
-    for i, (k, c2) in enumerate(path):
-        centers = _layout(dim, k)[0] + [(c - (1 << k)) >> 1 for c in c2]
-        if np.any(batch(centers)):
+    for i, idx in enumerate(path):
+        if covers_obstacle(idx):
             return False, f"node {i} covers an obstacle cell"
     for i, (u, v) in enumerate(zip(path, path[1:])):
         if not are_neighbors(u, v):
@@ -717,3 +663,59 @@ def verify_path_sampled(
     if goal is not None and not node_contains(path[-1], goal, depth):
         return False, "last node does not contain the goal point"
     return True, None
+
+
+def verify_path(
+    tree: OccupancyTree,
+    path: list[NodeIndex],
+    eps=None,
+    start=None,
+    goal=None,
+) -> tuple[bool, str | None]:
+    """Check a path against the map: world, obstacles, adjacency, endpoints.
+
+    A path is valid when it is not empty and, clause by clause over the
+    whole path in this order: every node is a node of the world, no node
+    covers an obstacle cell, consecutive nodes share a face, and the first
+    and last nodes contain the start and goal points (when given).  A
+    node covers an obstacle cell exactly when its value is nonzero: a
+    stored leaf that is free, or a node under one, passes.  The rule is
+    verify_path_sampled's.  Returns (True, None) or (False, description
+    of the first violation).
+
+    eps is ignored: a map node is an obstacle exactly when it is full,
+    whatever eps is.  The parameter stays so that callers passing eps
+    positionally before start and goal keep working.
+    """
+    return _check_path(
+        path, tree.dim, tree.depth, lambda idx: tree.value(idx) != 0.0, start, goal
+    )
+
+
+def verify_path_sampled(
+    predicate,
+    path: list[NodeIndex],
+    depth: int,
+    start=None,
+    goal=None,
+) -> tuple[bool, str | None]:
+    """Check a path against an obstacle predicate, with verify_path's rule.
+
+    The clauses and their order are verify_path's: every node is a node
+    of the world (of the first node's dimension), no node covers an
+    obstacle cell, consecutive nodes share a face, then the endpoints.  A
+    node covers an obstacle cell when the predicate holds at one of its
+    unit-cell centers.  Each node's centers go to the predicate as one
+    batch_of call, the call the planner's estimator asks, so the check
+    and the planner read the same rule.
+    Returns (True, None) or (False, description of the first violation).
+    """
+    dim = len(path[0].center2) if path else 0
+    batch = batch_of(predicate)
+
+    def covers_obstacle(idx) -> bool:
+        k, c2 = idx
+        cells = np.indices((1 << k,) * dim).reshape(dim, -1).T
+        return bool(np.any(batch(cells + [((c - (1 << k)) >> 1) + 0.5 for c in c2])))
+
+    return _check_path(path, dim, depth, covers_obstacle, start, goal)

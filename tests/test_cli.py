@@ -121,6 +121,17 @@ def test_bound_is_zero_when_no_band_scale_lies_in_the_tree(capsys):
     assert out.splitlines()[1:] == ["1,0", "2,0"]
 
 
+def test_a_world_too_large_to_allocate_is_an_error(tmp_path, capsys):
+    # 2**60 cells: the allocation fails at once on any 64-bit address space
+    out_path = tmp_path / "huge.map"
+    code, out, err = run(
+        capsys, "gen-map", "--dim", "6", "--depth", "10", "--out", str(out_path)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out_path.exists()
+
+
 OPEN = [(3, 3), (4, 4)]
 WALL = [(2, y) for y in range(8)]
 

@@ -102,9 +102,28 @@ def test_band_node_count_matches_direct_sum():
                     assert got == float(band_sum(depth, dim, low, high))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_band_node_count_matches_the_sum_at_the_float_edge(data):
+    # the band's top, dim * (depth - low) bits, within a few scales of
+    # 1024 + dim, where its largest term alone leaves the float range
+    draw = data.draw
+    dim = draw(st.integers(1, 7))
+    low = draw(st.integers(0, 3))
+    depth = low + draw(st.integers(1024 // dim - 2, 1024 // dim + 4))
+    high = draw(st.integers(low + 2, depth + 2))
+    try:
+        want = float(band_sum(depth, dim, low, high))
+    except OverflowError:
+        want = math.inf
+    assert band_node_count(depth, dim, low, high) == want
+
+
 def test_band_node_count_past_float_range_is_inf():
     # 2**1200 / 3 nodes at scale 1 alone: no float holds the count
     assert band_node_count(600, 2, 0, 5) == math.inf
+    # a billion-bit count is not built to find that out
+    assert band_node_count(10**7, 100, 0, 10**7 + 1) == math.inf
     params = BoundParams(depth=600, dim=2, eps=0.5, gamma=0.001, samples=1)
     assert failure_bound(params) == 1.0
 

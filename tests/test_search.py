@@ -18,6 +18,8 @@ from helpers import (
     dijkstra_vertex_costs,
     eager_view,
     full_rtree,
+    interval_face_test,
+    node_bounds2,
     random_world,
     realize_grid,
     same_world,
@@ -27,7 +29,12 @@ from helpers import (
 )
 import mspp.search as msearch
 import mspp.tree as mtree
-from mspp.neighbors import are_neighbors, collect_leaves, find_neighbors
+from mspp.neighbors import (
+    are_neighbors,
+    collect_leaves,
+    find_containing,
+    find_neighbors,
+)
 from mspp.predicates import WallWithGap
 from mspp.reduced import CellTracker, ReducedTree, RTNode, refresh, window_thresholds
 from mspp.search import (
@@ -702,15 +709,14 @@ def test_verify_path_clause_order_and_messages():
     ok, reason = verify_path(tree, [a, diag])
     assert not ok and "neighbor" in reason
 
-    # adjacency is checked before leaf-ness and obstacles
     ok, reason = verify_path(tree, [a, obstacle])
-    assert not ok and "neighbor" in reason
+    assert (ok, reason) == (False, "node 1 covers an obstacle cell")
 
     ok, reason = verify_path(tree, [NodeIndex(0, (5, 1)), obstacle])
     assert not ok and "obstacle" in reason
 
     ok, reason = verify_path(tree, [internal, NodeIndex(0, (3, 5))])
-    assert not ok and "leaf" in reason
+    assert not ok and "covers an obstacle cell" in reason
 
     ok, reason = verify_path(tree, [a, b], start=(0.6, 0.6), goal=(3.9, 3.9))
     assert not ok and "goal" in reason
@@ -760,6 +766,98 @@ def test_verifiers_report_nodes_outside_the_world():
         assert not ok and "node 0" in reason and "world" in reason
         ok, reason = verify_path_sampled(pred, [a, bad], 2)
         assert not ok and "node 1" in reason and "world" in reason
+
+
+def grid_path_rule(world: GridWorld, path, start, goal) -> bool:
+    """The valid-path rule read cell by cell from the grid."""
+    side = world.side
+    grid = world.cells.reshape((side,) * world.dim)
+
+    def in_world(idx) -> bool:
+        k, c2 = idx
+        return len(c2) == world.dim and 0 <= k <= world.depth and all(
+            (c - (1 << k)) % (2 << k) == 0 and 0 <= c - (1 << k) < 2 * side
+            for c in c2
+        )
+
+    def holds(idx, point) -> bool:
+        lo, hi = node_bounds2(idx)
+        return all(
+            l <= 2 * x < h or 2 * x == h == 2 * side for l, h, x in zip(lo, hi, point)
+        )
+
+    if not path or not all(map(in_world, path)):
+        return False
+    for idx in path:
+        lo, hi = node_bounds2(idx)
+        # numpy axis a holds spatial axis dim - 1 - a
+        cube = tuple(slice(l // 2, h // 2) for l, h in zip(lo[::-1], hi[::-1]))
+        if grid[cube].any():
+            return False
+    return (
+        all(interval_face_test(u, v) for u, v in zip(path, path[1:]))
+        and (start is None or holds(path[0], start))
+        and (goal is None or holds(path[-1], goal))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_both_path_checks_apply_one_rule(data):
+    # a random node list, mostly a walk over face neighbours of the same,
+    # the next finer or the next coarser scale, so that the later clauses
+    # are reached; a jump may leave the world, and now and then an
+    # address is moved off its lattice
+    draw = data.draw
+    dim = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, 4))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6]))
+    world = random_world(dim, depth, density, seed=draw(st.integers(0, 2**16)))
+    side = world.side
+    sign = st.sampled_from([-1, 1])
+    k, c2 = 0, []
+    path = []
+    for i in range(draw(st.integers(1, 5))):
+        move = 0 if i == 0 else draw(st.integers(0, 7))
+        if move == 0:
+            k = draw(st.integers(0, depth + (i > 0)))
+            top = max(depth - k, 0)
+            low = -1 if i else 0
+            c2 = [(2 * draw(st.integers(low, (1 << top) - 1 - low)) + 1) << k
+                  for _ in range(dim)]
+        else:
+            a, s = draw(st.integers(0, dim - 1)), draw(sign)
+            if not 0 < c2[a] + (s << k + 1) < 2 * side and draw(st.integers(0, 3)):
+                s = -s
+            c2[a] += s << k + 1
+            if move == 1 and k > 0:
+                # the neighbour's child on the shared face
+                k -= 1
+                face = c2[a] - (s << k)
+                c2 = [c + (draw(sign) << k) for c in c2]
+                c2[a] = face
+            elif move == 2 and k < depth:
+                # the neighbour's parent, which may hold the last node
+                k += 1
+                c2 = [c >> k + 1 << k + 1 | 1 << k for c in c2]
+        bent = list(c2)
+        bent[0] += draw(st.sampled_from([0] * 12 + [1, -2]))
+        path.append(NodeIndex(k, tuple(bent)))
+
+    def point(idx):
+        lo, hi = node_bounds2(idx)
+        return draw(st.sampled_from([
+            None,
+            tuple(c / 2 for c in idx.center2),
+            tuple(c / 2 for c in lo),
+            tuple(c / 2 for c in hi),
+            tuple(draw(st.integers(0, 2 * side)) / 2 for _ in range(dim)),
+        ]))
+
+    start, goal = point(path[0]), point(path[-1])
+    got = verify_path(build_from_grid(world), path, start=start, goal=goal)
+    assert got == verify_path_sampled(grid_predicate(world), path, depth, start, goal)
+    assert got[0] == grid_path_rule(world, path, start, goal)
 
 
 @pytest.mark.parametrize("mode", ["exact", "map-free"])
@@ -960,7 +1058,7 @@ def test_map_free_classifications_wait_for_the_next_refresh():
 
     session.refresh_view()
     flagged = flags()
-    goal = session.rtree.leaf_at_point(session.goal_center)
+    goal = find_containing(session.rtree.root, session.goal_center2)
     # the search advance() runs, without committing its step
     astar_lazy(
         session.rtree,
