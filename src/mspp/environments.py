@@ -164,10 +164,9 @@ def uniform_astar(world: GridWorld, start, goal) -> BaselineResult:
     (f, h, flat index) so runs are deterministic.  The heuristic is the
     integer L1 (Manhattan) distance to the goal cell, which is admissible
     and consistent on unit face moves and exact on an obstacle-free grid.
-    Each search is thus guided by its own tight bound: L1 here, the
-    Euclidean centre distance for the multiscale planner's centre-to-centre
-    hops.  The Euclidean distance would be admissible here too, but loose:
-    with it this search expands most of the map.
+    The multiscale planner's searches take the same L1 distance, between
+    node centres.  The Euclidean distance would be admissible here too,
+    but loose: with it this search expands most of the map.
     """
     start = tuple(int(c) for c in start)
     goal = tuple(int(c) for c in goal)

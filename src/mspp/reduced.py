@@ -222,19 +222,6 @@ class ReducedTree:
             return None
         return node
 
-    def leaf_at_point(self, point) -> RTNode | None:
-        """Leaf whose cube contains the point (half-open), None if removed.
-
-        The leaf is the one containing the unit cell floor(point): on every
-        axis the cell's odd doubled center lies on the same side of a
-        coarser node's even center as the doubled point does.
-        """
-        side = 1 << self.depth
-        for x in point:
-            if not 0.0 < x < side:
-                raise ValueError(f"point {tuple(point)} not strictly inside")
-        return find_containing(self.root, tuple(2 * int(x) + 1 for x in point))
-
 
 @lru_cache(maxsize=1024)
 def window_thresholds(

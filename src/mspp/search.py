@@ -48,17 +48,27 @@ the nodes it has reached and closed, so the loop hashes no key to find
 them, and a stamp left by an earlier run reads as unreached.  Only the
 predecessors go in a dict of the run's own, keyed by node identity.
 
+The search is guided by the L1 center distance to the goal leaf: a
+route of face moves, which is what the walk commits, is as long as its
+L1 displacement.  On a view whose leaves are all of one scale every hop
+is such a move and costs at least its length, so L1 is consistent there,
+and a search with nothing learned returns the view's cheapest path.  A
+hop between nodes of different scales is shorter than its L1
+displacement, so on a mixed-scale view L1 can overestimate.  The
+Euclidean distance would not, but it is loose by up to sqrt(dim) on
+every fine route, and a search guided by it pops most of the view off
+the route.
+
 A session's searches share what they learn (Adaptive A*, Koenig &
 Likhachev 2005): each one that reaches the goal raises the cost-to-go
 of the vertices it expanded, keyed by (scale, center2), and later
-searches take the larger of that and the center distance as their
+searches take the larger of that and the L1 distance as their
 heuristic.  A far coarse node keeps its key from one view to the next,
 so most of what a search learned carries over.  A finer view can open a
 shorter route than the one a value was learned on, so a learned value
-may overestimate and a path need not be the view's cheapest.  The walk
-does not rest on an admissible heuristic: an A* with any finite one
-finds a path whenever the view holds one, so the depth-first argument
-above holds unchanged.
+may overestimate too.  The walk does not rest on an admissible
+heuristic: an A* with any finite one finds a path whenever the view
+holds one, so the depth-first argument above holds unchanged.
 
 Map-free, a view decides a node of at most `samples` cells (at or below
 exact_scale_cutoff) the way it decides a map node, from the node's
@@ -85,6 +95,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from math import inf, sqrt
+from operator import sub
 
 import numpy as np
 
@@ -187,13 +198,16 @@ def astar_lazy(
     learned maps vertex keys to learned cost-to-go values (Adaptive A*,
     Koenig & Likhachev 2005), read and updated in place; None stands for
     a fresh empty dict.  A queued vertex's heuristic is the larger of its
-    center distance to the goal leaf and its learned value (0 when it has
-    none).  A search that reaches the goal at cost C raises the learned
-    value of every vertex it expanded, the start included, to at least C
-    minus that vertex's g-value; a failed search learns nothing.  The
-    returned path has minimal cost while the learned values are
-    admissible: with an empty mapping, or one filled only by searches of
-    the same graph and goal.
+    L1 center distance to the goal leaf and its learned value (0 when it
+    has none).  A search that reaches the goal at cost C raises the
+    learned value of every vertex it expanded, the start included, to at
+    least C minus that vertex's g-value; a failed search learns nothing.
+    On a view whose leaves are all of one scale the L1 distance is
+    consistent, and the returned path has minimal cost while the learned
+    values are admissible: with an empty mapping, or one filled only by
+    searches of the same graph and goal.  On a mixed-scale view a
+    cross-scale hop is shorter than its L1 displacement, so the path is
+    one the view holds, not necessarily its cheapest.
     """
     if stats is None:
         stats = SearchStats()
@@ -221,7 +235,7 @@ def astar_lazy(
     # learned values.
     expanded: list = []
     expand = expanded.append
-    h0 = 0.5 * dist(start.center2, goal_center2)
+    h0 = 0.5 * sum(map(abs, map(sub, start.center2, goal_center2)))
     heap: list[tuple] = [(h0, h0, start.key, start)]
     found = None
 
@@ -258,7 +272,7 @@ def astar_lazy(
             if tentative < node.g:
                 node.g = tentative
                 parent[node] = v_node
-                hw = 0.5 * dist(nc2, goal_center2)
+                hw = 0.5 * sum(map(abs, map(sub, nc2, goal_center2)))
                 lw = learned_get(w, 0.0)
                 if lw > hw:
                     hw = lw
@@ -445,10 +459,13 @@ class PlannerSession:
             raise ValueError(f"depth must be in [0, {MAX_DEPTH}], got {depth}")
         # A path has at most 2**(dim * depth) hops, each costing at most the
         # world's diagonal times 1 + weight, and the heuristic adds at most
-        # as much again: its center distance is shorter than the diagonal,
-        # and a learned value is a found path's cost less a g-value, so at
-        # most a path cost.  A finite bound keeps every A* key finite, so
-        # no edge is dropped as if it were blocked.
+        # as much again.  A learned value is a found path's cost less a
+        # g-value, so at most a path cost.  The L1 center distance is at
+        # most dim * 2**depth: at depth >= 1, 2**(dim * depth) >= sqrt(dim),
+        # so that is at most the hop count times the diagonal,
+        # sqrt(dim) * 2**depth; at depth 0 the world is one cell, and it is
+        # 0.  A finite bound keeps every A* key finite, so no edge is
+        # dropped as if it were blocked.
         try:
             cost_bound = 2 * (1 + weight) * sqrt(dim) * 2.0 ** (depth * (dim + 1))
         except OverflowError:

@@ -12,7 +12,8 @@ written over public calls only.
 
 view_snapshot and all_neighbor_pairs are drivers, not oracles: they run
 the library's own lookups (collect_leaves, find_neighbors) over a whole
-view, to be compared with eager_view or pairwise_edges.
+view, to be compared with eager_view or pairwise_edges.  leaf_at_point
+finds a view leaf from a point through the library's find_containing.
 
 root_descent_neighbors and dict_astar keep earlier forms of library
 routines (the neighbor lookup and the A* loop), to be compared with the
@@ -30,7 +31,12 @@ from math import inf, ldexp
 import numpy as np
 
 from mspp.environments import GeneratorSpec, generate_map
-from mspp.neighbors import add_face_leaves, collect_leaves, find_neighbors
+from mspp.neighbors import (
+    add_face_leaves,
+    collect_leaves,
+    find_containing,
+    find_neighbors,
+)
 from mspp.reduced import ReducedTree, RTNode
 from mspp.tree import GridWorld, NodeIndex, valid_index
 
@@ -186,6 +192,21 @@ def realize_grid(predicate, dim: int, depth: int) -> GridWorld:
         point = tuple(c + 0.5 for c in reversed(cell))
         cells[i] = 1 if predicate(point) else 0
     return GridWorld(dim, depth, cells)
+
+
+def leaf_at_point(rtree: ReducedTree, point) -> RTNode | None:
+    """The view leaf whose cube contains the point (half-open), None if removed.
+
+    The leaf is the one containing the unit cell floor(point): on every
+    axis the cell's odd doubled center lies on the same side of a coarser
+    node's even center as the doubled point does.  A point not strictly
+    inside the world box raises ValueError.
+    """
+    side = 1 << rtree.depth
+    for x in point:
+        if not 0.0 < x < side:
+            raise ValueError(f"point {tuple(point)} not strictly inside")
+    return find_containing(rtree.root, tuple(2 * int(x) + 1 for x in point))
 
 
 def view_snapshot(rtree: ReducedTree) -> dict[tuple, bool]:
@@ -546,6 +567,10 @@ def root_descent_neighbors(root, node, depth: int) -> list:
     return out
 
 
+def l1_distance(a, b) -> int:
+    return sum(abs(x - y) for x, y in zip(a, b))
+
+
 def dict_astar(rtree, start, goal, weight, values, excluded=frozenset(),
                stats=None, learned=None) -> list | None:
     """Reference lazy A*: astar_lazy as it was before it kept its per-run
@@ -555,8 +580,9 @@ def dict_astar(rtree, start, goal, weight, values, excluded=frozenset(),
     and the closed set are dicts and a set of the run's own, and the
     excluded keys are copied into the closed set up front.  It takes
     astar_lazy's arguments and keeps its contract, with the library's
-    find_neighbors as the lookup; stats (a SearchStats) and learned are
-    updated the same way.
+    find_neighbors as the lookup and the same heuristic, the larger of
+    the L1 center distance to the goal and the learned value; stats (a
+    SearchStats) and learned are updated the same way.
     """
     if learned is None:
         learned = {}
@@ -569,7 +595,7 @@ def dict_astar(rtree, start, goal, weight, values, excluded=frozenset(),
     closed = set(excluded)
     closed.discard(start_key)
     expanded = []
-    h0 = 0.5 * math.dist(start.center2, goal_center2)
+    h0 = 0.5 * l1_distance(start.center2, goal_center2)
     heap = [(h0, h0, start_key, start)]
     found = False
     while heap:
@@ -593,7 +619,7 @@ def dict_astar(rtree, start, goal, weight, values, excluded=frozenset(),
             if tentative < g.get(w, inf):
                 g[w] = tentative
                 parent[w] = v
-                hw = max(0.5 * math.dist(w[1], goal_center2), learned.get(w, 0.0))
+                hw = max(0.5 * l1_distance(w[1], goal_center2), learned.get(w, 0.0))
                 heapq.heappush(heap, (tentative + hw, hw, w, node))
     if stats is not None:
         stats.pops += len(expanded)

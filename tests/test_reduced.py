@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from helpers import (
     covers,
     eager_view,
+    full_rtree,
     has_node,
     interval_face_test,
     is_leaf,
+    leaf_at_point,
     node_bounds2,
     parent_of,
     random_index,
@@ -346,7 +348,7 @@ def test_refresh_keeps_blocked_cells_as_leaves():
     visited.add(current)
     refresh(rtree, state_source(tree), current, visited, alpha=1.0)
     leaf = rtree.find_vertex(dead)
-    assert leaf is not None and rtree.leaf_at_point((1.5, 0.5)) is leaf
+    assert leaf is not None and leaf_at_point(rtree, (1.5, 0.5)) is leaf
     start = rtree.find_vertex(current)
     assert start is not None
     values = {v: tree.value(v) for v in leaf_keys(rtree)}
@@ -360,7 +362,7 @@ def test_refresh_keeps_blocked_cells_as_leaves():
     visited2.add(coarse_dead)
     refresh(rtree2, state_source(), current, visited2, alpha=1.0)
     leaf = rtree2.find_vertex(coarse_dead)
-    assert leaf is not None and rtree2.leaf_at_point((3.0, 1.0)) is leaf
+    assert leaf is not None and leaf_at_point(rtree2, (3.0, 1.0)) is leaf
     start = rtree2.find_vertex(current)
     values = dict.fromkeys(leaf_keys(rtree2), 0.0)
     assert astar_lazy(rtree2, start, leaf, 1.0, values) == [current, coarse_dead]
@@ -379,7 +381,7 @@ def test_refresh_prunes_known_obstacles_and_keeps_known_free():
     rtree = ReducedTree(2, 3)
     refresh(rtree, state_source(None, obstacles, free), current, path, alpha=1.0)
     assert rtree.find_vertex(bad) is None
-    assert rtree.leaf_at_point((1.5, 0.5)) is None
+    assert leaf_at_point(rtree, (1.5, 0.5)) is None
     # known-free block stays a single vertex instead of splitting to units
     kept = rtree.find_vertex(free_block)
     assert kept is not None
@@ -388,7 +390,7 @@ def test_refresh_prunes_known_obstacles_and_keeps_known_free():
     rtree2 = ReducedTree(2, 3)
     refresh(rtree2, state_source(), current, path, alpha=1.0)
     assert rtree2.find_vertex(free_block) is None
-    sub = rtree2.leaf_at_point((3.0, 1.0))
+    sub = leaf_at_point(rtree2, (3.0, 1.0))
     assert sub is not None and sub.scale == 0
 
 
@@ -452,8 +454,6 @@ def test_vertices_single_leaf_and_full_subdivision():
     rtree = ReducedTree(2, 2)
     verts = collect_leaves(rtree.root)
     assert [(v.scale, v.center2) for v in verts] == [(2, (4, 4))]
-    from helpers import full_rtree
-
     full = full_rtree(2, 2)
     keyed = [(v.scale, v.center2) for v in collect_leaves(full.root)]
     assert len(keyed) == 16
@@ -462,17 +462,15 @@ def test_vertices_single_leaf_and_full_subdivision():
 
 
 def test_leaf_at_point_and_find_vertex():
-    from helpers import full_rtree
-
     rtree = full_rtree(2, 2)
-    node = rtree.leaf_at_point((1.5, 0.5))
+    node = leaf_at_point(rtree, (1.5, 0.5))
     assert (node.scale, node.center2) == (0, (3, 1))
     assert rtree.find_vertex(NodeIndex(0, (3, 1))) is node
     assert rtree.find_vertex(NodeIndex(1, (2, 2))) is None  # internal
     with pytest.raises(ValueError):
-        rtree.leaf_at_point((4.0, 1.0))
+        leaf_at_point(rtree, (4.0, 1.0))
     with pytest.raises(ValueError):
-        rtree.leaf_at_point((-0.1, 1.0))
+        leaf_at_point(rtree, (-0.1, 1.0))
 
 
 def decided_nodes(rtree):
@@ -583,7 +581,7 @@ def test_lazy_view_matches_eager_rebuild(exact, dim, depth):
                 rtree.find_vertex(trail[-1])
                 for _ in range(3):
                     point = tuple(rng.uniform(0.01, side - 0.01, dim))
-                    leaf = rtree.leaf_at_point(point)
+                    leaf = leaf_at_point(rtree, point)
                     if leaf is not None:
                         got = find_neighbors(rtree.root, leaf, depth)
                         want = {
@@ -624,11 +622,11 @@ def test_blocked_cell_inside_a_stored_leaf_splits_it():
     leaves = leaf_keys(rtree)
     assert len(leaves) == 13
     assert NodeIndex(2, (4, 12)) not in leaves
-    assert rtree.leaf_at_point((1.5, 5.5)) is rtree.find_vertex(dead)
+    assert leaf_at_point(rtree, (1.5, 5.5)) is rtree.find_vertex(dead)
     assert leaves >= {dead} | {NodeIndex(0, c2) for c2 in [(1, 9), (1, 11), (3, 9)]}
     assert view_snapshot(rtree) == eager_view(tree, start, visited, 0.5, 1.0)
     # the cheapest way to the goal (1, (2, 14)) runs through the blocked cell
-    goal = rtree.leaf_at_point((0.5, 6.5))
+    goal = leaf_at_point(rtree, (0.5, 6.5))
     values = {v: tree.value(v) for v in leaves}
     start_leaf = rtree.find_vertex(start)
     assert dead in astar_lazy(rtree, start_leaf, goal, 1.0, values)
@@ -656,7 +654,7 @@ def test_view_refuses_to_resolve_after_its_trackers_change():
     refresh(rtree, state_source(tree), step, path, alpha=1.0)
     path.discard(step)
     with pytest.raises(RuntimeError):
-        rtree.leaf_at_point((7.5, 7.5))
+        leaf_at_point(rtree, (7.5, 7.5))
 
 
 def test_view_whose_root_is_removed_keeps_an_empty_root():
@@ -671,8 +669,8 @@ def test_view_whose_root_is_removed_keeps_an_empty_root():
         refresh(rtree, lambda k, c2: (True, False), focus, path, 1.0)
         assert rtree.root.gen == gen
         assert rtree.root.children == [None] * 4
-        assert rtree.leaf_at_point((0.5, 0.5)) is None
-        assert rtree.leaf_at_point((7.5, 7.5)) is None
+        assert leaf_at_point(rtree, (0.5, 0.5)) is None
+        assert leaf_at_point(rtree, (7.5, 7.5)) is None
         assert rtree.find_vertex(focus) is None
 
 
@@ -686,7 +684,7 @@ def test_emptied_internal_nodes_answer_as_removed():
     rtree = ReducedTree(2, 3)
     refresh(rtree, state_source(None, obstacles), near, path, 1.0)
     # near the focus the block descends and loses all four children
-    assert rtree.leaf_at_point((2.5, 0.5)) is None
+    assert leaf_at_point(rtree, (2.5, 0.5)) is None
     assert rtree.find_vertex(block) is None
     beside = find_neighbors(rtree.root, rtree.find_vertex(near), 3)
     assert [(n.scale, n.center2) for n in beside] == [(0, (1, 1)), (0, (3, 3))]

@@ -3,6 +3,7 @@
 import contextlib
 import gc
 import math
+import sys
 import weakref
 from collections import defaultdict
 from itertools import product
@@ -19,6 +20,8 @@ from helpers import (
     eager_view,
     full_rtree,
     interval_face_test,
+    l1_distance,
+    leaf_at_point,
     node_bounds2,
     random_world,
     realize_grid,
@@ -215,6 +218,13 @@ def test_weights_that_overflow_path_costs_are_rejected():
         with pytest.raises(ValueError, match="lets path costs overflow"):
             PlannerSession(weight=1e308, **mode, **ends)
         PlannerSession(weight=1e300, **mode, **ends)
+        # at the refusal edge, where the bound, 2 * (1 + weight) * sqrt(2)
+        # * 2**6 here, is about 0.7 and 1.4 times the largest float: the
+        # accepted weight plans, its A* keys finite, and twice it is refused
+        edge = sys.float_info.max / 256
+        with pytest.raises(ValueError, match="lets path costs overflow"):
+            PlannerSession(weight=2 * edge, **mode, **ends)
+        assert PlannerSession(weight=edge, **mode, **ends).run().success
     # a world too large for the bound to be a float at all
     with pytest.raises(ValueError, match="lets path costs overflow"):
         PlannerSession(
@@ -431,21 +441,61 @@ def make_refreshed_view(tree, start_cell, alpha=1.0):
     return rtree
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5, 1.0]))
-def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
-    depth = 4
-    world = random_world(2, depth, 0.25, seed=seed, free_corners=True)
-    tree = build_from_grid(world)
-    start = tree.leaf_at((0.5, 0.5))
-    goal_point = ((1 << depth) - 0.5,) * 2
-    rtree = make_refreshed_view(tree, start)
+def unit_cell_world(depth: int, density: float = 0.0, seed: int = 0) -> GridWorld:
+    """A 2-D map with an obstacle in every 2x2 block, its corners free.
+
+    Cell (1, 0) of each block is occupied, and with density > 0 random
+    cells besides.  No block is free, so every stored leaf is a unit cell
+    or full, and a view refreshed with alpha at least the world's side
+    is uniform-scale: every hop is a unit face move, on which the L1
+    heuristic is consistent.  At density 0 column 0 and the odd rows are
+    free, so the corners are joined.
+    """
+    side = 1 << depth
+    grid = np.zeros((side, side), dtype=np.uint8)  # grid[y, x]
+    grid[0::2, 1::2] = 1
+    if density:
+        noise = random_world(2, depth, density, seed=seed, free_corners=True)
+        grid |= noise.cells.reshape(side, side)
+    return GridWorld(2, depth, grid)
+
+
+def recorded_search(rtree, start, goal_node, weight, values, **kwargs):
+    """astar_lazy from the view leaf at start: its path, SearchStats and
+    expanded vertices, in order, recorded from its neighbor lookups."""
+    stats, expanded = SearchStats(), []
+    lookup = msearch.find_neighbors
+
+    def recording(root, node, depth):
+        expanded.append(NodeIndex(*node.key))
+        return lookup(root, node, depth)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(msearch, "find_neighbors", recording)
+        path = astar_lazy(
+            rtree, rtree.find_vertex(start), goal_node, weight, values,
+            stats=stats, **kwargs,
+        )
+    return path, stats, expanded
+
+
+def check_against_dijkstra(rtree, start, goal_point, value_of, weight, seed, uniform):
+    """One view's searches against Dijkstra on the view's materialized graph.
+
+    uniform says the view is uniform-scale, where the L1 heuristic is
+    consistent: the path is a cheapest one, and the learned values are
+    exact.  On a mixed-scale view a cross-scale hop is shorter than its
+    L1 displacement, so the path need only be valid.
+    """
+    depth = rtree.depth
     # the view is fine around the start and coarse far from it: the goal
     # is the view's leaf over the goal point, as in PlannerSession.advance
-    goal_node = rtree.leaf_at_point(goal_point)
+    goal_node = leaf_at_point(rtree, goal_point)
     assert rtree.find_vertex(start) is not None and goal_node is not None
     goal = NodeIndex(goal_node.scale, goal_node.center2)
     vertices = [NodeIndex(v.scale, v.center2) for v in collect_leaves(rtree.root)]
+    if uniform:
+        assert all(v.scale == 0 for v in vertices)
     edges = all_neighbor_pairs(rtree.root, depth)
     around = defaultdict(set)
     for a, b in edges:
@@ -460,29 +510,18 @@ def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
     drawn = {v for v in vertices if v not in (start, goal) and rng.random() < 0.2}
     ring = around[goal] - {start}
     some = {start} | {v for v in vertices if v != goal and rng.random() < 0.1}
-    lookup = msearch.find_neighbors
     for flagged, excluded in product((set(), drawn, ring), (set(), some)):
-        values = {v: math.inf if v in flagged else tree.value(v) for v in vertices}
-        stats = SearchStats()
-        expanded = []
+        values = {v: math.inf if v in flagged else value_of(v) for v in vertices}
         learned = {}
-
-        def recording(root, node, depth):
-            expanded.append(NodeIndex(node.scale, node.center2))
-            return lookup(root, node, depth)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(msearch, "find_neighbors", recording)
-            got = astar_lazy(
-                rtree, rtree.find_vertex(start), goal_node, weight, values,
-                excluded=excluded, stats=stats, learned=learned,
-            )
+        got, stats, expanded = recorded_search(
+            rtree, start, goal_node, weight, values, excluded=excluded, learned=learned
+        )
         shut = flagged | (excluded - {start})
         kept = [v for v in vertices if v not in shut]
         costs = dijkstra_vertex_costs(
             kept,
             [(a, b) for a, b in edges if a not in shut and b not in shut],
-            tree.value,
+            value_of,
             weight,
             start,
         )
@@ -498,10 +537,12 @@ def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
         )
         if flagged is ring and not excluded:
             assert (expect is None) == (start not in around[goal])
+        # the search finds a path exactly when Dijkstra does
+        assert (got is None) == (expect is None)
         if expect is None:
             # a failed search learns nothing, and leaves what it was
             # given as it was
-            assert got is None and learned == {}
+            assert learned == {}
             before = {v: float(i) for i, v in enumerate(vertices)}
             filled = dict(before)
             assert astar_lazy(
@@ -512,30 +553,98 @@ def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
             continue
 
         def cost_of(path):
-            assert path is not None and not shut & set(path)
+            # a valid path: from the start to the goal over view edges,
+            # clear of flagged and excluded vertices
+            assert path[0] == start and path[-1] == goal
+            assert not shut & set(path)
+            assert all(b in around[a] for a, b in zip(path, path[1:]))
             return sum(
-                0.5 * math.dist(a.center2, b.center2) * (1.0 + weight * tree.value(b))
+                0.5 * math.dist(a.center2, b.center2) * (1.0 + weight * value_of(b))
                 for a, b in zip(path, path[1:])
             )
 
-        assert cost_of(got) == pytest.approx(expect, rel=1e-9)
+        cost = cost_of(got)
+        assert cost >= expect * (1 - 1e-9)
         # the expanded vertices, the start included, and no others learn
-        # C - g(v); the Euclidean heuristic is consistent, so g(v) is the
-        # least cost from the start
+        # C - g(v); the start's g-value is 0, so it learns the path's cost
         assert start in expanded
         assert set(learned) == set(expanded)
+        assert learned[start] == pytest.approx(cost, rel=1e-9)
+        if not uniform:
+            continue
+        # L1 is consistent on unit face moves, so g(v) is the least cost
+        # from the start: the path is a cheapest one, and C - g(v) exact
+        assert cost == pytest.approx(expect, rel=1e-9)
         for v in expanded:
             assert learned[v] == pytest.approx(expect - costs[v], rel=1e-9, abs=1e-9)
         # on the same graph the learned values stay consistent and are at
-        # least the Euclidean ones: a search that reads them still finds a
-        # cheapest path, and expands no more vertices
-        again_stats = SearchStats()
-        again = astar_lazy(
-            rtree, rtree.find_vertex(start), goal_node, weight, values,
-            excluded=excluded, stats=again_stats, learned=learned,
+        # least the L1 ones: a search that reads them still finds a
+        # cheapest path.  Each search expands only vertices whose least
+        # cost from the start plus heuristic is at most C; how many of
+        # those at exactly C it expands depends on ties, so the second
+        # may expand more than the first
+        before = dict(learned)
+        again, _, expanded_again = recorded_search(
+            rtree, start, goal_node, weight, values, excluded=excluded, learned=learned
         )
         assert cost_of(again) == pytest.approx(expect, rel=1e-9)
-        assert again_stats.pops <= stats.pops
+        for run, read in ((expanded, {}), (expanded_again, before)):
+            for v in run:
+                h = max(0.5 * l1_distance(v.center2, goal.center2), read.get(v, 0.0))
+                assert costs[v] + h <= expect * (1 + 1e-9) + 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5, 1.0]))
+def test_astar_matches_dijkstra_on_materialized_graph(seed, weight):
+    # views of two 16x16 maps, each refreshed around the start: a
+    # mixed-scale one (alpha 1) of a random map, with the map's occupancy
+    # values, and a uniform-scale one of a unit_cell_world, with random
+    # values so the weight counts there too
+    depth = 4
+    side = 1 << depth
+    goal_point = (side - 0.5,) * 2
+    tree = build_from_grid(random_world(2, depth, 0.25, seed=seed, free_corners=True))
+    start = tree.leaf_at((0.5, 0.5))
+    rtree = make_refreshed_view(tree, start)
+    check_against_dijkstra(
+        rtree, start, goal_point, tree.value, weight, seed, uniform=False
+    )
+    tree = build_from_grid(unit_cell_world(depth, 0.1, seed))
+    start = tree.leaf_at((0.5, 0.5))
+    rtree = make_refreshed_view(tree, start, alpha=float(side))
+    rng = np.random.default_rng(seed)
+    drawn = {v.key: float(rng.random()) for v in collect_leaves(rtree.root)}
+    check_against_dijkstra(
+        rtree, start, goal_point, drawn.__getitem__, weight, seed, uniform=True
+    )
+
+
+@pytest.mark.parametrize("depth", [4, 5])
+def test_l1_guides_a_uniform_scale_search_straight_to_the_goal(depth):
+    # on a view of unit cells every hop is a face move, and the L1
+    # distance is the cost-to-go of a free route that turns only toward
+    # the goal: the search pops only the vertices of its path, a cheapest
+    # one, and learns the exact cost-to-go of each
+    tree = build_from_grid(unit_cell_world(depth))
+    start = tree.leaf_at((0.5, 0.5))
+    side = 1 << depth
+    rtree = make_refreshed_view(tree, start, alpha=float(side))
+    goal = leaf_at_point(rtree, (side - 0.5, side - 0.5))
+    vertices = [NodeIndex(v.scale, v.center2) for v in collect_leaves(rtree.root)]
+    assert all(v.scale == 0 for v in vertices)
+    costs = dijkstra_vertex_costs(
+        vertices, all_neighbor_pairs(rtree.root, depth), tree.value, 1.0, start
+    )
+    values = {v: tree.value(v) for v in vertices}
+    stats, learned = SearchStats(), {}
+    path = astar_lazy(
+        rtree, rtree.find_vertex(start), goal, 1.0, values, stats=stats, learned=learned
+    )
+    hops = len(path) - 1
+    assert hops == costs[path[-1]] == 2 * (side - 1)
+    assert stats.pops == hops
+    assert learned == {v: costs[path[-1]] - costs[v] for v in path[:-1]}
 
 
 class _Flagged(dict):
@@ -575,7 +684,7 @@ def test_astar_matches_the_dict_keyed_reference(shape, weight, share, seed):
     learned, learned_ref = {}, {}
     for _ in range(4):
         refresh(rtree, tree.state, current, visited, 1.0)
-        start, goal = rtree.find_vertex(current), rtree.leaf_at_point(goal_point)
+        start, goal = rtree.find_vertex(current), leaf_at_point(rtree, goal_point)
         if goal is None:
             break
         leaves = [v.key for v in collect_leaves(rtree.root, sort=False)]
@@ -599,23 +708,26 @@ def test_astar_matches_the_dict_keyed_reference(shape, weight, share, seed):
 
 
 def test_a_search_reads_what_an_earlier_one_learned():
-    # learned cost-to-go is exact on the first search's expanded vertices,
-    # so a second search of the same view walks straight down its path
-    tree = build_from_grid(random_world(2, 5, 0.3, seed=0, free_corners=True))
+    # a uniform-scale view, with random values so that the first search
+    # strays and no two routes tie: learned cost-to-go is exact on the
+    # first search's expanded vertices, and every other vertex's least
+    # cost plus L1 exceeds the path's, so a second search of the same
+    # view expands only vertices the first one did, fewer of them, and
+    # finds the same path
+    tree = build_from_grid(unit_cell_world(4))
     start = tree.leaf_at((0.5, 0.5))
-    rtree = make_refreshed_view(tree, start)
-    goal = rtree.leaf_at_point((31.5, 31.5))
-    leaves = [NodeIndex(v.scale, v.center2) for v in collect_leaves(rtree.root)]
-    values = {v: tree.value(v) for v in leaves}
+    rtree = make_refreshed_view(tree, start, alpha=16.0)
+    goal = leaf_at_point(rtree, (15.5, 15.5))
+    rng = np.random.default_rng(0)
+    values = {v.key: float(rng.random()) for v in collect_leaves(rtree.root)}
     learned = {}
-    first, again = SearchStats(), SearchStats()
-    path = astar_lazy(
-        rtree, rtree.find_vertex(start), goal, 1.0, values, stats=first, learned=learned
+    path, first, expanded = recorded_search(rtree, start, goal, 1.0, values, learned=learned)
+    again, second, expanded_again = recorded_search(
+        rtree, start, goal, 1.0, values, learned=learned
     )
-    assert astar_lazy(
-        rtree, rtree.find_vertex(start), goal, 1.0, values, stats=again, learned=learned
-    ) == path
-    assert again.pops == len(path) - 1 < first.pops
+    assert again == path
+    assert set(expanded_again) <= set(expanded)
+    assert len(path) - 1 <= second.pops < first.pops
 
 
 def test_finished_sessions_need_no_cycle_collection():
