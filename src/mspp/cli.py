@@ -62,9 +62,12 @@ SETTINGS = {
     "eps": Setting(0.5, "map-free threshold scale", lambda v: 0 < v < 1, "in (0, 1)"),
     "gamma": Setting(0.1, "sampling margin", lambda v: v > 0, "> 0"),
     "samples": Setting(256, "map-free: nodes of <= SAMPLES cells are enumerated, "
-                       "others draw SAMPLES points", lambda v: v >= 1, ">= 1"),
+                       "others draw SAMPLES points where they can change the "
+                       "plan (at weight 0, only in the flag band)",
+                       lambda v: v >= 1, ">= 1"),
     "alpha": Setting(1.0, "window scale multiplier", lambda v: v > 0, "> 0"),
-    "weight": Setting(1.0, "occupancy cost weight w", lambda v: v >= 0, ">= 0"),
+    "weight": Setting(0.0, "occupancy cost weight w (0 plans for length)",
+                      lambda v: v >= 0, ">= 0"),
     "regions": Setting(1, "independent-region count Z", lambda v: v >= 1, ">= 1"),
     "seed": Setting(0, "random seed (MSPP_SEED fallback)"),
     "mode": Setting("exact", "planner mode", ("exact", "sampling")),

@@ -11,14 +11,16 @@ A node's scale alone decides how it is known.  At or below
 exact_scale_cutoff a node holds no more unit cells than the sample budget,
 so full enumeration is cheaper than sampling, and an enumerated node is an
 obstacle exactly when every cell of it is occupied, as a map node is.
-Above it the node is sampled and held to the threshold.  The threshold
-rises with the scale (its float rounding is monotone too), so an estimate
-whose samples all hit is flagged up to some scale and never past it.  The
-misclassifiable band runs from above the enumeration cutoff to the first
-scale where is_flagged_obstacle leaves that saturated estimate unflagged,
-and band_node_count counts its nodes in closed form.  failure_bound
-combines the pieces into the standard probability bound on planning
-failure.
+Above it the node can be sampled and held to the threshold.  The
+threshold rises with the scale (its float rounding is monotone too), so
+an estimate whose samples all hit is flagged up to some scale and never
+past it.  The misclassifiable band runs from above the enumeration
+cutoff to flag_band_end, the first scale where is_flagged_obstacle
+leaves that saturated estimate unflagged, and band_node_count counts its
+nodes in closed form.  failure_bound combines the pieces into the
+standard probability bound on planning failure.  A planner that does
+not price occupancy into its costs (weight 0) samples only the band's
+nodes: past it no estimate can flag a node.
 
 Estimates are cached per node for the lifetime of an estimator, and each
 node draws from its own counter-based random stream derived from the
@@ -59,6 +61,7 @@ __all__ = [
     "band_node_count",
     "exact_scale_cutoff",
     "failure_bound",
+    "flag_band_end",
     "is_flagged_obstacle",
     "obstacle_threshold",
 ]
@@ -161,24 +164,39 @@ def band_node_count(depth: int, dim: int, low: int, high: int) -> float:
         return inf
 
 
-def failure_bound(params: BoundParams) -> float:
-    """Probability bound on planning failure from node misclassification.
+def flag_band_end(dim: int, depth: int, samples: int, eps: float, gamma: float) -> int:
+    """First scale past the flag band.
 
-    Evaluates 1 - (1 - exp(-2 gamma^2 n))^count over `regions` independent
-    solution regions of count/regions nodes each, clamped to [0, 1].
-
-    The band holds the sampled scales, above the enumeration cutoff, where
-    is_flagged_obstacle flags an estimate of 1.  That float test holds up
-    to some scale and fails at every scale past it, so the band is found
-    by walking up from the cutoff while it holds.  It reads the same test
-    classify does, so the two cannot disagree on a scale: a scale whose
+    The band holds the sampled scales, above the enumeration cutoff
+    exact_scale_cutoff(dim, samples), where is_flagged_obstacle flags an
+    estimate of 1.  That float test holds up to some scale and fails at
+    every scale past it, so the band is found by walking up from the
+    cutoff while it holds.  It reads the same test classify does, so the
+    band and the classification cannot disagree on a scale: a scale whose
     threshold is exactly 1 (gamma * 2**(dim*k) == eps) or rounds to 1 is
     in the band.  Once obstacle_threshold reads 1.0 it reads 1.0 at every
     higher scale, so the test does too: a band that is still open there
     runs to depth without walking on.  eps < 1 makes the threshold 1.0 at
     every scale with dim * k >= 54, so the walk takes at most 54 steps
     however deep the tree.  (A band reaches those scales only when gamma
-    is at most 2**-53, which rounds 1 + gamma to 1.)
+    is at most 2**-53, which rounds 1 + gamma to 1.)  A node at the
+    returned scale or above is never flagged, whatever its samples read.
+    """
+    high = exact_scale_cutoff(dim, samples) + 1
+    while high <= depth and is_flagged_obstacle(1.0, high, dim, eps, gamma):
+        if obstacle_threshold(eps, dim, high) == 1.0:
+            return depth + 1
+        high += 1
+    return high
+
+
+def failure_bound(params: BoundParams) -> float:
+    """Probability bound on planning failure from node misclassification.
+
+    Evaluates 1 - (1 - exp(-2 gamma^2 n))^count over `regions` independent
+    solution regions of count/regions nodes each, clamped to [0, 1].
+    count is the number of nodes in the flag band, at the scales above
+    the enumeration cutoff and below flag_band_end.
 
     With one region the bound is either 0 or close to 1.  It is 0 exactly
     when no scale of the misclassifiable band lies in the tree (sampling
@@ -191,12 +209,7 @@ def failure_bound(params: BoundParams) -> float:
     """
     dim, eps, gamma = params.dim, params.eps, params.gamma
     low = exact_scale_cutoff(dim, params.samples)
-    high = low + 1
-    while high <= params.depth and is_flagged_obstacle(1.0, high, dim, eps, gamma):
-        if obstacle_threshold(eps, dim, high) == 1.0:
-            high = params.depth + 1
-            break
-        high += 1
+    high = flag_band_end(dim, params.depth, params.samples, eps, gamma)
     count = band_node_count(params.depth, dim, low, high)
     if count == 0.0:
         return 0.0

@@ -59,6 +59,15 @@ Euclidean distance would not, but it is loose by up to sqrt(dim) on
 every fine route, and a search guided by it pops most of the view off
 the route.
 
+An edge costs the hop's center distance times 1 + weight * (the
+target's occupancy value).  The default weight 0 plans for length, the
+cost the L1 heuristic counts.  A positive weight steers routes away from
+cluttered coarse nodes, but it prices a hop into such a node above its
+length while the heuristic does not, so each search also expands the
+fine cells whose detour is cheaper than that surcharge.  At any weight,
+occupancy decides which nodes a view removes or splits and which a
+search flags.
+
 A session's searches share what they learn (Adaptive A*, Koenig &
 Likhachev 2005): each one that reaches the goal raises the cost-to-go
 of the vertices it expanded, keyed by (scale, center2), and later
@@ -77,7 +86,9 @@ free block stays whole, and only a mixed block splits.  A larger node
 splits unless the search has flagged it.  The search classifies the
 sampled nodes it reaches: a flagged vertex reads the value inf and gets
 the g-value inf, so it is counted as touched, but it never enters the
-queue and is never expanded or routed through.
+queue and is never expanded or routed through.  Only a node of the flag
+band (below sampling.flag_band_end) can be flagged, so at weight 0,
+where no value enters a cost, a node past the band draws no samples.
 
 The search reads values from a mapping keyed by (scale, center2) that
 must answer for every vertex it reaches.  A session hands it its own
@@ -102,7 +113,7 @@ import numpy as np
 from .neighbors import are_neighbors, find_containing, find_neighbors
 from .predicates import batch_of
 from .reduced import CellTracker, ReducedTree, RTNode, refresh
-from .sampling import ValueEstimator, check_samples
+from .sampling import ValueEstimator, check_samples, flag_band_end
 from .tree import (
     MAX_DEPTH,
     NodeIndex,
@@ -337,7 +348,7 @@ class _Memo(dict):
         return got
 
 
-def _node_facts(tree, estimator, eps, gamma):
+def _node_facts(tree, estimator, eps, gamma, weight):
     """A session's value memo and the per-node state its views read.
 
     The memo holds each node's value, inf for a flagged one.  Node values
@@ -345,7 +356,10 @@ def _node_facts(tree, estimator, eps, gamma):
     results are cached), and eps and gamma are fixed for the session, so
     each value is computed once.  Exact values come from the unchecked
     tree.lookup: every key the search reaches is a view node, a valid
-    address.  A map-free fill makes one classify call per node.
+    address.  A map-free fill makes one classify call per node, except
+    where no answer could change the plan: at weight 0 the value enters
+    no cost, and a node at or past flag_band_end is never flagged, so
+    such a node is recorded as 0.0 and asks the predicate nothing.
 
     state(scale, center2) is the (obstacle, splits) pair refresh takes.
     With the map it is tree.state: a node is an obstacle when it is full
@@ -361,7 +375,15 @@ def _node_facts(tree, estimator, eps, gamma):
         lookup = tree.lookup
         return _Memo(lambda idx: lookup(idx[0], idx[1])[0]), tree.state
 
+    end = inf
+    if weight == 0.0:
+        end = flag_band_end(
+            estimator.dim, estimator.depth, estimator.samples, eps, gamma
+        )
+
     def value(idx) -> float:
+        if idx[0] >= end:
+            return 0.0
         flagged, est = estimator.classify(idx, eps, gamma)
         return inf if flagged else est.value
 
@@ -392,7 +414,9 @@ class PlannerSession:
     cell_picks act only map-free: a map node is an obstacle exactly when
     every cell of it is occupied.  eps, gamma and samples are range-checked
     in both modes.  weight scales how much a node's
-    occupancy value adds to the cost of entering it.  The session exposes
+    occupancy value adds to the cost of entering it; the default 0 plans
+    for length, and map-free draws samples only for nodes of the flag
+    band, the one place they can change the plan.  The session exposes
     its iteration pieces (goal_reached, refresh_view, advance) so a caller
     can drive and inspect single iterations; run() drives to completion.
 
@@ -422,7 +446,7 @@ class PlannerSession:
         gamma: float = 0.1,
         samples: int = 256,
         alpha: float = 1.0,
-        weight: float = 1.0,
+        weight: float = 0.0,
         seed: int = 0,
         budget: int | None = None,
         cell_picks: bool = False,
@@ -513,7 +537,9 @@ class PlannerSession:
         # live; a search classifies only view leaves that its generation
         # has already decided, so the flags it learns show from the next
         # refresh on.
-        self._values, self._state = _node_facts(tree, self.estimator, eps, gamma)
+        self._values, self._state = _node_facts(
+            tree, self.estimator, eps, gamma, weight
+        )
         # Cost-to-go learned by this session's searches, all toward the
         # goal point; it must not outlive the session or reach another one.
         self._learned: dict = {}

@@ -1,14 +1,15 @@
 """The mspp command line: exit codes, outputs and input checks."""
 
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from mspp.cli import SETTINGS, main
+from mspp.cli import READS, SETTINGS, main
 from mspp.predicates import parse_predicate
-from mspp.search import verify_path_sampled
+from mspp.search import PlannerSession, verify_path_sampled
 from mspp.tree import GridWorld, NodeIndex, map_text, read_map
 
 
@@ -33,6 +34,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_plan_settings_default_as_the_session_does():
+    # each plan setting the session takes a default for has one default
+    # in both places, of one type: a flag's type is its default's, so an
+    # int 0 would refuse --weight 0.5 (dim and depth default to None in
+    # the session, which then takes them from the tree)
+    params = inspect.signature(PlannerSession).parameters
+    shared = [
+        key for key in READS["plan"] if key in params and params[key].default is not None
+    ]
+    assert shared == ["eps", "gamma", "samples", "alpha", "weight", "seed"]
+    for key in shared:
+        default = SETTINGS[key].default
+        assert default == params[key].default, key
+        assert type(default) is type(params[key].default), key
 
 
 def test_plan_exit_codes(tmp_path, capsys):

@@ -20,6 +20,7 @@ from mspp.sampling import (
     band_node_count,
     exact_scale_cutoff,
     failure_bound,
+    flag_band_end,
     is_flagged_obstacle,
 )
 from mspp.tree import GridWorld, NodeIndex, build_from_grid
@@ -233,7 +234,8 @@ def test_failure_bound_is_zero_or_near_vacuous(dim, depth, eps, gamma, n):
 @example(3, 5, 0.7, 0.05, 8, 1, (2, -3))
 def test_failure_bound_sums_the_flaggable_sampled_scales(dim, depth, eps, gamma, n, z, tie):
     # the band is every sampled scale of the tree at which classify flags
-    # an estimate of 1, counted one term per node
+    # an estimate of 1, counted one term per node; those scales run from
+    # above the cutoff to flag_band_end, so no scale past it flags
     if tie is not None:
         k, ulps = tie
         gamma = math.ldexp(eps, -dim * k)
@@ -242,6 +244,8 @@ def test_failure_bound_sums_the_flaggable_sampled_scales(dim, depth, eps, gamma,
     params = BoundParams(depth=depth, dim=dim, eps=eps, gamma=gamma, samples=n, regions=z)
     low = exact_scale_cutoff(dim, n)
     band = [k for k in range(low + 1, depth + 1) if is_flagged_obstacle(1.0, k, dim, eps, gamma)]
+    end = flag_band_end(dim, depth, n, eps, gamma)
+    assert band == list(range(low + 1, min(end, depth + 1)))
     count = sum(2 ** (dim * (depth - k)) for k in band)
     got = failure_bound(params)
     if count == 0:

@@ -38,7 +38,7 @@ from mspp.neighbors import (
     find_containing,
     find_neighbors,
 )
-from mspp.predicates import WallWithGap
+from mspp.predicates import WallWithGap, batch_of, parse_predicate
 from mspp.reduced import CellTracker, ReducedTree, RTNode, refresh, window_thresholds
 from mspp.search import (
     BUDGET_EXCEEDED,
@@ -60,8 +60,8 @@ from mspp.tree import (
     OccupancyTree,
     build_from_grid,
 )
-from mspp.sampling import exact_scale_cutoff
-from mspp.environments import grid_predicate, uniform_astar
+from mspp.sampling import exact_scale_cutoff, flag_band_end
+from mspp.environments import grid_predicate, random_spheres, uniform_astar
 
 
 @contextlib.contextmanager
@@ -1191,6 +1191,68 @@ def test_map_free_classifications_wait_for_the_next_refresh():
     assert view_snapshot(session.rtree) == learned
 
 
+class CountedPredicate:
+    """A predicate that records every batch of points it is asked."""
+
+    def __init__(self, predicate):
+        self._batch = batch_of(predicate)
+        self.asked = []
+
+    def __call__(self, point) -> bool:
+        return bool(self.batch(np.asarray([point], dtype=np.float64))[0])
+
+    def batch(self, points):
+        self.asked.append(np.array(points))
+        return self._batch(points)
+
+
+def test_map_free_draws_no_sample_that_cannot_change_the_plan():
+    # At the defaults (weight 0, samples 256, eps 0.5, gamma 0.1) no
+    # sampled 3-D scale can flag a node, and a node's value enters no
+    # cost, so the session asks the predicate only about unit-cell centers
+    # (enumeration) and keeps no estimate above the enumeration cutoff.
+    # At weight 1 the values enter the cost, and the nodes above the
+    # cutoff draw their samples.
+    for weight in ({}, {"weight": 1.0}):
+        counted = CountedPredicate(random_spheres(3, 5, 1))
+        session = PlannerSession(
+            predicate=counted, dim=3, depth=5, start=(0.5,) * 3, goal=(31.5,) * 3,
+            **weight,
+        )
+        assert session.run().success
+        estimator = session.estimator
+        cutoff = estimator.exact_cutoff
+        assert flag_band_end(3, 5, 256, 0.5, 0.1) == cutoff + 1
+        assert any(k > cutoff for k, _ in session._values)
+        sampled = [k for k, _ in estimator._cache if k > cutoff]
+        points = np.concatenate(counted.asked)
+        if weight:
+            assert sampled
+            assert not np.all(points % 1 == 0.5)
+        else:
+            assert not sampled
+            assert np.all(points % 1 == 0.5)
+
+
+def test_map_free_at_weight_0_still_samples_the_flag_band():
+    # 4 samples, eps 0.9 and gamma 0.01 in 2-D: scales 2 and 3 lie in the
+    # flag band (cutoff 1), so their nodes draw and can be flagged even at
+    # weight 0, while the scale-4 nodes the search reaches draw nothing
+    predicate = parse_predicate("spheres:8,8,6;24,20,7;10,26,5", 2, 32)
+    session = PlannerSession(
+        predicate=predicate, dim=2, depth=5, start=(0.5, 0.5), goal=(31.5, 31.5),
+        samples=4, eps=0.9, gamma=0.01,
+    )
+    assert session.weight == 0.0
+    assert session.run().success
+    assert flag_band_end(2, 5, 4, 0.9, 0.01) == 4
+    reached = {k for k, _ in session._values}
+    assert {2, 3, 4} <= reached
+    assert {k for k, _ in session.estimator._cache} == {0, 1, 2, 3}
+    flagged = {k for k, value in session._values.items() if value == math.inf}
+    assert flagged and {k for k, _ in flagged} <= {2, 3}
+
+
 def current_leaf(rtree, key) -> bool:
     """The key is a leaf of the view decided in its current generation.
 
@@ -1279,11 +1341,13 @@ def test_map_free_decides_enumerable_nodes_as_the_map(dim, depth, samples, densi
     st.sampled_from(["bernoulli", "blobs"]),
     st.sampled_from([0.2, 0.3, 0.4]),
     st.integers(0, 2**16 - 1),
+    st.sampled_from([0.0, 1.0]),
 )
-def test_plan_agrees_with_grid_search(shape, kind, density, seed):
-    # both modes, on small maps whose nodes the defaults classify exactly:
-    # same reachability as uniform grid A*, simple verified paths, and
-    # never a budget hit
+def test_plan_agrees_with_grid_search(shape, kind, density, seed, weight):
+    # both modes, on small maps whose nodes the defaults classify exactly,
+    # planning for length (the default weight 0) or with occupancy in the
+    # cost: same reachability as uniform grid A*, simple verified paths,
+    # and never a budget hit
     from mspp.environments import GeneratorSpec, generate_map
 
     dim, depth = shape
@@ -1299,11 +1363,13 @@ def test_plan_agrees_with_grid_search(shape, kind, density, seed):
     pred = grid_predicate(world)
     for exact in (True, False):
         if exact:
-            result = PlannerSession(tree=tree, start=start, goal=goal).run()
+            result = PlannerSession(
+                tree=tree, start=start, goal=goal, weight=weight
+            ).run()
         else:
             result = PlannerSession(
                 predicate=pred, dim=dim, depth=depth, start=start, goal=goal,
-                cell_picks=True,
+                weight=weight, cell_picks=True,
             ).run()
         assert result.status != BUDGET_EXCEEDED
         assert result.success == reachable
@@ -1444,9 +1510,11 @@ def test_five_dimensional_worlds_agree_with_grid_search(exact, depth):
     start, goal = (0.5,) * 5, (side - 0.5,) * 5
     reachable = uniform_astar(world, (0,) * 5, (side - 1,) * 5).reachable
     kwargs = mode_kwargs(world, exact)
-    result = PlannerSession(start=start, goal=goal, **kwargs).run()
-    assert result.success == reachable
-    if result.success:
+    for weight in (0.0, 1.0):
+        result = PlannerSession(start=start, goal=goal, weight=weight, **kwargs).run()
+        assert result.success == reachable, weight
+        if not result.success:
+            continue
         if exact:
             ok, reason = verify_path(kwargs["tree"], result.path, start=start, goal=goal)
         else:
